@@ -19,6 +19,7 @@ from .capacity import (
     rho,
     singular_values,
     spectral_efficiency,
+    stream_rates,
 )
 from .channel import (
     MODELS,
@@ -139,6 +140,7 @@ __all__ = [
     "solve_gamma_s",
     "spectral_efficiency",
     "spherical_dir",
+    "stream_rates",
     "to_pwa",
     "trace_array_pairs",
     "trace_paths",

@@ -26,6 +26,7 @@ __all__ = [
     "rho",
     "singular_values",
     "spectral_efficiency",
+    "stream_rates",
 ]
 
 # Thermal noise floor at 290 K in dBm/Hz.
@@ -82,32 +83,38 @@ def rho(snr: float, model: RateModel = RateModel()) -> float:
     return min(model.alpha * math.log2(1.0 + snr), model.se_max)
 
 
-def _stream_rates(
-    singulars: np.ndarray, budget: LinkBudget, model: RateModel
-) -> list[float]:
+def stream_rates(
+    singulars: np.ndarray, budget: LinkBudget, model: RateModel = RateModel()
+) -> np.ndarray:
+    """Sum rate of the k strongest streams at equal power, for k = 1..K, bps/Hz."""
     s = np.sort(np.asarray(singulars, dtype=float))[::-1]
-    if s.size == 0 or np.any(s < 0.0):
-        raise ValueError("singular values must be a non-empty non-negative list")
-    rates = []
-    for k in range(1, s.size + 1):
-        per_stream = budget.tx_power_w / (budget.noise_power_w * k)
-        rates.append(sum(rho(float(s[i] ** 2) * per_stream, model) for i in range(k)))
-    return rates
+    if s.size == 0 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
+        raise ValueError("singular values must be a non-empty finite non-negative list")
+    # Row k-1 holds the per-stream SNRs s_i^2 P / (N k) of an equal split over
+    # k streams; only its first k entries, the streams in use, are summed.
+    # einsum forms the outer product without the scratch buffers of a
+    # broadcast multiply, which would raise the peak memory of a sweep.
+    k = np.arange(1, s.size + 1)
+    snr = np.einsum("k,i->ki", budget.tx_power_w / (budget.noise_power_w * k), s**2)
+    snr += 1.0
+    np.log2(snr, out=snr)
+    snr *= model.alpha
+    np.minimum(snr, model.se_max, out=snr)
+    return np.sum(snr, axis=1, where=np.tri(s.size, dtype=bool))
 
 
 def spectral_efficiency(
     singulars: np.ndarray, budget: LinkBudget, model: RateModel = RateModel()
 ) -> float:
     """Best equal-power stream split, bps/Hz."""
-    return max(_stream_rates(singulars, budget, model))
+    return float(stream_rates(singulars, budget, model).max())
 
 
 def optimal_streams(
     singulars: np.ndarray, budget: LinkBudget, model: RateModel = RateModel()
 ) -> int:
     """Stream count achieving the spectral-efficiency maximum."""
-    rates = _stream_rates(singulars, budget, model)
-    return int(np.argmax(rates)) + 1
+    return int(np.argmax(stream_rates(singulars, budget, model))) + 1
 
 
 def band_rate(

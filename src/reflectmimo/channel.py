@@ -132,46 +132,24 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _phasor(gain: complex, tau_ref: float, dist, f: float, f0: float):
-    return gain * np.exp(2j * math.pi * (tau_ref * f0 - f * dist / C_LIGHT))
-
-
-def _pwa_entries(
+def _path_distances(
     rx_pos: np.ndarray,
     tx_pos: np.ndarray,
-    paths: Sequence[PwaPath],
+    paths: Sequence[PwaPath | RmPath],
     ref: ReferencePair,
-    f: float,
-    f0: float,
-    constant: bool,
-) -> np.ndarray:
-    h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=complex)
-    delta_r = ref.rx_ref - rx_pos
-    delta_t = ref.tx_ref - tx_pos
+    model: str,
+) -> list[np.ndarray]:
+    """Modeled distance of each path, one (RX elements, TX elements) array per
+    path; distances do not depend on frequency."""
+    out = []
     for p in paths:
-        d0 = C_LIGHT * p.delay
-        if constant:
-            dist = np.full((rx_pos.shape[0], tx_pos.shape[0]), d0)
-        else:
-            alpha = delta_r @ spherical_dir(p.aoa_az, p.aoa_el)
-            beta = delta_t @ spherical_dir(p.aod_az, p.aod_el)
-            dist = d0 + alpha[:, None] + beta[None, :]
-        h += _phasor(p.gain, p.delay, dist, f, f0)
-    return h
-
-
-def _rm_entries(
-    rx_pos: np.ndarray,
-    tx_pos: np.ndarray,
-    paths: Sequence[RmPath],
-    ref: ReferencePair,
-    f: float,
-    f0: float,
-    form: str,
-) -> np.ndarray:
-    h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=complex)
-    for p in paths:
-        if form == "image":
+        if model == "constant":
+            dist = np.full((rx_pos.shape[0], tx_pos.shape[0]), C_LIGHT * p.delay)
+        elif model == "pwa":
+            alpha = (ref.rx_ref - rx_pos) @ spherical_dir(p.aoa_az, p.aoa_el)
+            beta = (ref.tx_ref - tx_pos) @ spherical_dir(p.aod_az, p.aod_el)
+            dist = C_LIGHT * p.delay + alpha[:, None] + beta[None, :]
+        elif model == "rm_image":
             img = angles_to_image(p, ref)
             mirrored = tx_pos @ img.U.T + img.g
             diff = rx_pos[:, None, :] - mirrored[None, :, :]
@@ -182,7 +160,16 @@ def _rm_entries(
             vec = a[:, None, :] + b[None, :, :]
             vec[..., 0] += C_LIGHT * p.delay
             dist = np.linalg.norm(vec, axis=2)
-        h += _phasor(p.gain, p.delay, dist, f, f0)
+        out.append(dist)
+    return out
+
+
+def _phasor_sum(
+    paths: Sequence[PwaPath | RmPath], distances: list[np.ndarray], f: float, f0: float
+) -> np.ndarray:
+    h = np.zeros(distances[0].shape, dtype=complex)
+    for p, dist in zip(paths, distances):
+        h += p.gain * np.exp(2j * math.pi * (p.delay * f0 - f * dist / C_LIGHT))
     return h
 
 
@@ -241,25 +228,10 @@ def mimo_matrix(
     The extrapolation models require the fitted path list and the reference
     pair; the exhaustive model requires the scene instead.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown channel model {model!r}, expected one of {MODELS}")
-    rx_pos = rx_array.element_positions
-    tx_pos = tx_array.element_positions
-
-    if model == "exhaustive":
-        _require(scene is not None, "exhaustive model requires a scene")
-        pairs = trace_array_pairs(scene, tx_array, rx_array, max_bounces)
-        return mimo_from_traced_pairs(pairs, f, f0)
-
-    _require(len(paths) > 0, f"{model} model requires a non-empty path list")
-    _require(ref is not None, f"{model} model requires the reference pair")
-    if model in ("constant", "pwa"):
-        h = _pwa_entries(rx_pos, tx_pos, paths, ref, f, f0, constant=(model == "constant"))
-    else:
-        h = _rm_entries(
-            rx_pos, tx_pos, paths, ref, f, f0, form="image" if model == "rm_image" else "angles"
-        )
-    return MimoMatrix(entries=h, frequency=f)
+    return channel_evaluator(
+        tx_array, rx_array, model, f0, paths=paths, ref=ref, scene=scene,
+        max_bounces=max_bounces,
+    )(f)
 
 
 def channel_evaluator(
@@ -273,12 +245,23 @@ def channel_evaluator(
     scene: Scene | None = None,
     max_bounces: int = 2,
 ) -> Callable[[float], MimoMatrix]:
-    """Frequency -> matrix closure; re-traces the element pairs only once."""
+    """Frequency -> matrix closure for the models of ``mimo_matrix``.
+
+    The element pairs are re-traced, or the modeled element distances
+    computed, once; each call only synthesizes the matrix at its frequency.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown channel model {model!r}, expected one of {MODELS}")
     if model == "exhaustive":
         _require(scene is not None, "exhaustive model requires a scene")
         pairs = trace_array_pairs(scene, tx_array, rx_array, max_bounces)
         return lambda f: mimo_from_traced_pairs(pairs, f, f0)
-    return lambda f: mimo_matrix(
-        tx_array, rx_array, model, f, f0, paths=paths, ref=ref, scene=scene,
-        max_bounces=max_bounces,
+
+    _require(len(paths) > 0, f"{model} model requires a non-empty path list")
+    _require(ref is not None, f"{model} model requires the reference pair")
+    distances = _path_distances(
+        rx_array.element_positions, tx_array.element_positions, paths, ref, model
+    )
+    return lambda f: MimoMatrix(
+        entries=_phasor_sum(paths, distances, f, f0), frequency=f
     )

@@ -19,9 +19,8 @@ from .capacity import (
     LinkBudget,
     RateModel,
     band_rate,
-    optimal_streams,
     singular_values,
-    spectral_efficiency,
+    stream_rates,
 )
 from .channel import channel_evaluator, upa
 from .fit_dp import PairObservation, fit_rm_dp
@@ -240,7 +239,7 @@ def capacity_sweep(
     n_freq: int = 10,
     max_bounces: int = 2,
     rng_seed: int = 0,
-    dp_distances: tuple[float, float] = (0.01, 0.02),
+    dp_distances: Sequence[float] = (0.01, 0.02),
     rm_form: str = "image",
 ) -> tuple[list[SweepCell], dict[str, int]]:
     """Spectral efficiency versus transmitter array rotation, per model.
@@ -286,7 +285,7 @@ def capacity_sweep(
             fitted["rm_dp"] = _fit_dp_paths(
                 scene, ref, reference_obs, dp_distances, rng, max_bounces
             )
-            counts["rm_dp"] = 3
+            counts["rm_dp"] = 1 + len(dp_distances)
 
     channel_model = {
         "constant": "constant",
@@ -317,14 +316,14 @@ def capacity_sweep(
             _, se_avg = band_rate(
                 evaluator, f0, budget.bandwidth_hz, budget, rate_model, n_freq
             )
-            center = singular_values(evaluator(f0))
+            center = stream_rates(singular_values(evaluator(f0)), budget, rate_model)
             cells.append(
                 SweepCell(
                     rotation=float(rot),
                     model=name,
-                    se_center=spectral_efficiency(center, budget, rate_model),
+                    se_center=float(center.max()),
                     se_avg=se_avg,
-                    rank_used=optimal_streams(center, budget, rate_model),
+                    rank_used=int(np.argmax(center)) + 1,
                 )
             )
     log.info("capacity sweep trace counts: %s", counts)

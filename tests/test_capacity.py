@@ -177,6 +177,33 @@ class TestSpectralEfficiency:
             spectral_efficiency([], BUDGET, MODEL)
         with pytest.raises(ValueError):
             spectral_efficiency([-1.0], BUDGET, MODEL)
+        with pytest.raises(ValueError):
+            spectral_efficiency([math.nan, 1e-3], BUDGET, MODEL)
+        with pytest.raises(ValueError):
+            optimal_streams([math.nan, 1e-3], BUDGET, MODEL)
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3])
+            | st.floats(min_value=0.0, max_value=1e3),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rho_loop(self, snr_roots):
+        # multiples of the unit-SNR singular value: exact zeros, repeats, and
+        # SNRs up to 1e6, far above the se_max cap at 255
+        s = np.array(snr_roots) * snr_unit_singular(BUDGET)
+        ordered = np.sort(s)[::-1]
+        p_over_n = BUDGET.tx_power_w / BUDGET.noise_power_w
+        loop = [
+            sum(rho(float(ordered[i] ** 2) * p_over_n / k, MODEL) for i in range(k))
+            for k in range(1, s.size + 1)
+        ]
+        assert abs(spectral_efficiency(s, BUDGET, MODEL) - max(loop)) <= 1e-12
+        k = optimal_streams(s, BUDGET, MODEL)
+        assert loop[k - 1] >= max(loop) - 1e-12
 
 
 class TestBandRate:

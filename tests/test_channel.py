@@ -274,10 +274,11 @@ class TestMimoMatrixModels:
         rm, _, ref = fitted_paths(scene, tx, rx, max_bounces=1)
         txa = upa(2, 2, 0.14, center=tx)
         rxa = upa(2, 2, 0.14, center=rx)
-        for model, kwargs in (
-            ("pwa", dict(paths=rm, ref=ref)),
-            ("exhaustive", dict(scene=scene, max_bounces=1)),
-        ):
+        for model in MODELS:
+            if model == "exhaustive":
+                kwargs = dict(scene=scene, max_bounces=1)
+            else:
+                kwargs = dict(paths=rm, ref=ref)
             at = channel_evaluator(txa, rxa, model, F0, **kwargs)
             for f in (F0 - 1e9, F0 + 1e9):
                 direct = mimo_matrix(txa, rxa, model, f, F0, **kwargs)

@@ -220,6 +220,14 @@ class TestCapacitySweep:
             assert math.isfinite(cell.se_center) and cell.se_center > 0.0
             assert 1 <= cell.rank_used <= 16
 
+    def test_rm_dp_count_follows_displacements(self):
+        scene, ref = corridor_scene(100.0)
+        _, counts = capacity_sweep(
+            scene, ref, [0.0], LinkBudget(), rows=2, cols=2, models=("rm_dp",),
+            n_freq=1, max_bounces=1, dp_distances=(0.01, 0.02, 0.05),
+        )
+        assert counts == {"rm_dp": 4}
+
     def test_image_and_angle_forms_agree(self):
         scene, ref = corridor_scene(100.0)
         rotations = [0.0, math.pi / 4.0, math.pi / 2.0]
