@@ -27,7 +27,8 @@ from .channel import (
     MimoMatrix,
     channel_evaluator,
     mimo_matrix,
-    scalar_channel,
+    path_distances,
+    phasor_sum,
     trace_array_pairs,
     upa,
 )
@@ -127,6 +128,8 @@ __all__ = [
     "match_paths",
     "mimo_matrix",
     "optimal_streams",
+    "path_distances",
+    "phasor_sum",
     "pwa_distance",
     "rayleigh_distance",
     "reflect_point",
@@ -135,7 +138,6 @@ __all__ = [
     "rm_distance_image",
     "rotation_matrix",
     "route_length",
-    "scalar_channel",
     "singular_values",
     "solve_gamma_s",
     "spectral_efficiency",

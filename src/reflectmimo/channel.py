@@ -1,16 +1,17 @@
 """MIMO channel matrices from extrapolated or re-traced path sets.
 
-A channel entry for TX element n and RX element m sums the per-path phasors
-``gain * exp(j 2 pi (delay_ref * f0 - f * d(m, n) / c))`` where d(m, n) is the
-modeled propagation distance of the path between the two elements. The model
-choices are:
+Every channel value is one phasor sum, ``phasor_sum``: path p contributes
+``gain_p * exp(j 2 pi (delay_p * f0 - f * d_p / c))``, where d_p is the
+path's propagation distance between the two antennas. ``path_distances``
+gives d_p under one of the extrapolation models, for any broadcastable
+arrays of receiver and transmitter points:
 
 * ``constant``    d = c * delay_ref (element-independent),
 * ``pwa``         first-order plane-wave extrapolation,
-* ``rm_image``    reflection model, matrix form,
-* ``rm_angles``   reflection model, angle form (same distances as rm_image),
-* ``exhaustive``  re-trace every element pair through the scene; gains and
-                  delays are the per-pair traced ones, not extrapolated.
+* ``rm_image``    reflection model, matrix form (exact for specular paths).
+
+The ``exhaustive`` model instead re-traces every element pair through the
+scene; gains and delays are the per-pair traced ones, with d = c * delay.
 
 Elements are isotropic: no per-element pattern weighting is applied.
 """
@@ -23,15 +24,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import rotation_matrix, spherical_dir
+from .geometry import rotation_matrix
 from .paths import (
     C_LIGHT,
     PwaPath,
     ReferencePair,
     RmPath,
-    align_rotation,
     angles_to_image,
-    departure_mirror,
+    pwa_distance,
+    rm_distance_image,
 )
 from .tracer import Scene, trace_paths
 
@@ -39,14 +40,16 @@ __all__ = [
     "ArrayGeometry",
     "MODELS",
     "MimoMatrix",
+    "channel_evaluator",
     "mimo_from_traced_pairs",
     "mimo_matrix",
-    "scalar_channel",
+    "path_distances",
+    "phasor_sum",
     "trace_array_pairs",
     "upa",
 ]
 
-MODELS = ("constant", "pwa", "rm_image", "rm_angles", "exhaustive")
+MODELS = ("constant", "pwa", "rm_image", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -116,15 +119,29 @@ class MimoMatrix:
         return self.entries.shape
 
 
-def scalar_channel(
-    terms: Sequence[tuple[complex, float, float]], f: float, f0: float
-) -> complex:
-    """Channel value at frequency f from (gain, reference delay, distance)
-    triples; the reference delay anchors the phase at the carrier f0."""
-    total = 0j
-    for gain, tau_ref, dist in terms:
-        total += gain * np.exp(2j * math.pi * (tau_ref * f0 - f * dist / C_LIGHT))
-    return complex(total)
+def phasor_sum(
+    gains: Sequence[complex],
+    delays: Sequence[float],
+    distances: Sequence,
+    f: float | np.ndarray,
+    f0: float,
+):
+    """Channel sum_p gains[p] * exp(2 pi j (delays[p] f0 - f distances[p] / c)).
+
+    The path axis comes first in all three sequences. Each distances[p] may
+    be an array (one value per antenna pair) and f an array of frequencies;
+    they broadcast, and the paths are accumulated one at a time into one
+    array of that shape. The reference delay anchors the phase at the
+    carrier f0. An empty path list gives 0j.
+    """
+    terms = (
+        g * np.exp(2j * math.pi * (tau * f0 - f * d / C_LIGHT))
+        for g, tau, d in zip(gains, delays, distances)
+    )
+    total = next(terms, 0j)
+    for term in terms:
+        total += term
+    return total
 
 
 def _require(cond: bool, message: str) -> None:
@@ -132,45 +149,31 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _path_distances(
-    rx_pos: np.ndarray,
-    tx_pos: np.ndarray,
+def path_distances(
+    rx: np.ndarray,
+    tx: np.ndarray,
     paths: Sequence[PwaPath | RmPath],
     ref: ReferencePair,
     model: str,
-) -> list[np.ndarray]:
-    """Modeled distance of each path, one (RX elements, TX elements) array per
-    path; distances do not depend on frequency."""
-    out = []
-    for p in paths:
-        if model == "constant":
-            dist = np.full((rx_pos.shape[0], tx_pos.shape[0]), C_LIGHT * p.delay)
-        elif model == "pwa":
-            alpha = (ref.rx_ref - rx_pos) @ spherical_dir(p.aoa_az, p.aoa_el)
-            beta = (ref.tx_ref - tx_pos) @ spherical_dir(p.aod_az, p.aod_el)
-            dist = C_LIGHT * p.delay + alpha[:, None] + beta[None, :]
-        elif model == "rm_image":
-            img = angles_to_image(p, ref)
-            mirrored = tx_pos @ img.U.T + img.g
-            diff = rx_pos[:, None, :] - mirrored[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-        else:
-            a = (ref.rx_ref - rx_pos) @ align_rotation(p.aoa_az, p.aoa_el).T
-            b = (ref.tx_ref - tx_pos) @ departure_mirror(p).T
-            vec = a[:, None, :] + b[None, :, :]
-            vec[..., 0] += C_LIGHT * p.delay
-            dist = np.linalg.norm(vec, axis=2)
-        out.append(dist)
-    return out
+) -> list:
+    """Modeled distance of each path under ``constant``, ``pwa`` or
+    ``rm_image``, one entry per path.
 
-
-def _phasor_sum(
-    paths: Sequence[PwaPath | RmPath], distances: list[np.ndarray], f: float, f0: float
-) -> np.ndarray:
-    h = np.zeros(distances[0].shape, dtype=complex)
-    for p, dist in zip(paths, distances):
-        h += p.gain * np.exp(2j * math.pi * (p.delay * f0 - f * dist / C_LIGHT))
-    return h
+    rx and tx are points of shape (..., 3) whose leading axes broadcast;
+    each entry has the broadcast shape (a float for two single points).
+    ``rm_image`` needs RmPath fits; the other two use only the plane-wave
+    fields.
+    """
+    if model == "constant":
+        shape = np.broadcast_shapes(np.shape(rx)[:-1], np.shape(tx)[:-1])
+        return [np.full(shape, C_LIGHT * p.delay) for p in paths]
+    if model == "pwa":
+        return [pwa_distance(rx, tx, ref, p) for p in paths]
+    if model == "rm_image":
+        return [rm_distance_image(rx, tx, angles_to_image(p, ref)) for p in paths]
+    raise ValueError(
+        f"unknown distance model {model!r}, expected constant, pwa or rm_image"
+    )
 
 
 def trace_array_pairs(
@@ -200,14 +203,10 @@ def mimo_from_traced_pairs(
     pair_params: list[list[tuple[np.ndarray, np.ndarray]]], f: float, f0: float
 ) -> MimoMatrix:
     """Channel matrix from per-pair traced gains/delays at frequency f."""
-    n_rx = len(pair_params)
-    n_tx = len(pair_params[0])
-    h = np.zeros((n_rx, n_tx), dtype=complex)
-    for m in range(n_rx):
-        for n in range(n_tx):
-            gains, delays = pair_params[m][n]
-            if gains.size:
-                h[m, n] = np.sum(gains * np.exp(-2j * math.pi * (f - f0) * delays))
+    h = np.zeros((len(pair_params), len(pair_params[0])), dtype=complex)
+    for m, row in enumerate(pair_params):
+        for n, (gains, delays) in enumerate(row):
+            h[m, n] = phasor_sum(gains, delays, C_LIGHT * delays, f, f0)
     return MimoMatrix(entries=h, frequency=f)
 
 
@@ -259,9 +258,15 @@ def channel_evaluator(
 
     _require(len(paths) > 0, f"{model} model requires a non-empty path list")
     _require(ref is not None, f"{model} model requires the reference pair")
-    distances = _path_distances(
-        rx_array.element_positions, tx_array.element_positions, paths, ref, model
+    distances = path_distances(
+        rx_array.element_positions[:, None],
+        tx_array.element_positions[None, :],
+        paths,
+        ref,
+        model,
     )
+    gains = [p.gain for p in paths]
+    delays = [p.delay for p in paths]
     return lambda f: MimoMatrix(
-        entries=_phasor_sum(paths, distances, f, f0), frequency=f
+        entries=phasor_sum(gains, delays, distances, f, f0), frequency=f
     )

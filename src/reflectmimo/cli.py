@@ -19,15 +19,10 @@ from .experiments import (
     capacity_sweep,
     displacement_experiment,
 )
+from .channel import path_distances, phasor_sum
 from .fit_dp import fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .paths import (
-    C_LIGHT,
-    ReferencePair,
-    angles_to_image,
-    pwa_distance,
-    rm_distance_image,
-)
+from .paths import ReferencePair, angles_to_image
 from .tracer import to_pwa, trace_paths
 
 _DEFAULT_ROTATIONS_DEG = [float(d) for d in range(-180, 180, 15)]
@@ -109,17 +104,18 @@ def _cmd_fit_dp(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     with open(args.rm) as fp:
         export = fileio.load_rm(fp)
-    total = 0j
-    for path, img in export.paths:
-        if args.model == "constant":
-            dist = C_LIGHT * path.delay
-        elif args.model == "pwa":
-            dist = pwa_distance(args.rx, args.tx, export.ref, path)
-        else:
-            dist = rm_distance_image(args.rx, args.tx, img)
-        total += path.gain * np.exp(
-            2j * math.pi * (path.delay * export.f0_hz - args.freq * dist / C_LIGHT)
+    paths = [path for path, _ in export.paths]
+    model = "rm_image" if args.model == "rm" else args.model
+    dists = path_distances(args.rx, args.tx, paths, export.ref, model)
+    total = complex(
+        phasor_sum(
+            [p.gain for p in paths],
+            [p.delay for p in paths],
+            dists,
+            args.freq,
+            export.f0_hz,
         )
+    )
     print(f"{total.real:.17g}{total.imag:+.17g}j")
     return 0
 

@@ -22,17 +22,10 @@ from .capacity import (
     singular_values,
     stream_rates,
 )
-from .channel import channel_evaluator, upa
+from .channel import channel_evaluator, path_distances, phasor_sum, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .paths import (
-    C_LIGHT,
-    ReferencePair,
-    RmPath,
-    angles_to_image,
-    pwa_distance,
-    rm_distance_image,
-)
+from .paths import C_LIGHT, ReferencePair, RmPath
 from .tracer import Scene, to_pwa, trace_paths
 
 __all__ = [
@@ -49,6 +42,15 @@ log = logging.getLogger(__name__)
 ESTIMATORS = ("constant", "pwa", "rm_rt", "rm_dp")
 
 _SWEEP_MODELS = ("exhaustive",) + ESTIMATORS
+
+# Channel model (see channel.MODELS) that evaluates each estimator's fit.
+_CHANNEL_MODEL = {
+    "exhaustive": "exhaustive",
+    "constant": "constant",
+    "pwa": "pwa",
+    "rm_rt": "rm_image",
+    "rm_dp": "rm_image",
+}
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,6 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
         n = float(np.linalg.norm(v))
         if n > 1e-6:
             return v / n
-
-
-def _truth_channel(gains: np.ndarray, delays: np.ndarray, f: float, f0: float) -> complex:
-    if gains.size == 0:
-        return 0j
-    return complex(np.sum(gains * np.exp(-2j * math.pi * (f - f0) * delays)))
 
 
 def _fit_dp_paths(
@@ -163,11 +159,6 @@ def displacement_experiment(
         fitted["rm_dp"] = _fit_dp_paths(
             scene, ref, reference_obs, spec.distances[:2], rng, max_bounces
         )
-    rm_images = {
-        name: [(p, angles_to_image(p, ref)) for p in fitted[name]]
-        for name in ("rm_rt", "rm_dp")
-        if name in fitted
-    }
 
     freqs = rng.uniform(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, size=n_freq)
     samples = [
@@ -175,41 +166,45 @@ def displacement_experiment(
         for dist in spec.distances
         for _ in range(spec.directions_per_distance)
     ]
+    tx_m = np.array([ref.tx_ref + dist * dir_tx for dist, dir_tx, _ in samples])
+    rx_m = np.array([ref.rx_ref + dist * dir_rx for dist, _, dir_rx in samples])
+    # Model distances of all samples at once: one (samples,) array per path.
+    distances = {
+        name: path_distances(rx_m, tx_m, fitted[name], ref, _CHANNEL_MODEL[name])
+        for name in models
+    }
 
     records = []
-    for dist, dir_tx, dir_rx in samples:
-        tx_m = ref.tx_ref + dist * dir_tx
-        rx_m = ref.rx_ref + dist * dir_rx
-        truth = trace_paths(scene, tx_m, rx_m, max_bounces)
-        true_gains = np.array([p.gain for p in truth], dtype=complex)
-        true_delays = np.array([p.delay for p in truth])
-
-        model_terms: dict[str, list[tuple[complex, float, float]]] = {}
+    for s, (dist, _, _) in enumerate(samples):
+        truth = trace_paths(scene, tx_m[s], rx_m[s], max_bounces)
+        true_delays = [p.delay for p in truth]
+        h_true = phasor_sum(
+            [p.gain for p in truth],
+            true_delays,
+            [C_LIGHT * tau for tau in true_delays],
+            freqs,
+            f0,
+        )
+        eps = {}
         for name in models:
-            if name == "constant":
-                terms = [(p.gain, p.delay, p.delay * C_LIGHT) for p in pwa0]
-            elif name == "pwa":
-                terms = [
-                    (p.gain, p.delay, pwa_distance(rx_m, tx_m, ref, p)) for p in pwa0
-                ]
-            else:
-                terms = [
-                    (p.gain, p.delay, rm_distance_image(rx_m, tx_m, img))
-                    for p, img in rm_images[name]
-                ]
-            model_terms[name] = terms
-
-        for f in freqs:
-            h_true = _truth_channel(true_gains, true_delays, f, f0)
+            h_est = phasor_sum(
+                [p.gain for p in fitted[name]],
+                [p.delay for p in fitted[name]],
+                [d[s] for d in distances[name]],
+                freqs,
+                f0,
+            )
+            # A scalar when both path lists are empty.
+            err = abs(h_est - h_true) ** 2 / energy0
+            eps[name] = np.broadcast_to(err, freqs.shape)
+        for k, f in enumerate(freqs):
             for name in models:
-                h_est = sum(
-                    g * np.exp(2j * math.pi * (tau * f0 - f * d / C_LIGHT))
-                    for g, tau, d in model_terms[name]
-                )
-                eps = abs(h_est - h_true) ** 2 / energy0
                 records.append(
                     ErrorRecord(
-                        model=name, distance=dist, frequency=float(f), epsilon=float(eps)
+                        model=name,
+                        distance=dist,
+                        frequency=float(f),
+                        epsilon=float(eps[name][k]),
                     )
                 )
     return records
@@ -240,7 +235,6 @@ def capacity_sweep(
     max_bounces: int = 2,
     rng_seed: int = 0,
     dp_distances: Sequence[float] = (0.01, 0.02),
-    rm_form: str = "image",
 ) -> tuple[list[SweepCell], dict[str, int]]:
     """Spectral efficiency versus transmitter array rotation, per model.
 
@@ -250,8 +244,6 @@ def capacity_sweep(
     table and the number of path traces each model consumed, the cost metric
     that separates exhaustive re-tracing from the one-off fits.
     """
-    if rm_form not in ("image", "angles"):
-        raise ValueError("rm_form must be 'image' or 'angles'")
     unknown = set(models) - set(_SWEEP_MODELS)
     if unknown:
         raise ValueError(f"unknown model(s) {sorted(unknown)}")
@@ -287,14 +279,6 @@ def capacity_sweep(
             )
             counts["rm_dp"] = 1 + len(dp_distances)
 
-    channel_model = {
-        "constant": "constant",
-        "pwa": "pwa",
-        "rm_rt": f"rm_{rm_form}",
-        "rm_dp": f"rm_{rm_form}",
-        "exhaustive": "exhaustive",
-    }
-
     cells = []
     for rot in rotations:
         tx_array = upa(
@@ -304,7 +288,7 @@ def capacity_sweep(
             evaluator = channel_evaluator(
                 tx_array,
                 rx_array,
-                channel_model[name],
+                _CHANNEL_MODEL[name],
                 f0,
                 paths=fitted.get(name, ()),
                 ref=ref,

@@ -25,6 +25,7 @@ from .paths import (
     PwaPath,
     ReferencePair,
     RmPath,
+    _vec3,
     align_rotation,
     spherical_dir,
 )
@@ -38,13 +39,6 @@ __all__ = [
     "match_paths",
     "solve_gamma_s",
 ]
-
-
-def _vec3(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -180,11 +174,7 @@ def solve_gamma_s(
     """
     if len(displaced) < 2:
         raise ValueError("need at least two displaced pairs")
-    scale = max(1.0, float(np.linalg.norm(ref_geometry.rx_ref - ref_geometry.tx_ref)))
-    if (
-        float(np.linalg.norm(reference.tx - ref_geometry.tx_ref)) > 1e-9 * scale
-        or float(np.linalg.norm(reference.rx - ref_geometry.rx_ref)) > 1e-9 * scale
-    ):
+    if not ref_geometry.matches(reference.tx, reference.rx):
         raise ValueError("reference observation does not sit at the reference pair")
 
     matches = [match_paths(reference, obs, cfg) for obs in displaced]

@@ -61,11 +61,7 @@ def fit_rm_rt(path: TracedPath, ref: ReferencePair) -> RmPath:
     the reference reproduces the traced delay.
     """
     verts = path.route.vertices
-    scale = max(1.0, float(np.linalg.norm(ref.rx_ref - ref.tx_ref)))
-    if (
-        float(np.linalg.norm(verts[0] - ref.tx_ref)) > 1e-9 * scale
-        or float(np.linalg.norm(verts[-1] - ref.rx_ref)) > 1e-9 * scale
-    ):
+    if not ref.matches(verts[0], verts[-1]):
         raise ValueError("route endpoints do not match the reference pair")
     img = fit_from_route(path.route)
     rm = image_to_angles(img, ref, gain=path.gain)

@@ -60,6 +60,13 @@ def _vec3(x, name: str) -> np.ndarray:
     return v
 
 
+def _points(x, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{name} must have shape (..., 3), got shape {v.shape}")
+    return v
+
+
 @dataclass(frozen=True)
 class ReferencePair:
     """Reference TX/RX positions that anchor all extrapolation models."""
@@ -74,6 +81,14 @@ class ReferencePair:
             raise ValueError("reference TX and RX positions coincide")
         object.__setattr__(self, "tx_ref", tx)
         object.__setattr__(self, "rx_ref", rx)
+
+    def matches(self, tx: np.ndarray, rx: np.ndarray) -> bool:
+        """True when tx and rx are within 1e-9 * max(1, |rx_ref - tx_ref|) of it."""
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(self.rx_ref - self.tx_ref)))
+        return (
+            float(np.linalg.norm(tx - self.tx_ref)) <= tol
+            and float(np.linalg.norm(rx - self.rx_ref)) <= tol
+        )
 
 
 @dataclass(frozen=True)
@@ -161,25 +176,34 @@ def departure_mirror(path: RmPath) -> np.ndarray:
 
 def pwa_distance(
     rx: np.ndarray, tx: np.ndarray, ref: ReferencePair, path: PwaPath
-) -> float:
+) -> float | np.ndarray:
     """First-order plane-wave distance estimate at displaced positions.
 
     Exact at the reference pair; the error grows with the square of the
-    displacement of either endpoint.
+    displacement of either endpoint. rx and tx are points of shape (..., 3)
+    whose leading axes broadcast against each other (rx[:, None] and
+    tx[None, :] give the (M, N) element-pair distances); two single points
+    give a float.
     """
     u_r = spherical_dir(path.aoa_az, path.aoa_el)
     u_t = spherical_dir(path.aod_az, path.aod_el)
-    d = C_LIGHT * path.delay
-    d += float(u_r @ (ref.rx_ref - _vec3(rx, "rx")))
-    d += float(u_t @ (ref.tx_ref - _vec3(tx, "tx")))
-    return d
+    alpha = (ref.rx_ref - _points(rx, "rx")) @ u_r
+    beta = (ref.tx_ref - _points(tx, "tx")) @ u_t
+    return C_LIGHT * path.delay + alpha + beta
 
 
-def rm_distance_image(rx: np.ndarray, tx: np.ndarray, img: RmImage) -> float:
-    """Reflection-model distance |rx - U tx - g| (matrix form)."""
-    return float(
-        np.linalg.norm(_vec3(rx, "rx") - img.U @ _vec3(tx, "tx") - img.g)
-    )
+def rm_distance_image(
+    rx: np.ndarray, tx: np.ndarray, img: RmImage
+) -> float | np.ndarray:
+    """Reflection-model distance |rx - U tx - g| (matrix form).
+
+    rx and tx are points of shape (..., 3) whose leading axes broadcast
+    against each other, as in pwa_distance; the transmitter images are
+    formed before the broadcast, so N transmitters are mirrored once for
+    any number of receivers. Two single points give a float.
+    """
+    mirrored = _points(tx, "tx") @ img.U.T + img.g
+    return np.linalg.norm(_points(rx, "rx") - mirrored, axis=-1)
 
 
 def rm_distance_angles(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Plane, dir_to_angles, unit
+from .geometry import dir_to_angles, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair
 
 __all__ = [
@@ -43,7 +43,7 @@ MAX_BOUNCES = 3
 _T_EPS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class Facet:
     """Rectangular (or unbounded) planar reflector.
 
@@ -51,6 +51,9 @@ class Facet:
     their cross product and reflections are accepted from the normal side only
     unless two_sided is set. half_u / half_v are half-extents in meters along
     the two axes; None means unbounded in that direction.
+
+    Facets are immutable, fields and arrays alike: a Scene caches a plain-float
+    copy of its facets at the first trace, which a mutation would leave stale.
     """
 
     center: np.ndarray
@@ -63,20 +66,20 @@ class Facet:
     intercept: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.center = np.asarray(self.center, dtype=float)
-        self.axis_u = unit(self.axis_u)
-        self.axis_v = unit(self.axis_v)
-        if abs(float(self.axis_u @ self.axis_v)) > 1e-9:
+        center = np.array(self.center, dtype=float)
+        axis_u = unit(self.axis_u)
+        axis_v = unit(self.axis_v)
+        if abs(float(axis_u @ axis_v)) > 1e-9:
             raise ValueError("facet axes must be orthogonal")
         for half in (self.half_u, self.half_v):
             if half is not None and not (math.isfinite(half) and half > 0.0):
                 raise ValueError(f"facet half-extent must be positive, got {half}")
-        self.normal = np.cross(self.axis_u, self.axis_v)
-        self.intercept = float(self.normal @ self.center)
-
-    @property
-    def plane(self) -> Plane:
-        return Plane(self.normal, self.intercept)
+        normal = np.cross(axis_u, axis_v)
+        arrays = {"center": center, "axis_u": axis_u, "axis_v": axis_v, "normal": normal}
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "intercept", float(normal @ center))
 
 
 def make_facet(
@@ -369,11 +372,7 @@ def to_pwa(path: TracedPath, ref: ReferencePair) -> PwaPath:
     direction points from the receiver back along the last segment.
     """
     verts = path.route.vertices
-    scale = max(1.0, float(np.linalg.norm(ref.rx_ref - ref.tx_ref)))
-    if (
-        float(np.linalg.norm(verts[0] - ref.tx_ref)) > 1e-9 * scale
-        or float(np.linalg.norm(verts[-1] - ref.rx_ref)) > 1e-9 * scale
-    ):
+    if not ref.matches(verts[0], verts[-1]):
         raise ValueError("route endpoints do not match the reference pair")
     u_t = unit(verts[1] - verts[0])
     u_r = -unit(verts[-1] - verts[-2])

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectmimo.channel import (
     MODELS,
@@ -14,12 +17,21 @@ from reflectmimo.channel import (
     channel_evaluator,
     mimo_from_traced_pairs,
     mimo_matrix,
-    scalar_channel,
+    path_distances,
+    phasor_sum,
     trace_array_pairs,
     upa,
 )
 from reflectmimo.fit_rt import fit_rm_rt
-from reflectmimo.paths import C_LIGHT, ReferencePair, rm_distance_image, angles_to_image
+from reflectmimo.paths import (
+    C_LIGHT,
+    ReferencePair,
+    RmPath,
+    angles_to_image,
+    pwa_distance,
+    rm_distance_angles,
+    rm_distance_image,
+)
 from reflectmimo.tracer import Scene, make_facet, route_length, trace_paths
 
 from scenelib import observe, random_scene
@@ -98,17 +110,19 @@ class TestUpa:
 
 
 class TestScalarChannel:
+    """phasor_sum over paths only: the channel between two single antennas."""
+
     def test_single_path_at_reference(self):
         gain = 0.3 - 0.4j
         tau = 1.2e-7
-        val = scalar_channel([(gain, tau, C_LIGHT * tau)], F0, F0)
+        val = phasor_sum([gain], [tau], [C_LIGHT * tau], F0, F0)
         assert abs(val - gain) <= 1e-15
 
     def test_two_path_destructive(self):
         tau = 1e-8
         d = C_LIGHT * tau
         half_cycle = C_LIGHT / (2.0 * F0)
-        val = scalar_channel([(1.0, tau, d), (1.0, tau, d + half_cycle)], F0, F0)
+        val = phasor_sum([1.0, 1.0], [tau, tau], [d, d + half_cycle], F0, F0)
         # the carrier phase tau*f0 spans ~1e3 cycles, so the null depth is
         # limited by the rounding of the phase argument, not by 1e-16
         assert abs(val) <= 1e-9
@@ -117,17 +131,19 @@ class TestScalarChannel:
         gain = 0.7 + 0.1j
         tau = 4.3e-8
         f = F0 + 0.9e9
-        val = scalar_channel([(gain, tau, C_LIGHT * tau)], f, F0)
+        val = phasor_sum([gain], [tau], [C_LIGHT * tau], f, F0)
         expected = gain * np.exp(-2j * math.pi * (f - F0) * tau)
         assert abs(val - expected) <= 1e-9 * abs(expected)
 
     def test_sum_over_paths(self):
-        terms = [(0.5 + 0j, 1e-7, 31.0), (0.2j, 1.1e-7, 33.5)]
-        val = scalar_channel(terms, F0 + 3e8, F0)
+        gains, delays, dists = [0.5 + 0j, 0.2j], [1e-7, 1.1e-7], [31.0, 33.5]
+        val = phasor_sum(gains, delays, dists, F0 + 3e8, F0)
         parts = sum(
-            scalar_channel([t], F0 + 3e8, F0) for t in terms
+            phasor_sum([g], [t], [d], F0 + 3e8, F0)
+            for g, t, d in zip(gains, delays, dists)
         )
         assert abs(val - parts) <= 1e-15
+        assert phasor_sum([], [], [], F0, F0) == 0j
 
 
 class TestMimoMatrixModels:
@@ -150,10 +166,11 @@ class TestMimoMatrixModels:
         rxa = upa(1, 1, 0.1, center=rx)
         f = F0 + 0.4e9
         # every model collapses to the reference distances at the centers
-        expected = scalar_channel(
-            [(p.gain, p.delay, C_LIGHT * p.delay) for p in rm], f, F0
+        expected = phasor_sum(
+            [p.gain for p in rm], [p.delay for p in rm],
+            [C_LIGHT * p.delay for p in rm], f, F0,
         )
-        for model in ("constant", "pwa", "rm_image", "rm_angles"):
+        for model in ("constant", "pwa", "rm_image"):
             h = mimo_matrix(txa, rxa, model, f, F0, paths=rm, ref=ref)
             assert h.shape == (1, 1)
             assert abs(h.entries[0, 0] - expected) <= 1e-10 * abs(expected)
@@ -169,6 +186,9 @@ class TestMimoMatrixModels:
         arr = upa(1, 1, 0.1, center=(0, 0, 0))
         with pytest.raises(ValueError):
             mimo_matrix(arr, arr, "nearfield", F0, F0)
+        ref = ReferencePair(tx_ref=np.zeros(3), rx_ref=np.ones(3))
+        with pytest.raises(ValueError, match="unknown distance model"):
+            path_distances(ref.rx_ref, ref.tx_ref, [], ref, "rm_angles")
 
     def test_extrapolation_requires_paths(self):
         arr = upa(1, 1, 0.1, center=(0, 0, 0))
@@ -183,9 +203,18 @@ class TestMimoMatrixModels:
         rxa = upa(3, 3, 0.14, center=pair.rx_ref, azimuth_rotation=-1.1)
         for f in (F0, F0 + 1e9):
             h_img = mimo_matrix(txa, rxa, "rm_image", f, F0, paths=rm, ref=ref)
-            h_ang = mimo_matrix(txa, rxa, "rm_angles", f, F0, paths=rm, ref=ref)
+            h_ang = np.array([
+                [
+                    phasor_sum(
+                        [p.gain for p in rm], [p.delay for p in rm],
+                        [rm_distance_angles(r, t, ref, p) for p in rm], f, F0,
+                    )
+                    for t in txa.element_positions
+                ]
+                for r in rxa.element_positions
+            ])
             scale = np.max(np.abs(h_img.entries))
-            assert np.max(np.abs(h_img.entries - h_ang.entries)) <= 1e-9 * scale
+            assert np.max(np.abs(h_img.entries - h_ang)) <= 1e-9 * scale
 
     def test_pwa_equals_rm_at_center_element(self):
         scene, tx, rx = two_facet_scene()
@@ -329,3 +358,98 @@ class TestTracedPairs:
         assert h.frequency == F0 + 5e8
         assert isinstance(h, MimoMatrix)
         assert "exhaustive" in MODELS
+
+
+# The broadcast evaluators against plain element-by-element loops. The phase
+# roundoff of a distance d is about 2 pi f ulp(d) / c, so the carrier is kept
+# at 1 GHz with metre-scale paths: there both sides agree to ~1e-14 and a
+# 1e-12 relative tolerance still catches any wrong index or broadcast.
+F_LOW = 1e9
+PROP_REF = ReferencePair(tx_ref=np.array([0.0, 0.0, 1.5]), rx_ref=np.array([8.0, 1.0, 2.0]))
+_angle = st.floats(-math.pi, math.pi)
+_elevation = st.floats(-1.4, 1.4)
+_gain = st.builds(cmath.rect, st.floats(0.1, 1.0), _angle)
+_fit = st.builds(
+    RmPath,
+    gain=_gain,
+    delay=st.floats(2.0, 20.0).map(lambda d: d / C_LIGHT),
+    aoa_az=_angle,
+    aoa_el=_elevation,
+    aod_az=_angle,
+    aod_el=_elevation,
+    roll=_angle,
+    s=st.sampled_from((-1, 1)),
+)
+_offsets = st.lists(
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3), min_size=1, max_size=4
+)
+
+
+def _array(center: np.ndarray, offsets) -> ArrayGeometry:
+    pos = center + np.array(offsets)
+    return ArrayGeometry(element_positions=pos, center=pos.mean(axis=0))
+
+
+def _loop_distance(model: str, rx, tx, path: RmPath) -> float:
+    if model == "constant":
+        return C_LIGHT * path.delay
+    if model == "pwa":
+        return pwa_distance(rx, tx, PROP_REF, path)
+    return rm_distance_angles(rx, tx, PROP_REF, path)
+
+
+class TestBroadcastMatchesScalarLoop:
+    @given(
+        paths=st.lists(_fit, min_size=1, max_size=4),
+        tx_offsets=_offsets,
+        rx_offsets=_offsets,
+        f=st.floats(0.5 * F_LOW, 1.5 * F_LOW),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evaluator_matches_element_loop(self, paths, tx_offsets, rx_offsets, f):
+        txa = _array(PROP_REF.tx_ref, tx_offsets)
+        rxa = _array(PROP_REF.rx_ref, rx_offsets)
+        tol = 1e-12 * sum(abs(p.gain) for p in paths)
+        for model in ("constant", "pwa", "rm_image"):
+            h = channel_evaluator(txa, rxa, model, F_LOW, paths=paths, ref=PROP_REF)(f)
+            for m, rx in enumerate(rxa.element_positions):
+                for n, tx in enumerate(txa.element_positions):
+                    want = 0j
+                    for p in paths:
+                        d = _loop_distance(model, rx, tx, p)
+                        want += p.gain * cmath.exp(
+                            2j * math.pi * (p.delay * F_LOW - f * d / C_LIGHT)
+                        )
+                    assert abs(h.entries[m, n] - want) <= tol
+
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        pair_paths=st.lists(
+            st.lists(st.tuples(_gain, st.floats(1e-9, 1e-7)), max_size=4),
+            min_size=16,
+            max_size=16,
+        ),
+        f=st.floats(0.5 * F_LOW, 1.5 * F_LOW),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_traced_pairs_match_per_pair_sum(self, shape, pair_paths, f):
+        rows, cols = shape
+        pairs = [
+            [
+                (
+                    np.array([g for g, _ in pair_paths[m * cols + n]], dtype=complex),
+                    np.array([tau for _, tau in pair_paths[m * cols + n]]),
+                )
+                for n in range(cols)
+            ]
+            for m in range(rows)
+        ]
+        h = mimo_from_traced_pairs(pairs, f, F_LOW)
+        assert h.shape == shape
+        for m in range(rows):
+            for n in range(cols):
+                gains, delays = pairs[m][n]
+                want = 0j
+                if gains.size:
+                    want = np.sum(gains * np.exp(-2j * math.pi * (f - F_LOW) * delays))
+                assert abs(h.entries[m, n] - want) <= 1e-12 * np.sum(np.abs(gains))

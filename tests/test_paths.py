@@ -58,6 +58,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             ReferencePair(tx_ref=np.ones(3), rx_ref=np.ones(3))
 
+    def test_reference_pair_match_tolerance_scales_with_separation(self):
+        ex = np.array([1.0, 0.0, 0.0])
+        for sep in (0.5, 2000.0):
+            ref = ReferencePair(tx_ref=np.zeros(3), rx_ref=sep * ex)
+            tol = 1e-9 * max(1.0, sep)
+            assert ref.matches(ref.tx_ref + 0.9 * tol * ex, ref.rx_ref)
+            assert ref.matches(ref.tx_ref, ref.rx_ref - 0.9 * tol * ex)
+            assert not ref.matches(ref.tx_ref + 1.1 * tol * ex, ref.rx_ref)
+            assert not ref.matches(ref.tx_ref, ref.rx_ref - 1.1 * tol * ex)
+
 
 class TestLosDistance:
     def test_345(self):

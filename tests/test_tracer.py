@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,28 @@ class TestTypes:
         assert abs(f.normal @ f.axis_u) <= 1e-12
         assert abs(f.normal @ f.axis_v) <= 1e-12
         assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFacetImmutable:
+    # A Scene caches a float copy of its facets at the first trace, so a
+    # facet changed afterwards would be traced with its old geometry.
+    def test_mutation_raises_and_trace_is_unchanged(self):
+        center = np.zeros(3)
+        scene = Scene(
+            facets=(make_facet(center=center, normal=EZ, half_u=50.0, half_v=50.0),),
+            carrier_freq=140e9,
+        )
+        tx, rx = np.array([0.0, 0.0, 2.0]), np.array([10.0, 0.0, 2.0])
+        before = [p.delay for p in trace_paths(scene, tx, rx, max_bounces=1)]
+        floor = scene.facets[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            floor.center = np.array([0.0, 0.0, -1.0])
+        for name in ("center", "axis_u", "axis_v", "normal"):
+            with pytest.raises(ValueError):
+                getattr(floor, name)[2] = -1.0
+        center[2] = -1.0  # the caller's array is copied, not frozen
+        assert floor.center[2] == 0.0
+        assert [p.delay for p in trace_paths(scene, tx, rx, max_bounces=1)] == before
 
 
 class TestRouteLength:
