@@ -50,11 +50,9 @@ from .fit_dp import (
 )
 from .fit_rt import fit_from_route, fit_rm_rt
 from .geometry import (
-    Plane,
     dir_to_angles,
     euler_factor_so3,
     householder,
-    reflect_point,
     rotation_matrix,
     spherical_dir,
     unit,
@@ -101,7 +99,6 @@ __all__ = [
     "MatchConfig",
     "MimoMatrix",
     "PairObservation",
-    "Plane",
     "PwaPath",
     "RateModel",
     "ReferencePair",
@@ -132,7 +129,6 @@ __all__ = [
     "phasor_sum",
     "pwa_distance",
     "rayleigh_distance",
-    "reflect_point",
     "rho",
     "rm_distance_angles",
     "rm_distance_image",

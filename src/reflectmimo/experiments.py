@@ -25,8 +25,8 @@ from .capacity import (
 from .channel import channel_evaluator, path_distances, phasor_sum, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .paths import C_LIGHT, ReferencePair, RmPath
-from .tracer import Scene, to_pwa, trace_paths
+from .paths import C_LIGHT, ReferencePair
+from .tracer import Scene, TracedPath, to_pwa, trace_paths
 
 __all__ = [
     "DisplacementSpec",
@@ -93,26 +93,45 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def _fit_dp_paths(
+def _fit_estimators(
     scene: Scene,
     ref: ReferencePair,
-    reference_obs: PairObservation,
+    models: Sequence[str],
     dp_distances: Sequence[float],
     rng: np.random.Generator,
     max_bounces: int,
-) -> list[RmPath]:
-    displaced = []
-    for dist in dp_distances:
-        tx_m = ref.tx_ref + dist * _random_unit(rng)
-        rx_m = ref.rx_ref + dist * _random_unit(rng)
-        pair_ref = ReferencePair(tx_ref=tx_m, rx_ref=rx_m)
-        traced = trace_paths(scene, tx_m, rx_m, max_bounces)
-        displaced.append(
-            PairObservation(
-                tx=tx_m, rx=rx_m, paths=tuple(to_pwa(p, pair_ref) for p in traced)
+) -> tuple[list[TracedPath], dict[str, list]]:
+    """Trace the reference pair once and fit each estimator named in models.
+
+    Returns the reference paths and the fitted paths of each estimator. The
+    rm_dp fit also traces one displaced pair per entry of dp_distances, in
+    random directions drawn from rng; nothing else draws from it.
+    """
+    traced0 = trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces)
+    if not traced0:
+        raise ValueError("no propagation paths at the reference pair")
+    pwa0 = [to_pwa(p, ref) for p in traced0]
+    fitted: dict[str, list] = {}
+    for name in ("constant", "pwa"):
+        if name in models:
+            fitted[name] = pwa0
+    if "rm_rt" in models:
+        fitted["rm_rt"] = [fit_rm_rt(p, ref) for p in traced0]
+    if "rm_dp" in models:
+        displaced = []
+        for dist in dp_distances:
+            tx_m = ref.tx_ref + dist * _random_unit(rng)
+            rx_m = ref.rx_ref + dist * _random_unit(rng)
+            pair_ref = ReferencePair(tx_ref=tx_m, rx_ref=rx_m)
+            traced = trace_paths(scene, tx_m, rx_m, max_bounces)
+            displaced.append(
+                PairObservation(
+                    tx=tx_m, rx=rx_m, paths=tuple(to_pwa(p, pair_ref) for p in traced)
+                )
             )
-        )
-    return fit_rm_dp(reference_obs, displaced, ref)
+        reference_obs = PairObservation(tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0))
+        fitted["rm_dp"] = fit_rm_dp(reference_obs, displaced, ref)
+    return traced0, fitted
 
 
 def displacement_experiment(
@@ -141,24 +160,10 @@ def displacement_experiment(
         raise ValueError(f"unknown estimator(s) {sorted(unknown)}")
 
     rng = np.random.default_rng(spec.rng_seed)
-    traced0 = trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces)
-    if not traced0:
-        raise ValueError("no propagation paths at the reference pair")
+    traced0, fitted = _fit_estimators(
+        scene, ref, models, spec.distances[:2], rng, max_bounces
+    )
     energy0 = sum(abs(p.gain) ** 2 for p in traced0)
-    pwa0 = [to_pwa(p, ref) for p in traced0]
-    reference_obs = PairObservation(tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0))
-
-    fitted: dict[str, list] = {}
-    if "constant" in models:
-        fitted["constant"] = pwa0
-    if "pwa" in models:
-        fitted["pwa"] = pwa0
-    if "rm_rt" in models:
-        fitted["rm_rt"] = [fit_rm_rt(p, ref) for p in traced0]
-    if "rm_dp" in models:
-        fitted["rm_dp"] = _fit_dp_paths(
-            scene, ref, reference_obs, spec.distances[:2], rng, max_bounces
-        )
 
     freqs = rng.uniform(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, size=n_freq)
     samples = [
@@ -257,27 +262,10 @@ def capacity_sweep(
 
     counts: dict[str, int] = {name: 0 for name in models}
     fitted: dict[str, list] = {}
-    needs_fit = [m for m in models if m != "exhaustive"]
-    if needs_fit:
-        traced0 = trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces)
-        if not traced0:
-            raise ValueError("no propagation paths at the reference pair")
-        pwa0 = [to_pwa(p, ref) for p in traced0]
-        for name in ("constant", "pwa"):
-            if name in models:
-                fitted[name] = pwa0
-                counts[name] = 1
-        if "rm_rt" in models:
-            fitted["rm_rt"] = [fit_rm_rt(p, ref) for p in traced0]
-            counts["rm_rt"] = 1
-        if "rm_dp" in models:
-            reference_obs = PairObservation(
-                tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0)
-            )
-            fitted["rm_dp"] = _fit_dp_paths(
-                scene, ref, reference_obs, dp_distances, rng, max_bounces
-            )
-            counts["rm_dp"] = 1 + len(dp_distances)
+    if any(name != "exhaustive" for name in models):
+        _, fitted = _fit_estimators(scene, ref, models, dp_distances, rng, max_bounces)
+        for name in fitted:
+            counts[name] = 1 + len(dp_distances) if name == "rm_dp" else 1
 
     cells = []
     for rot in rotations:

@@ -56,6 +56,27 @@ def _gain_from_fields(gain_db: float, phase_deg: float) -> complex:
     return 10.0 ** (gain_db / 20.0) * cmath.exp(1j * math.radians(phase_deg))
 
 
+_ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")
+
+
+def _pwa_to_fields(path: PwaPath, delay_key: str) -> dict:
+    """File fields of the six plane-wave parameters of a path; the path export
+    and the fitted-model file name the delay differently."""
+    gain_db, phase_deg = _gain_to_fields(path.gain)
+    doc = {"gain_db": gain_db, "phase_deg": phase_deg, delay_key: path.delay}
+    doc.update({f"{name}_deg": getattr(path, name) / _DEG for name in _ANGLES})
+    return doc
+
+
+def _pwa_from_fields(entry: dict, delay_key: str) -> dict:
+    """PwaPath keyword arguments read back from _pwa_to_fields output."""
+    return {
+        "gain": _gain_from_fields(float(entry["gain_db"]), float(entry["phase_deg"])),
+        "delay": float(entry[delay_key]),
+        **{name: float(entry[f"{name}_deg"]) * _DEG for name in _ANGLES},
+    }
+
+
 def _vec(x) -> list[float]:
     return [float(v) for v in x]
 
@@ -138,17 +159,8 @@ class PathExport:
 def save_paths(export: PathExport, fp: IO[str]) -> None:
     entries = []
     for pwa, route in export.paths:
-        gain_db, phase_deg = _gain_to_fields(pwa.gain)
-        entry = {
-            "gain_db": gain_db,
-            "phase_deg": phase_deg,
-            "delay_s": pwa.delay,
-            "aoa_az_deg": pwa.aoa_az / _DEG,
-            "aoa_el_deg": pwa.aoa_el / _DEG,
-            "aod_az_deg": pwa.aod_az / _DEG,
-            "aod_el_deg": pwa.aod_el / _DEG,
-            "route": None if route is None else [_vec(v) for v in route.vertices],
-        }
+        entry = _pwa_to_fields(pwa, "delay_s")
+        entry["route"] = None if route is None else [_vec(v) for v in route.vertices]
         entries.append(entry)
     doc = {
         "tx": _vec(export.tx),
@@ -164,14 +176,7 @@ def load_paths(fp: IO[str]) -> PathExport:
     doc = json.load(fp)
     paths = []
     for e in doc["paths"]:
-        pwa = PwaPath(
-            gain=_gain_from_fields(float(e["gain_db"]), float(e["phase_deg"])),
-            delay=float(e["delay_s"]),
-            aoa_az=float(e["aoa_az_deg"]) * _DEG,
-            aoa_el=float(e["aoa_el_deg"]) * _DEG,
-            aod_az=float(e["aod_az_deg"]) * _DEG,
-            aod_el=float(e["aod_el_deg"]) * _DEG,
-        )
+        pwa = PwaPath(**_pwa_from_fields(e, "delay_s"))
         route = None
         if e.get("route") is not None:
             route = Route(vertices=np.array(e["route"], dtype=float))
@@ -200,22 +205,14 @@ class RmExport:
 def save_rm(export: RmExport, fp: IO[str]) -> None:
     entries = []
     for path, img in export.paths:
-        gain_db, phase_deg = _gain_to_fields(path.gain)
-        entries.append(
-            {
-                "gain_db": gain_db,
-                "phase_deg": phase_deg,
-                "tau_s": path.delay,
-                "aoa_az_deg": path.aoa_az / _DEG,
-                "aoa_el_deg": path.aoa_el / _DEG,
-                "aod_az_deg": path.aod_az / _DEG,
-                "aod_el_deg": path.aod_el / _DEG,
-                "roll_deg": path.roll / _DEG,
-                "s": path.s,
-                "U": [_vec(row) for row in img.U],
-                "g": _vec(img.g),
-            }
+        entry = _pwa_to_fields(path, "tau_s")
+        entry.update(
+            roll_deg=path.roll / _DEG,
+            s=path.s,
+            U=[_vec(row) for row in img.U],
+            g=_vec(img.g),
         )
+        entries.append(entry)
     doc = {
         "tx_ref": _vec(export.ref.tx_ref),
         "rx_ref": _vec(export.ref.rx_ref),
@@ -226,7 +223,7 @@ def save_rm(export: RmExport, fp: IO[str]) -> None:
     fp.write("\n")
 
 
-def load_rm(fp: IO[str], check: bool = True) -> RmExport:
+def load_rm(fp: IO[str]) -> RmExport:
     """Load fitted parameters; verifies that the two stored parametrizations
     describe the same distance function before returning."""
     doc = json.load(fp)
@@ -237,20 +234,14 @@ def load_rm(fp: IO[str], check: bool = True) -> RmExport:
     paths = []
     for e in doc["paths"]:
         path = RmPath(
-            gain=_gain_from_fields(float(e["gain_db"]), float(e["phase_deg"])),
-            delay=float(e["tau_s"]),
-            aoa_az=float(e["aoa_az_deg"]) * _DEG,
-            aoa_el=float(e["aoa_el_deg"]) * _DEG,
-            aod_az=float(e["aod_az_deg"]) * _DEG,
-            aod_el=float(e["aod_el_deg"]) * _DEG,
+            **_pwa_from_fields(e, "tau_s"),
             roll=float(e["roll_deg"]) * _DEG,
             s=int(e["s"]),
         )
         img = RmImage(U=np.array(e["U"], dtype=float), g=np.array(e["g"], dtype=float))
         paths.append((path, img))
     export = RmExport(ref=ref, f0_hz=float(doc["f0_hz"]), paths=tuple(paths))
-    if check:
-        _check_rm_consistency(export)
+    _check_rm_consistency(export)
     return export
 
 

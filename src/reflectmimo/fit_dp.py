@@ -16,7 +16,7 @@ match first for the strongest reference path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = [
     "match_paths",
     "solve_gamma_s",
 ]
+
+# The plane-wave parameters that fit_rm_dp copies into each RmPath.
+_PWA_FIELDS = tuple(f.name for f in fields(PwaPath))
 
 
 @dataclass(frozen=True)
@@ -265,16 +268,6 @@ def fit_rm_dp(
     for path, sol in zip(sorted_ref.paths, solutions):
         if not sol.ok:
             continue
-        fitted.append(
-            RmPath(
-                gain=path.gain,
-                delay=path.delay,
-                aoa_az=path.aoa_az,
-                aoa_el=path.aoa_el,
-                aod_az=path.aod_az,
-                aod_el=path.aod_el,
-                roll=sol.gamma,
-                s=sol.s,
-            )
-        )
+        pwa = {name: getattr(path, name) for name in _PWA_FIELDS}
+        fitted.append(RmPath(**pwa, roll=sol.gamma, s=sol.s))
     return fitted

@@ -13,6 +13,7 @@ import dataclasses
 
 import numpy as np
 
+from .geometry import householder
 from .paths import C_LIGHT, ReferencePair, RmImage, RmPath, image_to_angles
 from .tracer import Route, TracedPath
 
@@ -48,7 +49,7 @@ def fit_from_route(route: Route) -> RmImage:
             )
         n = bend / bend_norm
         b = float(n @ verts[k + 1])
-        mirror = np.eye(3) - 2.0 * np.outer(n, n)
+        mirror = householder(n)
         u_mat = mirror @ u_mat
         g = 2.0 * b * n + mirror @ g
     return RmImage(U=u_mat, g=g)

@@ -8,16 +8,13 @@ are radians; angle-valued results are wrapped to (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Plane",
     "dir_to_angles",
     "euler_factor_so3",
     "householder",
-    "reflect_point",
     "rotation_matrix",
     "spherical_dir",
     "unit",
@@ -76,33 +73,6 @@ def householder(u: np.ndarray) -> np.ndarray:
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"mirror normal must be unit length, got |u| = {n}")
     return _EYE3 - 2.0 * np.outer(u, u)
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Plane {x : normal . x = intercept} with a unit normal."""
-
-    normal: np.ndarray
-    intercept: float
-
-    def __post_init__(self) -> None:
-        n = np.asarray(self.normal, dtype=float)
-        if n.shape != (3,):
-            raise ValueError("plane normal must be a 3-vector")
-        length = float(np.linalg.norm(n))
-        if abs(length - 1.0) > 1e-9:
-            raise ValueError(f"plane normal must be unit length, got {length}")
-        object.__setattr__(self, "normal", n / length)
-        object.__setattr__(self, "intercept", float(self.intercept))
-
-    def signed_distance(self, p: np.ndarray) -> float:
-        return float(self.normal @ np.asarray(p, dtype=float)) - self.intercept
-
-
-def reflect_point(p: np.ndarray, plane: Plane) -> np.ndarray:
-    """Mirror image of point p across the plane."""
-    p = np.asarray(p, dtype=float)
-    return p - 2.0 * plane.signed_distance(p) * plane.normal
 
 
 def euler_factor_so3(m: np.ndarray) -> tuple[float, float, float]:

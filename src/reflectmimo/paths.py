@@ -130,7 +130,7 @@ class RmImage:
 
 
 @dataclass(frozen=True)
-class RmPath:
+class RmPath(PwaPath):
     """Angle form of the reflection model.
 
     Extends the plane-wave parameters with the transmitter roll angle about
@@ -138,18 +138,11 @@ class RmPath:
     chain (s = -1 for a direct path, flipping sign with each reflection).
     """
 
-    gain: complex
-    delay: float
-    aoa_az: float
-    aoa_el: float
-    aod_az: float
-    aod_el: float
     roll: float
     s: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delay) and self.delay > 0.0):
-            raise ValueError(f"path delay must be positive, got {self.delay}")
+        super().__post_init__()
         if self.s not in (-1, 1):
             raise ValueError(f"mirror parity must be -1 or +1, got {self.s!r}")
 

@@ -8,8 +8,10 @@ the reflective side, and no segment is blocked by another facet.
 
 Path gains follow free-space spreading over the full route length with a
 fixed per-bounce reflection loss; the phase is referenced to the scene
-carrier. The inner loop works on plain float triples: it runs once per
-element pair in exhaustive MIMO sweeps, where numpy call overhead dominates.
+carrier. The inner loop works on the plain float triples each Facet keeps
+next to its arrays, through Facet.reflect, contains and crossing: it runs
+once per element pair in exhaustive MIMO sweeps, where numpy call overhead
+dominates.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class Facet:
     unless two_sided is set. half_u / half_v are half-extents in meters along
     the two axes; None means unbounded in that direction.
 
-    Facets are immutable, fields and arrays alike: a Scene caches a plain-float
-    copy of its facets at the first trace, which a mutation would leave stale.
+    Facets are immutable, fields and arrays alike. Each facet also keeps its
+    center, axes and normal as plain float triples, which reflect, contains
+    and crossing read in the trace loop.
     """
 
     center: np.ndarray
@@ -64,6 +67,10 @@ class Facet:
     two_sided: bool = False
     normal: np.ndarray = field(init=False)
     intercept: float = field(init=False)
+    _center: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    _axis_u: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    _axis_v: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    _normal: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         center = np.array(self.center, dtype=float)
@@ -79,7 +86,41 @@ class Facet:
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+            object.__setattr__(self, "_" + name, _f3(value))
         object.__setattr__(self, "intercept", float(normal @ center))
+
+    def reflect(self, p) -> tuple[float, float, float]:
+        """Mirror image of point p across the facet plane, as a float triple."""
+        n = self._normal
+        d = 2.0 * (_dot(n, p) - self.intercept)
+        return (p[0] - d * n[0], p[1] - d * n[1], p[2] - d * n[2])
+
+    def contains(self, p) -> bool:
+        """True when in-plane point p lies within the facet bounds."""
+        rel = _sub(p, self._center)
+        if self.half_u is not None and abs(_dot(rel, self._axis_u)) > self.half_u + _T_EPS:
+            return False
+        if self.half_v is not None and abs(_dot(rel, self._axis_v)) > self.half_v + _T_EPS:
+            return False
+        return True
+
+    def crossing(self, p, step) -> tuple[tuple[float, float, float], float] | None:
+        """Where the open segment p -> p + step crosses the facet plane.
+
+        Returns (hit point, normal . step), or None when the segment is
+        parallel to the plane or meets it only within _T_EPS of an endpoint.
+        The sign of normal . step tells the side the segment arrives from.
+        """
+        # Dot products written out: this runs for every facet on every
+        # segment of the occlusion test.
+        n = self._normal
+        denom = n[0] * step[0] + n[1] * step[1] + n[2] * step[2]
+        if denom == 0.0:
+            return None
+        t = (self.intercept - (n[0] * p[0] + n[1] * p[1] + n[2] * p[2])) / denom
+        if t <= _T_EPS or t >= 1.0 - _T_EPS:
+            return None
+        return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom
 
 
 def make_facet(
@@ -200,64 +241,12 @@ def _dist(a, b) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-class _FacetData:
-    """Plain-float mirror of a Facet used inside the trace loop."""
-
-    __slots__ = (
-        "center",
-        "axis_u",
-        "axis_v",
-        "half_u",
-        "half_v",
-        "two_sided",
-        "normal",
-        "intercept",
-    )
-
-    def __init__(self, f: Facet) -> None:
-        self.center = _f3(f.center)
-        self.axis_u = _f3(f.axis_u)
-        self.axis_v = _f3(f.axis_v)
-        self.half_u = f.half_u
-        self.half_v = f.half_v
-        self.two_sided = f.two_sided
-        self.normal = _f3(f.normal)
-        self.intercept = f.intercept
-
-    def reflect(self, p):
-        d = 2.0 * (_dot(self.normal, p) - self.intercept)
-        n = self.normal
-        return (p[0] - d * n[0], p[1] - d * n[1], p[2] - d * n[2])
-
-    def contains(self, p) -> bool:
-        rel = _sub(p, self.center)
-        if self.half_u is not None and abs(_dot(rel, self.axis_u)) > self.half_u + _T_EPS:
-            return False
-        if self.half_v is not None and abs(_dot(rel, self.axis_v)) > self.half_v + _T_EPS:
-            return False
-        return True
-
-
-def _facet_data(scene: Scene) -> list[_FacetData]:
-    cached = scene.__dict__.get("_facet_data")
-    if cached is None:
-        cached = [_FacetData(f) for f in scene.facets]
-        scene.__dict__["_facet_data"] = cached
-    return cached
-
-
-def _segment_blocked(facets: list[_FacetData], p, q) -> bool:
+def _segment_blocked(facets: tuple[Facet, ...], p, q) -> bool:
     """True when the open segment p->q crosses any facet rectangle."""
     step = _sub(q, p)
     for f in facets:
-        denom = _dot(f.normal, step)
-        if denom == 0.0:
-            continue
-        t = (f.intercept - _dot(f.normal, p)) / denom
-        if t <= _T_EPS or t >= 1.0 - _T_EPS:
-            continue
-        hit = (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2])
-        if f.contains(hit):
+        cross = f.crossing(p, step)
+        if cross is not None and f.contains(cross[0]):
             return True
     return False
 
@@ -278,7 +267,7 @@ def trace_sequence(
     so the result remains a genuine geometric route; the relaxed mode is the
     re-tracing oracle used to follow a known path to displaced endpoints.
     """
-    facets = _facet_data(scene)
+    facets = scene.facets
     for idx in sequence:
         if not 0 <= idx < len(facets):
             raise ValueError(f"facet index {idx} out of range")
@@ -295,15 +284,10 @@ def trace_sequence(
     p = txf
     for k, idx in enumerate(sequence):
         f = facets[idx]
-        target = images[k]
-        step = _sub(target, p)
-        denom = _dot(f.normal, step)
-        if denom == 0.0:
+        cross = f.crossing(p, _sub(images[k], p))
+        if cross is None:
             return None
-        t = (f.intercept - _dot(f.normal, p)) / denom
-        if t <= _T_EPS or t >= 1.0 - _T_EPS:
-            return None
-        hit = (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2])
+        hit, denom = cross
         if check_bounds and not f.contains(hit):
             return None
         if check_side and not f.two_sided and denom >= 0.0:
@@ -334,13 +318,15 @@ def trace_paths(
     """All specular paths between tx and rx up to max_bounces reflections.
 
     Includes the line-of-sight path when unobstructed. Paths are returned
-    sorted by descending gain magnitude.
+    sorted by descending gain magnitude. Coplanar facets that meet or overlap
+    can both accept the same specular point; such a path is returned once,
+    under the first facet sequence that produced it.
     """
     if not 0 <= max_bounces <= MAX_BOUNCES:
         raise ValueError(
             f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}"
         )
-    facets = _facet_data(scene)
+    facets = scene.facets
     txf = _f3(tx)
     rxf = _f3(rx)
 
@@ -356,6 +342,15 @@ def trace_paths(
     paths = []
     for r in routes:
         length = route_length(r)
+        # Same bounce count and vertices within 1e-9 of the route length.
+        tol = 1e-9 * max(1.0, length)
+        if any(
+            abs(p.delay * C_LIGHT - length) <= tol
+            and p.route.vertices.shape == r.vertices.shape
+            and float(np.max(np.abs(p.route.vertices - r.vertices))) <= tol
+            for p in paths
+        ):
+            continue
         amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp ** r.bounces
         phase = -2.0 * math.pi * scene.carrier_freq * length / C_LIGHT
         paths.append(

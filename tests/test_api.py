@@ -1,5 +1,8 @@
 """The public surface: exported names and the benchmark's span targets.
 
+Every name a module lists in __all__ must exist, so a deletion that leaves its
+export entry behind fails here rather than at a star import.
+
 perfbench/spans.py wraps public functions by (layer, name) to time them; a
 name deleted from the package would only show up there as a failed traced
 benchmark run, so the targets are checked here. The file is parsed, not
@@ -8,7 +11,10 @@ imported, because it belongs to the benchmark.
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
+
+import pytest
 
 import reflectmimo
 
@@ -28,6 +34,16 @@ def test_every_exported_name_resolves():
     missing = [n for n in reflectmimo.__all__ if not hasattr(reflectmimo, n)]
     assert missing == []
     assert len(set(reflectmimo.__all__)) == len(reflectmimo.__all__)
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(reflectmimo.__path__)]
+)
+def test_every_submodule_export_resolves(module):
+    mod = importlib.import_module(f"reflectmimo.{module}")
+    names = getattr(mod, "__all__", [])
+    assert [n for n in names if not hasattr(mod, n)] == []
+    assert len(set(names)) == len(names)
 
 
 def test_span_targets_exist():

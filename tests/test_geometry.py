@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
-    Plane,
     dir_to_angles,
     euler_factor_so3,
     householder,
-    reflect_point,
     rotation_matrix,
     spherical_dir,
     unit,
@@ -110,33 +108,6 @@ class TestHouseholder:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             householder(np.array([1.0, 1.0, 0.0]))
-
-
-class TestReflectPoint:
-    def test_plane_z0(self):
-        plane = Plane(normal=np.array([0.0, 0.0, 1.0]), intercept=0.0)
-        assert reflect_point(np.array([1.0, 2.0, 3.0]), plane) == pytest.approx(
-            [1.0, 2.0, -3.0]
-        )
-
-    def test_plane_z5_origin(self):
-        plane = Plane(normal=np.array([0.0, 0.0, 1.0]), intercept=5.0)
-        assert reflect_point(np.zeros(3), plane) == pytest.approx([0.0, 0.0, 10.0])
-
-    def test_point_on_plane_fixed(self):
-        plane = Plane(normal=np.array([1.0, 0.0, 0.0]), intercept=2.0)
-        p = np.array([2.0, 7.0, -1.0])
-        assert reflect_point(p, plane) == pytest.approx(p)
-
-    @given(u=unit_vecs, b=st.floats(-5, 5), p=st.tuples(angles, angles, angles))
-    def test_involution_and_signed_distance_flip(self, u, b, p):
-        plane = Plane(normal=u, intercept=b)
-        p = np.array(p)
-        q = reflect_point(p, plane)
-        assert plane.signed_distance(q) == pytest.approx(
-            -plane.signed_distance(p), abs=1e-9
-        )
-        assert reflect_point(q, plane) == pytest.approx(p, abs=1e-9)
 
 
 class TestEulerFactorSO3:

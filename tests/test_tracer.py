@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reflectmimo import (
     C_LIGHT,
@@ -12,6 +15,7 @@ from reflectmimo import (
     Scene,
     make_facet,
     route_length,
+    spherical_dir,
     to_pwa,
     trace_paths,
     trace_sequence,
@@ -54,9 +58,40 @@ class TestTypes:
         assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestFacetReflect:
+    def test_plane_z0(self):
+        floor = make_facet(center=np.zeros(3), normal=EZ)
+        q = floor.reflect(np.array([1.0, 2.0, 3.0]))
+        assert q == pytest.approx([1.0, 2.0, -3.0])
+
+    def test_offset_plane_origin(self):
+        ceiling = make_facet(center=np.array([3.0, -1.0, 5.0]), normal=EZ)
+        assert ceiling.reflect(np.zeros(3)) == pytest.approx([0.0, 0.0, 10.0])
+
+    def test_point_on_plane_fixed(self):
+        wall = make_facet(np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        p = (2.0, 7.0, -1.0)
+        assert wall.reflect(p) == pytest.approx(p)
+
+    @given(
+        a=st.floats(-math.pi, math.pi),
+        e=st.floats(-1.5, 1.5),
+        b=st.floats(-5, 5),
+        p=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+    )
+    def test_involution_and_signed_distance_flip(self, a, e, b, p):
+        u = spherical_dir(a, e)
+        f = make_facet(center=b * u, normal=u)
+        q = f.reflect(p)
+        assert f.normal @ q - f.intercept == pytest.approx(
+            -(f.normal @ p - f.intercept), abs=1e-9
+        )
+        assert f.reflect(q) == pytest.approx(p, abs=1e-9)
+
+
 class TestFacetImmutable:
-    # A Scene caches a float copy of its facets at the first trace, so a
-    # facet changed afterwards would be traced with its old geometry.
+    # The trace loop reads the float copies a Facet makes of its arrays, so a
+    # facet changed after construction would be traced with its old geometry.
     def test_mutation_raises_and_trace_is_unchanged(self):
         center = np.zeros(3)
         scene = Scene(
@@ -167,6 +202,52 @@ class TestTracePaths:
                 assert p.delay * C_LIGHT == pytest.approx(
                     route_length(p.route), rel=1e-12
                 )
+
+
+class TestDuplicateRoutes:
+    @pytest.mark.parametrize("half_u, half_v", [(2.5, 5.0), (5.0, 2.5)])
+    def test_coplanar_tiles_count_a_shared_path_once(self, half_u, half_v):
+        # Two floor tiles that overlap (2.5, 5.0) or meet at x = 5 (5.0, 2.5);
+        # the specular point (5, 0, 0) lies on both.
+        tiles = tuple(
+            make_facet(np.array([x, 0.0, 0.0]), EZ, half_u=half_u, half_v=half_v)
+            for x in (2.5, 7.5)
+        )
+        scene = Scene(facets=tiles, carrier_freq=140e9)
+        tx, rx = np.array([0.0, 0.0, 2.0]), np.array([10.0, 0.0, 2.0])
+        paths = trace_paths(scene, tx, rx, max_bounces=1)
+        assert [p.route.facet_ids for p in paths] == [(), (0,)]
+        assert paths[1].delay * C_LIGHT == pytest.approx(math.sqrt(116.0), rel=1e-12)
+
+    def test_equal_length_paths_are_kept(self):
+        # Mirror-symmetric walls: each delay occurs twice, on distinct routes.
+        walls = tuple(
+            make_facet(center=np.array([5.0, y, 2.0]), normal=np.array([0.0, -y, 0.0]))
+            for y in (5.0, -5.0)
+        )
+        scene = Scene(facets=walls, carrier_freq=140e9)
+        tx, rx = np.array([0.0, 0.0, 2.0]), np.array([10.0, 0.0, 2.0])
+        paths = trace_paths(scene, tx, rx, max_bounces=2)
+        ids = sorted(p.route.facet_ids for p in paths)
+        assert ids == [(), (0,), (0, 1), (1,), (1, 0)]
+        delays = sorted(p.delay for p in paths)
+        assert delays[1] == pytest.approx(delays[2], rel=1e-15)
+        assert delays[3] == pytest.approx(delays[4], rel=1e-15)
+
+    def test_random_scenes_keep_every_accepted_sequence(self):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            scene, ref = random_scene(rng)
+            tx, rx = ref.tx_ref, ref.rx_ref
+            n = len(scene.facets)
+            accepted = [
+                seq
+                for b in (1, 2)
+                for seq in itertools.product(range(n), repeat=b)
+                if len(set(seq)) == b and trace_sequence(scene, seq, tx, rx) is not None
+            ]
+            traced = {p.route.facet_ids for p in trace_paths(scene, tx, rx, 2)}
+            assert traced - {()} == set(accepted)
 
 
 class TestRouteGeometry:
