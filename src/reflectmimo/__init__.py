@@ -81,6 +81,7 @@ from .tracer import (
     make_facet,
     route_length,
     to_pwa,
+    trace_pairs,
     trace_paths,
     trace_sequence,
 )
@@ -141,6 +142,7 @@ __all__ = [
     "stream_rates",
     "to_pwa",
     "trace_array_pairs",
+    "trace_pairs",
     "trace_paths",
     "trace_sequence",
     "unit",

@@ -11,7 +11,10 @@ arrays of receiver and transmitter points:
 * ``rm_image``    reflection model, matrix form (exact for specular paths).
 
 The ``exhaustive`` model instead re-traces every element pair through the
-scene; gains and delays are the per-pair traced ones, with d = c * delay.
+scene with ``tracer.trace_pairs``, one facet sequence over all pairs at a
+time; each traced sequence is one term of the same ``phasor_sum``, with
+(M, N) gain and delay arrays (zero where a pair has no such path) and
+d = c * delay.
 
 Elements are isotropic: no per-element pattern weighting is applied.
 """
@@ -34,7 +37,7 @@ from .paths import (
     pwa_distance,
     rm_distance_image,
 )
-from .tracer import Scene, trace_paths
+from .tracer import Scene, trace_pairs
 
 __all__ = [
     "ArrayGeometry",
@@ -52,7 +55,7 @@ __all__ = [
 MODELS = ("constant", "pwa", "rm_image", "exhaustive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Antenna element positions with their centroid."""
 
@@ -101,7 +104,7 @@ def upa(
     return ArrayGeometry(element_positions=positions, center=center)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MimoMatrix:
     """Channel matrix (RX elements x TX elements) at one frequency."""
 
@@ -184,19 +187,28 @@ def trace_array_pairs(
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Re-trace every TX/RX element pair through the scene.
 
-    Returns per-pair (gains, delays) arrays indexed [rx element][tx element];
-    tracing once and evaluating many frequencies amortizes the cost.
+    Returns per-pair (gains, delays) arrays indexed [rx element][tx element],
+    each pair's paths in trace_paths' order; tracing once and evaluating
+    many frequencies amortizes the cost. A per-pair view of ``trace_pairs``.
     """
-    out = []
-    for rx in rx_array.element_positions:
-        row = []
-        for tx in tx_array.element_positions:
-            traced = trace_paths(scene, tx, rx, max_bounces)
-            gains = np.array([p.gain for p in traced], dtype=complex)
-            delays = np.array([p.delay for p in traced])
-            row.append((gains, delays))
-        out.append(row)
-    return out
+    traced = trace_pairs(
+        scene, tx_array.element_positions, rx_array.element_positions, max_bounces
+    )
+    shape = (rx_array.n_elements, tx_array.n_elements)
+    gains = np.array([g for _, g, _ in traced], dtype=complex).reshape(-1, *shape)
+    delays = np.array([d for _, _, d in traced], dtype=float).reshape(-1, *shape)
+    # trace_paths' order: descending gain magnitude, then delay (stable)
+    order = np.lexsort((delays, -np.abs(gains)), axis=0)
+    gains = np.take_along_axis(gains, order, axis=0)
+    delays = np.take_along_axis(delays, order, axis=0)
+    routed = delays > 0.0
+    return [
+        [
+            (gains[routed[:, m, n], m, n], delays[routed[:, m, n], m, n])
+            for n in range(shape[1])
+        ]
+        for m in range(shape[0])
+    ]
 
 
 def mimo_from_traced_pairs(
@@ -253,20 +265,29 @@ def channel_evaluator(
         raise ValueError(f"unknown channel model {model!r}, expected one of {MODELS}")
     if model == "exhaustive":
         _require(scene is not None, "exhaustive model requires a scene")
-        pairs = trace_array_pairs(scene, tx_array, rx_array, max_bounces)
-        return lambda f: mimo_from_traced_pairs(pairs, f, f0)
-
-    _require(len(paths) > 0, f"{model} model requires a non-empty path list")
-    _require(ref is not None, f"{model} model requires the reference pair")
-    distances = path_distances(
-        rx_array.element_positions[:, None],
-        tx_array.element_positions[None, :],
-        paths,
-        ref,
-        model,
-    )
-    gains = [p.gain for p in paths]
-    delays = [p.delay for p in paths]
+        traced = trace_pairs(
+            scene, tx_array.element_positions, rx_array.element_positions, max_bounces
+        )
+        if not traced:
+            shape = (rx_array.n_elements, tx_array.n_elements)
+            return lambda f: MimoMatrix(
+                entries=np.zeros(shape, dtype=complex), frequency=f
+            )
+        gains = [g for _, g, _ in traced]
+        delays = [d for _, _, d in traced]
+        distances = [C_LIGHT * d for d in delays]
+    else:
+        _require(len(paths) > 0, f"{model} model requires a non-empty path list")
+        _require(ref is not None, f"{model} model requires the reference pair")
+        distances = path_distances(
+            rx_array.element_positions[:, None],
+            tx_array.element_positions[None, :],
+            paths,
+            ref,
+            model,
+        )
+        gains = [p.gain for p in paths]
+        delays = [p.delay for p in paths]
     return lambda f: MimoMatrix(
         entries=phasor_sum(gains, delays, distances, f, f0), frequency=f
     )

@@ -2,8 +2,10 @@
 parameters and experiment CSV tables.
 
 Files carry angles in degrees and complex gains as (gain_db, phase_deg); the
-in-memory API stays in radians and complex numbers. Floats survive a
-round-trip unchanged (shortest repr serialization).
+in-memory API stays in radians and complex numbers. The raw fields of path
+and model files (delays, route vertices, positions, U, g) are written with
+the shortest repr and load back bit for bit; gains and angles pass through
+the dB/degree conversion and change in their last digits on a round trip.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def load_scene(fp: IO[str]) -> Scene:
 # traced path export JSON
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathExport:
     """Trace result for one TX/RX pair: plane-wave parameters plus routes."""
 
@@ -193,7 +195,7 @@ def load_paths(fp: IO[str]) -> PathExport:
 # fitted reflection-model JSON
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmExport:
     """Fitted reflection model: both parametrizations of every path."""
 

@@ -44,7 +44,7 @@ __all__ = [
 _PWA_FIELDS = tuple(f.name for f in fields(PwaPath))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairObservation:
     """Plane-wave path list observed at one TX/RX pair."""
 

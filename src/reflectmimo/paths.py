@@ -67,7 +67,7 @@ def _points(x, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferencePair:
     """Reference TX/RX positions that anchor all extrapolation models."""
 
@@ -112,7 +112,7 @@ class PwaPath:
             raise ValueError(f"path delay must be positive, got {self.delay}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmImage:
     """Matrix form of the reflection model: mirror image U @ tx + g."""
 

@@ -347,6 +347,38 @@ class TestTracedPairs:
         assert h.entries[0, 0] == 0j
         del scene
 
+    def test_pairs_follow_trace_paths(self):
+        scene, tx, rx = two_facet_scene()
+        txa = upa(2, 3, 0.14, center=tx)
+        rxa = upa(3, 2, 0.14, center=rx)
+        pairs = trace_array_pairs(scene, txa, rxa, max_bounces=2)
+        assert len(pairs) == 6 and all(len(row) == 6 for row in pairs)
+        for m, rx_el in enumerate(rxa.element_positions):
+            for n, tx_el in enumerate(txa.element_positions):
+                traced = trace_paths(scene, tx_el, rx_el, 2)
+                gains, delays = pairs[m][n]
+                assert delays.tolist() == [p.delay for p in traced]
+                want = np.array([p.gain for p in traced])
+                assert np.all(np.abs(gains - want) <= 1e-12 * np.abs(want))
+
+    def test_exhaustive_without_paths_is_a_zero_matrix(self):
+        # A wall between the arrays and no bounces: no pair has a path.
+        wall = make_facet(
+            center=(5.0, 0.0, 1.0), normal=(-1.0, 0.0, 0.0), half_u=5.0, half_v=5.0
+        )
+        scene = Scene(facets=(wall,), carrier_freq=F0)
+        txa = upa(2, 2, 0.1, center=(0.0, 0.0, 1.0))
+        rxa = upa(1, 3, 0.1, center=(10.0, 0.0, 1.0))
+        at = channel_evaluator(txa, rxa, "exhaustive", F0, scene=scene, max_bounces=0)
+        for f in (F0, F0 + 1e9):
+            h = at(f)
+            assert h.shape == (3, 4)
+            assert h.frequency == f
+            assert np.all(h.entries == 0j)
+        pairs = trace_array_pairs(scene, txa, rxa, max_bounces=0)
+        assert [len(row) for row in pairs] == [4, 4, 4]
+        assert all(g.size == d.size == 0 for row in pairs for g, d in row)
+
     def test_mimo_matrix_shape_and_frequency(self):
         scene, tx, rx = two_facet_scene()
         txa = upa(2, 3, 0.14, center=tx)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
@@ -17,6 +17,7 @@ from reflectmimo import (
     route_length,
     spherical_dir,
     to_pwa,
+    trace_pairs,
     trace_paths,
     trace_sequence,
     unit,
@@ -248,6 +249,145 @@ class TestDuplicateRoutes:
             ]
             traced = {p.route.facet_ids for p in trace_paths(scene, tx, rx, 2)}
             assert traced - {()} == set(accepted)
+
+
+def assert_pairs_match_scalar(scene, tx_points, rx_points, max_bounces):
+    """trace_pairs against trace_paths, pair by pair: the same facet
+    sequences, delays equal bit for bit, gains within 1e-12 of their size."""
+    traced = trace_pairs(scene, tx_points, rx_points, max_bounces)
+    shape = (len(rx_points), len(tx_points))
+    for seq, gains, delays in traced:
+        assert gains.shape == delays.shape == shape
+        assert gains.dtype == complex
+        assert np.any(delays > 0.0), f"sequence {seq} returned without a path"
+        assert np.all((gains == 0.0) == (delays == 0.0))
+    for m, rx in enumerate(rx_points):
+        for n, tx in enumerate(tx_points):
+            want = sorted(
+                (p.delay, p.route.facet_ids, p.gain)
+                for p in trace_paths(scene, tx, rx, max_bounces)
+            )
+            got = sorted(
+                (d[m, n], seq, g[m, n]) for seq, g, d in traced if d[m, n] > 0.0
+            )
+            assert [(d, seq) for d, seq, _ in got] == [(d, seq) for d, seq, _ in want]
+            for (_, _, g), (_, _, g_want) in zip(got, want):
+                assert abs(g - g_want) <= 1e-12 * abs(g_want)
+    return traced
+
+
+def routes_by_pair(traced, shape):
+    """Facet sequences of each pair's routes, [rx][tx]."""
+    return [
+        [[seq for seq, _, d in traced if d[m, n] > 0.0] for n in range(shape[1])]
+        for m in range(shape[0])
+    ]
+
+
+_offsets = st.lists(st.tuples(*[st.floats(-6.0, 6.0)] * 3), min_size=1, max_size=3)
+
+
+class TestTracePairs:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tx_offsets=_offsets,
+        rx_offsets=_offsets,
+        max_bounces=st.integers(0, 3),
+    )
+    def test_random_scenes_match_scalar(self, seed, tx_offsets, rx_offsets, max_bounces):
+        scene, ref = random_scene(np.random.default_rng(seed))
+        assert_pairs_match_scalar(
+            scene,
+            ref.tx_ref + np.array(tx_offsets),
+            ref.rx_ref + np.array(rx_offsets),
+            max_bounces,
+        )
+
+    def test_coplanar_tiles_under_an_array(self):
+        # Tiles meeting at x = 5 (half_v runs along x): the middle pair
+        # reflects on the seam, every other pair on one tile only.
+        tiles = tuple(
+            make_facet(np.array([x, 0.0, 0.0]), EZ, half_u=5.0, half_v=2.5)
+            for x in (2.5, 7.5)
+        )
+        scene = Scene(facets=tiles, carrier_freq=140e9)
+        tx = np.array([[x, 0.0, 2.0] for x in (-1.0, 0.0, 1.0)])
+        rx = np.array([[x, 0.0, 2.0] for x in (9.0, 10.0, 11.0)])
+        traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+        routes = routes_by_pair(traced, (3, 3))
+        for m in range(3):
+            for n in range(3):
+                assert len(routes[m][n]) == 2  # LOS and one floor bounce
+        assert routes[1][1] == [(), (0,)]  # on the seam: the first tile
+        assert routes[0][0] == [(), (0,)]
+        assert routes[2][2] == [(), (1,)]
+
+    def test_two_sided_facet(self):
+        tx = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
+        rx = np.array([[10.0, 0.0, 1.0], [10.0, -1.0, 1.5]])
+        for two_sided, bounce in ((True, [(0,)]), (False, [])):
+            scene = Scene(
+                facets=(make_facet(np.zeros(3), -EZ, two_sided=two_sided),),
+                carrier_freq=140e9,
+            )
+            traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+            for row in routes_by_pair(traced, (2, 2)):
+                assert row == [[(), *bounce]] * 2
+
+    def test_los_blocked_for_some_pairs_only(self):
+        # A 1 m screen halfway: it shadows the pairs at y = 0 only.
+        screen = make_facet(
+            np.array([5.0, 0.0, 1.0]), np.array([-1.0, 0.0, 0.0]), half_u=0.5, half_v=0.5
+        )
+        scene = Scene(facets=(screen,), carrier_freq=140e9)
+        tx = np.array([[0.0, y, 1.0] for y in (0.0, 3.0)])
+        rx = np.array([[10.0, y, 1.0] for y in (0.0, 3.0)])
+        traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+        (seq, gains, delays), *_ = traced
+        assert seq == ()
+        assert gains[0, 0] == 0.0 and delays[0, 0] == 0.0
+        assert np.all(gains.ravel()[1:] != 0.0)
+
+    def test_coincident_elements_have_no_los(self):
+        tx = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        rx = np.array([[1.0, 0.0, 1.0]])
+        scene = ground_scene()
+        traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+        assert routes_by_pair(traced, (1, 2)) == [[[(), (0,)], [(0,)]]]
+
+    def test_single_pair_equals_trace_paths(self):
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            scene, ref = random_scene(rng)
+            traced = assert_pairs_match_scalar(
+                scene, ref.tx_ref[None], ref.rx_ref[None], 2
+            )
+            assert len(traced) == len(trace_paths(scene, ref.tx_ref, ref.rx_ref, 2))
+
+    @pytest.mark.parametrize("max_bounces", [0, 1, 2, 3])
+    def test_every_bounce_limit(self, max_bounces):
+        scene, ref = random_scene(np.random.default_rng(9), n_facets=3)
+        offsets = np.array([[0.0, 0.0, 0.0], [0.3, -1.0, 0.5]])
+        traced = assert_pairs_match_scalar(
+            scene, ref.tx_ref + offsets, ref.rx_ref - offsets, max_bounces
+        )
+        assert max(len(seq) for seq, _, _ in traced) == max_bounces
+
+    @pytest.mark.parametrize("max_bounces", [-1, 4])
+    def test_bounce_limit_guard(self, max_bounces):
+        tx = np.zeros((1, 3))
+        rx = np.ones((1, 3))
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace_paths(ground_scene(), tx[0], rx[0], max_bounces)
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace_pairs(ground_scene(), tx, rx, max_bounces)
+
+    def test_point_arrays_checked(self):
+        with pytest.raises(ValueError):
+            trace_pairs(ground_scene(), np.zeros(3), np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            trace_pairs(ground_scene(), np.zeros((1, 3)), np.ones((0, 3)))
 
 
 class TestRouteGeometry:
