@@ -1,30 +1,31 @@
 """Image-method specular ray tracer over planar rectangular facets.
 
-Serves as the ground-truth generator for synthetic scenes: it enumerates
-ordered facet sequences up to a bounce limit, constructs each candidate route
-by mirroring the receiver through the facet planes in reverse order, and
-keeps the route only if every interaction point lies inside its facet, hits
-the reflective side, and no segment is blocked by another facet.
+Serves as the ground-truth generator for synthetic scenes. It walks the
+ordered facet sequences up to a bounce limit as a tree keyed by suffix
+(_walk), so sequences with a common suffix share their receiver images and a
+subtree is cut where an image lies behind a one-sided facet. Each route is
+unfolded towards those images and kept only if every interaction point lies
+inside its facet, hits the reflective side, and no segment is blocked by
+another facet. The kept sequences are sorted (line of sight, bounce count,
+lexicographic) before the seam rule and the gains, so the output is that of
+trying every sequence in that order. Gains follow free-space spreading over
+the route length with a fixed per-bounce loss, phase referenced to the
+scene carrier. Two tracers share the walk and these rules:
 
-Path gains follow free-space spreading over the full route length with a
-fixed per-bounce reflection loss; the phase is referenced to the scene
-carrier. Two tracers share one set of rules:
-
-* ``trace_paths`` traces one TX/RX pair. Its inner loop works on the plain
-  float triples each Facet keeps next to its arrays, through Facet.reflect,
-  contains and crossing, because numpy call overhead dominates at one pair.
+* ``trace_paths`` traces one TX/RX pair on the plain float triples each
+  Facet keeps next to its arrays, because numpy call overhead dominates at
+  one pair.
 * ``trace_pairs`` traces every pair of a TX and an RX array at once: for a
   fixed facet sequence the unfolding, bounds, side and occlusion tests are
   the same arithmetic for every pair, so each runs once per sequence on
-  (M, N) coordinate arrays, through Facet.reflect, contains_batch and
-  crossing_batch. It gives the same delays, bit for bit.
+  (M, N) coordinate arrays. It gives the same delays, bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +64,10 @@ class Facet:
 
     Facets are immutable, fields and arrays alike, and compare by identity.
     Each facet also keeps its center, axes and normal as plain float
-    triples, which reflect, contains and crossing read in the trace loop;
-    contains_batch and crossing_batch are their forms for triples of
-    coordinate arrays.
+    triples, which reflect, contains and crossing read in the trace loop
+    (reflect and contains also take triples of coordinate arrays, crossing
+    has crossing_batch), and, when bounded, the axis-aligned box of the
+    points contains accepts, for the occlusion test's quick reject.
     """
 
     center: np.ndarray
@@ -80,6 +82,7 @@ class Facet:
     _axis_u: tuple[float, float, float] = field(init=False, repr=False)
     _axis_v: tuple[float, float, float] = field(init=False, repr=False)
     _normal: tuple[float, float, float] = field(init=False, repr=False)
+    _box: tuple[float, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         center = np.array(self.center, dtype=float)
@@ -97,6 +100,13 @@ class Facet:
             object.__setattr__(self, name, value)
             object.__setattr__(self, "_" + name, _f3(value))
         object.__setattr__(self, "intercept", float(normal @ center))
+        box = None
+        if self.half_u is not None and self.half_v is not None:
+            # 3 _T_EPS: the bounds slack plus the rounding of a hit point,
+            # off its plane and along its segment, on segments up to ~1e6 m
+            reach = np.abs(axis_u) * self.half_u + np.abs(axis_v) * self.half_v + 3 * _T_EPS
+            box = _f3(center - reach) + _f3(center + reach)
+        object.__setattr__(self, "_box", box)
 
     def reflect(self, p):
         """Mirror image of point p across the facet plane.
@@ -108,14 +118,16 @@ class Facet:
         d = 2.0 * (_dot(n, p) - self.intercept)
         return (p[0] - d * n[0], p[1] - d * n[1], p[2] - d * n[2])
 
-    def contains(self, p) -> bool:
-        """True when in-plane point p lies within the facet bounds."""
+    def contains(self, p):
+        """True when in-plane point p lies within the facet bounds; for a
+        triple of coordinate arrays, a boolean array unless unbounded."""
         rel = _sub(p, self._center)
-        if self.half_u is not None and abs(_dot(rel, self._axis_u)) > self.half_u + _T_EPS:
-            return False
-        if self.half_v is not None and abs(_dot(rel, self._axis_v)) > self.half_v + _T_EPS:
-            return False
-        return True
+        inside = True
+        if self.half_u is not None:
+            inside = abs(_dot(rel, self._axis_u)) <= self.half_u + _T_EPS
+        if self.half_v is not None:
+            inside = inside & (abs(_dot(rel, self._axis_v)) <= self.half_v + _T_EPS)
+        return inside
 
     def crossing(self, p, step) -> tuple[tuple[float, float, float], float] | None:
         """Where the open segment p -> p + step crosses the facet plane.
@@ -135,17 +147,6 @@ class Facet:
             return None
         return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom
 
-    def contains_batch(self, p):
-        """contains for a triple of coordinate arrays: a boolean array, or
-        True when the facet is unbounded."""
-        rel = _sub(p, self._center)
-        inside = True
-        if self.half_u is not None:
-            inside = np.abs(_dot(rel, self._axis_u)) <= self.half_u + _T_EPS
-        if self.half_v is not None:
-            inside = inside & (np.abs(_dot(rel, self._axis_v)) <= self.half_v + _T_EPS)
-        return inside
-
     def crossing_batch(self, p, step):
         """crossing for triples of coordinate arrays.
 
@@ -155,12 +156,8 @@ class Facet:
         n = self._normal
         denom = n[0] * step[0] + n[1] * step[1] + n[2] * step[2]
         crosses = denom != 0.0
-        t = np.divide(
-            self.intercept - (n[0] * p[0] + n[1] * p[1] + n[2] * p[2]),
-            denom,
-            out=np.zeros(np.shape(denom)),
-            where=crosses,
-        )
+        num = self.intercept - (n[0] * p[0] + n[1] * p[1] + n[2] * p[2])
+        t = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=crosses)
         crosses &= (t > _T_EPS) & (t < 1.0 - _T_EPS)
         return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom, crosses
 
@@ -277,28 +274,98 @@ def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _dist(a, b) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    dz = a[2] - b[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+def _misses(f: Facet, box) -> bool:
+    """True when f is bounded and its box misses box (low corner, then high)."""
+    b = f._box
+    return b is not None and (
+        b[0] > box[3] or b[1] > box[4] or b[2] > box[5]
+        or b[3] < box[0] or b[4] < box[1] or b[5] < box[2]
+    )
 
 
-def _segment_blocked(facets: tuple[Facet, ...], p, q) -> bool:
-    """True when the open segment p->q crosses any facet rectangle."""
-    step = _sub(q, p)
-    for f in facets:
-        cross = f.crossing(p, step)
-        if cross is not None and f.contains(cross[0]):
-            return True
-    return False
+# ---------------------------------------------------------------------------
+# the rules both tracers share, on float triples or on triples of coordinate
+# arrays; ops holds the few calls that differ between the two
 
 
-def _check_bounces(max_bounces: int) -> None:
+_Ops = namedtuple("_Ops", "any sqrt maximum exp")  # any: "some pair passes"
+_FLOAT_OPS = _Ops(bool, math.sqrt, max, cmath.exp)
+_ARRAY_OPS = _Ops(np.any, np.sqrt, np.maximum, np.exp)
+
+
+def _walk(facets: tuple[Facet, ...], tx, rx, max_bounces: int, ops: _Ops):
+    """Depth-first walk of the facet-sequence tree, keyed by suffix.
+
+    Yields (sequence, images) for the sequences that can have a route, line
+    of sight () first; images[k] is rx mirrored through sequence[k:], the aim
+    point of the segment arriving at interaction k. A child puts facet f in
+    front of its node and mirrors the node's images[0] through f. A one-sided
+    f is cut, with its subtree, unless images[0] is strictly in front of it,
+    where the segment leaving f heads; a node is yielded only when TX is
+    strictly in front of its one-sided first facet. On arrays, a test passes
+    when it passes for any pair.
+    """
     if not 0 <= max_bounces <= MAX_BOUNCES:
-        raise ValueError(
-            f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}"
-        )
+        raise ValueError(f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}")
+    any_ = ops.any
+    stack = [((), (rx,))]
+    while stack:
+        seq, images = stack.pop()
+        head = seq[0] if seq else -1
+        first = facets[head] if seq else None
+        if not seq or first.two_sided or any_(_dot(first._normal, tx) > first.intercept):
+            yield seq, images
+        if len(seq) == max_bounces:
+            continue
+        aim = images[0]
+        for idx, f in enumerate(facets):
+            # Two consecutive hits on the same plane can never be specular.
+            if idx != head and (f.two_sided or any_(_dot(f._normal, aim) > f.intercept)):
+                stack.append(((idx, *seq), (f.reflect(aim), *images)))
+
+
+def _apart(a, b, ops: _Ops):
+    """The line-of-sight route needs endpoints more than 1e-12 m apart."""
+    gap = _sub(a, b)
+    return ops.sqrt(_dot(gap, gap)) > 1e-12
+
+
+def _kept(accepted, ops: _Ops):
+    """The seam rule on the (sequence, vertices, valid) a walk accepted.
+
+    Yields (sequence, vertices, valid, length) in sequence order (line of
+    sight, bounce count, lexicographic). valid loses the pairs whose route an
+    earlier sequence with as many bounces has, lengths and vertices within
+    1e-9 of the route length (coplanar facets that meet or overlap). The
+    length is route_length's arithmetic: segment norms summed in order.
+    """
+    peers = []  # (vertices, valid, length) of the earlier sequences, same bounces
+    for seq, vertices, valid in sorted(accepted, key=lambda e: (len(e[0]), e[0])):
+        if peers and len(peers[0][0]) != len(vertices):
+            peers = []
+        length = 0.0
+        for a, b in zip(vertices[:-1], vertices[1:]):
+            step = _sub(b, a)
+            length = length + ops.sqrt(_dot(step, step))
+        tol = 1e-9 * ops.maximum(1.0, length)
+        for prev_vertices, prev_valid, prev_length in peers:
+            same = valid & prev_valid & (abs(prev_length - length) <= tol)
+            if ops.any(same):
+                for a, b in zip(prev_vertices, vertices):
+                    for ca, cb in zip(a, b):
+                        same = same & (abs(ca - cb) <= tol)
+                valid = valid ^ same  # same lies within valid: drop it
+        if ops.any(valid):
+            peers.append((vertices, valid, length))
+            yield seq, vertices, valid, length
+
+
+def _gain(scene: Scene, length, bounces: int, ops: _Ops):
+    """Free-space spreading over the route length, the per-bounce loss and
+    the carrier phase."""
+    loss_amp = 10.0 ** (-scene.reflection_loss_db / 20.0)
+    amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp**bounces
+    return amp * ops.exp(1j * (-2.0 * math.pi * scene.carrier_freq * length / C_LIGHT))
 
 
 def trace_sequence(
@@ -317,35 +384,30 @@ def trace_sequence(
     so the result remains a genuine geometric route; the relaxed mode is the
     re-tracing oracle used to follow a known path to displaced endpoints.
     """
+    facets = scene.facets
     for idx in sequence:
-        if not 0 <= idx < len(scene.facets):
+        if not 0 <= idx < len(facets):
             raise ValueError(f"facet index {idx} out of range")
-    return _trace_sequence(
-        scene.facets, sequence, _f3(tx), _f3(rx), check_bounds, check_side, check_occlusion
-    )
-
-
-def _trace_sequence(
-    facets: tuple[Facet, ...],
-    sequence: tuple[int, ...],
-    txf: tuple[float, float, float],
-    rxf: tuple[float, float, float],
-    check_bounds: bool = True,
-    check_side: bool = True,
-    check_occlusion: bool = True,
-) -> Route | None:
-    """trace_sequence for valid facet indices and float-triple endpoints."""
-    # images[k] is the receiver mirrored through facets sequence[k:]; it is
-    # the aim point for the segment arriving at interaction k.
-    images = [rxf]
+    images = [_f3(rx)]
     for idx in reversed(sequence):
         images.insert(0, facets[idx].reflect(images[0]))
+    vertices = _unfold(facets, sequence, images, _f3(tx), check_bounds, check_side, check_occlusion)
+    return None if vertices is None else Route(np.array(vertices), sequence)
 
+
+def _unfold(
+    facets, sequence, images, txf, check_bounds=True, check_side=True, check_occlusion=True
+):
+    """Vertices of trace_sequence's route, or None, for valid facet indices,
+    float-triple TX and the receiver images of _walk."""
+    rxf = images[-1]
+    if not sequence and not _apart(txf, rxf, _FLOAT_OPS):
+        return None
     points = []
     p = txf
-    for k, idx in enumerate(sequence):
+    for idx, aim in zip(sequence, images):
         f = facets[idx]
-        cross = f.crossing(p, _sub(images[k], p))
+        cross = f.crossing(p, _sub(aim, p))
         if cross is None:
             return None
         hit, denom = cross
@@ -359,18 +421,15 @@ def _trace_sequence(
     vertices = [txf, *points, rxf]
     if check_occlusion:
         for a, b in zip(vertices[:-1], vertices[1:]):
-            if _segment_blocked(facets, a, b):
-                return None
-    return Route(np.array(vertices), tuple(sequence))
-
-
-def _sequences(n_facets: int, max_bounces: int):
-    for bounces in range(1, max_bounces + 1):
-        for seq in itertools.product(range(n_facets), repeat=bounces):
-            # Two consecutive hits on the same plane can never be specular.
-            if any(a == b for a, b in zip(seq, seq[1:])):
-                continue
-            yield seq
+            # blocked when the open segment a->b crosses a facet rectangle
+            step = _sub(b, a)
+            box = (*map(min, a, b), *map(max, a, b))
+            for f in facets:
+                if not _misses(f, box):
+                    cross = f.crossing(a, step)
+                    if cross is not None and f.contains(cross[0]):
+                        return None
+    return vertices
 
 
 def trace_paths(
@@ -378,42 +437,25 @@ def trace_paths(
 ) -> list[TracedPath]:
     """All specular paths between tx and rx up to max_bounces reflections.
 
-    Includes the line-of-sight path when unobstructed. Paths are returned
-    sorted by descending gain magnitude. Coplanar facets that meet or overlap
-    can both accept the same specular point; such a path is returned once,
-    under the first facet sequence that produced it.
+    Includes the line-of-sight path when unobstructed. The suffix walk
+    skips only sequences the side test rejects, so the paths are those of
+    trying every sequence. They are sorted by descending gain magnitude, ties
+    in sequence order (line of sight, bounce count, lexicographic). Coplanar
+    facets that meet or overlap can both accept the same specular point; such
+    a path is returned once, under the first facet sequence in that order.
     """
-    _check_bounces(max_bounces)
     facets = scene.facets
     txf = _f3(tx)
-    rxf = _f3(rx)
-
-    routes = []
-    if _dist(txf, rxf) > 1e-12 and not _segment_blocked(facets, txf, rxf):
-        routes.append(Route(np.array([txf, rxf]), ()))
-    for seq in _sequences(len(facets), max_bounces):
-        r = _trace_sequence(facets, seq, txf, rxf)
-        if r is not None:
-            routes.append(r)
-
-    loss_amp = 10.0 ** (-scene.reflection_loss_db / 20.0)
+    walk = _walk(facets, txf, _f3(rx), max_bounces, _FLOAT_OPS)
+    unfolded = ((seq, _unfold(facets, seq, images, txf)) for seq, images in walk)
+    # vertex arrays, kept as the routes: as float tuples they would double
+    # the memory of the accepted routes
+    accepted = [(seq, np.array(v), True) for seq, v in unfolded if v is not None]
     paths = []
-    for r in routes:
-        length = route_length(r)
-        # Same bounce count and vertices within 1e-9 of the route length.
-        tol = 1e-9 * max(1.0, length)
-        if any(
-            abs(p.delay * C_LIGHT - length) <= tol
-            and p.route.vertices.shape == r.vertices.shape
-            and float(np.max(np.abs(p.route.vertices - r.vertices))) <= tol
-            for p in paths
-        ):
-            continue
-        amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp ** r.bounces
-        phase = -2.0 * math.pi * scene.carrier_freq * length / C_LIGHT
-        paths.append(
-            TracedPath(route=r, gain=amp * cmath.exp(1j * phase), delay=length / C_LIGHT)
-        )
+    for seq, vertices, _, length in _kept(accepted, _FLOAT_OPS):
+        route = Route(vertices, seq)
+        gain = _gain(scene, length, len(seq), _FLOAT_OPS)
+        paths.append(TracedPath(route=route, gain=gain, delay=length / C_LIGHT))
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))
     return paths
 
@@ -432,40 +474,36 @@ def _coordinates(points, name: str, axis: int) -> tuple[np.ndarray, ...]:
     return tuple(np.expand_dims(np.ascontiguousarray(c), axis) for c in pts.T)
 
 
-def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], tx, rx):
-    """Interaction points of one facet sequence for every pair, and the mask
-    of pairs whose points pass the crossing, bounds and side tests of
-    _trace_sequence; None as soon as no pair passes."""
-    images = [rx]
-    for idx in reversed(sequence):
-        images.insert(0, facets[idx].reflect(images[0]))
-
+def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, tx):
+    """_unfold for every pair: the route vertices and the mask of pairs with
+    a route; None as soon as no pair has one."""
+    rx = images[-1]
+    valid = True if sequence else _apart(tx, rx, _ARRAY_OPS)
     points = []
-    valid = True
     p = tx
-    for k, idx in enumerate(sequence):
+    for idx, aim in zip(sequence, images):
         f = facets[idx]
-        hit, denom, valid_k = f.crossing_batch(p, _sub(images[k], p))
-        valid = valid & valid_k & f.contains_batch(hit)
+        hit, denom, valid_k = f.crossing_batch(p, _sub(aim, p))
+        valid = valid & valid_k & f.contains(hit)
         if not f.two_sided:
             valid &= denom < 0.0
         if not valid.any():
             return None
         points.append(hit)
         p = hit
-    return points, valid
 
-
-def _blocked_batch(facets: tuple[Facet, ...], p, q):
-    """_segment_blocked for every pair: mask of the open segments p->q that
-    cross a facet rectangle."""
-    step = _sub(q, p)
-    blocked = np.zeros(np.shape(step[0]), dtype=bool)
-    for f in facets:
-        hit, _, crosses = f.crossing_batch(p, step)
-        if crosses.any():
-            blocked |= crosses & f.contains_batch(hit)
-    return blocked
+    vertices = [tx, *points, rx]
+    for a, b in zip(vertices[:-1], vertices[1:]):
+        step = _sub(b, a)
+        box = (*map(np.min, map(np.minimum, a, b)), *map(np.max, map(np.maximum, a, b)))
+        for f in facets:
+            if not _misses(f, box):
+                hit, _, crosses = f.crossing_batch(a, step)
+                if crosses.any():
+                    valid = valid & ~(crosses & f.contains(hit))
+        if not valid.any():
+            return None
+    return vertices, valid
 
 
 def trace_pairs(
@@ -473,71 +511,27 @@ def trace_pairs(
 ) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
     """trace_paths for every pair of N transmitters and M receivers at once.
 
-    tx_points is (N, 3) and rx_points (M, 3). Each facet sequence, line of
-    sight first and then in trace_paths' order, is unfolded, bounds-, side-
-    and occlusion-tested over all pairs as (M, N) arrays. Returns one
-    (facet sequence, gains, delays) entry per sequence that has a path for
-    at least one pair; gains (complex) and delays are (M, N), indexed
-    [rx][tx], and zero where the pair has no route under that sequence.
-    Per pair, the routes are those of trace_paths, the seam rule included:
-    the delays are equal bit for bit and the gains to rounding.
+    tx_points is (N, 3) and rx_points (M, 3). The suffix walk of trace_paths
+    cuts a subtree only when no pair passes; each sequence is unfolded,
+    bounds-, side- and occlusion-tested over all pairs as (M, N) arrays.
+    Returns one (facet sequence, gains, delays) entry per sequence with a
+    path for some pair, in sequence order; gains (complex) and delays are
+    (M, N), indexed [rx][tx], and zero where the pair has no route under that
+    sequence. Per pair, the routes are those of trace_paths, the seam rule
+    included: the delays are equal bit for bit and the gains to rounding.
     """
-    _check_bounces(max_bounces)
     facets = scene.facets
     tx = _coordinates(tx_points, "tx_points", 0)
     rx = _coordinates(rx_points, "rx_points", 1)
-    loss_amp = 10.0 ** (-scene.reflection_loss_db / 20.0)
-
+    walk = _walk(facets, tx, rx, max_bounces, _ARRAY_OPS)
+    unfolded = ((seq, _unfold_batch(facets, seq, images, tx)) for seq, images in walk)
+    accepted = [(seq, *found) for seq, found in unfolded if found is not None]
     traced = []
-    for seq in itertools.chain([()], _sequences(len(facets), max_bounces)):
-        if seq:
-            unfolded = _unfold_batch(facets, seq, tx, rx)
-            if unfolded is None:
-                continue
-            points, valid = unfolded
-        else:
-            gap = _sub(tx, rx)
-            points, valid = [], np.sqrt(_dot(gap, gap)) > 1e-12
-        vertices = [tx, *points, rx]
-        for a, b in zip(vertices[:-1], vertices[1:]):
-            if not valid.any():
-                break
-            valid = valid & ~_blocked_batch(facets, a, b)
-        if not valid.any():
-            continue
-
-        # route_length's arithmetic: per-segment norms, summed in order
-        length = 0.0
-        for a, b in zip(vertices[:-1], vertices[1:]):
-            step = _sub(b, a)
-            length = length + np.sqrt(_dot(step, step))
-        # The seam rule of trace_paths, per pair: drop the route where an
-        # earlier route with as many bounces has the same length and
-        # vertices within 1e-9 of it. Their points are unfolded again only
-        # when some pair has an equal length.
-        tol = 1e-9 * np.maximum(1.0, length)
-        for prev_seq, _, prev_delays in traced:
-            if len(prev_seq) != len(seq):
-                continue
-            same = valid & (prev_delays > 0.0)
-            same &= np.abs(prev_delays * C_LIGHT - length) <= tol
-            if not same.any():
-                continue
-            prev_points, _ = _unfold_batch(facets, prev_seq, tx, rx)
-            for a, b in zip(prev_points, points):
-                for ca, cb in zip(a, b):
-                    same &= np.abs(ca - cb) <= tol
-            valid &= ~same
-        if not valid.any():
-            continue
-
-        length = length[valid]
-        amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp ** len(seq)
-        phase = -2.0 * math.pi * scene.carrier_freq * length / C_LIGHT
+    for seq, _, valid, length in _kept(accepted, _ARRAY_OPS):
         gains = np.zeros(valid.shape, dtype=complex)
         delays = np.zeros(valid.shape)
-        gains[valid] = amp * np.exp(1j * phase)
-        delays[valid] = length / C_LIGHT
+        gains[valid] = _gain(scene, length[valid], len(seq), _ARRAY_OPS)
+        delays[valid] = length[valid] / C_LIGHT
         traced.append((seq, gains, delays))
     return traced
 

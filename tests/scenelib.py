@@ -8,9 +8,15 @@ roll angles are generic rather than axis-aligned special cases.
 
 from __future__ import annotations
 
+import cmath
+import itertools
+import math
+
 import numpy as np
 
 from reflectmimo import (
+    C_LIGHT,
+    Facet,
     PairObservation,
     ReferencePair,
     Scene,
@@ -80,6 +86,94 @@ def random_scene(
         )
     scene = Scene(facets=tuple(facets), carrier_freq=140e9)
     return scene, ReferencePair(tx_ref=tx, rx_ref=rx)
+
+
+def rich_room(rng: np.random.Generator, n_panels: int = 14):
+    """Box room with six inward-facing walls plus n_panels one-sided panels at
+    random positions and orientations (20 facets by default), and a TX/RX
+    pair inside it at least 3 m apart.
+
+    Unlike random_scene, facets here occlude each other and many face away
+    from the endpoints, so most facet sequences are dark: the scene that the
+    tracer's pruning is for.
+    """
+    extent = np.array([12.0, 9.0, 3.5])
+    half = extent / 2.0
+    facets = []
+    for k, far in itertools.product(range(3), (False, True)):
+        u, v = np.eye(3)[(k + 1) % 3], np.eye(3)[(k + 2) % 3]  # u x v = +e_k
+        if far:
+            u, v = v, u  # the far wall faces -e_k, into the room
+        center = half.copy()
+        center[k] = extent[k] if far else 0.0
+        facets.append(Facet(center, u, v, half_u=half @ u, half_v=half @ v))
+    for _ in range(n_panels):
+        facets.append(
+            make_facet(
+                rng.uniform([1.0, 1.0, 0.5], extent - [1.0, 1.0, 0.5]),
+                rng.standard_normal(3),
+                half_u=rng.uniform(0.3, 0.9),
+                half_v=rng.uniform(0.3, 0.9),
+            )
+        )
+    while True:
+        tx, rx = rng.uniform(0.5, extent - 0.5, size=(2, 3))
+        if np.linalg.norm(rx - tx) >= 3.0:
+            break
+    scene = Scene(facets=tuple(facets), carrier_freq=140e9)
+    return scene, ReferencePair(tx_ref=tx, rx_ref=rx)
+
+
+def facet_sequences(n_facets: int, max_bounces: int):
+    """Every facet sequence of 1..max_bounces bounces with no facet twice in
+    a row, by bounce count, then lexicographic."""
+    for bounces in range(1, max_bounces + 1):
+        for seq in itertools.product(range(n_facets), repeat=bounces):
+            if all(a != b for a, b in zip(seq, seq[1:])):
+                yield seq
+
+
+def brute_force_paths(scene: Scene, tx, rx, max_bounces: int) -> list[TracedPath]:
+    """trace_paths by trying every facet sequence: the tracer's oracle.
+
+    Line of sight first, then facet_sequences in order, each through the
+    public trace_sequence. The occlusion test (every segment against every
+    facet, with no bounding-box reject), the seam rule (drop a route when an
+    earlier kept route with as many bounces has the same length and vertices
+    within 1e-9 of its length) and the gains are written out here.
+    """
+    tx = np.asarray(tx, dtype=float)
+    rx = np.asarray(rx, dtype=float)
+    gap = tx - rx
+    seqs = list(facet_sequences(len(scene.facets), max_bounces))
+    if math.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2]) > 1e-12:
+        seqs.insert(0, ())
+    routes = [trace_sequence(scene, seq, tx, rx, check_occlusion=False) for seq in seqs]
+    loss_amp = 10.0 ** (-scene.reflection_loss_db / 20.0)
+    paths = []
+    for r in routes:
+        if r is None or any(
+            cross is not None and f.contains(cross[0])
+            for p, q in zip(r.vertices[:-1], r.vertices[1:])
+            for f in scene.facets
+            for cross in [f.crossing(p, q - p)]
+        ):
+            continue
+        length = route_length(r)
+        tol = 1e-9 * max(1.0, length)
+        if any(
+            abs(p.delay * C_LIGHT - length) <= tol
+            and p.route.vertices.shape == r.vertices.shape
+            and float(np.max(np.abs(p.route.vertices - r.vertices))) <= tol
+            for p in paths
+        ):
+            continue
+        amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp ** r.bounces
+        phase = -2.0 * math.pi * scene.carrier_freq * length / C_LIGHT
+        gain = amp * cmath.exp(1j * phase)
+        paths.append(TracedPath(route=r, gain=gain, delay=length / C_LIGHT))
+    paths.sort(key=lambda p: (-abs(p.gain), p.delay))
+    return paths
 
 
 def retrace_length(scene: Scene, path: TracedPath, tx, rx) -> float | None:

@@ -22,7 +22,7 @@ from reflectmimo import (
     trace_sequence,
     unit,
 )
-from scenelib import random_scene
+from scenelib import brute_force_paths, random_scene, rich_room
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -388,6 +388,90 @@ class TestTracePairs:
             trace_pairs(ground_scene(), np.zeros(3), np.ones((1, 3)))
         with pytest.raises(ValueError):
             trace_pairs(ground_scene(), np.zeros((1, 3)), np.ones((0, 3)))
+
+
+def assert_matches_brute_force(scene, tx, rx, max_bounces):
+    """trace_paths equals the brute-force oracle bit for bit: facet ids,
+    order, vertices, delays and gains."""
+    got = trace_paths(scene, tx, rx, max_bounces)
+    want = brute_force_paths(scene, tx, rx, max_bounces)
+    assert [(p.route.facet_ids, p.delay, p.gain) for p in got] == [
+        (p.route.facet_ids, p.delay, p.gain) for p in want
+    ]
+    for p, q in zip(got, want):
+        assert np.array_equal(p.route.vertices, q.route.vertices)
+    return got
+
+
+def count_reflections(monkeypatch, trace, *args):
+    """Facet.reflect calls made by trace(*args), and its result."""
+    calls = []
+    reflect = Facet.reflect
+
+    def counted(facet, p):
+        calls.append(None)
+        return reflect(facet, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(Facet, "reflect", counted)
+        result = trace(*args)
+    return len(calls), result
+
+
+class TestSuffixWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_bounces=st.integers(0, 3))
+    def test_random_scenes_match_brute_force(self, seed, max_bounces):
+        scene, ref = random_scene(np.random.default_rng(seed))
+        assert_matches_brute_force(scene, ref.tx_ref, ref.rx_ref, max_bounces)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_bounces=st.integers(0, 3))
+    def test_rich_rooms_match_brute_force(self, seed, max_bounces):
+        scene, ref = rich_room(np.random.default_rng(seed))
+        assert_matches_brute_force(scene, ref.tx_ref, ref.rx_ref, max_bounces)
+
+    def test_pruning_cuts_reflections(self, monkeypatch):
+        # 20 one-sided facets at 3 bounces: the oracle mirrors the receiver
+        # through every facet of all 7,220 + 380 + 20 sequences.
+        scene, ref = rich_room(np.random.default_rng(7))
+        args = (scene, ref.tx_ref, ref.rx_ref, 3)
+        walked, paths = count_reflections(monkeypatch, trace_paths, *args)
+        brute, _ = count_reflections(monkeypatch, brute_force_paths, *args)
+        assert brute == 20 + 2 * 20 * 19 + 3 * 20 * 19 * 19
+        assert 5 * walked <= brute
+        assert len(paths) > 10
+        assert_matches_brute_force(*args)
+
+    def test_two_sided_facets_are_never_cut(self, monkeypatch):
+        room, ref = rich_room(np.random.default_rng(7))
+        scene = Scene(
+            facets=tuple(
+                Facet(f.center, f.axis_u, f.axis_v, f.half_u, f.half_v, two_sided=True)
+                for f in room.facets
+            ),
+            carrier_freq=room.carrier_freq,
+        )
+        args = (scene, ref.tx_ref, ref.rx_ref, 3)
+        walked, _ = count_reflections(monkeypatch, trace_paths, *args)
+        assert walked == 20 + 20 * 19 + 20 * 19 * 19  # one per node of the tree
+        assert_matches_brute_force(*args)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tx_offsets=_offsets, rx_offsets=_offsets)
+    def test_pairs_in_rich_rooms_match_scalar(self, seed, tx_offsets, rx_offsets):
+        # The pair tracer cuts a subtree only when every pair fails. Up to
+        # 3 x 3 elements within 0.3 m of endpoints that keep 0.5 m from the
+        # walls.
+        scene, ref = rich_room(np.random.default_rng(seed))
+        tx = ref.tx_ref + np.array(tx_offsets) / 20.0
+        rx = ref.rx_ref + np.array(rx_offsets) / 20.0
+        assert_pairs_match_scalar(scene, tx, rx, 2)
+
+    def test_coincident_endpoints_have_no_los_route(self):
+        p = np.array([1.0, 2.0, 3.0])
+        assert trace_sequence(ground_scene(), (), p, p) is None
+        assert trace_sequence(ground_scene(), (), p, p + 1.0) is not None
 
 
 class TestRouteGeometry:
