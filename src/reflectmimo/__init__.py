@@ -23,8 +23,6 @@ from .capacity import (
 )
 from .channel import (
     MODELS,
-    ArrayGeometry,
-    MimoMatrix,
     channel_evaluator,
     mimo_matrix,
     path_distances,
@@ -91,14 +89,12 @@ __all__ = [
     "MAX_BOUNCES",
     "MODELS",
     "ESTIMATORS",
-    "ArrayGeometry",
     "DisplacementSpec",
     "ErrorRecord",
     "Facet",
     "GammaSolution",
     "LinkBudget",
     "MatchConfig",
-    "MimoMatrix",
     "PairObservation",
     "PwaPath",
     "RateModel",

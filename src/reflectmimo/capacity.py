@@ -1,10 +1,11 @@
 """Link budget, stream allocation and achievable-rate estimates.
 
-Spatial multiplexing over the singular values of the channel matrix: the
-transmit power is split equally over the k strongest streams and the
-per-stream rate follows a clipped linear-in-log spectral efficiency curve;
-the stream count maximizing the sum is chosen. Wideband rate integrates the
-per-frequency spectral efficiency over the band with the midpoint rule.
+Spatial multiplexing over the singular values of the channel matrix, a
+complex (M, N) array indexed [rx][tx]: the transmit power is split equally
+over the k strongest streams and the per-stream rate follows a clipped
+linear-in-log spectral efficiency curve; the stream count maximizing the sum
+is chosen. Wideband rate integrates the per-frequency spectral efficiency
+over the band with the midpoint rule.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .channel import MimoMatrix
 
 __all__ = [
     "LinkBudget",
@@ -70,10 +69,10 @@ class RateModel:
             raise ValueError("rate model constants must be positive")
 
 
-def singular_values(h: MimoMatrix | np.ndarray) -> np.ndarray:
-    """Singular values of the channel matrix, descending."""
-    entries = h.entries if isinstance(h, MimoMatrix) else np.asarray(h)
-    return np.linalg.svd(entries, compute_uv=False)
+def singular_values(h: np.ndarray) -> np.ndarray:
+    """Singular values of an (M, N) channel matrix, min(M, N) of them,
+    descending."""
+    return np.linalg.svd(h, compute_uv=False)
 
 
 def rho(snr: float, model: RateModel = RateModel()) -> float:
@@ -118,14 +117,15 @@ def optimal_streams(
 
 
 def band_rate(
-    channel_at: Callable[[float], MimoMatrix],
+    channel_at: Callable[[float], np.ndarray],
     f0: float,
     bandwidth: float,
     budget: LinkBudget,
     model: RateModel = RateModel(),
     n_freq: int = 10,
 ) -> tuple[float, float]:
-    """Midpoint-rule rate over [f0 - B/2, f0 + B/2].
+    """Midpoint-rule rate over [f0 - B/2, f0 + B/2] of the channel whose
+    (M, N) matrix at frequency f is channel_at(f).
 
     Returns (rate in bit/s, band-averaged spectral efficiency in bps/Hz).
     """

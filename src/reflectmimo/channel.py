@@ -1,5 +1,9 @@
 """MIMO channel matrices from extrapolated or re-traced path sets.
 
+An antenna array is its element positions, a float (K, 3) array (``upa``
+builds one), and a channel matrix is a complex (M, N) array, indexed
+[rx element][tx element], for M receive and N transmit elements.
+
 Every channel value is one phasor sum, ``phasor_sum``: path p contributes
 ``gain_p * exp(j 2 pi (delay_p * f0 - f * d_p / c))``, where d_p is the
 path's propagation distance between the two antennas. ``path_distances``
@@ -22,12 +26,11 @@ Elements are isotropic: no per-element pattern weighting is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import rotation_matrix
+from .geometry import as_points, rotation_matrix
 from .paths import (
     C_LIGHT,
     PwaPath,
@@ -40,9 +43,7 @@ from .paths import (
 from .tracer import Scene, trace_pairs
 
 __all__ = [
-    "ArrayGeometry",
     "MODELS",
-    "MimoMatrix",
     "channel_evaluator",
     "mimo_from_traced_pairs",
     "mimo_matrix",
@@ -55,36 +56,15 @@ __all__ = [
 MODELS = ("constant", "pwa", "rm_image", "exhaustive")
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayGeometry:
-    """Antenna element positions with their centroid."""
-
-    element_positions: np.ndarray
-    center: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.element_positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ValueError("element positions must have shape (N, 3), N >= 1")
-        center = np.asarray(self.center, dtype=float)
-        if float(np.max(np.abs(pos.mean(axis=0) - center))) > 1e-9:
-            raise ValueError("center must be the centroid of the element positions")
-        object.__setattr__(self, "element_positions", pos)
-        object.__setattr__(self, "center", center)
-
-    @property
-    def n_elements(self) -> int:
-        return self.element_positions.shape[0]
-
-
 def upa(
     rows: int,
     cols: int,
     spacing: float,
     center: np.ndarray,
     azimuth_rotation: float = 0.0,
-) -> ArrayGeometry:
-    """Uniform planar array in a vertical plane.
+) -> np.ndarray:
+    """Element positions, (rows * cols, 3), of a uniform planar array in a
+    vertical plane, centred on center.
 
     The unrotated array spans the y (columns) and z (rows) axes with boresight
     along +x; azimuth_rotation turns it about the global z axis.
@@ -100,26 +80,7 @@ def upa(
         [np.zeros(rows * cols), yy.ravel(), zz.ravel()]
     )
     rot = rotation_matrix("z", azimuth_rotation)
-    positions = np.asarray(center, dtype=float) + local @ rot.T
-    return ArrayGeometry(element_positions=positions, center=center)
-
-
-@dataclass(frozen=True, eq=False)
-class MimoMatrix:
-    """Channel matrix (RX elements x TX elements) at one frequency."""
-
-    entries: np.ndarray
-    frequency: float
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2:
-            raise ValueError("channel entries must form a 2-D matrix")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+    return np.asarray(center, dtype=float) + local @ rot.T
 
 
 def phasor_sum(
@@ -181,20 +142,19 @@ def path_distances(
 
 def trace_array_pairs(
     scene: Scene,
-    tx_array: ArrayGeometry,
-    rx_array: ArrayGeometry,
+    tx_points: np.ndarray,
+    rx_points: np.ndarray,
     max_bounces: int = 2,
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Re-trace every TX/RX element pair through the scene.
 
-    Returns per-pair (gains, delays) arrays indexed [rx element][tx element],
-    each pair's paths in trace_paths' order; tracing once and evaluating
-    many frequencies amortizes the cost. A per-pair view of ``trace_pairs``.
+    tx_points is (N, 3) and rx_points (M, 3). Returns per-pair (gains,
+    delays) arrays indexed [rx element][tx element], each pair's paths in
+    trace_paths' order; tracing once and evaluating many frequencies
+    amortizes the cost. A per-pair view of ``trace_pairs``.
     """
-    traced = trace_pairs(
-        scene, tx_array.element_positions, rx_array.element_positions, max_bounces
-    )
-    shape = (rx_array.n_elements, tx_array.n_elements)
+    traced = trace_pairs(scene, tx_points, rx_points, max_bounces)
+    shape = (len(rx_points), len(tx_points))
     gains = np.array([g for _, g, _ in traced], dtype=complex).reshape(-1, *shape)
     delays = np.array([d for _, _, d in traced], dtype=float).reshape(-1, *shape)
     # trace_paths' order: descending gain magnitude, then delay (stable)
@@ -213,18 +173,19 @@ def trace_array_pairs(
 
 def mimo_from_traced_pairs(
     pair_params: list[list[tuple[np.ndarray, np.ndarray]]], f: float, f0: float
-) -> MimoMatrix:
-    """Channel matrix from per-pair traced gains/delays at frequency f."""
+) -> np.ndarray:
+    """(M, N) channel matrix at frequency f from the per-pair traced gains
+    and delays of ``trace_array_pairs``."""
     h = np.zeros((len(pair_params), len(pair_params[0])), dtype=complex)
     for m, row in enumerate(pair_params):
         for n, (gains, delays) in enumerate(row):
             h[m, n] = phasor_sum(gains, delays, C_LIGHT * delays, f, f0)
-    return MimoMatrix(entries=h, frequency=f)
+    return h
 
 
 def mimo_matrix(
-    tx_array: ArrayGeometry,
-    rx_array: ArrayGeometry,
+    tx_points: np.ndarray,
+    rx_points: np.ndarray,
     model: str,
     f: float,
     f0: float,
@@ -233,21 +194,23 @@ def mimo_matrix(
     ref: ReferencePair | None = None,
     scene: Scene | None = None,
     max_bounces: int = 2,
-) -> MimoMatrix:
-    """Channel matrix under one of the extrapolation models or by re-tracing.
+) -> np.ndarray:
+    """(M, N) channel matrix at frequency f, indexed [rx][tx], for N
+    transmit points (N, 3) and M receive points (M, 3), under one of the
+    extrapolation models or by re-tracing.
 
     The extrapolation models require the fitted path list and the reference
     pair; the exhaustive model requires the scene instead.
     """
     return channel_evaluator(
-        tx_array, rx_array, model, f0, paths=paths, ref=ref, scene=scene,
+        tx_points, rx_points, model, f0, paths=paths, ref=ref, scene=scene,
         max_bounces=max_bounces,
     )(f)
 
 
 def channel_evaluator(
-    tx_array: ArrayGeometry,
-    rx_array: ArrayGeometry,
+    tx_points: np.ndarray,
+    rx_points: np.ndarray,
     model: str,
     f0: float,
     *,
@@ -255,39 +218,28 @@ def channel_evaluator(
     ref: ReferencePair | None = None,
     scene: Scene | None = None,
     max_bounces: int = 2,
-) -> Callable[[float], MimoMatrix]:
-    """Frequency -> matrix closure for the models of ``mimo_matrix``.
+) -> Callable[[float], np.ndarray]:
+    """Frequency -> (M, N) matrix closure for the models of ``mimo_matrix``.
 
     The element pairs are re-traced, or the modeled element distances
     computed, once; each call only synthesizes the matrix at its frequency.
     """
     if model not in MODELS:
         raise ValueError(f"unknown channel model {model!r}, expected one of {MODELS}")
+    tx = as_points(tx_points, "tx_points")
+    rx = as_points(rx_points, "rx_points")
     if model == "exhaustive":
         _require(scene is not None, "exhaustive model requires a scene")
-        traced = trace_pairs(
-            scene, tx_array.element_positions, rx_array.element_positions, max_bounces
-        )
+        traced = trace_pairs(scene, tx, rx, max_bounces)
         if not traced:
-            shape = (rx_array.n_elements, tx_array.n_elements)
-            return lambda f: MimoMatrix(
-                entries=np.zeros(shape, dtype=complex), frequency=f
-            )
+            return lambda f: np.zeros((len(rx), len(tx)), dtype=complex)
         gains = [g for _, g, _ in traced]
         delays = [d for _, _, d in traced]
         distances = [C_LIGHT * d for d in delays]
     else:
         _require(len(paths) > 0, f"{model} model requires a non-empty path list")
         _require(ref is not None, f"{model} model requires the reference pair")
-        distances = path_distances(
-            rx_array.element_positions[:, None],
-            tx_array.element_positions[None, :],
-            paths,
-            ref,
-            model,
-        )
+        distances = path_distances(rx[:, None], tx[None, :], paths, ref, model)
         gains = [p.gain for p in paths]
         delays = [p.delay for p in paths]
-    return lambda f: MimoMatrix(
-        entries=phasor_sum(gains, delays, distances, f, f0), frequency=f
-    )
+    return lambda f: phasor_sum(gains, delays, distances, f, f0)

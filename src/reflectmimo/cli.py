@@ -13,12 +13,7 @@ import numpy as np
 
 from . import fileio
 from .capacity import LinkBudget, RateModel
-from .experiments import (
-    ESTIMATORS,
-    DisplacementSpec,
-    capacity_sweep,
-    displacement_experiment,
-)
+from .experiments import DisplacementSpec, capacity_sweep, displacement_experiment
 from .channel import path_distances, phasor_sum
 from .fit_dp import fit_rm_dp
 from .fit_rt import fit_rm_rt
@@ -137,24 +132,41 @@ def _config_ref(cfg: dict) -> ReferencePair:
     )
 
 
+# Experiment config keys -> (library parameter, type). Only the keys a config
+# sets are passed on, so the defaults are those of the library signatures.
+_SPEC_KEYS = {
+    "distances_m": ("distances", tuple),
+    "directions_per_distance": ("directions_per_distance", int),
+    "rng_seed": ("rng_seed", int),
+}
+_DISPLACEMENT_KEYS = {
+    "bandwidth_hz": ("bandwidth", float),
+    "n_freq": ("n_freq", int),
+    "models": ("models", tuple),
+    "max_bounces": ("max_bounces", int),
+}
+_BUDGET_KEYS = {key: (key, float) for key in ("tx_power_dbm", "bandwidth_hz", "noise_figure_db")}
+_RATE_KEYS = {"alpha": ("alpha", float), "se_max_bpshz": ("se_max", float)}
+_SWEEP_KEYS = {
+    **{key: (key, int) for key in ("rows", "cols", "n_freq", "max_bounces", "rng_seed")},
+    "spacing_m": ("spacing", float),
+    "models": ("models", tuple),
+    "dp_displacements_m": ("dp_distances", tuple),
+}
+
+
+def _config_kwargs(cfg: dict, keys: dict) -> dict:
+    return {param: kind(cfg[key]) for key, (param, kind) in keys.items() if key in cfg}
+
+
 def _cmd_exp_displacement(args: argparse.Namespace) -> int:
     scene = _load_scene(args.scene)
     cfg = _load_config(args.config)
-    spec_kwargs = {}
-    if "distances_m" in cfg:
-        spec_kwargs["distances"] = tuple(cfg["distances_m"])
-    if "directions_per_distance" in cfg:
-        spec_kwargs["directions_per_distance"] = int(cfg["directions_per_distance"])
-    if "rng_seed" in cfg:
-        spec_kwargs["rng_seed"] = int(cfg["rng_seed"])
     records = displacement_experiment(
         scene,
         _config_ref(cfg),
-        DisplacementSpec(**spec_kwargs),
-        bandwidth=float(cfg.get("bandwidth_hz", 2e9)),
-        n_freq=int(cfg.get("n_freq", 10)),
-        models=tuple(cfg.get("models", ESTIMATORS)),
-        max_bounces=int(cfg.get("max_bounces", 2)),
+        DisplacementSpec(**_config_kwargs(cfg, _SPEC_KEYS)),
+        **_config_kwargs(cfg, _DISPLACEMENT_KEYS),
     )
     with _open_out(args.out) as fp:
         fileio.write_error_csv(records, fp)
@@ -167,28 +179,13 @@ def _cmd_exp_capacity(args: argparse.Namespace) -> int:
     rotations = [
         math.radians(d) for d in cfg.get("rotations_deg", _DEFAULT_ROTATIONS_DEG)
     ]
-    budget = LinkBudget(
-        tx_power_dbm=float(cfg.get("tx_power_dbm", 23.0)),
-        bandwidth_hz=float(cfg.get("bandwidth_hz", 2e9)),
-        noise_figure_db=float(cfg.get("noise_figure_db", 3.0)),
-    )
-    rate_model = RateModel(
-        alpha=float(cfg.get("alpha", 0.6)), se_max=float(cfg.get("se_max_bpshz", 4.8))
-    )
     cells, counts = capacity_sweep(
         scene,
         _config_ref(cfg),
         rotations,
-        budget,
-        rate_model,
-        rows=int(cfg.get("rows", 8)),
-        cols=int(cfg.get("cols", 8)),
-        spacing=float(cfg.get("spacing_m", 0.14)),
-        models=tuple(cfg.get("models", ("exhaustive",) + ESTIMATORS)),
-        n_freq=int(cfg.get("n_freq", 10)),
-        max_bounces=int(cfg.get("max_bounces", 2)),
-        rng_seed=int(cfg.get("rng_seed", 0)),
-        dp_distances=tuple(cfg.get("dp_displacements_m", (0.01, 0.02))),
+        LinkBudget(**_config_kwargs(cfg, _BUDGET_KEYS)),
+        RateModel(**_config_kwargs(cfg, _RATE_KEYS)),
+        **_config_kwargs(cfg, _SWEEP_KEYS),
     )
     with _open_out(args.out) as fp:
         fileio.write_capacity_csv(cells, fp)

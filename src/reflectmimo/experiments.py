@@ -139,7 +139,6 @@ def displacement_experiment(
     ref: ReferencePair,
     spec: DisplacementSpec = DisplacementSpec(),
     bandwidth: float = 2e9,
-    f0: float | None = None,
     n_freq: int = 10,
     models: Sequence[str] = ESTIMATORS,
     max_bounces: int = 2,
@@ -149,16 +148,14 @@ def displacement_experiment(
     Fits every requested model at the reference pair, then displaces TX and RX
     by each grid distance along random directions, re-traces the true channel
     there and scores |H_model - H_true|^2 / E0 at n_freq random in-band
-    frequencies, with E0 the total path energy at the reference.
+    frequencies, with E0 the total path energy at the reference. The band
+    is centred on the scene carrier, which is also the phase reference.
     """
-    if f0 is None:
-        f0 = scene.carrier_freq
-    elif abs(f0 - scene.carrier_freq) > 1e-3:
-        raise ValueError("phase reference frequency must match the scene carrier")
     unknown = set(models) - set(ESTIMATORS)
     if unknown:
         raise ValueError(f"unknown estimator(s) {sorted(unknown)}")
 
+    f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
     traced0, fitted = _fit_estimators(
         scene, ref, models, spec.distances[:2], rng, max_bounces
@@ -258,7 +255,7 @@ def capacity_sweep(
     sep = ref.tx_ref - ref.rx_ref
     rx_boresight = math.atan2(sep[1], sep[0])
     tx_boresight = math.atan2(-sep[1], -sep[0])
-    rx_array = upa(rows, cols, spacing, ref.rx_ref, azimuth_rotation=rx_boresight)
+    rx_points = upa(rows, cols, spacing, ref.rx_ref, azimuth_rotation=rx_boresight)
 
     counts: dict[str, int] = {name: 0 for name in models}
     fitted: dict[str, list] = {}
@@ -269,13 +266,13 @@ def capacity_sweep(
 
     cells = []
     for rot in rotations:
-        tx_array = upa(
+        tx_points = upa(
             rows, cols, spacing, ref.tx_ref, azimuth_rotation=tx_boresight + rot
         )
         for name in models:
             evaluator = channel_evaluator(
-                tx_array,
-                rx_array,
+                tx_points,
+                rx_points,
                 _CHANNEL_MODEL[name],
                 f0,
                 paths=fitted.get(name, ()),
@@ -284,7 +281,7 @@ def capacity_sweep(
                 max_bounces=max_bounces,
             )
             if name == "exhaustive":
-                counts[name] += rx_array.n_elements * tx_array.n_elements
+                counts[name] += len(rx_points) * len(tx_points)
             _, se_avg = band_rate(
                 evaluator, f0, budget.bandwidth_hz, budget, rate_model, n_freq
             )

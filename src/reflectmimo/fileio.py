@@ -22,6 +22,7 @@ import numpy as np
 from .experiments import ErrorRecord, SweepCell
 from .fit_dp import PairObservation
 from .paths import (
+    C_LIGHT,
     PwaPath,
     ReferencePair,
     RmImage,
@@ -29,7 +30,7 @@ from .paths import (
     rm_distance_angles,
     rm_distance_image,
 )
-from .tracer import Facet, Route, Scene, TracedPath
+from .tracer import Facet, Route, Scene, TracedPath, route_length
 
 __all__ = [
     "PathExport",
@@ -150,10 +151,15 @@ class PathExport:
         )
 
     def traced(self) -> list[TracedPath]:
+        """The paths with their routes; each delay must match its route's
+        length to 1e-12 relative."""
         out = []
-        for pwa, route in self.paths:
+        for k, (pwa, route) in enumerate(self.paths):
             if route is None:
                 raise ValueError("path export lacks route geometry")
+            length = route_length(route)
+            if abs(pwa.delay * C_LIGHT - length) > 1e-12 * max(1.0, length):
+                raise ValueError(f"path {k}: delay is inconsistent with the route length")
             out.append(TracedPath(route=route, gain=pwa.gain, delay=pwa.delay))
         return out
 

@@ -46,6 +46,15 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def as_points(points, name: str) -> np.ndarray:
+    """points as a float (K, 3) array of K >= 1 points, the form of an
+    antenna array; a ValueError names the argument otherwise."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+        raise ValueError(f"{name} must have shape (K, 3) with K >= 1")
+    return pts
+
+
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     """Right-handed rotation matrix about a coordinate axis ("x", "y" or "z")."""
     c = math.cos(angle)

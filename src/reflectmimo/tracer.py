@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import dir_to_angles, unit
+from .geometry import as_points, dir_to_angles, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair
 
 __all__ = [
@@ -235,16 +235,11 @@ class Route:
 
 @dataclass(frozen=True, eq=False)
 class TracedPath:
-    """A traced route with its complex gain and absolute delay."""
+    """A traced route with its complex gain and absolute delay, length / c."""
 
     route: Route
     gain: complex
     delay: float
-
-    def __post_init__(self) -> None:
-        length = route_length(self.route)
-        if abs(self.delay * C_LIGHT - length) > 1e-12 * max(1.0, length):
-            raise ValueError("delay is inconsistent with the route length")
 
     @property
     def bounces(self) -> int:
@@ -468,9 +463,7 @@ def _coordinates(points, name: str, axis: int) -> tuple[np.ndarray, ...]:
     """The x, y, z columns of an (K, 3) point array, each with a new axis
     inserted at `axis`, so TX (axis 0) and RX (axis 1) columns broadcast to
     (M, N)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError(f"{name} must have shape (K, 3) with K >= 1")
+    pts = as_points(points, name)
     return tuple(np.expand_dims(np.ascontiguousarray(c), axis) for c in pts.T)
 
 

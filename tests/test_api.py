@@ -63,6 +63,18 @@ def test_span_targets_exist():
     assert missing == []
 
 
+def test_capacity_layer_does_not_import_channel():
+    # the rate layer works on plain (M, N) arrays, not on channel types
+    tree = ast.parse(Path(importlib.import_module("reflectmimo.capacity").__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({".", ".channel", "reflectmimo", "reflectmimo.channel"})
+
+
 def _scene():
     return reflectmimo.Scene(
         facets=(reflectmimo.make_facet(np.zeros(3), np.array([0.0, 0.0, 1.0])),),
@@ -87,8 +99,6 @@ ARRAY_DATACLASSES = {
     ),
     "ReferencePair": _ref,
     "RmImage": lambda: reflectmimo.RmImage(U=np.eye(3), g=np.zeros(3)),
-    "ArrayGeometry": lambda: reflectmimo.upa(1, 2, 0.1, np.zeros(3)),
-    "MimoMatrix": lambda: reflectmimo.MimoMatrix(entries=np.eye(2), frequency=1e9),
     "PairObservation": lambda: reflectmimo.PairObservation(
         tx=np.zeros(3), rx=np.ones(3), paths=()
     ),

@@ -19,7 +19,7 @@ from reflectmimo.capacity import (
     singular_values,
     spectral_efficiency,
 )
-from reflectmimo.channel import MimoMatrix, mimo_matrix, upa
+from reflectmimo.channel import mimo_matrix, upa
 from reflectmimo.fit_rt import fit_rm_rt
 from reflectmimo.paths import C_LIGHT, ReferencePair
 from reflectmimo.tracer import Scene, trace_paths
@@ -73,10 +73,6 @@ class TestSingularValues:
             s = singular_values(h)
             fro2 = np.linalg.norm(h) ** 2
             assert abs(np.sum(s**2) - fro2) <= 1e-9 * fro2
-
-    def test_accepts_mimo_matrix_wrapper(self):
-        h = MimoMatrix(entries=np.eye(2, dtype=complex), frequency=F0)
-        assert np.allclose(singular_values(h), [1.0, 1.0])
 
 
 class TestRho:
@@ -208,9 +204,7 @@ class TestSpectralEfficiency:
 
 class TestBandRate:
     def test_flat_channel_averages_to_center(self):
-        h = MimoMatrix(
-            entries=np.eye(2) * snr_unit_singular(BUDGET), frequency=F0
-        )
+        h = np.eye(2, dtype=complex) * snr_unit_singular(BUDGET)
         rate, se_avg = band_rate(lambda f: h, F0, 2e9, BUDGET, MODEL, n_freq=10)
         se0 = spectral_efficiency(singular_values(h), BUDGET, MODEL)
         assert abs(se_avg - se0) <= 1e-12
@@ -221,9 +215,7 @@ class TestBandRate:
 
         def channel(f):
             seen.append(f)
-            return MimoMatrix(
-                entries=np.eye(2) * snr_unit_singular(BUDGET), frequency=f
-            )
+            return np.eye(2, dtype=complex) * snr_unit_singular(BUDGET)
 
         band_rate(channel, F0, 2e9, BUDGET, MODEL, n_freq=1)
         assert seen == [F0]
@@ -233,14 +225,14 @@ class TestBandRate:
 
         def channel(f):
             seen.append(f)
-            return MimoMatrix(entries=np.eye(1), frequency=f)
+            return np.eye(1, dtype=complex)
 
         band_rate(channel, F0, 2e9, BUDGET, MODEL, n_freq=4)
         expected = [F0 - 1e9 + (i + 0.5) * 5e8 for i in range(4)]
         assert np.allclose(seen, expected)
 
     def test_validation(self):
-        h = MimoMatrix(entries=np.eye(1), frequency=F0)
+        h = np.eye(1, dtype=complex)
         with pytest.raises(ValueError):
             band_rate(lambda f: h, F0, 2e9, BUDGET, MODEL, n_freq=0)
         with pytest.raises(ValueError):

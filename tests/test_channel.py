@@ -1,4 +1,7 @@
-"""Tests for array geometry and the per-model MIMO channel synthesis."""
+"""Tests for array geometry and the per-model MIMO channel synthesis.
+
+Arrays are (K, 3) element position arrays and channel matrices (M, N)
+complex arrays, indexed [rx][tx]."""
 
 from __future__ import annotations
 
@@ -12,8 +15,6 @@ from hypothesis import strategies as st
 
 from reflectmimo.channel import (
     MODELS,
-    ArrayGeometry,
-    MimoMatrix,
     channel_evaluator,
     mimo_from_traced_pairs,
     mimo_matrix,
@@ -64,37 +65,31 @@ def fitted_paths(scene, tx, rx, max_bounces=2):
 
 class TestUpa:
     def test_8x8_aperture(self):
-        arr = upa(8, 8, 0.14, center=(3.0, -2.0, 1.0))
-        pos = arr.element_positions
-        assert arr.n_elements == 64
+        pos = upa(8, 8, 0.14, center=(3.0, -2.0, 1.0))
+        assert pos.shape == (64, 3)
         assert np.allclose(pos[:, 0], 3.0)
         assert abs(pos[:, 1].max() - pos[:, 1].min() - 0.98) <= 1e-12
         assert abs(pos[:, 2].max() - pos[:, 2].min() - 0.98) <= 1e-12
         assert np.allclose(pos.mean(axis=0), [3.0, -2.0, 1.0])
 
     def test_single_element(self):
-        arr = upa(1, 1, 0.5, center=(1.0, 2.0, 3.0))
-        assert arr.n_elements == 1
-        assert np.allclose(arr.element_positions[0], [1.0, 2.0, 3.0])
+        pos = upa(1, 1, 0.5, center=(1.0, 2.0, 3.0))
+        assert pos.shape == (1, 3)
+        assert np.allclose(pos[0], [1.0, 2.0, 3.0])
 
     def test_half_turn_mirrors_in_xy_plane(self):
         center = np.array([5.0, 1.0, 2.0])
         base = upa(3, 4, 0.2, center=center)
         turned = upa(3, 4, 0.2, center=center, azimuth_rotation=math.pi)
-        rel = base.element_positions - center
+        rel = base - center
         mirrored = np.column_stack([-rel[:, 0], -rel[:, 1], rel[:, 2]]) + center
-        assert np.max(np.abs(turned.element_positions - mirrored)) <= 1e-12
+        assert np.max(np.abs(turned - mirrored)) <= 1e-12
 
     def test_rotation_preserves_spacing(self):
         base = upa(2, 2, 0.14, center=(0.0, 0.0, 0.0))
         turned = upa(2, 2, 0.14, center=(0.0, 0.0, 0.0), azimuth_rotation=0.7)
-        d_base = np.linalg.norm(
-            base.element_positions[:, None] - base.element_positions[None, :], axis=2
-        )
-        d_turn = np.linalg.norm(
-            turned.element_positions[:, None] - turned.element_positions[None, :],
-            axis=2,
-        )
+        d_base = np.linalg.norm(base[:, None] - base[None, :], axis=2)
+        d_turn = np.linalg.norm(turned[:, None] - turned[None, :], axis=2)
         assert np.max(np.abs(np.sort(d_base.ravel()) - np.sort(d_turn.ravel()))) <= 1e-12
 
     def test_validation(self):
@@ -102,11 +97,18 @@ class TestUpa:
             upa(0, 4, 0.14, center=(0, 0, 0))
         with pytest.raises(ValueError):
             upa(4, 4, 0.0, center=(0, 0, 0))
-        with pytest.raises(ValueError):
-            ArrayGeometry(
-                element_positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                center=[0.0, 0.0, 0.0],
-            )
+
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        spacing=st.floats(1e-3, 1.0),
+        center=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+        rotation=st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_centroid_is_the_requested_center(self, rows, cols, spacing, center, rotation):
+        pos = upa(rows, cols, spacing, center=center, azimuth_rotation=rotation)
+        assert np.max(np.abs(pos.mean(axis=0) - np.array(center))) <= 1e-9
 
 
 class TestScalarChannel:
@@ -173,9 +175,9 @@ class TestMimoMatrixModels:
         for model in ("constant", "pwa", "rm_image"):
             h = mimo_matrix(txa, rxa, model, f, F0, paths=rm, ref=ref)
             assert h.shape == (1, 1)
-            assert abs(h.entries[0, 0] - expected) <= 1e-10 * abs(expected)
+            assert abs(h[0, 0] - expected) <= 1e-10 * abs(expected)
         h_ex = mimo_matrix(txa, rxa, "exhaustive", f, F0, scene=scene)
-        assert abs(h_ex.entries[0, 0] - expected) <= 1e-9 * abs(expected)
+        assert abs(h_ex[0, 0] - expected) <= 1e-9 * abs(expected)
 
     def test_exhaustive_requires_scene(self):
         arr = upa(1, 1, 0.1, center=(0, 0, 0))
@@ -209,26 +211,26 @@ class TestMimoMatrixModels:
                         [p.gain for p in rm], [p.delay for p in rm],
                         [rm_distance_angles(r, t, ref, p) for p in rm], f, F0,
                     )
-                    for t in txa.element_positions
+                    for t in txa
                 ]
-                for r in rxa.element_positions
+                for r in rxa
             ])
-            scale = np.max(np.abs(h_img.entries))
-            assert np.max(np.abs(h_img.entries - h_ang)) <= 1e-9 * scale
+            scale = np.max(np.abs(h_img))
+            assert np.max(np.abs(h_img - h_ang)) <= 1e-9 * scale
 
     def test_pwa_equals_rm_at_center_element(self):
         scene, tx, rx = two_facet_scene()
         rm, _, ref = fitted_paths(scene, tx, rx, max_bounces=1)
         txa = upa(1, 3, 0.14, center=tx)
         rxa = upa(1, 3, 0.14, center=rx)
-        assert np.allclose(txa.element_positions[1], tx)
+        assert np.allclose(txa[1], tx)
         h_pwa = mimo_matrix(txa, rxa, "pwa", F0, F0, paths=rm, ref=ref)
         h_rm = mimo_matrix(txa, rxa, "rm_image", F0, F0, paths=rm, ref=ref)
-        center_pwa = h_pwa.entries[1, 1]
-        center_rm = h_rm.entries[1, 1]
+        center_pwa = h_pwa[1, 1]
+        center_rm = h_rm[1, 1]
         assert abs(center_pwa - center_rm) <= 1e-12 * abs(center_rm)
         # off-center entries genuinely differ at this range and aperture
-        assert np.max(np.abs(h_pwa.entries - h_rm.entries)) > 1e-3 * abs(center_rm)
+        assert np.max(np.abs(h_pwa - h_rm)) > 1e-3 * abs(center_rm)
 
     def test_los_rm_equals_exhaustive_small_aperture(self):
         scene = empty_scene()
@@ -239,8 +241,8 @@ class TestMimoMatrixModels:
         rxa = upa(2, 2, 1e-3, center=rx)
         h_rm = mimo_matrix(txa, rxa, "rm_image", F0, F0, paths=rm, ref=ref)
         h_ex = mimo_matrix(txa, rxa, "exhaustive", F0, F0, scene=scene)
-        scale = np.max(np.abs(h_ex.entries))
-        assert np.max(np.abs(h_rm.entries - h_ex.entries)) <= 1e-9 * scale
+        scale = np.max(np.abs(h_ex))
+        assert np.max(np.abs(h_rm - h_ex)) <= 1e-9 * scale
 
     def test_rm_distances_match_retraced_lengths_on_grid(self):
         # Geometric exactness across the aperture: the fitted image
@@ -254,8 +256,8 @@ class TestMimoMatrixModels:
         }
         txa = upa(2, 2, 0.98, center=tx)
         rxa = upa(2, 2, 0.98, center=rx)
-        for rx_el in rxa.element_positions:
-            for tx_el in txa.element_positions:
+        for rx_el in rxa:
+            for tx_el in txa:
                 for q in trace_paths(scene, tx_el, rx_el, max_bounces=1):
                     length = route_length(q.route)
                     d_rm = rm_distance_image(rx_el, tx_el, images[q.route.facet_ids])
@@ -272,9 +274,9 @@ class TestMimoMatrixModels:
         h_ex = mimo_matrix(txa, rxa, "exhaustive", F0, F0, scene=scene, max_bounces=1)
         h_rm = mimo_matrix(txa, rxa, "rm_image", F0, F0, paths=rm, ref=ref)
         h_pwa = mimo_matrix(txa, rxa, "pwa", F0, F0, paths=rm, ref=ref)
-        den = np.linalg.norm(h_ex.entries)
-        assert np.linalg.norm(h_rm.entries - h_ex.entries) / den <= 1e-6
-        assert np.linalg.norm(h_pwa.entries - h_ex.entries) / den >= 1e-2
+        den = np.linalg.norm(h_ex)
+        assert np.linalg.norm(h_rm - h_ex) / den <= 1e-6
+        assert np.linalg.norm(h_pwa - h_ex) / den >= 1e-2
 
     def test_phase_continuity_one_micron(self):
         scene = empty_scene()
@@ -282,19 +284,15 @@ class TestMimoMatrixModels:
         rx = np.array([50.0, 0.0, 2.0])
         rm, _, ref = fitted_paths(scene, tx, rx)
         txa = upa(2, 2, 0.14, center=tx)
-        base_pos = upa(2, 2, 0.14, center=rx).element_positions.copy()
-        moved_pos = base_pos.copy()
-        moved_pos[0] += np.array([0.0, 1e-6, 0.0])
-        rxa = ArrayGeometry(element_positions=base_pos, center=base_pos.mean(axis=0))
-        rxa_moved = ArrayGeometry(
-            element_positions=moved_pos, center=moved_pos.mean(axis=0)
-        )
+        rxa = upa(2, 2, 0.14, center=rx)
+        rxa_moved = rxa.copy()
+        rxa_moved[0] += np.array([0.0, 1e-6, 0.0])
         h0 = mimo_matrix(txa, rxa, "rm_image", F0, F0, paths=rm, ref=ref)
         h1 = mimo_matrix(txa, rxa_moved, "rm_image", F0, F0, paths=rm, ref=ref)
         # untouched rows are bit-identical; the moved element's phases shift
         # by at most the two-way geometric bound
-        assert np.array_equal(h0.entries[1:], h1.entries[1:])
-        dphi = np.angle(h1.entries[0] / h0.entries[0])
+        assert np.array_equal(h0[1:], h1[1:])
+        dphi = np.angle(h1[0] / h0[0])
         bound = 2.0 * math.pi * F0 * 2e-6 / C_LIGHT
         assert np.max(np.abs(dphi)) <= bound
 
@@ -311,7 +309,37 @@ class TestMimoMatrixModels:
             at = channel_evaluator(txa, rxa, model, F0, **kwargs)
             for f in (F0 - 1e9, F0 + 1e9):
                 direct = mimo_matrix(txa, rxa, model, f, F0, **kwargs)
-                assert np.max(np.abs(at(f).entries - direct.entries)) <= 1e-15
+                assert np.max(np.abs(at(f) - direct)) <= 1e-15
+
+
+# Point arrays that are not (K, 3) with K >= 1.
+BAD_POINTS = [np.zeros(3), np.zeros((0, 3)), np.zeros((2, 2)), np.zeros((2, 2, 3))]
+
+
+class TestPointShapes:
+    @pytest.fixture()
+    def setup(self):
+        scene, tx, rx = two_facet_scene()
+        rm, _, ref = fitted_paths(scene, tx, rx, max_bounces=1)
+        kwargs = dict(paths=rm, ref=ref, scene=scene, max_bounces=1)
+        return scene, upa(2, 2, 0.14, center=tx), upa(2, 2, 0.14, center=rx), kwargs
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("bad", BAD_POINTS, ids=lambda a: str(a.shape))
+    def test_evaluator_and_matrix_reject(self, setup, model, bad):
+        _, txa, rxa, kwargs = setup
+        for tx_points, rx_points, name in ((bad, rxa, "tx_points"), (txa, bad, "rx_points")):
+            with pytest.raises(ValueError, match=f"{name} must have shape"):
+                channel_evaluator(tx_points, rx_points, model, F0, **kwargs)
+            with pytest.raises(ValueError, match=f"{name} must have shape"):
+                mimo_matrix(tx_points, rx_points, model, F0, F0, **kwargs)
+
+    @pytest.mark.parametrize("bad", BAD_POINTS, ids=lambda a: str(a.shape))
+    def test_trace_array_pairs_rejects(self, setup, bad):
+        scene, txa, rxa, _ = setup
+        for tx_points, rx_points, name in ((bad, rxa, "tx_points"), (txa, bad, "rx_points")):
+            with pytest.raises(ValueError, match=f"{name} must have shape"):
+                trace_array_pairs(scene, tx_points, rx_points, max_bounces=1)
 
 
 class TestTracedPairs:
@@ -324,7 +352,7 @@ class TestTracedPairs:
         for m in range(4):
             for n in range(4):
                 gains, _ = pairs[m][n]
-                assert abs(h.entries[m, n] - np.sum(gains)) <= 1e-15
+                assert abs(h[m, n] - np.sum(gains)) <= 1e-15
 
     def test_entry_without_paths_is_zero(self):
         # one-sided facet behind the link: nothing reflects, no LOS blockers
@@ -344,7 +372,7 @@ class TestTracedPairs:
         )
         pairs = trace_array_pairs(blocked, txa, rxa, max_bounces=0)
         h = mimo_from_traced_pairs(pairs, F0, F0)
-        assert h.entries[0, 0] == 0j
+        assert h[0, 0] == 0j
         del scene
 
     def test_pairs_follow_trace_paths(self):
@@ -353,8 +381,8 @@ class TestTracedPairs:
         rxa = upa(3, 2, 0.14, center=rx)
         pairs = trace_array_pairs(scene, txa, rxa, max_bounces=2)
         assert len(pairs) == 6 and all(len(row) == 6 for row in pairs)
-        for m, rx_el in enumerate(rxa.element_positions):
-            for n, tx_el in enumerate(txa.element_positions):
+        for m, rx_el in enumerate(rxa):
+            for n, tx_el in enumerate(txa):
                 traced = trace_paths(scene, tx_el, rx_el, 2)
                 gains, delays = pairs[m][n]
                 assert delays.tolist() == [p.delay for p in traced]
@@ -372,23 +400,21 @@ class TestTracedPairs:
         at = channel_evaluator(txa, rxa, "exhaustive", F0, scene=scene, max_bounces=0)
         for f in (F0, F0 + 1e9):
             h = at(f)
-            assert h.shape == (3, 4)
-            assert h.frequency == f
-            assert np.all(h.entries == 0j)
+            assert h.shape == (3, 4) and h.dtype == complex
+            assert np.all(h == 0j)
         pairs = trace_array_pairs(scene, txa, rxa, max_bounces=0)
         assert [len(row) for row in pairs] == [4, 4, 4]
         assert all(g.size == d.size == 0 for row in pairs for g, d in row)
 
-    def test_mimo_matrix_shape_and_frequency(self):
+    def test_mimo_matrix_shape(self):
         scene, tx, rx = two_facet_scene()
         txa = upa(2, 3, 0.14, center=tx)
         rxa = upa(4, 1, 0.14, center=rx)
         h = mimo_matrix(
             txa, rxa, "exhaustive", F0 + 5e8, F0, scene=scene, max_bounces=1
         )
+        assert isinstance(h, np.ndarray) and h.dtype == complex
         assert h.shape == (4, 6)
-        assert h.frequency == F0 + 5e8
-        assert isinstance(h, MimoMatrix)
         assert "exhaustive" in MODELS
 
 
@@ -417,9 +443,8 @@ _offsets = st.lists(
 )
 
 
-def _array(center: np.ndarray, offsets) -> ArrayGeometry:
-    pos = center + np.array(offsets)
-    return ArrayGeometry(element_positions=pos, center=pos.mean(axis=0))
+def _array(center: np.ndarray, offsets) -> np.ndarray:
+    return center + np.array(offsets)
 
 
 def _loop_distance(model: str, rx, tx, path: RmPath) -> float:
@@ -444,15 +469,15 @@ class TestBroadcastMatchesScalarLoop:
         tol = 1e-12 * sum(abs(p.gain) for p in paths)
         for model in ("constant", "pwa", "rm_image"):
             h = channel_evaluator(txa, rxa, model, F_LOW, paths=paths, ref=PROP_REF)(f)
-            for m, rx in enumerate(rxa.element_positions):
-                for n, tx in enumerate(txa.element_positions):
+            for m, rx in enumerate(rxa):
+                for n, tx in enumerate(txa):
                     want = 0j
                     for p in paths:
                         d = _loop_distance(model, rx, tx, p)
                         want += p.gain * cmath.exp(
                             2j * math.pi * (p.delay * F_LOW - f * d / C_LIGHT)
                         )
-                    assert abs(h.entries[m, n] - want) <= tol
+                    assert abs(h[m, n] - want) <= tol
 
     @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
@@ -484,4 +509,4 @@ class TestBroadcastMatchesScalarLoop:
                 want = 0j
                 if gains.size:
                     want = np.sum(gains * np.exp(-2j * math.pi * (f - F_LOW) * delays))
-                assert abs(h.entries[m, n] - want) <= 1e-12 * np.sum(np.abs(gains))
+                assert abs(h[m, n] - want) <= 1e-12 * np.sum(np.abs(gains))

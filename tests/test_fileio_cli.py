@@ -173,6 +173,20 @@ class TestPathsJson:
         with pytest.raises(ValueError, match="route"):
             stripped.traced()
 
+    def test_delay_must_match_route_length(self, tmp_path, capsys):
+        export, _, _ = traced_export(ground_scene(), TX, RX)
+        buf = io.StringIO()
+        fileio.save_paths(export, buf)
+        doc = json.loads(buf.getvalue())
+        doc["paths"][1]["delay_s"] *= 1.0 + 1e-9
+        text = json.dumps(doc)
+        with pytest.raises(ValueError, match="path 1: delay is inconsistent"):
+            fileio.load_paths(io.StringIO(text)).traced()
+        paths = tmp_path / "paths.json"
+        paths.write_text(text)
+        assert main(["fit", "rt", "--paths", str(paths), "--out", "-"]) == 2
+        assert "delay is inconsistent" in capsys.readouterr().err
+
     def test_zero_gain_rejected(self):
         export, _, _ = traced_export(ground_scene(), TX, RX)
         pwa = export.paths[0][0]
