@@ -11,9 +11,8 @@ import argparse
 import json
 import math
 
-import numpy as np
-
-from reflectmimo import ESTIMATORS, LinkBudget, RateModel, ReferencePair, capacity_sweep, fileio
+from reflectmimo import fileio
+from reflectmimo.cli import capacity_from_config
 
 
 def main():
@@ -25,37 +24,16 @@ def main():
 
     with open(args.scene) as fp:
         scene = fileio.load_scene(fp)
-    cfg = json.loads(open(args.config).read())
-    ref = ReferencePair(
-        tx_ref=np.array(cfg["tx_ref"], dtype=float),
-        rx_ref=np.array(cfg["rx_ref"], dtype=float),
-    )
-    budget = LinkBudget(
-        tx_power_dbm=float(cfg.get("tx_power_dbm", 23.0)),
-        bandwidth_hz=float(cfg.get("bandwidth_hz", 2e9)),
-        noise_figure_db=float(cfg.get("noise_figure_db", 3.0)),
-    )
-    models = tuple(cfg.get("models", ("exhaustive",) + ESTIMATORS))
-    cells, counts = capacity_sweep(
-        scene,
-        ref,
-        [math.radians(d) for d in cfg.get("rotations_deg", range(-180, 180, 15))],
-        budget,
-        RateModel(),
-        rows=int(cfg.get("rows", 8)),
-        cols=int(cfg.get("cols", 8)),
-        spacing=float(cfg.get("spacing_m", 0.14)),
-        models=models,
-        n_freq=int(cfg.get("n_freq", 10)),
-        max_bounces=int(cfg.get("max_bounces", 2)),
-        rng_seed=int(cfg.get("rng_seed", 0)),
-    )
+    with open(args.config) as fp:
+        cfg = json.load(fp)
+    cells, counts = capacity_from_config(scene, cfg)
     with open(args.out, "w") as fp:
         fileio.write_capacity_csv(cells, fp)
 
     table = {}
     for c in cells:
         table.setdefault(c.rotation, {})[c.model] = c.se_avg
+    models = tuple(counts)
     print(f"band-averaged SE, bit/s/Hz ({args.out} has the full table)")
     print("rot_deg " + " ".join(f"{m:>10s}" for m in models))
     for rot in sorted(table):

@@ -11,13 +11,8 @@ import json
 
 import numpy as np
 
-from reflectmimo import (
-    ESTIMATORS,
-    DisplacementSpec,
-    ReferencePair,
-    displacement_experiment,
-    fileio,
-)
+from reflectmimo import fileio
+from reflectmimo.cli import displacement_from_config
 
 
 def main():
@@ -29,32 +24,16 @@ def main():
 
     with open(args.scene) as fp:
         scene = fileio.load_scene(fp)
-    cfg = json.loads(open(args.config).read())
-    ref = ReferencePair(
-        tx_ref=np.array(cfg["tx_ref"], dtype=float),
-        rx_ref=np.array(cfg["rx_ref"], dtype=float),
-    )
-    spec = DisplacementSpec(
-        distances=tuple(cfg.get("distances_m", DisplacementSpec().distances)),
-        directions_per_distance=int(cfg.get("directions_per_distance", 10)),
-        rng_seed=int(cfg.get("rng_seed", 0)),
-    )
-    records = displacement_experiment(
-        scene,
-        ref,
-        spec,
-        bandwidth=float(cfg.get("bandwidth_hz", 2e9)),
-        n_freq=int(cfg.get("n_freq", 10)),
-        models=tuple(cfg.get("models", ESTIMATORS)),
-        max_bounces=int(cfg.get("max_bounces", 2)),
-    )
+    with open(args.config) as fp:
+        cfg = json.load(fp)
+    records = displacement_from_config(scene, cfg)
     with open(args.out, "w") as fp:
         fileio.write_error_csv(records, fp)
 
     models = tuple(dict.fromkeys(r.model for r in records))
     print(f"median epsilon by displacement ({args.out} has the raw table)")
     print("distance_m " + " ".join(f"{m:>10s}" for m in models))
-    for dist in spec.distances:
+    for dist in dict.fromkeys(r.distance for r in records):
         row = []
         for model in models:
             eps = [r.epsilon for r in records if r.model == model and r.distance == dist]

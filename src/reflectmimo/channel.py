@@ -15,10 +15,10 @@ arrays of receiver and transmitter points:
 * ``rm_image``    reflection model, matrix form (exact for specular paths).
 
 The ``exhaustive`` model instead re-traces every element pair through the
-scene with ``tracer.trace_pairs``, one facet sequence over all pairs at a
-time; each traced sequence is one term of the same ``phasor_sum``, with
-(M, N) gain and delay arrays (zero where a pair has no such path) and
-d = c * delay.
+scene with ``tracer.trace_pairs``, TX points as (1, N) against RX points
+as (M, 1), one facet sequence over all pairs at a time; each traced
+sequence is one term of the same ``phasor_sum``, with (M, N) gain and delay
+arrays (zero where a pair has no such path) and d = c * delay.
 
 Elements are isotropic: no per-element pattern weighting is applied.
 """
@@ -40,7 +40,7 @@ from .paths import (
     pwa_distance,
     rm_distance_image,
 )
-from .tracer import Scene, trace_pairs
+from .tracer import Scene, _in_path_order, trace_pairs
 
 __all__ = [
     "MODELS",
@@ -153,14 +153,11 @@ def trace_array_pairs(
     trace_paths' order; tracing once and evaluating many frequencies
     amortizes the cost. A per-pair view of ``trace_pairs``.
     """
-    traced = trace_pairs(scene, tx_points, rx_points, max_bounces)
-    shape = (len(rx_points), len(tx_points))
-    gains = np.array([g for _, g, _ in traced], dtype=complex).reshape(-1, *shape)
-    delays = np.array([d for _, _, d in traced], dtype=float).reshape(-1, *shape)
-    # trace_paths' order: descending gain magnitude, then delay (stable)
-    order = np.lexsort((delays, -np.abs(gains)), axis=0)
-    gains = np.take_along_axis(gains, order, axis=0)
-    delays = np.take_along_axis(delays, order, axis=0)
+    tx = as_points(tx_points, "tx_points")
+    rx = as_points(rx_points, "rx_points")
+    traced = trace_pairs(scene, tx[None, :], rx[:, None], max_bounces)
+    shape = (len(rx), len(tx))
+    gains, delays = _in_path_order(traced, shape)
     routed = delays > 0.0
     return [
         [
@@ -230,7 +227,7 @@ def channel_evaluator(
     rx = as_points(rx_points, "rx_points")
     if model == "exhaustive":
         _require(scene is not None, "exhaustive model requires a scene")
-        traced = trace_pairs(scene, tx, rx, max_bounces)
+        traced = trace_pairs(scene, tx[None, :], rx[:, None], max_bounces)
         if not traced:
             return lambda f: np.zeros((len(rx), len(tx)), dtype=complex)
         gains = [g for _, g, _ in traced]

@@ -1,5 +1,10 @@
 """Command-line front end: trace scenes, fit path models, predict channels
-and run the displacement/capacity experiments on JSON scene files."""
+and run the displacement/capacity experiments on JSON scene files.
+
+``displacement_from_config`` and ``capacity_from_config`` map a JSON
+experiment config to the library call; the experiment commands and the
+scripts under ``scripts/`` share them, so a config means the same to both.
+"""
 
 from __future__ import annotations
 
@@ -13,12 +18,18 @@ import numpy as np
 
 from . import fileio
 from .capacity import LinkBudget, RateModel
-from .experiments import DisplacementSpec, capacity_sweep, displacement_experiment
+from .experiments import (
+    DisplacementSpec,
+    ErrorRecord,
+    SweepCell,
+    capacity_sweep,
+    displacement_experiment,
+)
 from .channel import path_distances, phasor_sum
 from .fit_dp import fit_rm_dp
 from .fit_rt import fit_rm_rt
 from .paths import ReferencePair, angles_to_image
-from .tracer import to_pwa, trace_paths
+from .tracer import Scene, to_pwa, trace_paths
 
 _DEFAULT_ROTATIONS_DEG = [float(d) for d in range(-180, 180, 15)]
 
@@ -159,27 +170,24 @@ def _config_kwargs(cfg: dict, keys: dict) -> dict:
     return {param: kind(cfg[key]) for key, (param, kind) in keys.items() if key in cfg}
 
 
-def _cmd_exp_displacement(args: argparse.Namespace) -> int:
-    scene = _load_scene(args.scene)
-    cfg = _load_config(args.config)
-    records = displacement_experiment(
+def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:
+    """displacement_experiment on scene with the parameters an experiment
+    config sets."""
+    return displacement_experiment(
         scene,
         _config_ref(cfg),
         DisplacementSpec(**_config_kwargs(cfg, _SPEC_KEYS)),
         **_config_kwargs(cfg, _DISPLACEMENT_KEYS),
     )
-    with _open_out(args.out) as fp:
-        fileio.write_error_csv(records, fp)
-    return 0
 
 
-def _cmd_exp_capacity(args: argparse.Namespace) -> int:
-    scene = _load_scene(args.scene)
-    cfg = _load_config(args.config)
+def capacity_from_config(scene: Scene, cfg: dict) -> tuple[list[SweepCell], dict[str, int]]:
+    """capacity_sweep on scene with the parameters an experiment config sets;
+    the rotations default to a full turn in 15 degree steps."""
     rotations = [
         math.radians(d) for d in cfg.get("rotations_deg", _DEFAULT_ROTATIONS_DEG)
     ]
-    cells, counts = capacity_sweep(
+    return capacity_sweep(
         scene,
         _config_ref(cfg),
         rotations,
@@ -187,6 +195,17 @@ def _cmd_exp_capacity(args: argparse.Namespace) -> int:
         RateModel(**_config_kwargs(cfg, _RATE_KEYS)),
         **_config_kwargs(cfg, _SWEEP_KEYS),
     )
+
+
+def _cmd_exp_displacement(args: argparse.Namespace) -> int:
+    records = displacement_from_config(_load_scene(args.scene), _load_config(args.config))
+    with _open_out(args.out) as fp:
+        fileio.write_error_csv(records, fp)
+    return 0
+
+
+def _cmd_exp_capacity(args: argparse.Namespace) -> int:
+    cells, counts = capacity_from_config(_load_scene(args.scene), _load_config(args.config))
     with _open_out(args.out) as fp:
         fileio.write_capacity_csv(cells, fp)
     for name, count in counts.items():

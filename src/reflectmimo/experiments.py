@@ -8,6 +8,7 @@ drawn from a single seeded generator, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .channel import channel_evaluator, path_distances, phasor_sum, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
 from .paths import C_LIGHT, ReferencePair
-from .tracer import Scene, TracedPath, to_pwa, trace_paths
+from .tracer import Scene, TracedPath, _in_path_order, to_pwa, trace_pairs, trace_paths
 
 __all__ = [
     "DisplacementSpec",
@@ -75,9 +76,12 @@ class DisplacementSpec:
         object.__setattr__(self, "distances", d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorRecord:
-    """Normalized squared channel error of one model at one sample point."""
+    """Normalized squared channel error of one model at one sample point.
+
+    Slotted: an experiment returns thousands of these.
+    """
 
     model: str
     distance: float
@@ -150,6 +154,11 @@ def displacement_experiment(
     there and scores |H_model - H_true|^2 / E0 at n_freq random in-band
     frequencies, with E0 the total path energy at the reference. The band
     is centred on the scene carrier, which is also the phase reference.
+
+    All S samples are traced as paired endpoints in one trace_pairs call, and
+    the truth and each model are synthesized as (S, n_freq) arrays, each
+    sample's paths summed in trace_paths' order. Records run sample by
+    sample, then frequency, then model; the pair traces issued are logged.
     """
     unknown = set(models) - set(ESTIMATORS)
     if unknown:
@@ -157,9 +166,8 @@ def displacement_experiment(
 
     f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
-    traced0, fitted = _fit_estimators(
-        scene, ref, models, spec.distances[:2], rng, max_bounces
-    )
+    dp_distances = spec.distances[:2]
+    traced0, fitted = _fit_estimators(scene, ref, models, dp_distances, rng, max_bounces)
     energy0 = sum(abs(p.gain) ** 2 for p in traced0)
 
     freqs = rng.uniform(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, size=n_freq)
@@ -170,46 +178,30 @@ def displacement_experiment(
     ]
     tx_m = np.array([ref.tx_ref + dist * dir_tx for dist, dir_tx, _ in samples])
     rx_m = np.array([ref.rx_ref + dist * dir_rx for dist, _, dir_rx in samples])
-    # Model distances of all samples at once: one (samples,) array per path.
-    distances = {
-        name: path_distances(rx_m, tx_m, fitted[name], ref, _CHANNEL_MODEL[name])
-        for name in models
-    }
+    n_traced = 1 + (len(dp_distances) if "rm_dp" in models else 0) + len(samples)
+    log.info("displacement experiment pair traces: %d", n_traced)
 
-    records = []
-    for s, (dist, _, _) in enumerate(samples):
-        truth = trace_paths(scene, tx_m[s], rx_m[s], max_bounces)
-        true_delays = [p.delay for p in truth]
-        h_true = phasor_sum(
-            [p.gain for p in truth],
-            true_delays,
-            [C_LIGHT * tau for tau in true_delays],
+    # (paths, samples, 1) against (n_freq,): one (samples, n_freq) sum
+    gains, delays = _in_path_order(
+        trace_pairs(scene, tx_m, rx_m, max_bounces), (len(samples), 1)
+    )
+    h_true = phasor_sum(gains, delays, C_LIGHT * delays, freqs, f0)
+    eps = np.empty((len(samples), n_freq, len(models)))
+    for k, name in enumerate(models):
+        paths = fitted[name]
+        distances = path_distances(rx_m, tx_m, paths, ref, _CHANNEL_MODEL[name])
+        h_est = phasor_sum(
+            [p.gain for p in paths],
+            [p.delay for p in paths],
+            [d[:, None] for d in distances],
             freqs,
             f0,
         )
-        eps = {}
-        for name in models:
-            h_est = phasor_sum(
-                [p.gain for p in fitted[name]],
-                [p.delay for p in fitted[name]],
-                [d[s] for d in distances[name]],
-                freqs,
-                f0,
-            )
-            # A scalar when both path lists are empty.
-            err = abs(h_est - h_true) ** 2 / energy0
-            eps[name] = np.broadcast_to(err, freqs.shape)
-        for k, f in enumerate(freqs):
-            for name in models:
-                records.append(
-                    ErrorRecord(
-                        model=name,
-                        distance=dist,
-                        frequency=float(f),
-                        epsilon=float(eps[name][k]),
-                    )
-                )
-    return records
+        eps[:, :, k] = abs(h_est - h_true) ** 2 / energy0
+
+    keys = itertools.product([dist for dist, _, _ in samples], freqs.tolist(), models)
+    values = eps.ravel().tolist()
+    return [ErrorRecord(name, dist, f, e) for (dist, f, name), e in zip(keys, values)]
 
 
 @dataclass(frozen=True)

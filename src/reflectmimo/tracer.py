@@ -15,10 +15,12 @@ scene carrier. Two tracers share the walk and these rules:
 * ``trace_paths`` traces one TX/RX pair on the plain float triples each
   Facet keeps next to its arrays, because numpy call overhead dominates at
   one pair.
-* ``trace_pairs`` traces every pair of a TX and an RX array at once: for a
-  fixed facet sequence the unfolding, bounds, side and occlusion tests are
-  the same arithmetic for every pair, so each runs once per sequence on
-  (M, N) coordinate arrays. It gives the same delays, bit for bit.
+* ``trace_pairs`` traces many pairs at once, TX and RX point arrays whose
+  leading axes broadcast (paired endpoints, or every pair of two arrays):
+  for a fixed facet sequence the unfolding, bounds, side and occlusion
+  tests are the same arithmetic for every pair, so each runs once per
+  sequence on coordinate arrays of the broadcast shape. It gives the same
+  delays, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_points, dir_to_angles, unit
+from .geometry import dir_to_angles, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair
 
 __all__ = [
@@ -456,15 +458,30 @@ def trace_paths(
 
 
 # ---------------------------------------------------------------------------
-# every TX/RX element pair at once
+# many TX/RX pairs at once, on broadcast coordinate arrays
 
 
-def _coordinates(points, name: str, axis: int) -> tuple[np.ndarray, ...]:
-    """The x, y, z columns of an (K, 3) point array, each with a new axis
-    inserted at `axis`, so TX (axis 0) and RX (axis 1) columns broadcast to
-    (M, N)."""
-    pts = as_points(points, name)
-    return tuple(np.expand_dims(np.ascontiguousarray(c), axis) for c in pts.T)
+def _coordinates(tx_points, rx_points) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The x, y, z columns of the TX and RX point arrays, no axis inserted.
+
+    Each array is (..., 3) with at least one leading axis and one point, and
+    the two leading shapes must broadcast: the broadcast shape is that of
+    every per-pair array of trace_pairs.
+    """
+    columns = []
+    for name, points in (("tx_points", tx_points), ("rx_points", rx_points)):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim < 2 or pts.shape[-1] != 3 or pts.size == 0:
+            raise ValueError(f"{name} must have shape (..., 3) with at least one point")
+        columns.append(tuple(np.ascontiguousarray(pts[..., k]) for k in range(3)))
+    tx, rx = columns
+    try:
+        np.broadcast_shapes(tx[0].shape, rx[0].shape)
+    except ValueError:
+        raise ValueError(
+            f"tx_points {tx[0].shape} and rx_points {rx[0].shape} do not broadcast"
+        ) from None
+    return tx, rx
 
 
 def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, tx):
@@ -502,20 +519,24 @@ def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, 
 def trace_pairs(
     scene: Scene, tx_points: np.ndarray, rx_points: np.ndarray, max_bounces: int = 2
 ) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
-    """trace_paths for every pair of N transmitters and M receivers at once.
+    """trace_paths for many TX/RX pairs at once.
 
-    tx_points is (N, 3) and rx_points (M, 3). The suffix walk of trace_paths
-    cuts a subtree only when no pair passes; each sequence is unfolded,
-    bounds-, side- and occlusion-tested over all pairs as (M, N) arrays.
+    tx_points and rx_points are (..., 3) point arrays, each with at least
+    one leading axis; their leading shapes broadcast against each other,
+    and each element of the broadcast shape is one pair. Two (S, 3) arrays
+    are S paired endpoints; tx_points[None, :] (1, N, 3) against
+    rx_points[:, None] (M, 1, 3) is every pair of two arrays, as (M, N)
+    indexed [rx][tx]. The suffix walk of trace_paths cuts a subtree only
+    when no pair passes; each sequence is unfolded, bounds-, side- and
+    occlusion-tested over all pairs as arrays of the broadcast shape.
     Returns one (facet sequence, gains, delays) entry per sequence with a
-    path for some pair, in sequence order; gains (complex) and delays are
-    (M, N), indexed [rx][tx], and zero where the pair has no route under that
+    path for some pair, in sequence order; gains (complex) and delays have
+    the broadcast shape and are zero where the pair has no route under that
     sequence. Per pair, the routes are those of trace_paths, the seam rule
     included: the delays are equal bit for bit and the gains to rounding.
     """
     facets = scene.facets
-    tx = _coordinates(tx_points, "tx_points", 0)
-    rx = _coordinates(rx_points, "rx_points", 1)
+    tx, rx = _coordinates(tx_points, rx_points)
     walk = _walk(facets, tx, rx, max_bounces, _ARRAY_OPS)
     unfolded = ((seq, _unfold_batch(facets, seq, images, tx)) for seq, images in walk)
     accepted = [(seq, *found) for seq, found in unfolded if found is not None]
@@ -527,6 +548,17 @@ def trace_pairs(
         delays[valid] = length[valid] / C_LIGHT
         traced.append((seq, gains, delays))
     return traced
+
+
+def _in_path_order(traced, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """trace_pairs' entries as (P, *shape) gains and delays, with each pair's
+    paths in trace_paths' order: descending gain magnitude, then delay,
+    stable over sequence order. A pair with fewer than P paths ends in
+    zeros, which sort last."""
+    gains = np.array([g for _, g, _ in traced], dtype=complex).reshape(-1, *shape)
+    delays = np.array([d for _, _, d in traced], dtype=float).reshape(-1, *shape)
+    order = np.lexsort((delays, -np.abs(gains)), axis=0)
+    return np.take_along_axis(gains, order, axis=0), np.take_along_axis(delays, order, axis=0)
 
 
 def to_pwa(path: TracedPath, ref: ReferencePair) -> PwaPath:

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import logging
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from reflectmimo import (
     fit_rm_dp,
     fit_rm_rt,
     make_facet,
+    path_distances,
+    phasor_sum,
     pwa_distance,
     rm_distance_image,
     to_pwa,
@@ -217,10 +220,10 @@ def _random_unit(rng):
             return v / n
 
 
-def scalar_displacement(scene, ref, spec, bandwidth, n_freq, max_bounces):
-    """Per-sample, per-frequency scalar evaluation of all four estimators,
-    drawing from the generator in the same order as displacement_experiment:
-    (model, distance, frequency, epsilon) rows."""
+def fits_and_draws(scene, ref, spec, bandwidth, n_freq, max_bounces):
+    """The reference energy, the four estimators' fitted paths, the
+    frequencies and the (distance, TX, RX) samples, drawing from the
+    generator in the same order as displacement_experiment."""
     f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
     traced0 = trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces)
@@ -236,28 +239,38 @@ def scalar_displacement(scene, ref, spec, bandwidth, n_freq, max_bounces):
             PairObservation(tx=tx, rx=rx, paths=tuple(to_pwa(p, pair) for p in traced))
         )
     reference_obs = PairObservation(tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0))
-    rm_fits = {
+    fits = {
+        "constant": pwa0,
+        "pwa": pwa0,
         "rm_rt": [fit_rm_rt(p, ref) for p in traced0],
         "rm_dp": fit_rm_dp(reference_obs, displaced, ref),
     }
     freqs = rng.uniform(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, size=n_freq)
-    samples = [
-        (dist, _random_unit(rng), _random_unit(rng))
-        for dist in spec.distances
-        for _ in range(spec.directions_per_distance)
-    ]
+    samples = []
+    for dist in spec.distances:
+        for _ in range(spec.directions_per_distance):
+            dir_tx, dir_rx = _random_unit(rng), _random_unit(rng)
+            samples.append((dist, ref.tx_ref + dist * dir_tx, ref.rx_ref + dist * dir_rx))
+    return energy0, fits, freqs, samples
+
+
+def scalar_displacement(scene, ref, spec, bandwidth, n_freq, max_bounces):
+    """Per-sample, per-frequency scalar evaluation of all four estimators:
+    (model, distance, frequency, epsilon) rows."""
+    f0 = scene.carrier_freq
+    energy0, fits, freqs, samples = fits_and_draws(
+        scene, ref, spec, bandwidth, n_freq, max_bounces
+    )
     rows = []
-    for dist, dir_tx, dir_rx in samples:
-        tx = ref.tx_ref + dist * dir_tx
-        rx = ref.rx_ref + dist * dir_rx
+    for dist, tx, rx in samples:
         terms = {
-            "constant": [(p.gain, p.delay, C_LIGHT * p.delay) for p in pwa0],
-            "pwa": [(p.gain, p.delay, pwa_distance(rx, tx, ref, p)) for p in pwa0],
+            "constant": [(p.gain, p.delay, C_LIGHT * p.delay) for p in fits["constant"]],
+            "pwa": [(p.gain, p.delay, pwa_distance(rx, tx, ref, p)) for p in fits["pwa"]],
         }
-        for name, fits in rm_fits.items():
+        for name in ("rm_rt", "rm_dp"):
             terms[name] = [
                 (p.gain, p.delay, rm_distance_image(rx, tx, angles_to_image(p, ref)))
-                for p in fits
+                for p in fits[name]
             ]
         truth = trace_paths(scene, tx, rx, max_bounces)
         for f in freqs:
@@ -294,6 +307,96 @@ class TestDisplacementMatchesScalarLoop:
         ]
         for rec, row in zip(records, want):
             assert abs(rec.epsilon - row[3]) <= 1e-12
+
+
+def looped_displacement(scene, ref, spec, bandwidth, n_freq, max_bounces):
+    """displacement_experiment written as one trace_paths and one phasor_sum
+    per sample and model: (model, distance, frequency, epsilon) rows, and the
+    number of true paths at each sample."""
+    f0 = scene.carrier_freq
+    energy0, fits, freqs, samples = fits_and_draws(
+        scene, ref, spec, bandwidth, n_freq, max_bounces
+    )
+    tx_m = np.array([tx for _, tx, _ in samples])
+    rx_m = np.array([rx for _, _, rx in samples])
+    channel_model = {"constant": "constant", "pwa": "pwa", "rm_rt": "rm_image", "rm_dp": "rm_image"}
+    distances = {
+        name: path_distances(rx_m, tx_m, fits[name], ref, channel_model[name])
+        for name in ESTIMATORS
+    }
+    rows, path_counts = [], []
+    for s, (dist, tx, rx) in enumerate(samples):
+        truth = trace_paths(scene, tx, rx, max_bounces)
+        path_counts.append(len(truth))
+        delays = [p.delay for p in truth]
+        h_true = phasor_sum(
+            [p.gain for p in truth], delays, [C_LIGHT * tau for tau in delays], freqs, f0
+        )
+        eps = {}
+        for name in ESTIMATORS:
+            h_est = phasor_sum(
+                [p.gain for p in fits[name]],
+                [p.delay for p in fits[name]],
+                [d[s] for d in distances[name]],
+                freqs,
+                f0,
+            )
+            eps[name] = np.broadcast_to(abs(h_est - h_true) ** 2 / energy0, freqs.shape)
+        for k, f in enumerate(freqs):
+            for name in ESTIMATORS:
+                rows.append((name, dist, float(f), float(eps[name][k])))
+    return rows, path_counts
+
+
+def occluded_scene():
+    """Ground plane plus two screens across a 10 m link at x = 3 m, facing
+    TX: the upper one (z above 1.4 m) shadows the line of sight from
+    y = 0.05 m on, the lower one the ground bounce from y = 0.3 m on. The
+    reference pair at y = 0 sees both paths; displaced samples see two, one
+    or none."""
+    ground = make_facet((5.0, 0.0, 0.0), (0.0, 0.0, 1.0), half_u=50.0, half_v=50.0)
+    upper = make_facet((3.0, 2.55, 2.7), (-1.0, 0.0, 0.0), half_u=2.5, half_v=1.3)
+    lower = make_facet((3.0, 2.8, 0.7), (-1.0, 0.0, 0.0), half_u=2.5, half_v=0.7)
+    scene = Scene(facets=(ground, upper, lower), carrier_freq=F0)
+    ref = ReferencePair(
+        tx_ref=np.array([0.0, 0.0, 2.0]), rx_ref=np.array([10.0, 0.0, 2.0])
+    )
+    return scene, ref
+
+
+class TestDisplacementMatchesLoop:
+    """The batched experiment against the per-sample loop, bit for bit."""
+
+    def test_long_corridor(self):
+        scene, ref = corridor_scene(2000.0)
+        spec = DisplacementSpec(directions_per_distance=10, rng_seed=3)
+        rows, path_counts = looped_displacement(scene, ref, spec, 2e9, 10, 1)
+        assert set(path_counts) == {3}
+        records = long_range_records()
+        assert [(r.model, r.distance, r.frequency, r.epsilon) for r in records] == rows
+
+    def test_occluded_samples(self):
+        scene, ref = occluded_scene()
+        spec = DisplacementSpec(
+            distances=(0.01, 0.02, 0.2, 0.5, 1.0), directions_per_distance=8, rng_seed=5
+        )
+        rows, path_counts = looped_displacement(scene, ref, spec, 2e9, 4, 1)
+        assert {0, 1, 2} <= set(path_counts)
+        records = displacement_experiment(scene, ref, spec, n_freq=4, max_bounces=1)
+        assert [(r.model, r.distance, r.frequency, r.epsilon) for r in records] == rows
+
+    def test_logs_pair_traces(self, caplog):
+        # The demo grid: 1 reference pair, 2 displaced pairs for rm_dp and
+        # 6 x 10 samples.
+        scene, ref = corridor_scene(100.0)
+        with caplog.at_level(logging.INFO, logger="reflectmimo.experiments"):
+            displacement_experiment(scene, ref, n_freq=1, max_bounces=1)
+        assert "displacement experiment pair traces: 63" in caplog.messages
+        caplog.clear()
+        spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=3)
+        with caplog.at_level(logging.INFO, logger="reflectmimo.experiments"):
+            displacement_experiment(scene, ref, spec, n_freq=1, models=("pwa",), max_bounces=1)
+        assert "displacement experiment pair traces: 7" in caplog.messages
 
 
 class TestCapacitySweep:

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from reflectmimo.cli import main
 from reflectmimo.paths import C_LIGHT, angles_to_image
 
 F0 = 140e9
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 TX = np.array([0.0, 0.0, 1.0])
 RX = np.array([4.0, 0.0, 1.0])
@@ -389,6 +393,63 @@ class TestCli:
             "rotation_deg", "model", "se_center_bpshz", "se_avg_bpshz", "rank_used"
         ]
         assert [r[0] for r in rows[1:]] == ["0.0", "90.0"]
+
+    @pytest.mark.parametrize(
+        "experiment, script, settings",
+        [
+            (
+                "capacity",
+                "run_capacity.py",
+                {
+                    "rotations_deg": [0.0, 30.0],
+                    "rows": 2,
+                    "cols": 2,
+                    "spacing_m": 0.02,
+                    "models": ["rm_dp", "pwa"],
+                    "n_freq": 2,
+                    "max_bounces": 1,
+                    "alpha": 0.8,
+                    "se_max_bpshz": 3.0,
+                    "dp_displacements_m": [0.01, 0.02, 0.05],
+                },
+            ),
+            (
+                "displacement",
+                "run_displacement.py",
+                {
+                    "distances_m": [0.01, 0.03],
+                    "directions_per_distance": 2,
+                    "rng_seed": 4,
+                    "bandwidth_hz": 1e9,
+                    "n_freq": 2,
+                    "models": ["pwa", "rm_rt"],
+                    "max_bounces": 1,
+                },
+            ),
+        ],
+    )
+    def test_script_writes_the_cli_csv(
+        self, scene_file, tmp_path, monkeypatch, capsys, experiment, script, settings
+    ):
+        # The scripts read a config as the experiment commands do, so every
+        # key one honours the other honours too.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], **settings
+        }))
+        cli_out = tmp_path / "cli.csv"
+        script_out = tmp_path / "script.csv"
+        assert main([
+            "experiment", experiment, "--scene", scene_file,
+            "--config", str(config), "--out", str(cli_out),
+        ]) == 0
+        monkeypatch.setattr(sys, "argv", [
+            script, "--scene", scene_file, "--config", str(config),
+            "--out", str(script_out),
+        ])
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        capsys.readouterr()
+        assert script_out.read_bytes() == cli_out.read_bytes()
 
     def test_malformed_inputs_exit_2(self, tmp_path, capsys):
         bad_scene = tmp_path / "scene.json"

@@ -252,27 +252,27 @@ class TestDuplicateRoutes:
 
 
 def assert_pairs_match_scalar(scene, tx_points, rx_points, max_bounces):
-    """trace_pairs against trace_paths, pair by pair: the same facet
-    sequences, delays equal bit for bit, gains within 1e-12 of their size."""
+    """trace_pairs against trace_paths, pair by pair over the broadcast
+    endpoints: the same facet sequences, delays equal bit for bit, gains
+    within 1e-12 of their size."""
     traced = trace_pairs(scene, tx_points, rx_points, max_bounces)
-    shape = (len(rx_points), len(tx_points))
+    shape = np.broadcast_shapes(tx_points.shape[:-1], rx_points.shape[:-1])
+    tx_points = np.broadcast_to(tx_points, (*shape, 3))
+    rx_points = np.broadcast_to(rx_points, (*shape, 3))
     for seq, gains, delays in traced:
         assert gains.shape == delays.shape == shape
         assert gains.dtype == complex
         assert np.any(delays > 0.0), f"sequence {seq} returned without a path"
         assert np.all((gains == 0.0) == (delays == 0.0))
-    for m, rx in enumerate(rx_points):
-        for n, tx in enumerate(tx_points):
-            want = sorted(
-                (p.delay, p.route.facet_ids, p.gain)
-                for p in trace_paths(scene, tx, rx, max_bounces)
-            )
-            got = sorted(
-                (d[m, n], seq, g[m, n]) for seq, g, d in traced if d[m, n] > 0.0
-            )
-            assert [(d, seq) for d, seq, _ in got] == [(d, seq) for d, seq, _ in want]
-            for (_, _, g), (_, _, g_want) in zip(got, want):
-                assert abs(g - g_want) <= 1e-12 * abs(g_want)
+    for pair in np.ndindex(shape):
+        want = sorted(
+            (p.delay, p.route.facet_ids, p.gain)
+            for p in trace_paths(scene, tx_points[pair], rx_points[pair], max_bounces)
+        )
+        got = sorted((d[pair], seq, g[pair]) for seq, g, d in traced if d[pair] > 0.0)
+        assert [(d, seq) for d, seq, _ in got] == [(d, seq) for d, seq, _ in want]
+        for (_, _, g), (_, _, g_want) in zip(got, want):
+            assert abs(g - g_want) <= 1e-12 * abs(g_want)
     return traced
 
 
@@ -284,7 +284,10 @@ def routes_by_pair(traced, shape):
     ]
 
 
-_offsets = st.lists(st.tuples(*[st.floats(-6.0, 6.0)] * 3), min_size=1, max_size=3)
+_offset = st.tuples(*[st.floats(-6.0, 6.0)] * 3)
+_offsets = st.lists(_offset, min_size=1, max_size=3)
+# (TX offset, RX offset) of each of up to 4 paired endpoints
+_paired_offsets = st.lists(st.tuples(_offset, _offset), min_size=1, max_size=4)
 
 
 class TestTracePairs:
@@ -296,7 +299,25 @@ class TestTracePairs:
         max_bounces=st.integers(0, 3),
     )
     def test_random_scenes_match_scalar(self, seed, tx_offsets, rx_offsets, max_bounces):
+        # every pair of two arrays: (1, N, 3) against (M, 1, 3)
         scene, ref = random_scene(np.random.default_rng(seed))
+        assert_pairs_match_scalar(
+            scene,
+            ref.tx_ref + np.array(tx_offsets)[None, :],
+            ref.rx_ref + np.array(rx_offsets)[:, None],
+            max_bounces,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offsets=_paired_offsets,
+        max_bounces=st.integers(0, 3),
+    )
+    def test_paired_endpoints_match_scalar(self, seed, offsets, max_bounces):
+        # S paired endpoints: (S, 3) against (S, 3)
+        scene, ref = random_scene(np.random.default_rng(seed))
+        tx_offsets, rx_offsets = zip(*offsets)
         assert_pairs_match_scalar(
             scene,
             ref.tx_ref + np.array(tx_offsets),
@@ -314,7 +335,7 @@ class TestTracePairs:
         scene = Scene(facets=tiles, carrier_freq=140e9)
         tx = np.array([[x, 0.0, 2.0] for x in (-1.0, 0.0, 1.0)])
         rx = np.array([[x, 0.0, 2.0] for x in (9.0, 10.0, 11.0)])
-        traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+        traced = assert_pairs_match_scalar(scene, tx[None, :], rx[:, None], 1)
         routes = routes_by_pair(traced, (3, 3))
         for m in range(3):
             for n in range(3):
@@ -331,7 +352,7 @@ class TestTracePairs:
                 facets=(make_facet(np.zeros(3), -EZ, two_sided=two_sided),),
                 carrier_freq=140e9,
             )
-            traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+            traced = assert_pairs_match_scalar(scene, tx[None, :], rx[:, None], 1)
             for row in routes_by_pair(traced, (2, 2)):
                 assert row == [[(), *bounce]] * 2
 
@@ -343,7 +364,7 @@ class TestTracePairs:
         scene = Scene(facets=(screen,), carrier_freq=140e9)
         tx = np.array([[0.0, y, 1.0] for y in (0.0, 3.0)])
         rx = np.array([[10.0, y, 1.0] for y in (0.0, 3.0)])
-        traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+        traced = assert_pairs_match_scalar(scene, tx[None, :], rx[:, None], 1)
         (seq, gains, delays), *_ = traced
         assert seq == ()
         assert gains[0, 0] == 0.0 and delays[0, 0] == 0.0
@@ -353,7 +374,7 @@ class TestTracePairs:
         tx = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
         rx = np.array([[1.0, 0.0, 1.0]])
         scene = ground_scene()
-        traced = assert_pairs_match_scalar(scene, tx, rx, 1)
+        traced = assert_pairs_match_scalar(scene, tx[None, :], rx[:, None], 1)
         assert routes_by_pair(traced, (1, 2)) == [[[(), (0,)], [(0,)]]]
 
     def test_single_pair_equals_trace_paths(self):
@@ -361,7 +382,7 @@ class TestTracePairs:
         for _ in range(5):
             scene, ref = random_scene(rng)
             traced = assert_pairs_match_scalar(
-                scene, ref.tx_ref[None], ref.rx_ref[None], 2
+                scene, ref.tx_ref[None, None], ref.rx_ref[None, None], 2
             )
             assert len(traced) == len(trace_paths(scene, ref.tx_ref, ref.rx_ref, 2))
 
@@ -370,7 +391,7 @@ class TestTracePairs:
         scene, ref = random_scene(np.random.default_rng(9), n_facets=3)
         offsets = np.array([[0.0, 0.0, 0.0], [0.3, -1.0, 0.5]])
         traced = assert_pairs_match_scalar(
-            scene, ref.tx_ref + offsets, ref.rx_ref - offsets, max_bounces
+            scene, (ref.tx_ref + offsets)[None, :], (ref.rx_ref - offsets)[:, None], max_bounces
         )
         assert max(len(seq) for seq, _, _ in traced) == max_bounces
 
@@ -388,6 +409,10 @@ class TestTracePairs:
             trace_pairs(ground_scene(), np.zeros(3), np.ones((1, 3)))
         with pytest.raises(ValueError):
             trace_pairs(ground_scene(), np.zeros((1, 3)), np.ones((0, 3)))
+        with pytest.raises(ValueError, match="do not broadcast"):
+            trace_pairs(ground_scene(), np.zeros((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="rx_points must have shape"):
+            trace_pairs(ground_scene(), np.zeros((2, 3)), np.ones((2, 2)))
 
 
 def assert_matches_brute_force(scene, tx, rx, max_bounces):
@@ -464,6 +489,15 @@ class TestSuffixWalk:
         # 3 x 3 elements within 0.3 m of endpoints that keep 0.5 m from the
         # walls.
         scene, ref = rich_room(np.random.default_rng(seed))
+        tx = ref.tx_ref + np.array(tx_offsets) / 20.0
+        rx = ref.rx_ref + np.array(rx_offsets) / 20.0
+        assert_pairs_match_scalar(scene, tx[None, :], rx[:, None], 2)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), offsets=_paired_offsets)
+    def test_paired_endpoints_in_rich_rooms_match_scalar(self, seed, offsets):
+        scene, ref = rich_room(np.random.default_rng(seed))
+        tx_offsets, rx_offsets = zip(*offsets)
         tx = ref.tx_ref + np.array(tx_offsets) / 20.0
         rx = ref.rx_ref + np.array(rx_offsets) / 20.0
         assert_pairs_match_scalar(scene, tx, rx, 2)
