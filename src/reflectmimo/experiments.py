@@ -92,7 +92,7 @@ class ErrorRecord:
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
         if n > 1e-6:
             return v / n
 

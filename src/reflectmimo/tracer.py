@@ -2,15 +2,21 @@
 
 Serves as the ground-truth generator for synthetic scenes. It walks the
 ordered facet sequences up to a bounce limit as a tree keyed by suffix
-(_walk), so sequences with a common suffix share their receiver images and a
-subtree is cut where an image lies behind a one-sided facet. Each route is
-unfolded towards those images and kept only if every interaction point lies
-inside its facet, hits the reflective side, and no segment is blocked by
-another facet. The kept sequences are sorted (line of sight, bounce count,
-lexicographic) before the seam rule and the gains, so the output is that of
-trying every sequence in that order. Gains follow free-space spreading over
-the route length with a fixed per-bounce loss, phase referenced to the
-scene carrier. Two tracers share the walk and these rules:
+(_walk), so sequences with a common suffix share their receiver images. The
+walk skips only sequences that unfolding would reject: it cuts a subtree
+where an image lies behind a one-sided facet (Borish 1984) or where two
+facets face away from each other (a facet-pair table kept by each Scene),
+and unfolds a sequence only when TX faces its first facet and, tracing one
+pair, when the aim image lies in the cone from TX's mirror through that
+facet (the beam of Funkhouser et al. 1998, at its first reflection). Each
+route is unfolded towards those images and kept only if every interaction
+point lies inside its facet, hits the reflective side, and no segment is
+blocked by another facet. The kept sequences are sorted (line of sight,
+bounce count, lexicographic) before the seam rule and the gains, so the
+output is that of trying every sequence in that order. Gains follow
+free-space spreading over the route length with a fixed per-bounce loss,
+phase referenced to the scene carrier. Two tracers share the walk and these
+rules:
 
 * ``trace_paths`` traces one TX/RX pair on the plain float triples each
   Facet keeps next to its arrays, because numpy call overhead dominates at
@@ -53,6 +59,14 @@ MAX_BOUNCES = 3
 # Segment parameter slack excluding a segment's own endpoints from
 # intersection/occlusion tests.
 _T_EPS = 1e-9
+
+# How far the tests that must keep every point contains accepts, the
+# occlusion boxes and the culls of _walk, pad a facet's rectangle. _T_EPS is
+# the bounds slack; 2 _T_EPS more covers the rounding of a hit point, off
+# its plane and along its segment: a few ulps of the coordinates, grown by
+# 1 / sin of the angle between segment and plane. That holds on segments up
+# to ~1e6 m at steep incidence, and on 100 m segments down to ~1e-4 rad.
+_PAD = 3 * _T_EPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +118,7 @@ class Facet:
         object.__setattr__(self, "intercept", float(normal @ center))
         box = None
         if self.half_u is not None and self.half_v is not None:
-            # 3 _T_EPS: the bounds slack plus the rounding of a hit point,
-            # off its plane and along its segment, on segments up to ~1e6 m
-            reach = np.abs(axis_u) * self.half_u + np.abs(axis_v) * self.half_v + 3 * _T_EPS
+            reach = np.abs(axis_u) * self.half_u + np.abs(axis_v) * self.half_v + _PAD
             box = _f3(center - reach) + _f3(center + reach)
         object.__setattr__(self, "_box", box)
 
@@ -190,18 +202,35 @@ def make_facet(
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Facet collection plus the carrier frequency and per-bounce loss."""
+    """Facet collection plus the carrier frequency and per-bounce loss.
+
+    Each scene also keeps, for every facet g, the indices of the facets f
+    that may come straight before g in a route (_predecessors): f != g, and
+    the segment from f to g can leave f's reflective side and arrive on g's
+    (see _faces).
+    """
 
     facets: tuple[Facet, ...]
     carrier_freq: float
     reflection_loss_db: float = 3.0
+    _predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "facets", tuple(self.facets))
+        facets = tuple(self.facets)
+        object.__setattr__(self, "facets", facets)
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError("carrier frequency must be positive")
         if self.reflection_loss_db < 0.0:
             raise ValueError("reflection loss must be non-negative (dB)")
+        predecessors = tuple(
+            tuple(
+                i
+                for i, f in enumerate(facets)
+                if i != j and _faces(f, g) and _faces(g, f)
+            )
+            for j, g in enumerate(facets)
+        )
+        object.__setattr__(self, "_predecessors", predecessors)
 
     @property
     def wavelength(self) -> float:
@@ -271,6 +300,25 @@ def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
+def _faces(f: Facet, g: Facet) -> bool:
+    """False only when no route segment between a point of f and a point of
+    g can lie in front of f, as one that leaves or meets a one-sided f must.
+
+    The end on g lies within g's rectangle up to contains' slack, off g's
+    plane by rounding, and in front of f up to rounding. So it suffices that
+    some corner of g's rectangle, padded by _PAD along both axes and the
+    normal, lies strictly in front of f. Always true for a two-sided f and
+    an unbounded g.
+    """
+    if f.two_sided or g.half_u is None or g.half_v is None:
+        return True
+    n = f._normal
+    ahead = _dot(n, _sub(g._center, f._center))
+    ahead += (g.half_u + _PAD) * abs(_dot(n, g._axis_u))
+    ahead += (g.half_v + _PAD) * abs(_dot(n, g._axis_v))
+    return ahead + _PAD * abs(_dot(n, g._normal)) > 0.0
+
+
 def _misses(f: Facet, box) -> bool:
     """True when f is bounded and its box misses box (low corner, then high)."""
     b = f._box
@@ -290,35 +338,105 @@ _FLOAT_OPS = _Ops(bool, math.sqrt, max, cmath.exp)
 _ARRAY_OPS = _Ops(np.any, np.sqrt, np.maximum, np.exp)
 
 
-def _walk(facets: tuple[Facet, ...], tx, rx, max_bounces: int, ops: _Ops):
+def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, reaches):
     """Depth-first walk of the facet-sequence tree, keyed by suffix.
 
     Yields (sequence, images) for the sequences that can have a route, line
     of sight () first; images[k] is rx mirrored through sequence[k:], the aim
     point of the segment arriving at interaction k. A child puts facet f in
-    front of its node and mirrors the node's images[0] through f. A one-sided
-    f is cut, with its subtree, unless images[0] is strictly in front of it,
-    where the segment leaving f heads; a node is yielded only when TX is
-    strictly in front of its one-sided first facet. On arrays, a test passes
-    when it passes for any pair.
+    front of its node and mirrors the node's images[0] through f. Three
+    culls, each of which skips only sequences that _unfold rejects (their
+    margins pad facets by _PAD, which covers _unfold's rounding):
+
+    * f goes in front of the node's first facet only if the scene lists it
+      as a predecessor (Scene._predecessors), which also excludes that
+      facet itself: two consecutive hits on one facet are never specular.
+    * A one-sided f is cut, with its subtree, unless images[0], where the
+      segment leaving f heads, is strictly in front of it.
+    * reaches(f, aim) tells whether a route from TX can meet facet f first
+      and leave it towards aim. A node is yielded only when it holds for its
+      first facet and images[1]; a child at the bounce limit that fails it
+      is not pushed at all.
+
+    On arrays, a test passes when it passes for any pair.
     """
     if not 0 <= max_bounces <= MAX_BOUNCES:
         raise ValueError(f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}")
+    facets = scene.facets
+    predecessors = scene._predecessors
     any_ = ops.any
-    stack = [((), (rx,))]
+    stack = [((), (rx,), True)]
     while stack:
-        seq, images = stack.pop()
-        head = seq[0] if seq else -1
-        first = facets[head] if seq else None
-        if not seq or first.two_sided or any_(_dot(first._normal, tx) > first.intercept):
+        seq, images, reached = stack.pop()
+        if reached:
             yield seq, images
-        if len(seq) == max_bounces:
+        depth = len(seq) + 1
+        if depth > max_bounces:
             continue
         aim = images[0]
-        for idx, f in enumerate(facets):
-            # Two consecutive hits on the same plane can never be specular.
-            if idx != head and (f.two_sided or any_(_dot(f._normal, aim) > f.intercept)):
-                stack.append(((idx, *seq), (f.reflect(aim), *images)))
+        for idx in predecessors[seq[0]] if seq else range(len(facets)):
+            f = facets[idx]
+            if f.two_sided or any_(_dot(f._normal, aim) > f.intercept):
+                reached = reaches(idx, aim)
+                if reached or depth < max_bounces:
+                    stack.append(((idx, *seq), (f.reflect(aim), *images), reached))
+
+
+def _faced(facets: tuple[Facet, ...], tx, ops: _Ops) -> list:
+    """For each facet, whether a route from TX can meet it first: it is
+    two-sided, or TX is strictly in front of it."""
+    return [f.two_sided or ops.any(_dot(f._normal, tx) > f.intercept) for f in facets]
+
+
+def _tx_cones(facets: tuple[Facet, ...], tx):
+    """reaches for _walk from the float triple tx: _faced, plus a cone.
+
+    A route meets facet f first where the segment from tx to the mirror of
+    aim crosses f's plane, which is where the segment from f.reflect(tx) to
+    aim does. So aim must lie in the cone from f.reflect(tx) through f's
+    rectangle padded by _PAD. In f's frame, let TX lie at height h and
+    in-plane coordinates (a_u, a_v), and aim at height z and (x_u, x_v). The
+    crossing lies at (a_u z + h x_u) / (h + z) along u, so the cone's four
+    side planes read
+
+        |a_u z + h x_u| <= (half_u + _PAD) s (h + z),  and the same along v,
+
+    with s the sign of h. s (h + z) is negative, and the test fails, when
+    aim lies beyond f's plane from TX, where no route heads after meeting f.
+    The test rounds like _unfold's crossing, which _PAD covers. TX within
+    _PAD of f's plane gets no cone, and neither does an unbounded f.
+    """
+    cones = []
+    for f, faced in zip(facets, _faced(facets, tx, _FLOAT_OPS)):
+        rel = _sub(tx, f._center)
+        h = _dot(rel, f._normal)
+        if not faced or abs(h) <= _PAD or (f.half_u is None and f.half_v is None):
+            cones.append(faced)
+        else:
+            cones.append((h, _dot(rel, f._axis_u), _dot(rel, f._axis_v)))
+
+    def reaches(idx, aim):
+        cone = cones[idx]
+        if cone.__class__ is bool:
+            return cone
+        h, a_u, a_v = cone
+        f = facets[idx]
+        c, n = f._center, f._normal
+        dx, dy, dz = aim[0] - c[0], aim[1] - c[1], aim[2] - c[2]
+        z = n[0] * dx + n[1] * dy + n[2] * dz
+        d = h + z if h > 0.0 else -h - z
+        if f.half_u is not None:
+            u = f._axis_u
+            x_u = u[0] * dx + u[1] * dy + u[2] * dz
+            if abs(a_u * z + h * x_u) > (f.half_u + _PAD) * d:
+                return False
+        if f.half_v is not None:
+            v = f._axis_v
+            x_v = v[0] * dx + v[1] * dy + v[2] * dz
+            return abs(a_v * z + h * x_v) <= (f.half_v + _PAD) * d
+        return True
+
+    return reaches
 
 
 def _apart(a, b, ops: _Ops):
@@ -435,7 +553,7 @@ def trace_paths(
     """All specular paths between tx and rx up to max_bounces reflections.
 
     Includes the line-of-sight path when unobstructed. The suffix walk
-    skips only sequences the side test rejects, so the paths are those of
+    skips only sequences that unfolding rejects, so the paths are those of
     trying every sequence. They are sorted by descending gain magnitude, ties
     in sequence order (line of sight, bounce count, lexicographic). Coplanar
     facets that meet or overlap can both accept the same specular point; such
@@ -443,7 +561,7 @@ def trace_paths(
     """
     facets = scene.facets
     txf = _f3(tx)
-    walk = _walk(facets, txf, _f3(rx), max_bounces, _FLOAT_OPS)
+    walk = _walk(scene, _f3(rx), max_bounces, _FLOAT_OPS, _tx_cones(facets, txf))
     unfolded = ((seq, _unfold(facets, seq, images, txf)) for seq, images in walk)
     # vertex arrays, kept as the routes: as float tuples they would double
     # the memory of the accepted routes
@@ -526,9 +644,10 @@ def trace_pairs(
     and each element of the broadcast shape is one pair. Two (S, 3) arrays
     are S paired endpoints; tx_points[None, :] (1, N, 3) against
     rx_points[:, None] (M, 1, 3) is every pair of two arrays, as (M, N)
-    indexed [rx][tx]. The suffix walk of trace_paths cuts a subtree only
-    when no pair passes; each sequence is unfolded, bounds-, side- and
-    occlusion-tested over all pairs as arrays of the broadcast shape.
+    indexed [rx][tx]. The suffix walk of trace_paths, without its cones,
+    cuts a subtree only when no pair passes; each sequence is unfolded,
+    bounds-, side- and occlusion-tested over all pairs as arrays of the
+    broadcast shape.
     Returns one (facet sequence, gains, delays) entry per sequence with a
     path for some pair, in sequence order; gains (complex) and delays have
     the broadcast shape and are zero where the pair has no route under that
@@ -537,7 +656,8 @@ def trace_pairs(
     """
     facets = scene.facets
     tx, rx = _coordinates(tx_points, rx_points)
-    walk = _walk(facets, tx, rx, max_bounces, _ARRAY_OPS)
+    faced = _faced(facets, tx, _ARRAY_OPS)
+    walk = _walk(scene, rx, max_bounces, _ARRAY_OPS, lambda idx, aim: faced[idx])
     unfolded = ((seq, _unfold_batch(facets, seq, images, tx)) for seq, images in walk)
     accepted = [(seq, *found) for seq, found in unfolded if found is not None]
     traced = []

@@ -27,6 +27,7 @@ from reflectmimo.paths import C_LIGHT, angles_to_image
 
 F0 = 140e9
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "demo"
 
 TX = np.array([0.0, 0.0, 1.0])
 RX = np.array([4.0, 0.0, 1.0])
@@ -450,6 +451,42 @@ class TestCli:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
         capsys.readouterr()
         assert script_out.read_bytes() == cli_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "experiment, scene, config, table",
+        [
+            ("displacement", "corridor.json", "displacement_config.json",
+             "displacement_errors.csv"),
+            ("capacity", "blocked.json", "capacity_config.json", "capacity_sweep.csv"),
+        ],
+    )
+    def test_demo_tables_are_what_the_cli_writes(
+        self, tmp_path, capsys, experiment, scene, config, table
+    ):
+        # The tolerances allow for rounding that another numpy, BLAS or libm
+        # may move, not for a change in the arithmetic, which must rewrite
+        # the tables: each epsilon within 1e-9 of its size plus 1e-12 (the rm
+        # models' errors, ~1e-13, are rounding themselves), each spectral
+        # efficiency within 1e-9 of its size, every other cell as written.
+        tolerances = {"epsilon": (1e-9, 1e-12), "se_center_bpshz": (1e-9, 0.0),
+                      "se_avg_bpshz": (1e-9, 0.0)}
+        out = tmp_path / table
+        assert main([
+            "experiment", experiment, "--scene", str(DEMO / scene),
+            "--config", str(DEMO / config), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        got = list(csv.DictReader(io.StringIO(out.read_text())))
+        want = list(csv.DictReader(io.StringIO((DEMO / table).read_text())))
+        assert len(got) == len(want)
+        for row, ref in zip(got, want):
+            assert row.keys() == ref.keys()
+            for key, cell in ref.items():
+                if key in tolerances:
+                    rel, floor = tolerances[key]
+                    assert abs(float(row[key]) - float(cell)) <= rel * abs(float(cell)) + floor
+                else:
+                    assert row[key] == cell
 
     def test_malformed_inputs_exit_2(self, tmp_path, capsys):
         bad_scene = tmp_path / "scene.json"

@@ -22,6 +22,7 @@ from reflectmimo import (
     trace_sequence,
     unit,
 )
+from reflectmimo.tracer import _T_EPS
 from scenelib import brute_force_paths, random_scene, rich_room
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -428,6 +429,15 @@ def assert_matches_brute_force(scene, tx, rx, max_bounces):
     return got
 
 
+def back_face_hits(scene, path) -> bool:
+    """True when some leg of path arrives at its facet from behind."""
+    verts = path.route.vertices
+    return any(
+        scene.facets[fid].normal @ (verts[k + 1] - verts[k]) > 0.0
+        for k, fid in enumerate(path.route.facet_ids)
+    )
+
+
 def count_reflections(monkeypatch, trace, *args):
     """Facet.reflect calls made by trace(*args), and its result."""
     calls = []
@@ -458,29 +468,110 @@ class TestSuffixWalk:
 
     def test_pruning_cuts_reflections(self, monkeypatch):
         # 20 one-sided facets at 3 bounces: the oracle mirrors the receiver
-        # through every facet of all 7,220 + 380 + 20 sequences.
+        # through every facet of all 7,220 + 380 + 20 sequences; the walk
+        # mirrors it 572 times.
         scene, ref = rich_room(np.random.default_rng(7))
         args = (scene, ref.tx_ref, ref.rx_ref, 3)
         walked, paths = count_reflections(monkeypatch, trace_paths, *args)
         brute, _ = count_reflections(monkeypatch, brute_force_paths, *args)
         assert brute == 20 + 2 * 20 * 19 + 3 * 20 * 19 * 19
-        assert 5 * walked <= brute
+        assert 39 * walked <= brute
         assert len(paths) > 10
         assert_matches_brute_force(*args)
 
-    def test_two_sided_facets_are_never_cut(self, monkeypatch):
+    def test_two_sided_facets_are_never_cut(self):
+        # The seed-7 room with every facet two-sided: paths that reflect off
+        # a back face, which the one-sided room cannot have, are found.
         room, ref = rich_room(np.random.default_rng(7))
         scene = Scene(
-            facets=tuple(
-                Facet(f.center, f.axis_u, f.axis_v, f.half_u, f.half_v, two_sided=True)
-                for f in room.facets
-            ),
+            facets=tuple(dataclasses.replace(f, two_sided=True) for f in room.facets),
             carrier_freq=room.carrier_freq,
         )
         args = (scene, ref.tx_ref, ref.rx_ref, 3)
-        walked, _ = count_reflections(monkeypatch, trace_paths, *args)
-        assert walked == 20 + 20 * 19 + 20 * 19 * 19  # one per node of the tree
-        assert_matches_brute_force(*args)
+        paths = assert_matches_brute_force(*args)
+        one_sided = {p.route.facet_ids for p in trace_paths(room, *args[1:])}
+        back = [p.route.facet_ids for p in paths if back_face_hits(scene, p)]
+        assert len(back) >= 3
+        assert one_sided.isdisjoint(back)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        two_sided=st.lists(st.booleans(), min_size=14, max_size=14),
+        floor_halves=st.sampled_from([(None, None), (None, 6.0), (4.5, None)]),
+        max_bounces=st.integers(1, 3),
+    )
+    def test_two_sided_panels_and_unbounded_floor(
+        self, seed, two_sided, floor_halves, max_bounces
+    ):
+        # The culls' exemptions: two-sided facets (on either side of TX) and
+        # a floor unbounded along one or both axes.
+        room, ref = rich_room(np.random.default_rng(seed))
+        facets = list(room.facets)
+        facets[4] = dataclasses.replace(facets[4], half_u=floor_halves[0], half_v=floor_halves[1])
+        for k, flag in enumerate(two_sided, start=6):
+            facets[k] = dataclasses.replace(facets[k], two_sided=flag)
+        scene = Scene(facets=tuple(facets), carrier_freq=room.carrier_freq)
+        assert_matches_brute_force(scene, ref.tx_ref, ref.rx_ref, max_bounces)
+        assert_pairs_match_scalar(scene, ref.tx_ref[None], ref.rx_ref[None], max_bounces)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        beyond=st.floats(0.1, 0.9),
+        max_bounces=st.integers(1, 2),
+    )
+    def test_specular_point_just_past_an_edge(self, seed, beyond, max_bounces):
+        # The specular point lies past a panel edge by less than the bounds
+        # slack _T_EPS, which contains accepts, so the cone from TX's mirror
+        # through the panel must be padded to keep it.
+        rng = np.random.default_rng(seed)
+        half = rng.uniform(0.3, 2.0, size=2)
+        panel = make_facet(rng.uniform(-5.0, 5.0, 3), rng.standard_normal(3), *half)
+        axes = [panel.axis_u, panel.axis_v]
+        k = int(rng.integers(2))
+        hit = (
+            panel.center
+            + rng.choice([-1.0, 1.0]) * (half[k] + beyond * _T_EPS) * axes[k]
+            + rng.uniform(-1.0, 1.0) * half[1 - k] * axes[1 - k]
+        )
+        along = rng.uniform(-2.0, 2.0, size=2) @ np.array(axes)
+        tx = hit + rng.uniform(0.5, 20.0) * unit(panel.normal + along)
+        rx = hit + rng.uniform(0.5, 20.0) * unit(panel.normal - along)
+        scene = Scene(facets=(panel,), carrier_freq=140e9)
+        paths = assert_matches_brute_force(scene, tx, rx, max_bounces)
+        assert (0,) in [p.route.facet_ids for p in paths]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        below=st.floats(0.1, 0.8),
+        rise=st.floats(0.05, 0.15),
+    )
+    def test_next_facet_just_behind_the_last(self, seed, below, rise):
+        # A wall whose top edge lies below a floor's plane by less than the
+        # bounds slack: the route floor -> wall meets the wall just past
+        # that edge, in front of the floor, so the facet-pair table must pad
+        # the wall's corners to keep it. Axis-aligned (up to a signed
+        # permutation) so that heights of 1e-10 m keep their precision.
+        rng = np.random.default_rng(seed)
+        perm = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=(3, 1))
+        perm[0] *= np.linalg.det(perm)  # a rotation: both normals face the routes
+        shift = np.array([*rng.uniform(-5.0, 5.0, 2), 0.0])
+
+        def place(p):
+            return perm @ (np.asarray(p, dtype=float) + shift)
+
+        ex, ey, ez = perm.T
+        floor = Facet(place([0.5, 0.0, 0.0]), ex, ey, half_u=1.0, half_v=1.0)
+        wall = Facet(place([1.0, 0.0, -0.5 - below * _T_EPS]), -ey, ez, 1.0, 0.5)
+        # tx and rx at x = 0 put the wall hit at height (b - a) / 2
+        a = rng.uniform(1e-7, 1e-5)
+        tx = place([0.0, rng.uniform(-0.5, 0.5), a])
+        rx = place([0.0, rng.uniform(-0.5, 0.5), a + 2.0 * rise * _T_EPS])
+        scene = Scene(facets=(floor, wall), carrier_freq=140e9)
+        paths = assert_matches_brute_force(scene, tx, rx, 2)
+        assert (0, 1) in [p.route.facet_ids for p in paths]
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), tx_offsets=_offsets, rx_offsets=_offsets)
