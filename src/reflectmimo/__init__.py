@@ -40,7 +40,6 @@ from .experiments import (
 )
 from .fit_dp import (
     GammaSolution,
-    MatchConfig,
     PairObservation,
     fit_rm_dp,
     match_paths,
@@ -65,7 +64,6 @@ from .paths import (
     RmPath,
     angles_to_image,
     image_to_angles,
-    los_distance,
     pwa_distance,
     rm_distance_angles,
     rm_distance_image,
@@ -94,7 +92,6 @@ __all__ = [
     "Facet",
     "GammaSolution",
     "LinkBudget",
-    "MatchConfig",
     "PairObservation",
     "PwaPath",
     "RateModel",
@@ -117,7 +114,6 @@ __all__ = [
     "fit_rm_rt",
     "householder",
     "image_to_angles",
-    "los_distance",
     "make_facet",
     "match_paths",
     "mimo_matrix",

@@ -119,20 +119,19 @@ def optimal_streams(
 def band_rate(
     channel_at: Callable[[float], np.ndarray],
     f0: float,
-    bandwidth: float,
     budget: LinkBudget,
     model: RateModel = RateModel(),
     n_freq: int = 10,
 ) -> tuple[float, float]:
-    """Midpoint-rule rate over [f0 - B/2, f0 + B/2] of the channel whose
-    (M, N) matrix at frequency f is channel_at(f).
+    """Midpoint-rule rate over [f0 - B/2, f0 + B/2], B = budget.bandwidth_hz,
+    of the channel whose (M, N) matrix at frequency f is channel_at(f). The
+    band is the one the budget's noise power covers.
 
     Returns (rate in bit/s, band-averaged spectral efficiency in bps/Hz).
     """
     if n_freq < 1:
         raise ValueError("need at least one frequency sample")
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    bandwidth = budget.bandwidth_hz
     step = bandwidth / n_freq
     total = 0.0
     for i in range(n_freq):

@@ -274,9 +274,7 @@ def capacity_sweep(
             )
             if name == "exhaustive":
                 counts[name] += len(rx_points) * len(tx_points)
-            _, se_avg = band_rate(
-                evaluator, f0, budget.bandwidth_hz, budget, rate_model, n_freq
-            )
+            _, se_avg = band_rate(evaluator, f0, budget, rate_model, n_freq)
             center = stream_rates(singular_values(evaluator(f0)), budget, rate_model)
             cells.append(
                 SweepCell(

@@ -253,11 +253,15 @@ def load_rm(fp: IO[str]) -> RmExport:
     return export
 
 
-def _check_rm_consistency(export: RmExport, n_probe: int = 10) -> None:
+# Random probe points per path at which the two stored forms must agree.
+_N_PROBE = 10
+
+
+def _check_rm_consistency(export: RmExport) -> None:
     """The angle form and the matrix form must agree at random probe points."""
     rng = np.random.default_rng(20240917)
     for k, (path, img) in enumerate(export.paths):
-        for _ in range(n_probe):
+        for _ in range(_N_PROBE):
             rx = export.ref.rx_ref + rng.uniform(-2.0, 2.0, size=3)
             tx = export.ref.tx_ref + rng.uniform(-2.0, 2.0, size=3)
             da = rm_distance_angles(rx, tx, export.ref, path)

@@ -9,8 +9,9 @@ down: each displaced pair contributes one linear equation in
 (cos roll, sin roll) for either parity, obtained by squaring the modeled
 distance, and the parity/roll pair that explains the measured delays wins.
 
-Paths are identified across pairs by greedy nearest-angle matching, closest
-match first for the strongest reference path.
+Paths are identified across pairs by one fixed greedy rule: reference paths
+take their matches strongest first, each the unused displaced path whose four
+angle gaps, summed in degrees, are smallest, ties going to the lowest index.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .geometry import wrap_angle
 
 __all__ = [
     "GammaSolution",
-    "MatchConfig",
     "PairObservation",
     "fit_rm_dp",
     "match_paths",
@@ -42,6 +42,9 @@ __all__ = [
 
 # The plane-wave parameters that fit_rm_dp copies into each RmPath.
 _PWA_FIELDS = tuple(f.name for f in fields(PwaPath))
+
+# Weight of every angle gap in the matching cost: the gaps are summed in degrees.
+_DEG_PER_RAD = 180.0 / math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,20 +59,6 @@ class PairObservation:
         object.__setattr__(self, "tx", _vec3(self.tx, "tx"))
         object.__setattr__(self, "rx", _vec3(self.rx, "rx"))
         object.__setattr__(self, "paths", tuple(self.paths))
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Weights of the angle-distance used for path matching.
-
-    c0 weighs azimuth differences, c1 elevation differences (per radian).
-    max_delay_rank_gap, when set, additionally restricts candidates to paths
-    whose position in the delay ordering differs by at most that many ranks.
-    """
-
-    c0: float = 180.0 / math.pi
-    c1: float = 180.0 / math.pi
-    max_delay_rank_gap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -94,23 +83,21 @@ def _angle_gap(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
-def _match_cost(ref: PwaPath, cand: PwaPath, cfg: MatchConfig) -> float:
-    cost = cfg.c0 * _angle_gap(ref.aoa_az, cand.aoa_az)
-    cost += cfg.c0 * _angle_gap(ref.aod_az, cand.aod_az)
-    cost += cfg.c1 * abs(ref.aoa_el - cand.aoa_el)
-    cost += cfg.c1 * abs(ref.aod_el - cand.aod_el)
+def _match_cost(ref: PwaPath, cand: PwaPath) -> float:
+    cost = _DEG_PER_RAD * _angle_gap(ref.aoa_az, cand.aoa_az)
+    cost += _DEG_PER_RAD * _angle_gap(ref.aod_az, cand.aod_az)
+    cost += _DEG_PER_RAD * abs(ref.aoa_el - cand.aoa_el)
+    cost += _DEG_PER_RAD * abs(ref.aod_el - cand.aod_el)
     return cost
 
 
-def _delay_ranks(paths: tuple[PwaPath, ...]) -> dict[int, int]:
-    order = sorted(range(len(paths)), key=lambda i: paths[i].delay)
-    return {idx: rank for rank, idx in enumerate(order)}
+def _strongest_first(paths: tuple[PwaPath, ...]) -> list[int]:
+    """Path indices by descending |gain|, equal gains in index order."""
+    return sorted(range(len(paths)), key=lambda i: (-abs(paths[i].gain), i))
 
 
 def match_paths(
-    reference: PairObservation,
-    displaced: PairObservation,
-    cfg: MatchConfig = MatchConfig(),
+    reference: PairObservation, displaced: PairObservation
 ) -> list[int | None]:
     """Injective map from reference path index to displaced path index.
 
@@ -121,25 +108,15 @@ def match_paths(
     """
     if not reference.paths or not displaced.paths:
         raise ValueError("cannot match empty path lists")
-    ref_ranks = _delay_ranks(reference.paths)
-    disp_ranks = _delay_ranks(displaced.paths)
-
-    order = sorted(
-        range(len(reference.paths)),
-        key=lambda i: (-abs(reference.paths[i].gain), i),
-    )
     result: list[int | None] = [None] * len(reference.paths)
     used = set()
-    for i in order:
+    for i in _strongest_first(reference.paths):
         best = None
         best_cost = math.inf
         for j, cand in enumerate(displaced.paths):
             if j in used:
                 continue
-            if cfg.max_delay_rank_gap is not None:
-                if abs(ref_ranks[i] - disp_ranks[j]) > cfg.max_delay_rank_gap:
-                    continue
-            cost = _match_cost(reference.paths[i], cand, cfg)
+            cost = _match_cost(reference.paths[i], cand)
             if cost < best_cost:
                 best_cost = cost
                 best = j
@@ -151,10 +128,9 @@ def match_paths(
 
 def _fit_roll(a_mat: np.ndarray, c_vec: np.ndarray) -> tuple[float, float, float] | None:
     """Least-squares (x, y, residual) for A @ (x, y) ~ C; None if rank < 2."""
-    sv = np.linalg.svd(a_mat, compute_uv=False)
+    sol, _, _, sv = np.linalg.lstsq(a_mat, c_vec, rcond=None)
     if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
         return None
-    sol, *_ = np.linalg.lstsq(a_mat, c_vec, rcond=None)
     resid = float(np.sum((c_vec - a_mat @ sol) ** 2))
     return float(sol[0]), float(sol[1]), resid
 
@@ -163,7 +139,6 @@ def solve_gamma_s(
     reference: PairObservation,
     displaced: list[PairObservation],
     ref_geometry: ReferencePair,
-    cfg: MatchConfig = MatchConfig(),
 ) -> list[GammaSolution]:
     """Per-path roll angle and mirror parity from displaced-pair delays.
 
@@ -180,7 +155,7 @@ def solve_gamma_s(
     if not ref_geometry.matches(reference.tx, reference.rx):
         raise ValueError("reference observation does not sit at the reference pair")
 
-    matches = [match_paths(reference, obs, cfg) for obs in displaced]
+    matches = [match_paths(reference, obs) for obs in displaced]
 
     solutions = []
     for i, path in enumerate(reference.paths):
@@ -246,28 +221,19 @@ def fit_rm_dp(
     reference: PairObservation,
     displaced: list[PairObservation],
     ref_geometry: ReferencePair,
-    cfg: MatchConfig = MatchConfig(),
 ) -> list[RmPath]:
     """Reflection-model paths from plane-wave observations alone.
 
     Gains, delays and angles are copied from the reference observation; roll
-    and parity come from solve_gamma_s. Paths are returned strongest first;
-    paths whose system is degenerate are dropped.
+    and parity come from solve_gamma_s. Paths are returned strongest first,
+    in match_paths' order; paths whose system is degenerate are dropped.
     """
-    order = sorted(
-        range(len(reference.paths)),
-        key=lambda i: (-abs(reference.paths[i].gain), i),
-    )
-    sorted_ref = PairObservation(
-        tx=reference.tx,
-        rx=reference.rx,
-        paths=tuple(reference.paths[i] for i in order),
-    )
-    solutions = solve_gamma_s(sorted_ref, displaced, ref_geometry, cfg)
+    solutions = solve_gamma_s(reference, displaced, ref_geometry)
     fitted = []
-    for path, sol in zip(sorted_ref.paths, solutions):
+    for i in _strongest_first(reference.paths):
+        sol = solutions[i]
         if not sol.ok:
             continue
-        pwa = {name: getattr(path, name) for name in _PWA_FIELDS}
+        pwa = {name: getattr(reference.paths[i], name) for name in _PWA_FIELDS}
         fitted.append(RmPath(**pwa, roll=sol.gamma, s=sol.s))
     return fitted

@@ -1,9 +1,8 @@
 """Multipath distance models around a reference TX/RX pair.
 
-Three ways to evaluate the propagation distance of one path when the antennas
+Two ways to evaluate the propagation distance of one path when the antennas
 move away from the reference positions:
 
-* ``los_distance``      exact straight-line distance (line of sight only),
 * ``pwa_distance``      first-order plane-wave extrapolation from the path's
                         arrival/departure directions (second-order error),
 * ``rm_distance_*``     the reflection model: distance to a mirror image of
@@ -42,7 +41,6 @@ __all__ = [
     "angles_to_image",
     "departure_mirror",
     "image_to_angles",
-    "los_distance",
     "pwa_distance",
     "rm_distance_angles",
     "rm_distance_image",
@@ -145,11 +143,6 @@ class RmPath(PwaPath):
         super().__post_init__()
         if self.s not in (-1, 1):
             raise ValueError(f"mirror parity must be -1 or +1, got {self.s!r}")
-
-
-def los_distance(rx: np.ndarray, tx: np.ndarray) -> float:
-    """Straight-line distance between transmitter and receiver."""
-    return float(np.linalg.norm(_vec3(rx, "rx") - _vec3(tx, "tx")))
 
 
 def align_rotation(azimuth: float, elevation: float) -> np.ndarray:

@@ -6,7 +6,8 @@ export entry behind fails here rather than at a star import.
 perfbench/spans.py wraps public functions by (layer, name) to time them; a
 name deleted from the package would only show up there as a failed traced
 benchmark run, so the targets are checked here. The file is parsed, not
-imported, because it belongs to the benchmark.
+imported, because it belongs to the benchmark. Some of its hooks also read a
+wrapped call's arguments by name, so those parameters are checked as well.
 
 The frozen dataclasses that hold numpy arrays compare and hash by identity:
 a field-wise == would have to reduce array comparisons to one bool.
@@ -14,6 +15,7 @@ a field-wise == would have to reduce array comparisons to one bool.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -61,6 +63,29 @@ def test_span_targets_exist():
         if not callable(getattr(importlib.import_module(f"reflectmimo.{layer}"), name, None))
     ]
     assert missing == []
+
+
+# Arguments the span hooks read: a first parameter as args[0] or by its name,
+# a keyword-only one from kwargs.
+HOOK_ARGUMENTS = [
+    ("fit_dp", "fit_rm_dp", "reference", "first"),
+    ("channel", "mimo_from_traced_pairs", "pair_params", "first"),
+    ("channel", "mimo_matrix", "paths", "keyword"),
+]
+
+
+@pytest.mark.parametrize("layer, name, param, where", HOOK_ARGUMENTS)
+def test_span_hook_arguments_exist(layer, name, param, where):
+    assert name in span_targets()[layer]
+    func = getattr(importlib.import_module(f"reflectmimo.{layer}"), name)
+    params = list(inspect.signature(func).parameters.values())
+    if where == "first":
+        assert params[0].name == param
+        assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    else:
+        assert [p.kind for p in params if p.name == param] == [
+            inspect.Parameter.KEYWORD_ONLY
+        ]
 
 
 def test_capacity_layer_does_not_import_channel():

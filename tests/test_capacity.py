@@ -205,10 +205,10 @@ class TestSpectralEfficiency:
 class TestBandRate:
     def test_flat_channel_averages_to_center(self):
         h = np.eye(2, dtype=complex) * snr_unit_singular(BUDGET)
-        rate, se_avg = band_rate(lambda f: h, F0, 2e9, BUDGET, MODEL, n_freq=10)
+        rate, se_avg = band_rate(lambda f: h, F0, BUDGET, MODEL, n_freq=10)
         se0 = spectral_efficiency(singular_values(h), BUDGET, MODEL)
         assert abs(se_avg - se0) <= 1e-12
-        assert abs(rate - se_avg * 2e9) <= 1e-3
+        assert abs(rate - se_avg * BUDGET.bandwidth_hz) <= 1e-3
 
     def test_single_sample_is_center_frequency(self):
         seen = []
@@ -217,7 +217,7 @@ class TestBandRate:
             seen.append(f)
             return np.eye(2, dtype=complex) * snr_unit_singular(BUDGET)
 
-        band_rate(channel, F0, 2e9, BUDGET, MODEL, n_freq=1)
+        band_rate(channel, F0, BUDGET, MODEL, n_freq=1)
         assert seen == [F0]
 
     def test_samples_cover_band_midpoints(self):
@@ -227,16 +227,19 @@ class TestBandRate:
             seen.append(f)
             return np.eye(1, dtype=complex)
 
-        band_rate(channel, F0, 2e9, BUDGET, MODEL, n_freq=4)
+        band_rate(channel, F0, BUDGET, MODEL, n_freq=4)
         expected = [F0 - 1e9 + (i + 0.5) * 5e8 for i in range(4)]
+        assert np.allclose(seen, expected)
+        # the band is the budget's, whose noise power the rate model uses
+        seen.clear()
+        band_rate(channel, F0, LinkBudget(bandwidth_hz=1e9), MODEL, n_freq=4)
+        expected = [F0 - 5e8 + (i + 0.5) * 2.5e8 for i in range(4)]
         assert np.allclose(seen, expected)
 
     def test_validation(self):
         h = np.eye(1, dtype=complex)
         with pytest.raises(ValueError):
-            band_rate(lambda f: h, F0, 2e9, BUDGET, MODEL, n_freq=0)
-        with pytest.raises(ValueError):
-            band_rate(lambda f: h, F0, -1.0, BUDGET, MODEL)
+            band_rate(lambda f: h, F0, BUDGET, MODEL, n_freq=0)
 
     def test_orthogonal_spacing_los_closed_form(self):
         # at element spacing sqrt(lambda R / 8) the 8x8 LOS matrix is close
@@ -261,7 +264,6 @@ class TestBandRate:
         _, se_avg = band_rate(
             lambda f: mimo_matrix(txa, rxa, "rm_image", f, F0, paths=rm, ref=ref),
             F0,
-            2e9,
             BUDGET,
             MODEL,
             n_freq=10,

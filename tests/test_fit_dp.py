@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reflectmimo.fit_dp import (
-    MatchConfig,
     PairObservation,
     _fit_roll,
     fit_rm_dp,
@@ -48,12 +50,12 @@ def synth_path(gain=1.0, delay=1e-7, aoa_az=0.0, aoa_el=0.0, aod_az=0.0, aod_el=
     )
 
 
-def displaced_observation(scene, rng, radius, max_bounces=2):
+def displaced_observation(scene, rng, radius, max_bounces=2, tx0=TX0, rx0=RX0):
     """Observe a pair displaced by `radius` in a random direction per endpoint."""
     d_t = rng.normal(size=3)
     d_r = rng.normal(size=3)
-    tx = TX0 + radius * d_t / np.linalg.norm(d_t)
-    rx = RX0 + radius * d_r / np.linalg.norm(d_r)
+    tx = tx0 + radius * d_t / np.linalg.norm(d_t)
+    rx = rx0 + radius * d_r / np.linalg.norm(d_r)
     obs, _ = observe(scene, tx, rx, max_bounces=max_bounces)
     return obs
 
@@ -121,9 +123,11 @@ class TestMatchPaths:
         off_el = synth_path(gain=0.4, aoa_el=0.1)
         disp = PairObservation(tx=TX0, rx=RX0, paths=(off_az, off_el))
         # equal weights: the 0.1 rad elevation gap wins over 0.5 rad azimuth
-        assert match_paths(ref, disp, MatchConfig(c0=1.0, c1=1.0)) == [1]
-        # elevation penalized 10x: now the azimuth-offset candidate wins
-        assert match_paths(ref, disp, MatchConfig(c0=1.0, c1=10.0)) == [0]
+        assert match_paths(ref, disp) == [1]
+        # a departure elevation gap of 0.6 rad loses to the 0.5 rad azimuth gap
+        off_el = synth_path(gain=0.4, aod_el=0.6)
+        disp = PairObservation(tx=TX0, rx=RX0, paths=(off_az, off_el))
+        assert match_paths(ref, disp) == [0]
 
     def test_strongest_reference_path_picks_first(self):
         weak = synth_path(gain=0.1, aoa_az=0.0)
@@ -135,7 +139,7 @@ class TestMatchPaths:
         # both reference paths prefer `contested`; the strong one claims it
         assert match_paths(ref, disp) == [1, 0]
 
-    def test_delay_rank_gap_restricts_candidates(self):
+    def test_delay_plays_no_part_in_matching(self):
         ref = PairObservation(tx=TX0, rx=RX0, paths=(synth_path(delay=1e-7),))
         angle_match_late = synth_path(gain=0.5, delay=3e-7)
         angle_off_early = synth_path(gain=0.4, delay=1.1e-7, aoa_az=0.3)
@@ -143,8 +147,24 @@ class TestMatchPaths:
             tx=TX0, rx=RX0, paths=(angle_match_late, angle_off_early)
         )
         assert match_paths(ref, disp) == [0]
-        cfg = MatchConfig(max_delay_rank_gap=0)
-        assert match_paths(ref, disp, cfg) == [1]
+
+    def test_equal_costs_go_to_the_lower_index(self):
+        # the candidates differ in gain and delay only, so their costs are
+        # equal; the strongest reference path takes index 0 whatever the
+        # candidates' own gains, the next one index 1
+        strong = synth_path(gain=1.0, aoa_az=0.1)
+        weak = synth_path(gain=0.5, aoa_az=-0.1)
+        weak_cand = synth_path(gain=0.2, delay=3e-7)
+        strong_cand = synth_path(gain=0.9, delay=1e-7)
+        for cands in ((weak_cand, strong_cand), (strong_cand, weak_cand)):
+            disp = PairObservation(tx=TX0, rx=RX0, paths=cands)
+            ref = PairObservation(tx=TX0, rx=RX0, paths=(weak, strong))
+            assert match_paths(ref, disp) == [1, 0]
+            # equal reference gains: the lower reference index picks first
+            ref = PairObservation(
+                tx=TX0, rx=RX0, paths=(weak, synth_path(gain=0.5, aoa_az=0.1))
+            )
+            assert match_paths(ref, disp) == [0, 1]
 
 
 class TestRollLeastSquares:
@@ -271,16 +291,9 @@ class TestFitRmDp:
         assert len(ref_traced) >= 6
 
         rng = np.random.default_rng(7)
-        displaced = []
-        for radius in (0.01, 0.02):
-            d_t = rng.normal(size=3)
-            d_r = rng.normal(size=3)
-            obs, _ = observe(
-                scene,
-                tx + radius * d_t / np.linalg.norm(d_t),
-                rx + radius * d_r / np.linalg.norm(d_r),
-            )
-            displaced.append(obs)
+        displaced = [
+            displaced_observation(scene, rng, r, tx0=tx, rx0=rx) for r in (0.01, 0.02)
+        ]
 
         fitted = fit_rm_dp(ref_obs, displaced, pair)
         assert len(fitted) == len(ref_traced)
@@ -328,6 +341,31 @@ class TestFitRmDp:
             assert est.aoa_az == src.aoa_az and est.aoa_el == src.aoa_el
             assert est.aod_az == src.aod_az and est.aod_el == src.aod_el
 
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reference_order_does_not_change_the_fit(self, seed, data):
+        rng = np.random.default_rng(seed)
+        scene, pair = random_scene(rng)
+        ref_obs, _ = observe(scene, pair.tx_ref, pair.rx_ref)
+        gains = [abs(p.gain) for p in ref_obs.paths]
+        assume(len(set(gains)) == len(gains))
+        displaced = [
+            displaced_observation(scene, rng, r, tx0=pair.tx_ref, rx0=pair.rx_ref)
+            for r in (0.01, 0.02)
+        ]
+        perm = data.draw(st.permutations(range(len(ref_obs.paths))))
+        permuted = PairObservation(
+            tx=ref_obs.tx, rx=ref_obs.rx, paths=tuple(ref_obs.paths[i] for i in perm)
+        )
+        base = fit_rm_dp(ref_obs, displaced, pair)
+        again = fit_rm_dp(permuted, displaced, pair)
+        assert base
+
+        def values(fits):
+            return [[getattr(p, f.name) for f in fields(RmPath)] for p in fits]
+
+        assert values(again) == values(base)
+
 
 class TestInvariants:
     def test_distance_functions_agree_with_route_fit(self):
@@ -337,16 +375,10 @@ class TestInvariants:
             rng = np.random.default_rng(100 + seed)
             scene, pair = random_scene(rng)
             ref_obs, ref_traced = observe(scene, pair.tx_ref, pair.rx_ref)
-            displaced = []
-            for radius in (0.01, 0.02):
-                d_t = rng.normal(size=3)
-                d_r = rng.normal(size=3)
-                obs, _ = observe(
-                    scene,
-                    pair.tx_ref + radius * d_t / np.linalg.norm(d_t),
-                    pair.rx_ref + radius * d_r / np.linalg.norm(d_r),
-                )
-                displaced.append(obs)
+            displaced = [
+                displaced_observation(scene, rng, r, tx0=pair.tx_ref, rx0=pair.rx_ref)
+                for r in (0.01, 0.02)
+            ]
             sols = solve_gamma_s(ref_obs, displaced, pair)
             for sol, traced in zip(sols, ref_traced):
                 if not sol.ok:

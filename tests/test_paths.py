@@ -13,7 +13,6 @@ from reflectmimo import (
     RmPath,
     angles_to_image,
     image_to_angles,
-    los_distance,
     pwa_distance,
     rm_distance_angles,
     rm_distance_image,
@@ -21,6 +20,11 @@ from reflectmimo import (
     unit,
 )
 from scenelib import random_orthogonal
+
+def los_distance(rx: np.ndarray, tx: np.ndarray) -> float:
+    """Straight-line distance, the oracle for line-of-sight paths."""
+    return float(np.linalg.norm(rx - tx))
+
 
 LOS_REF = ReferencePair(tx_ref=np.zeros(3), rx_ref=np.array([100.0, 0.0, 0.0]))
 
