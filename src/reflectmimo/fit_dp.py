@@ -79,18 +79,6 @@ class GammaSolution:
         return math.isfinite(self.residual)
 
 
-def _angle_gap(a: float, b: float) -> float:
-    return abs(wrap_angle(a - b))
-
-
-def _match_cost(ref: PwaPath, cand: PwaPath) -> float:
-    cost = _DEG_PER_RAD * _angle_gap(ref.aoa_az, cand.aoa_az)
-    cost += _DEG_PER_RAD * _angle_gap(ref.aod_az, cand.aod_az)
-    cost += _DEG_PER_RAD * abs(ref.aoa_el - cand.aoa_el)
-    cost += _DEG_PER_RAD * abs(ref.aod_el - cand.aod_el)
-    return cost
-
-
 def _strongest_first(paths: tuple[PwaPath, ...]) -> list[int]:
     """Path indices by descending |gain|, equal gains in index order."""
     return sorted(range(len(paths)), key=lambda i: (-abs(paths[i].gain), i))
@@ -110,13 +98,19 @@ def match_paths(
         raise ValueError("cannot match empty path lists")
     result: list[int | None] = [None] * len(reference.paths)
     used = set()
+    remainder, turn = math.remainder, 2.0 * math.pi
     for i in _strongest_first(reference.paths):
+        ref = reference.paths[i]
         best = None
         best_cost = math.inf
         for j, cand in enumerate(displaced.paths):
             if j in used:
                 continue
-            cost = _match_cost(reference.paths[i], cand)
+            # the four angle gaps in degrees, azimuths wrapped, summed in order
+            cost = _DEG_PER_RAD * abs(remainder(ref.aoa_az - cand.aoa_az, turn))
+            cost += _DEG_PER_RAD * abs(remainder(ref.aod_az - cand.aod_az, turn))
+            cost += _DEG_PER_RAD * abs(ref.aoa_el - cand.aoa_el)
+            cost += _DEG_PER_RAD * abs(ref.aod_el - cand.aod_el)
             if cost < best_cost:
                 best_cost = cost
                 best = j

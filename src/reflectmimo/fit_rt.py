@@ -1,10 +1,10 @@
 """Reflection-model extraction from explicit ray routes.
 
-Each interior bend of a route determines the mirror plane that produced it
-(normal along the change of the unit step direction); composing the per-bend
-Householder mirrors yields the orthogonal matrix U and offset g such that
-|rx - U tx - g| reproduces the route length exactly for any endpoints that
-keep the same reflection sequence.
+The mirror image (U, g) reproduces the route length as |rx - U tx - g| for
+any endpoints that keep the reflection sequence: it composes the Householder
+mirrors of the planes the route meets. A traced path names them by facet
+(TracedPath.image); on a route loaded from an export, each interior bend
+determines its plane, normal along the change of the unit step direction.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import dataclasses
 
 import numpy as np
 
-from .geometry import householder
 from .paths import C_LIGHT, ReferencePair, RmImage, RmPath, image_to_angles
 from .tracer import Route, TracedPath
 
@@ -38,33 +37,28 @@ def fit_from_route(route: Route) -> RmImage:
         raise ValueError("route has coincident consecutive vertices")
     v = steps / lengths[:, None]
 
-    u_mat = np.eye(3)
-    g = np.zeros(3)
-    for k in range(len(v) - 1):
-        bend = v[k + 1] - v[k]
-        bend_norm = float(np.linalg.norm(bend))
-        if bend_norm < _MIN_BEND:
-            raise ValueError(
-                f"interaction {k} is a straight pass-through, mirror normal undefined"
-            )
-        n = bend / bend_norm
-        b = float(n @ verts[k + 1])
-        mirror = householder(n)
-        u_mat = mirror @ u_mat
-        g = 2.0 * b * n + mirror @ g
-    return RmImage(U=u_mat, g=g)
+    bends = np.diff(v, axis=0)
+    bend_norms = np.linalg.norm(bends, axis=1)
+    straight = np.flatnonzero(bend_norms < _MIN_BEND)
+    if straight.size:
+        k = straight[0]
+        raise ValueError(f"interaction {k} is a straight pass-through, mirror normal undefined")
+    normals = bends / bend_norms[:, None]
+    return RmImage.from_planes(zip(normals, np.sum(normals * verts[1:-1], axis=1)))
 
 
 def fit_rm_rt(path: TracedPath, ref: ReferencePair) -> RmPath:
     """Angle-form reflection parameters of a traced path at its reference.
 
-    Copies the traced gain and delay and checks that the image distance at
-    the reference reproduces the traced delay.
+    Copies the traced gain and delay; the image, path.image or without a
+    scene fit_from_route's, must reproduce the delay at the reference.
     """
     verts = path.route.vertices
     if not ref.matches(verts[0], verts[-1]):
         raise ValueError("route endpoints do not match the reference pair")
-    img = fit_from_route(path.route)
+    img = path.image
+    if img is None:
+        img = fit_from_route(path.route)
     rm = image_to_angles(img, ref, gain=path.gain)
     if abs(rm.delay - path.delay) * C_LIGHT > 1e-9 * max(1.0, C_LIGHT * path.delay):
         raise ValueError("image distance disagrees with the traced path length")

@@ -40,7 +40,7 @@ def wrap_angle(angle: float) -> float:
 def unit(v: np.ndarray) -> np.ndarray:
     """Return v scaled to unit length; rejects (near-)zero input."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))
     if n < 1e-15:
         raise ValueError("cannot normalize a zero vector")
     return v / n
@@ -126,7 +126,7 @@ def dir_to_angles(u: np.ndarray) -> tuple[float, float]:
     At the poles the azimuth is undefined and 0 is returned.
     """
     u = np.asarray(u, dtype=float)
-    n = float(np.linalg.norm(u))
+    n = math.sqrt(u.dot(u))
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"direction must be unit length, got |u| = {n}")
     elevation = math.asin(max(-1.0, min(1.0, float(u[2]))))

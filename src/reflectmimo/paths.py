@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _EYE3,
     dir_to_angles,
     euler_factor_so3,
     rotation_matrix,
@@ -82,11 +83,9 @@ class ReferencePair:
 
     def matches(self, tx: np.ndarray, rx: np.ndarray) -> bool:
         """True when tx and rx are within 1e-9 * max(1, |rx_ref - tx_ref|) of it."""
-        tol = 1e-9 * max(1.0, float(np.linalg.norm(self.rx_ref - self.tx_ref)))
-        return (
-            float(np.linalg.norm(tx - self.tx_ref)) <= tol
-            and float(np.linalg.norm(rx - self.rx_ref)) <= tol
-        )
+        span, d_tx, d_rx = self.rx_ref - self.tx_ref, tx - self.tx_ref, rx - self.rx_ref
+        tol = 1e-9 * max(1.0, math.sqrt(span.dot(span)))
+        return math.sqrt(d_tx.dot(d_tx)) <= tol and math.sqrt(d_rx.dot(d_rx)) <= tol
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,28 @@ class RmImage:
         u = np.asarray(self.U, dtype=float)
         if u.shape != (3, 3):
             raise ValueError("U must be a 3x3 matrix")
-        if float(np.max(np.abs(u.T @ u - np.eye(3)))) > 1e-9:
+        if float(np.max(np.abs(u.T @ u - _EYE3))) > 1e-9:
             raise ValueError("U must be orthogonal")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "g", _vec3(self.g, "g"))
+
+    @classmethod
+    def from_planes(cls, planes) -> RmImage:
+        """Image of specular reflections off the planes n . x = b, (n, b) with
+        unit n in the order the path meets them; none give the identity. Each
+        mirrors the image so far, x -> x - 2 (n . x - b) n: U's columns by its
+        linear part, g by all of it."""
+        cols, g = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)
+        for n, b in planes:
+            nx, ny, nz = map(float, n)
+            if abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) > 1e-9:
+                raise ValueError(f"mirror normal must be unit length, got {n}")
+            images = []
+            for (x, y, z), off in zip((*cols, g), (0.0, 0.0, 0.0, b)):
+                d = 2.0 * (nx * x + ny * y + nz * z - off)
+                images.append((x - d * nx, y - d * ny, z - d * nz))
+            *cols, g = images
+        return cls(U=np.array(cols).T, g=np.array(g))
 
 
 @dataclass(frozen=True)
@@ -216,7 +233,7 @@ def image_to_angles(img: RmImage, ref: ReferencePair, gain: complex = 0j) -> RmP
     coincides with the reference receiver (zero path length).
     """
     d0 = ref.rx_ref - img.U @ ref.tx_ref - img.g
-    dist = float(np.linalg.norm(d0))
+    dist = math.sqrt(d0.dot(d0))
     if dist < 1e-12:
         raise ValueError("transmitter image coincides with the reference receiver")
     aoa_az, aoa_el = dir_to_angles(-d0 / dist)

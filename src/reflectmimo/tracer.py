@@ -15,8 +15,9 @@ blocked by another facet. The kept sequences are sorted (line of sight,
 bounce count, lexicographic) before the seam rule and the gains, so the
 output is that of trying every sequence in that order. Gains follow
 free-space spreading over the route length with a fixed per-bounce loss,
-phase referenced to the scene carrier. Two tracers share the walk and these
-rules:
+phase referenced to the scene carrier. Each traced path keeps its scene, so
+its mirror image (U, g) composes from the planes of the facets it meets.
+Two tracers share the walk and these rules:
 
 * ``trace_paths`` traces one TX/RX pair on the plain float triples each
   Facet keeps next to its arrays, because numpy call overhead dominates at
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import dir_to_angles, unit
-from .paths import C_LIGHT, PwaPath, ReferencePair
+from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage
 
 __all__ = [
     "Facet",
@@ -266,15 +267,29 @@ class Route:
 
 @dataclass(frozen=True, eq=False)
 class TracedPath:
-    """A traced route with its complex gain and absolute delay, length / c."""
+    """A traced route with its complex gain and absolute delay, length / c,
+    and the scene trace_paths traced it in (None for routes from exports)."""
 
     route: Route
     gain: complex
     delay: float
+    scene: Scene | None = None
 
     @property
     def bounces(self) -> int:
         return self.route.bounces
+
+    @property
+    def image(self) -> RmImage | None:
+        """Mirror image (U, g) of the route's facets, composed from their
+        planes in the scene on each call; None without a scene or facet ids,
+        as for routes from exports, whose image fit_from_route reads off the
+        bends."""
+        ids = self.route.facet_ids
+        if self.scene is None or ids is None:
+            return None
+        facets = self.scene.facets
+        return RmImage.from_planes((facets[i]._normal, facets[i].intercept) for i in ids)
 
 
 def route_length(route: Route) -> float:
@@ -570,7 +585,7 @@ def trace_paths(
     for seq, vertices, _, length in _kept(accepted, _FLOAT_OPS):
         route = Route(vertices, seq)
         gain = _gain(scene, length, len(seq), _FLOAT_OPS)
-        paths.append(TracedPath(route=route, gain=gain, delay=length / C_LIGHT))
+        paths.append(TracedPath(route=route, gain=gain, delay=length / C_LIGHT, scene=scene))
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))
     return paths
 

@@ -7,7 +7,8 @@ perfbench/spans.py wraps public functions by (layer, name) to time them; a
 name deleted from the package would only show up there as a failed traced
 benchmark run, so the targets are checked here. The file is parsed, not
 imported, because it belongs to the benchmark. Some of its hooks also read a
-wrapped call's arguments by name, so those parameters are checked as well.
+wrapped call's arguments by name, and the workloads call the per-path API
+positionally, so those parameters are checked as well.
 
 The frozen dataclasses that hold numpy arrays compare and hash by identity:
 a field-wise == would have to reduce array comparisons to one bool.
@@ -86,6 +87,25 @@ def test_span_hook_arguments_exist(layer, name, param, where):
         assert [p.kind for p in params if p.name == param] == [
             inspect.Parameter.KEYWORD_ONLY
         ]
+
+
+# Per-path calls that perfbench/workloads.py makes with positional arguments:
+# their leading parameters, in order. Any further parameter needs a default.
+POSITIONAL_CALLS = [
+    ("tracer", "trace_paths", ("scene", "tx", "rx", "max_bounces")),
+    ("fit_rt", "fit_rm_rt", ("path", "ref")),
+    ("tracer", "to_pwa", ("path", "ref")),
+]
+
+
+@pytest.mark.parametrize("layer, name, leading", POSITIONAL_CALLS)
+def test_positional_call_signatures(layer, name, leading):
+    assert name in span_targets()[layer]
+    func = getattr(importlib.import_module(f"reflectmimo.{layer}"), name)
+    params = list(inspect.signature(func).parameters.values())
+    assert tuple(p.name for p in params[: len(leading)]) == leading
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[: len(leading)])
+    assert all(p.default is not inspect.Parameter.empty for p in params[len(leading):])
 
 
 def test_capacity_layer_does_not_import_channel():

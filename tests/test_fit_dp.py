@@ -166,6 +166,36 @@ class TestMatchPaths:
             )
             assert match_paths(ref, disp) == [0, 1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_rule_written_out(self, data):
+        # angles and gains from small grids, so that costs and gains tie and
+        # azimuth gaps wrap across +-pi
+        angle = st.sampled_from([-math.pi, -3.0, -1.0, 0.0, 0.25, 1.0, 3.0, math.pi])
+        path = st.builds(
+            synth_path,
+            gain=st.sampled_from([1.0, 0.5, -0.5, 0.25]),
+            aoa_az=angle, aoa_el=angle, aod_az=angle, aod_el=angle,
+        )
+        ref_paths = data.draw(st.lists(path, min_size=1, max_size=6))
+        disp_paths = data.draw(st.lists(path, min_size=1, max_size=6))
+
+        def cost(a, b):
+            gap = math.degrees(abs(wrap_angle(a.aoa_az - b.aoa_az)))
+            gap += math.degrees(abs(wrap_angle(a.aod_az - b.aod_az)))
+            gap += math.degrees(abs(a.aoa_el - b.aoa_el))
+            return gap + math.degrees(abs(a.aod_el - b.aod_el))
+
+        want = [None] * len(ref_paths)
+        free = list(range(len(disp_paths)))
+        for i in sorted(range(len(ref_paths)), key=lambda i: (-abs(ref_paths[i].gain), i)):
+            if free:
+                want[i] = min(free, key=lambda j: (cost(ref_paths[i], disp_paths[j]), j))
+                free.remove(want[i])
+        ref = PairObservation(tx=TX0, rx=RX0, paths=ref_paths)
+        disp = PairObservation(tx=TX0, rx=RX0, paths=disp_paths)
+        assert match_paths(ref, disp) == want
+
 
 class TestRollLeastSquares:
     def test_exactly_determined_system(self):

@@ -1,13 +1,17 @@
-import math
+import dataclasses
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectmimo import (
     C_LIGHT,
     ReferencePair,
     Route,
     Scene,
+    fileio,
     fit_from_route,
     fit_rm_rt,
     make_facet,
@@ -15,8 +19,11 @@ from reflectmimo import (
     rm_distance_image,
     to_pwa,
     trace_paths,
+    wrap_angle,
 )
-from scenelib import random_scene, retrace_length
+from scenelib import random_scene, retrace_length, rich_room
+
+ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")
 
 
 def corridor_scene() -> tuple[Scene, ReferencePair]:
@@ -196,3 +203,98 @@ class TestFitRmRt:
         (p,) = trace_paths(Scene(facets=(), carrier_freq=140e9), tx, rx, 0)
         with pytest.raises(ValueError):
             fit_rm_rt(p, ReferencePair(tx_ref=tx + 1.0, rx_ref=rx))
+
+
+def route_tolerance_scale(path) -> float:
+    """1 / the shortest leg of the route in metres, at least 1.
+
+    fit_from_route reads each plane normal off the unit steps between the
+    route's vertices, which carry ~1e-15 m of rounding: its U and angles are
+    off by that over the leg length, while the facet image is not.
+    """
+    legs = np.linalg.norm(np.diff(path.route.vertices, axis=0), axis=1)
+    return 1.0 / min(1.0, float(legs.min()))
+
+
+def assert_same_fit(got, want, scale: float) -> None:
+    """gain, delay and parity equal; angles within 1e-12, roll within 1e-10
+    rad, both times scale."""
+    assert (got.gain, got.delay, got.s) == (want.gain, want.delay, want.s)
+    for name in ANGLES:
+        assert abs(wrap_angle(getattr(got, name) - getattr(want, name))) <= 1e-12 * scale
+    assert abs(wrap_angle(got.roll - want.roll)) <= 1e-10 * scale
+
+
+class TestTracedImage:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rich=st.booleans(),
+        max_bounces=st.integers(0, 3),
+    )
+    def test_facet_image_equals_route_fit(self, seed, rich, max_bounces):
+        scene, ref = (rich_room if rich else random_scene)(np.random.default_rng(seed))
+        for p in trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces):
+            assert p.scene is scene
+            scale = route_tolerance_scale(p)
+            img, by_route = p.image, fit_from_route(p.route)
+            assert np.max(np.abs(img.U - by_route.U)) <= 1e-12 * scale
+            assert np.max(np.abs(img.g - by_route.g)) <= 1e-9 * max(
+                1.0, float(np.linalg.norm(img.g))
+            )
+            rm = fit_rm_rt(p, ref)
+            assert (rm.gain, rm.delay) == (p.gain, p.delay)
+            assert_same_fit(rm, fit_rm_rt(dataclasses.replace(p, scene=None), ref), scale)
+
+    def test_image_is_composed_on_each_call(self):
+        scene, ref = rich_room(np.random.default_rng(7))
+        p = next(p for p in trace_paths(scene, ref.tx_ref, ref.rx_ref, 2) if p.bounces == 2)
+        assert p.image is not p.image
+        assert np.array_equal(p.image.U, p.image.U)
+        assert dataclasses.replace(p, scene=None).image is None
+
+    def test_delay_off_the_image_distance_is_rejected(self):
+        scene, ref = rich_room(np.random.default_rng(7))
+        paths = trace_paths(scene, ref.tx_ref, ref.rx_ref, 3)
+        assert {p.bounces for p in paths} == {0, 1, 2, 3}
+        for p in paths:
+            off = dataclasses.replace(p, delay=p.delay * (1.0 + 1e-6))
+            for path in (off, dataclasses.replace(off, scene=None)):
+                with pytest.raises(ValueError, match="disagrees with the traced path length"):
+                    fit_rm_rt(path, ref)
+
+    def test_moved_facet_is_rejected(self):
+        scene, ref = rich_room(np.random.default_rng(7))
+        paths = [p for p in trace_paths(scene, ref.tx_ref, ref.rx_ref, 3) if p.bounces]
+        assert len(paths) > 10
+        for p in paths:
+            k = p.route.facet_ids[-1]
+            facets = list(scene.facets)
+            f = facets[k]
+            facets[k] = dataclasses.replace(f, center=f.center + 1e-3 * f.normal)
+            moved = Scene(facets=tuple(facets), carrier_freq=scene.carrier_freq)
+            with pytest.raises(ValueError, match="disagrees with the traced path length"):
+                fit_rm_rt(dataclasses.replace(p, scene=moved), ref)
+
+    def test_loaded_routes_fit_through_their_bends(self):
+        scene, ref = rich_room(np.random.default_rng(7))
+        paths = trace_paths(scene, ref.tx_ref, ref.rx_ref, 3)
+        export = fileio.PathExport(
+            tx=ref.tx_ref,
+            rx=ref.rx_ref,
+            f0_hz=scene.carrier_freq,
+            paths=tuple((to_pwa(p, ref), p.route) for p in paths),
+        )
+        buf = io.StringIO()
+        fileio.save_paths(export, buf)
+        buf.seek(0)
+        loaded = fileio.load_paths(buf).traced()
+        assert len(loaded) == len(paths) > 10
+        for p, q in zip(paths, loaded):
+            assert q.scene is None and q.route.facet_ids is None and q.image is None
+            assert np.array_equal(q.route.vertices, p.route.vertices)
+            got = fit_rm_rt(q, ref)
+            want = fit_rm_rt(p, ref)
+            # the export keeps the gain as dB and degrees
+            assert got.gain == q.gain and got.gain == pytest.approx(want.gain, rel=1e-12)
+            assert_same_fit(dataclasses.replace(got, gain=want.gain), want, route_tolerance_scale(p))
