@@ -9,11 +9,9 @@ determines its plane, normal along the change of the unit step direction.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .paths import C_LIGHT, ReferencePair, RmImage, RmPath, image_to_angles
+from .paths import C_LIGHT, ReferencePair, RmImage, RmPath, _image_angles
 from .tracer import Route, TracedPath
 
 __all__ = ["fit_from_route", "fit_rm_rt"]
@@ -59,7 +57,7 @@ def fit_rm_rt(path: TracedPath, ref: ReferencePair) -> RmPath:
     img = path.image
     if img is None:
         img = fit_from_route(path.route)
-    rm = image_to_angles(img, ref, gain=path.gain)
-    if abs(rm.delay - path.delay) * C_LIGHT > 1e-9 * max(1.0, C_LIGHT * path.delay):
+    dist, angles = _image_angles(img, ref)
+    if abs(dist / C_LIGHT - path.delay) * C_LIGHT > 1e-9 * max(1.0, C_LIGHT * path.delay):
         raise ValueError("image distance disagrees with the traced path length")
-    return dataclasses.replace(rm, delay=path.delay)
+    return RmPath(path.gain, path.delay, *angles)

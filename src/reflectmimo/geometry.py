@@ -46,6 +46,15 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _unit3(v: np.ndarray) -> tuple[float, float, float]:
+    """unit(v) of a numpy 3-vector, as floats."""
+    n = math.sqrt(v.dot(v))
+    if n < 1e-15:
+        raise ValueError("cannot normalize a zero vector")
+    x, y, z = v.tolist()
+    return x / n, y / n, z / n
+
+
 def as_points(points, name: str) -> np.ndarray:
     """points as a float (K, 3) array of K >= 1 points, the form of an
     antenna array; a ValueError names the argument otherwise."""
@@ -84,6 +93,15 @@ def householder(u: np.ndarray) -> np.ndarray:
     return _EYE3 - 2.0 * np.outer(u, u)
 
 
+def _det3(r0, r1, r2) -> float:
+    """Determinant of the 3x3 matrix with rows r0, r1, r2 (float triples)."""
+    return (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
+
+
 def euler_factor_so3(m: np.ndarray) -> tuple[float, float, float]:
     """Factor a rotation as M = R_x(gamma) @ R_y(theta) @ R_z(-phi).
 
@@ -95,19 +113,27 @@ def euler_factor_so3(m: np.ndarray) -> tuple[float, float, float]:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if float(np.max(np.abs(m.T @ m - _EYE3))) > 1e-9:
-        raise ValueError("matrix is not orthogonal")
-    if float(np.linalg.det(m)) < 0.0:
+    return _euler_factor(*m.tolist())
+
+
+def _euler_factor(m0, m1, m2) -> tuple[float, float, float]:
+    """euler_factor_so3 of the matrix with rows m0, m1, m2 (float triples)."""
+    for i in range(3):
+        for j in range(i, 3):
+            dot = m0[i] * m0[j] + m1[i] * m1[j] + m2[i] * m2[j]
+            if abs(dot - (1.0 if i == j else 0.0)) > 1e-9:
+                raise ValueError("matrix is not orthogonal")
+    if _det3(m0, m1, m2) < 0.0:
         raise ValueError("matrix has determinant -1, not a proper rotation")
 
-    theta = math.asin(max(-1.0, min(1.0, float(m[0, 2]))))
+    theta = math.asin(max(-1.0, min(1.0, m0[2])))
     if math.cos(theta) < _POLE_EPS:
         # First row is +-e_z: gamma and phi act about the same axis.
         gamma = 0.0
-        phi = math.atan2(-m[1, 0], m[1, 1])
+        phi = math.atan2(-m1[0], m1[1])
     else:
-        phi = math.atan2(m[0, 1], m[0, 0])
-        gamma = math.atan2(-m[1, 2], m[2, 2])
+        phi = math.atan2(m0[1], m0[0])
+        gamma = math.atan2(-m1[2], m2[2])
     return wrap_angle(gamma), theta, wrap_angle(phi)
 
 
@@ -129,7 +155,12 @@ def dir_to_angles(u: np.ndarray) -> tuple[float, float]:
     n = math.sqrt(u.dot(u))
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"direction must be unit length, got |u| = {n}")
-    elevation = math.asin(max(-1.0, min(1.0, float(u[2]))))
-    if math.hypot(float(u[0]), float(u[1])) < _POLE_EPS:
+    return _dir_angles(float(u[0]), float(u[1]), float(u[2]))
+
+
+def _dir_angles(x: float, y: float, z: float) -> tuple[float, float]:
+    """dir_to_angles of the unit vector (x, y, z)."""
+    elevation = math.asin(max(-1.0, min(1.0, z)))
+    if math.hypot(x, y) < _POLE_EPS:
         return 0.0, elevation
-    return wrap_angle(math.atan2(float(u[1]), float(u[0]))), elevation
+    return wrap_angle(math.atan2(y, x)), elevation

@@ -25,8 +25,9 @@ import numpy as np
 
 from .geometry import (
     _EYE3,
-    dir_to_angles,
-    euler_factor_so3,
+    _det3,
+    _dir_angles,
+    _euler_factor,
     rotation_matrix,
     spherical_dir,
     z_reflection,
@@ -163,8 +164,20 @@ class RmPath(PwaPath):
 
 
 def align_rotation(azimuth: float, elevation: float) -> np.ndarray:
-    """Rotation R_y(el) @ R_z(-az) mapping the direction (az, el) onto +x."""
-    return rotation_matrix("y", elevation) @ rotation_matrix("z", -azimuth)
+    """Rotation R_y(el) @ R_z(-az) mapping the direction (az, el) onto +x.
+
+    Each entry of the product is one product of the factors' entries, 0 or
+    1; + 0.0 makes a zero entry +0.0, as the matrix product does.
+    """
+    ce, se = math.cos(elevation), math.sin(elevation)
+    ca, sa = math.cos(-azimuth), math.sin(-azimuth)
+    return np.array(
+        [
+            [ce * ca, ce * -sa + 0.0, se + 0.0],
+            [sa + 0.0, ca, 0.0],
+            [-se * ca + 0.0, -se * -sa + 0.0, ce],
+        ]
+    )
 
 
 def departure_mirror(path: RmPath) -> np.ndarray:
@@ -232,28 +245,28 @@ def image_to_angles(img: RmImage, ref: ReferencePair, gain: complex = 0j) -> RmP
     factorization of the residual rotation. Raises ValueError when the image
     coincides with the reference receiver (zero path length).
     """
+    dist, angles = _image_angles(img, ref)
+    return RmPath(gain, dist / C_LIGHT, *angles)
+
+
+def _image_angles(img: RmImage, ref: ReferencePair) -> tuple[float, tuple]:
+    """image_to_angles' image distance, and the RmPath fields that follow
+    gain and delay, in order: (aoa_az, aoa_el, aod_az, aod_el, roll, s). On
+    floats past the numpy products."""
     d0 = ref.rx_ref - img.U @ ref.tx_ref - img.g
     dist = math.sqrt(d0.dot(d0))
     if dist < 1e-12:
         raise ValueError("transmitter image coincides with the reference receiver")
-    aoa_az, aoa_el = dir_to_angles(-d0 / dist)
-    rot_rx = align_rotation(aoa_az, aoa_el)
-    w = -rot_rx @ img.U
-    det_w = float(np.linalg.det(w))
+    x, y, z = d0.tolist()
+    aoa_az, aoa_el = _dir_angles(-x / dist, -y / dist, -z / dist)
+    w0, w1, w2 = (-align_rotation(aoa_az, aoa_el) @ img.U).tolist()
+    det_w = _det3(w0, w1, w2)
     s = int(round(det_w))
     if s not in (-1, 1) or abs(det_w - s) > 1e-9:
         raise ValueError(f"mirror chain determinant {det_w} is not +-1")
-    roll, aod_el, aod_az = euler_factor_so3(z_reflection(s) @ w)
-    return RmPath(
-        gain=gain,
-        delay=dist / C_LIGHT,
-        aoa_az=aoa_az,
-        aoa_el=aoa_el,
-        aod_az=aod_az,
-        aod_el=aod_el,
-        roll=roll,
-        s=s,
-    )
+    # z_reflection(s) @ w, with +0.0 for a zero entry as in the matrix product
+    roll, aod_el, aod_az = _euler_factor(w0, w1, [s * e + 0.0 for e in w2])
+    return dist, (aoa_az, aoa_el, aod_az, aod_el, roll, s)
 
 
 def angles_to_image(path: RmPath, ref: ReferencePair) -> RmImage:

@@ -19,9 +19,11 @@ phase referenced to the scene carrier. Each traced path keeps its scene, so
 its mirror image (U, g) composes from the planes of the facets it meets.
 Two tracers share the walk and these rules:
 
-* ``trace_paths`` traces one TX/RX pair on the plain float triples each
-  Facet keeps next to its arrays, because numpy call overhead dominates at
-  one pair.
+* ``trace_paths`` traces one TX/RX pair on plain floats: the flat record
+  each Facet keeps next to its arrays, unpacked into locals, because numpy
+  call and attribute overhead dominate at one pair. Its unfolding writes
+  the crossing, bounds, side and occlusion tests out inline and measures
+  the route length on the way.
 * ``trace_pairs`` traces many pairs at once, TX and RX point arrays whose
   leading axes broadcast (paired endpoints, or every pair of two arrays):
   for a fixed facet sequence the unfolding, bounds, side and occlusion
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import dir_to_angles, unit
+from .geometry import _dir_angles, _unit3, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage
 
 __all__ = [
@@ -70,6 +72,14 @@ _T_EPS = 1e-9
 _PAD = 3 * _T_EPS
 
 
+# The plain floats each Facet keeps for the trace loops, which unpack them
+# into locals: the reflective side, the plane n . x = b, the centre, the
+# in-plane axes, the half-extents (None when unbounded) and the axis-aligned
+# box, low corner then high, of the points contains accepts, for the
+# occlusion test's quick reject (infinite unless bounded along both axes).
+_Flat = namedtuple("_Flat", "two_sided nx ny nz b cx cy cz ux uy uz vx vy vz half_u half_v box")
+
+
 @dataclass(frozen=True, eq=False)
 class Facet:
     """Rectangular (or unbounded) planar reflector.
@@ -80,11 +90,10 @@ class Facet:
     the two axes; None means unbounded in that direction.
 
     Facets are immutable, fields and arrays alike, and compare by identity.
-    Each facet also keeps its center, axes and normal as plain float
-    triples, which reflect, contains and crossing read in the trace loop
+    Each facet also keeps its geometry as one flat record of plain floats
+    (_Flat), which the trace loops, reflect, contains and crossing read
     (reflect and contains also take triples of coordinate arrays, crossing
-    has crossing_batch), and, when bounded, the axis-aligned box of the
-    points contains accepts, for the occlusion test's quick reject.
+    has crossing_batch).
     """
 
     center: np.ndarray
@@ -95,11 +104,7 @@ class Facet:
     two_sided: bool = False
     normal: np.ndarray = field(init=False)
     intercept: float = field(init=False)
-    _center: tuple[float, float, float] = field(init=False, repr=False)
-    _axis_u: tuple[float, float, float] = field(init=False, repr=False)
-    _axis_v: tuple[float, float, float] = field(init=False, repr=False)
-    _normal: tuple[float, float, float] = field(init=False, repr=False)
-    _box: tuple[float, ...] | None = field(init=False, repr=False)
+    _flat: _Flat = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         center = np.array(self.center, dtype=float)
@@ -115,13 +120,18 @@ class Facet:
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-            object.__setattr__(self, "_" + name, _f3(value))
-        object.__setattr__(self, "intercept", float(normal @ center))
-        box = None
+        intercept = float(normal @ center)
+        object.__setattr__(self, "intercept", intercept)
+        box = (-math.inf,) * 3 + (math.inf,) * 3
         if self.half_u is not None and self.half_v is not None:
             reach = np.abs(axis_u) * self.half_u + np.abs(axis_v) * self.half_v + _PAD
             box = _f3(center - reach) + _f3(center + reach)
-        object.__setattr__(self, "_box", box)
+        halves = (None if h is None else float(h) for h in (self.half_u, self.half_v))
+        flat = _Flat(
+            self.two_sided, *_f3(normal), intercept, *_f3(center), *_f3(axis_u), *_f3(axis_v),
+            *halves, box,
+        )
+        object.__setattr__(self, "_flat", flat)
 
     def reflect(self, p):
         """Mirror image of point p across the facet plane.
@@ -129,19 +139,19 @@ class Facet:
         p is a float triple or a triple of coordinate arrays; the image is
         the same kind of triple.
         """
-        n = self._normal
-        d = 2.0 * (_dot(n, p) - self.intercept)
-        return (p[0] - d * n[0], p[1] - d * n[1], p[2] - d * n[2])
+        _, nx, ny, nz, b = self._flat[:5]
+        return _mirror(p, 2.0 * (nx * p[0] + ny * p[1] + nz * p[2] - b), nx, ny, nz)
 
     def contains(self, p):
         """True when in-plane point p lies within the facet bounds; for a
         triple of coordinate arrays, a boolean array unless unbounded."""
-        rel = _sub(p, self._center)
+        f = self._flat
+        rel = (p[0] - f.cx, p[1] - f.cy, p[2] - f.cz)
         inside = True
-        if self.half_u is not None:
-            inside = abs(_dot(rel, self._axis_u)) <= self.half_u + _T_EPS
-        if self.half_v is not None:
-            inside = inside & (abs(_dot(rel, self._axis_v)) <= self.half_v + _T_EPS)
+        if f.half_u is not None:
+            inside = abs(_dot(rel, (f.ux, f.uy, f.uz))) <= f.half_u + _T_EPS
+        if f.half_v is not None:
+            inside = inside & (abs(_dot(rel, (f.vx, f.vy, f.vz))) <= f.half_v + _T_EPS)
         return inside
 
     def crossing(self, p, step) -> tuple[tuple[float, float, float], float] | None:
@@ -151,13 +161,11 @@ class Facet:
         parallel to the plane or meets it only within _T_EPS of an endpoint.
         The sign of normal . step tells the side the segment arrives from.
         """
-        # Dot products written out: this runs for every facet on every
-        # segment of the occlusion test.
-        n = self._normal
-        denom = n[0] * step[0] + n[1] * step[1] + n[2] * step[2]
+        _, nx, ny, nz, b = self._flat[:5]
+        denom = nx * step[0] + ny * step[1] + nz * step[2]
         if denom == 0.0:
             return None
-        t = (self.intercept - (n[0] * p[0] + n[1] * p[1] + n[2] * p[2])) / denom
+        t = (b - (nx * p[0] + ny * p[1] + nz * p[2])) / denom
         if t <= _T_EPS or t >= 1.0 - _T_EPS:
             return None
         return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom
@@ -168,10 +176,10 @@ class Facet:
         Returns (hit point, normal . step, mask of the segments that cross);
         the hit point is only meaningful where the mask is set.
         """
-        n = self._normal
-        denom = n[0] * step[0] + n[1] * step[1] + n[2] * step[2]
+        _, nx, ny, nz, b = self._flat[:5]
+        denom = nx * step[0] + ny * step[1] + nz * step[2]
         crosses = denom != 0.0
-        num = self.intercept - (n[0] * p[0] + n[1] * p[1] + n[2] * p[2])
+        num = b - (nx * p[0] + ny * p[1] + nz * p[2])
         t = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=crosses)
         crosses &= (t > _T_EPS) & (t < 1.0 - _T_EPS)
         return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom, crosses
@@ -223,13 +231,14 @@ class Scene:
             raise ValueError("carrier frequency must be positive")
         if self.reflection_loss_db < 0.0:
             raise ValueError("reflection loss must be non-negative (dB)")
+        flats = [f._flat for f in facets]
         predecessors = tuple(
             tuple(
                 i
-                for i, f in enumerate(facets)
+                for i, f in enumerate(flats)
                 if i != j and _faces(f, g) and _faces(g, f)
             )
-            for j, g in enumerate(facets)
+            for j, g in enumerate(flats)
         )
         object.__setattr__(self, "_predecessors", predecessors)
 
@@ -288,8 +297,8 @@ class TracedPath:
         ids = self.route.facet_ids
         if self.scene is None or ids is None:
             return None
-        facets = self.scene.facets
-        return RmImage.from_planes((facets[i]._normal, facets[i].intercept) for i in ids)
+        flats = [self.scene.facets[i]._flat for i in ids]
+        return RmImage.from_planes(((f.nx, f.ny, f.nz), f.b) for f in flats)
 
 
 def route_length(route: Route) -> float:
@@ -315,9 +324,17 @@ def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _faces(f: Facet, g: Facet) -> bool:
-    """False only when no route segment between a point of f and a point of
-    g can lie in front of f, as one that leaves or meets a one-sided f must.
+def _mirror(p, d, nx, ny, nz):
+    """p moved by d against the unit normal (nx, ny, nz): its mirror image
+    through a plane of that normal when d is twice its height above it. p is
+    a float triple or a triple of coordinate arrays."""
+    return (p[0] - d * nx, p[1] - d * ny, p[2] - d * nz)
+
+
+def _faces(f: _Flat, g: _Flat) -> bool:
+    """False only when no route segment between a point of facet f and a
+    point of facet g can lie in front of f, as one that leaves or meets a
+    one-sided f must.
 
     The end on g lies within g's rectangle up to contains' slack, off g's
     plane by rounding, and in front of f up to rounding. So it suffices that
@@ -327,19 +344,18 @@ def _faces(f: Facet, g: Facet) -> bool:
     """
     if f.two_sided or g.half_u is None or g.half_v is None:
         return True
-    n = f._normal
-    ahead = _dot(n, _sub(g._center, f._center))
-    ahead += (g.half_u + _PAD) * abs(_dot(n, g._axis_u))
-    ahead += (g.half_v + _PAD) * abs(_dot(n, g._axis_v))
-    return ahead + _PAD * abs(_dot(n, g._normal)) > 0.0
+    n = (f.nx, f.ny, f.nz)
+    ahead = _dot(n, (g.cx - f.cx, g.cy - f.cy, g.cz - f.cz))
+    ahead += (g.half_u + _PAD) * abs(_dot(n, (g.ux, g.uy, g.uz)))
+    ahead += (g.half_v + _PAD) * abs(_dot(n, (g.vx, g.vy, g.vz)))
+    return ahead + _PAD * abs(_dot(n, (g.nx, g.ny, g.nz))) > 0.0
 
 
-def _misses(f: Facet, box) -> bool:
-    """True when f is bounded and its box misses box (low corner, then high)."""
-    b = f._box
-    return b is not None and (
-        b[0] > box[3] or b[1] > box[4] or b[2] > box[5]
-        or b[3] < box[0] or b[4] < box[1] or b[5] < box[2]
+def _misses(fbox, box) -> bool:
+    """True when facet box fbox misses box (both low corner, then high)."""
+    return (
+        fbox[0] > box[3] or fbox[1] > box[4] or fbox[2] > box[5]
+        or fbox[3] < box[0] or fbox[4] < box[1] or fbox[5] < box[2]
     )
 
 
@@ -359,9 +375,11 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, reaches):
     Yields (sequence, images) for the sequences that can have a route, line
     of sight () first; images[k] is rx mirrored through sequence[k:], the aim
     point of the segment arriving at interaction k. A child puts facet f in
-    front of its node and mirrors the node's images[0] through f. Three
-    culls, each of which skips only sequences that _unfold rejects (their
-    margins pad facets by _PAD, which covers _unfold's rounding):
+    front of its node and mirrors the node's images[0] through f (_mirror),
+    from the height of images[0] over f's plane that the side cull below
+    also reads. Three culls, each of which skips only sequences that _unfold
+    rejects (their margins pad facets by _PAD, which covers _unfold's
+    rounding):
 
     * f goes in front of the node's first facet only if the scene lists it
       as a predecessor (Scene._predecessors), which also excludes that
@@ -377,7 +395,7 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, reaches):
     """
     if not 0 <= max_bounces <= MAX_BOUNCES:
         raise ValueError(f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}")
-    facets = scene.facets
+    flats = [f._flat for f in scene.facets]
     predecessors = scene._predecessors
     any_ = ops.any
     stack = [((), (rx,), True)]
@@ -389,22 +407,28 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, reaches):
         if depth > max_bounces:
             continue
         aim = images[0]
-        for idx in predecessors[seq[0]] if seq else range(len(facets)):
-            f = facets[idx]
-            if f.two_sided or any_(_dot(f._normal, aim) > f.intercept):
+        ax, ay, az = aim
+        for idx in predecessors[seq[0]] if seq else range(len(flats)):
+            two_sided, nx, ny, nz, b = flats[idx][:5]
+            height = nx * ax + ny * ay + nz * az
+            if two_sided or any_(height > b):
                 reached = reaches(idx, aim)
                 if reached or depth < max_bounces:
-                    stack.append(((idx, *seq), (f.reflect(aim), *images), reached))
+                    image = _mirror(aim, 2.0 * (height - b), nx, ny, nz)
+                    stack.append(((idx, *seq), (image, *images), reached))
 
 
-def _faced(facets: tuple[Facet, ...], tx, ops: _Ops) -> list:
-    """For each facet, whether a route from TX can meet it first: it is
-    two-sided, or TX is strictly in front of it."""
-    return [f.two_sided or ops.any(_dot(f._normal, tx) > f.intercept) for f in facets]
+def _faced(flats: list[_Flat], tx, ops: _Ops) -> list:
+    """For each facet record, whether a route from TX can meet it first: it
+    is two-sided, or TX is strictly in front of it."""
+    return [
+        f.two_sided or ops.any(f.nx * tx[0] + f.ny * tx[1] + f.nz * tx[2] > f.b) for f in flats
+    ]
 
 
-def _tx_cones(facets: tuple[Facet, ...], tx):
-    """reaches for _walk from the float triple tx: _faced, plus a cone.
+def _tx_cones(flats: list[_Flat], tx):
+    """reaches for _walk from the float triple tx and the facet records:
+    _faced, plus a cone.
 
     A route meets facet f first where the segment from tx to the mirror of
     aim crosses f's plane, which is where the segment from f.reflect(tx) to
@@ -422,33 +446,30 @@ def _tx_cones(facets: tuple[Facet, ...], tx):
     _PAD of f's plane gets no cone, and neither does an unbounded f.
     """
     cones = []
-    for f, faced in zip(facets, _faced(facets, tx, _FLOAT_OPS)):
-        rel = _sub(tx, f._center)
-        h = _dot(rel, f._normal)
+    for f, faced in zip(flats, _faced(flats, tx, _FLOAT_OPS)):
+        rel = (tx[0] - f.cx, tx[1] - f.cy, tx[2] - f.cz)
+        h = _dot(rel, (f.nx, f.ny, f.nz))
         if not faced or abs(h) <= _PAD or (f.half_u is None and f.half_v is None):
             cones.append(faced)
         else:
-            cones.append((h, _dot(rel, f._axis_u), _dot(rel, f._axis_v)))
+            cones.append((h, _dot(rel, (f.ux, f.uy, f.uz)), _dot(rel, (f.vx, f.vy, f.vz))))
 
     def reaches(idx, aim):
         cone = cones[idx]
         if cone.__class__ is bool:
             return cone
         h, a_u, a_v = cone
-        f = facets[idx]
-        c, n = f._center, f._normal
-        dx, dy, dz = aim[0] - c[0], aim[1] - c[1], aim[2] - c[2]
-        z = n[0] * dx + n[1] * dy + n[2] * dz
+        _, nx, ny, nz, _, cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v, _ = flats[idx]
+        dx, dy, dz = aim[0] - cx, aim[1] - cy, aim[2] - cz
+        z = nx * dx + ny * dy + nz * dz
         d = h + z if h > 0.0 else -h - z
-        if f.half_u is not None:
-            u = f._axis_u
-            x_u = u[0] * dx + u[1] * dy + u[2] * dz
-            if abs(a_u * z + h * x_u) > (f.half_u + _PAD) * d:
+        if half_u is not None:
+            x_u = ux * dx + uy * dy + uz * dz
+            if abs(a_u * z + h * x_u) > (half_u + _PAD) * d:
                 return False
-        if f.half_v is not None:
-            v = f._axis_v
-            x_v = v[0] * dx + v[1] * dy + v[2] * dz
-            return abs(a_v * z + h * x_v) <= (f.half_v + _PAD) * d
+        if half_v is not None:
+            x_v = vx * dx + vy * dy + vz * dz
+            return abs(a_v * z + h * x_v) <= (half_v + _PAD) * d
         return True
 
     return reaches
@@ -461,22 +482,20 @@ def _apart(a, b, ops: _Ops):
 
 
 def _kept(accepted, ops: _Ops):
-    """The seam rule on the (sequence, vertices, valid) a walk accepted.
+    """The seam rule on the (sequence, vertices, length[, valid]) a walk
+    accepted: length the route's, segment norms summed in order, and on
+    arrays valid, the mask of pairs with a route (every pair on floats).
 
     Yields (sequence, vertices, valid, length) in sequence order (line of
     sight, bounce count, lexicographic). valid loses the pairs whose route an
     earlier sequence with as many bounces has, lengths and vertices within
-    1e-9 of the route length (coplanar facets that meet or overlap). The
-    length is route_length's arithmetic: segment norms summed in order.
+    1e-9 of the route length (coplanar facets that meet or overlap).
     """
     peers = []  # (vertices, valid, length) of the earlier sequences, same bounces
-    for seq, vertices, valid in sorted(accepted, key=lambda e: (len(e[0]), e[0])):
+    for seq, vertices, length, *mask in sorted(accepted, key=lambda e: (len(e[0]), e[0])):
+        valid = mask[0] if mask else True
         if peers and len(peers[0][0]) != len(vertices):
             peers = []
-        length = 0.0
-        for a, b in zip(vertices[:-1], vertices[1:]):
-            step = _sub(b, a)
-            length = length + ops.sqrt(_dot(step, step))
         tol = 1e-9 * ops.maximum(1.0, length)
         for prev_vertices, prev_valid, prev_length in peers:
             same = valid & prev_valid & (abs(prev_length - length) <= tol)
@@ -521,45 +540,75 @@ def trace_sequence(
     images = [_f3(rx)]
     for idx in reversed(sequence):
         images.insert(0, facets[idx].reflect(images[0]))
-    vertices = _unfold(facets, sequence, images, _f3(tx), check_bounds, check_side, check_occlusion)
-    return None if vertices is None else Route(np.array(vertices), sequence)
+    flats = [f._flat for f in facets]
+    found = _unfold(flats, sequence, images, _f3(tx), check_bounds, check_side, check_occlusion)
+    return None if found is None else Route(np.array(found[0]), sequence)
 
 
 def _unfold(
-    facets, sequence, images, txf, check_bounds=True, check_side=True, check_occlusion=True
+    flats, sequence, images, txf, check_bounds=True, check_side=True, check_occlusion=True
 ):
-    """Vertices of trace_sequence's route, or None, for valid facet indices,
-    float-triple TX and the receiver images of _walk."""
+    """trace_sequence's route as (vertices, length), or None, for valid facet
+    indices, the facet records, float-triple TX and the receiver images of
+    _walk; the length sums the segment norms in order. The crossing, bounds
+    and occlusion tests are Facet.crossing's and Facet.contains' arithmetic,
+    written out on the records' floats."""
     rxf = images[-1]
     if not sequence and not _apart(txf, rxf, _FLOAT_OPS):
         return None
-    points = []
-    p = txf
-    for idx, aim in zip(sequence, images):
-        f = facets[idx]
-        cross = f.crossing(p, _sub(aim, p))
-        if cross is None:
+    vertices = [txf]
+    px, py, pz = txf
+    for idx, (qx, qy, qz) in zip(sequence, images):
+        two_sided, nx, ny, nz, b, cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v, _ = flats[idx]
+        sx, sy, sz = qx - px, qy - py, qz - pz
+        denom = nx * sx + ny * sy + nz * sz
+        if denom == 0.0:
             return None
-        hit, denom = cross
-        if check_bounds and not f.contains(hit):
+        t = (b - (nx * px + ny * py + nz * pz)) / denom
+        if t <= _T_EPS or t >= 1.0 - _T_EPS:
             return None
-        if check_side and not f.two_sided and denom >= 0.0:
+        px, py, pz = px + t * sx, py + t * sy, pz + t * sz
+        if check_bounds:
+            dx, dy, dz = px - cx, py - cy, pz - cz
+            if half_u is not None and not abs(dx * ux + dy * uy + dz * uz) <= half_u + _T_EPS:
+                return None
+            if half_v is not None and not abs(dx * vx + dy * vy + dz * vz) <= half_v + _T_EPS:
+                return None
+        if check_side and not two_sided and denom >= 0.0:
             return None
-        points.append(hit)
-        p = hit
+        vertices.append((px, py, pz))
+    vertices.append(rxf)
 
-    vertices = [txf, *points, rxf]
-    if check_occlusion:
-        for a, b in zip(vertices[:-1], vertices[1:]):
-            # blocked when the open segment a->b crosses a facet rectangle
-            step = _sub(b, a)
-            box = (*map(min, a, b), *map(max, a, b))
-            for f in facets:
-                if not _misses(f, box):
-                    cross = f.crossing(a, step)
-                    if cross is not None and f.contains(cross[0]):
-                        return None
-    return vertices
+    length = 0.0
+    for (ax, ay, az), (bx, by, bz) in zip(vertices[:-1], vertices[1:]):
+        sx, sy, sz = bx - ax, by - ay, bz - az
+        length = length + math.sqrt(sx * sx + sy * sy + sz * sz)
+        if not check_occlusion:
+            continue
+        # blocked when the open segment a->b crosses a facet rectangle
+        lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
+        lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
+        lo_z, hi_z = (az, bz) if az <= bz else (bz, az)
+        for f in flats:
+            box = f.box
+            if (
+                box[0] > hi_x or box[1] > hi_y or box[2] > hi_z
+                or box[3] < lo_x or box[4] < lo_y or box[5] < lo_z
+            ):
+                continue
+            _, nx, ny, nz, b, cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v, _ = f
+            denom = nx * sx + ny * sy + nz * sz
+            if denom == 0.0:
+                continue
+            t = (b - (nx * ax + ny * ay + nz * az)) / denom
+            if t <= _T_EPS or t >= 1.0 - _T_EPS:
+                continue
+            dx, dy, dz = ax + t * sx - cx, ay + t * sy - cy, az + t * sz - cz
+            if (half_u is None or abs(dx * ux + dy * uy + dz * uz) <= half_u + _T_EPS) and (
+                half_v is None or abs(dx * vx + dy * vy + dz * vz) <= half_v + _T_EPS
+            ):
+                return None
+    return vertices, length
 
 
 def trace_paths(
@@ -574,13 +623,16 @@ def trace_paths(
     facets that meet or overlap can both accept the same specular point; such
     a path is returned once, under the first facet sequence in that order.
     """
-    facets = scene.facets
+    flats = [f._flat for f in scene.facets]
     txf = _f3(tx)
-    walk = _walk(scene, _f3(rx), max_bounces, _FLOAT_OPS, _tx_cones(facets, txf))
-    unfolded = ((seq, _unfold(facets, seq, images, txf)) for seq, images in walk)
-    # vertex arrays, kept as the routes: as float tuples they would double
-    # the memory of the accepted routes
-    accepted = [(seq, np.array(v), True) for seq, v in unfolded if v is not None]
+    walk = _walk(scene, _f3(rx), max_bounces, _FLOAT_OPS, _tx_cones(flats, txf))
+    accepted = []
+    for seq, images in walk:
+        found = _unfold(flats, seq, images, txf)
+        if found is not None:
+            # vertex arrays, kept as the routes: as float tuples they would
+            # double the memory of the accepted routes
+            accepted.append((seq, np.array(found[0]), found[1]))
     paths = []
     for seq, vertices, _, length in _kept(accepted, _FLOAT_OPS):
         route = Route(vertices, seq)
@@ -618,8 +670,8 @@ def _coordinates(tx_points, rx_points) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, tx):
-    """_unfold for every pair: the route vertices and the mask of pairs with
-    a route; None as soon as no pair has one."""
+    """_unfold for every pair: the route vertices, the route lengths and the
+    mask of pairs with a route; None as soon as no pair has one."""
     rx = images[-1]
     valid = True if sequence else _apart(tx, rx, _ARRAY_OPS)
     points = []
@@ -640,13 +692,17 @@ def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, 
         step = _sub(b, a)
         box = (*map(np.min, map(np.minimum, a, b)), *map(np.max, map(np.maximum, a, b)))
         for f in facets:
-            if not _misses(f, box):
+            if not _misses(f._flat.box, box):
                 hit, _, crosses = f.crossing_batch(a, step)
                 if crosses.any():
                     valid = valid & ~(crosses & f.contains(hit))
         if not valid.any():
             return None
-    return vertices, valid
+    length = 0.0
+    for a, b in zip(vertices[:-1], vertices[1:]):
+        step = _sub(b, a)
+        length = length + np.sqrt(_dot(step, step))
+    return vertices, length, valid
 
 
 def trace_pairs(
@@ -671,7 +727,7 @@ def trace_pairs(
     """
     facets = scene.facets
     tx, rx = _coordinates(tx_points, rx_points)
-    faced = _faced(facets, tx, _ARRAY_OPS)
+    faced = _faced([f._flat for f in facets], tx, _ARRAY_OPS)
     walk = _walk(scene, rx, max_bounces, _ARRAY_OPS, lambda idx, aim: faced[idx])
     unfolded = ((seq, _unfold_batch(facets, seq, images, tx)) for seq, images in walk)
     accepted = [(seq, *found) for seq, found in unfolded if found is not None]
@@ -705,10 +761,9 @@ def to_pwa(path: TracedPath, ref: ReferencePair) -> PwaPath:
     verts = path.route.vertices
     if not ref.matches(verts[0], verts[-1]):
         raise ValueError("route endpoints do not match the reference pair")
-    u_t = unit(verts[1] - verts[0])
-    u_r = -unit(verts[-1] - verts[-2])
-    aod_az, aod_el = dir_to_angles(u_t)
-    aoa_az, aoa_el = dir_to_angles(u_r)
+    aod_az, aod_el = _dir_angles(*_unit3(verts[1] - verts[0]))
+    x, y, z = _unit3(verts[-1] - verts[-2])
+    aoa_az, aoa_el = _dir_angles(-x, -y, -z)
     return PwaPath(
         gain=path.gain,
         delay=path.delay,

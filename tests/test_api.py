@@ -7,8 +7,10 @@ perfbench/spans.py wraps public functions by (layer, name) to time them; a
 name deleted from the package would only show up there as a failed traced
 benchmark run, so the targets are checked here. The file is parsed, not
 imported, because it belongs to the benchmark. Some of its hooks also read a
-wrapped call's arguments by name, and the workloads call the per-path API
-positionally, so those parameters are checked as well.
+wrapped call's arguments by name, the workloads call the per-path API
+positionally, and they build scenes and re-trace routes with keyword
+arguments, so those parameters are checked as well: a renamed one would fail
+every benchmark unit.
 
 The frozen dataclasses that hold numpy arrays compare and hash by identity:
 a field-wise == would have to reduce array comparisons to one bool.
@@ -95,6 +97,7 @@ POSITIONAL_CALLS = [
     ("tracer", "trace_paths", ("scene", "tx", "rx", "max_bounces")),
     ("fit_rt", "fit_rm_rt", ("path", "ref")),
     ("tracer", "to_pwa", ("path", "ref")),
+    ("tracer", "trace_sequence", ("scene", "sequence", "tx", "rx")),
 ]
 
 
@@ -106,6 +109,26 @@ def test_positional_call_signatures(layer, name, leading):
     assert tuple(p.name for p in params[: len(leading)]) == leading
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[: len(leading)])
     assert all(p.default is not inspect.Parameter.empty for p in params[len(leading):])
+
+
+# Calls that perfbench/workloads.py and perfbench/rooms.py make with keyword
+# arguments: the package name, its leading positional parameters, in order,
+# and the keywords.
+KEYWORD_CALLS = [
+    ("trace_sequence", ("scene", "sequence", "tx", "rx"),
+     ("check_bounds", "check_side", "check_occlusion")),
+    ("Facet", (), ("center", "axis_u", "axis_v", "half_u", "half_v")),
+    ("make_facet", ("center", "normal"), ("half_u", "half_v")),
+    ("Scene", (), ("facets", "carrier_freq")),
+]
+
+
+@pytest.mark.parametrize("name, leading, keywords", KEYWORD_CALLS)
+def test_keyword_call_signatures(name, leading, keywords):
+    sig = inspect.signature(getattr(reflectmimo, name))
+    params = list(sig.parameters.values())
+    assert tuple(p.name for p in params[: len(leading)]) == leading
+    sig.bind(*leading, **dict.fromkeys(keywords))  # TypeError if the call no longer fits
 
 
 def test_capacity_layer_does_not_import_channel():

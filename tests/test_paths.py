@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,13 +13,18 @@ from reflectmimo import (
     RmImage,
     RmPath,
     angles_to_image,
+    dir_to_angles,
+    euler_factor_so3,
     image_to_angles,
     pwa_distance,
     rm_distance_angles,
     rm_distance_image,
+    rotation_matrix,
     spherical_dir,
     unit,
+    z_reflection,
 )
+from reflectmimo.paths import align_rotation
 from scenelib import random_orthogonal
 
 def los_distance(rx: np.ndarray, tx: np.ndarray) -> float:
@@ -266,3 +272,66 @@ class TestGradients:
             )
             assert g_r == pytest.approx(-u_r, abs=1e-5)
             assert g_t == pytest.approx(-u_t, abs=1e-5)
+
+
+def bits(values) -> bytes:
+    """values as float64 bytes: equal only when equal bit for bit, signed
+    zeros included."""
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestFloatArithmetic:
+    """The per-path conversions run on floats; they give the bits of the
+    matrix products they replace, signed zeros included."""
+
+    # Axis-aligned angles give exact zeros in the rotations.
+    ANGLES = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 0.3, -1.2, 1e-300]
+
+    def test_align_rotation_is_the_matrix_product(self):
+        for az, el in itertools.product(self.ANGLES, self.ANGLES):
+            want = rotation_matrix("y", el) @ rotation_matrix("z", -az)
+            assert align_rotation(az, el).tobytes() == want.tobytes(), (az, el)
+
+    @staticmethod
+    def matrix_pipeline(img, ref):
+        """image_to_angles through 3-vector and 3x3 numpy products."""
+        d0 = ref.rx_ref - img.U @ ref.tx_ref - img.g
+        dist = math.sqrt(d0.dot(d0))
+        aoa_az, aoa_el = dir_to_angles(-d0 / dist)
+        w = -(rotation_matrix("y", aoa_el) @ rotation_matrix("z", -aoa_az)) @ img.U
+        s = int(round(float(np.linalg.det(w))))
+        roll, aod_el, aod_az = euler_factor_so3(z_reflection(s) @ w)
+        return dist / C_LIGHT, aoa_az, aoa_el, aod_az, aod_el, roll, s
+
+    def test_image_to_angles_is_the_matrix_pipeline(self):
+        # Signed permutations between axis-aligned endpoints, then random
+        # images.
+        signs = itertools.product([1.0, -1.0], repeat=3)
+        images = [
+            RmImage(U=np.eye(3)[list(perm)] * np.array(sign)[:, None], g=g)
+            for perm, sign in itertools.product(itertools.permutations(range(3)), signs)
+            for g in (np.zeros(3), np.array([0.0, 0.0, 4.98]), np.array([0.0, -6.0, 0.0]))
+        ]
+        refs = [
+            ReferencePair(tx_ref=np.array([0.0, 0.0, 2.49]), rx_ref=np.array([25.0, 0.0, 2.49])),
+            ReferencePair(tx_ref=np.array([1.0, 2.0, 3.0]), rx_ref=np.array([1.0, 2.0, 7.0])),
+            ReferencePair(tx_ref=np.array([3.0, 0.0, 0.0]), rx_ref=np.array([-1.0, 0.0, 0.0])),
+        ]
+        rng = np.random.default_rng(11)
+        for det in (1, -1):
+            images += [
+                RmImage(U=random_orthogonal(rng, det=det), g=rng.normal(scale=20, size=3))
+                for _ in range(30)
+            ]
+        compared = 0
+        for img, ref in itertools.product(images, refs):
+            try:
+                want = self.matrix_pipeline(img, ref)
+            except ValueError:  # the image sits on the receiver
+                continue
+            got = image_to_angles(img, ref)
+            fields = (got.delay, got.aoa_az, got.aoa_el, got.aod_az, got.aod_el, got.roll, got.s)
+            assert bits(fields) == bits(want)
+            compared += 1
+        assert compared >= 400
+

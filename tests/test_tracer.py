@@ -13,6 +13,8 @@ from reflectmimo import (
     ReferencePair,
     Route,
     Scene,
+    TracedPath,
+    dir_to_angles,
     make_facet,
     route_length,
     spherical_dir,
@@ -22,8 +24,9 @@ from reflectmimo import (
     trace_sequence,
     unit,
 )
+from reflectmimo import tracer
 from reflectmimo.tracer import _T_EPS
-from scenelib import brute_force_paths, random_scene, rich_room
+from scenelib import brute_force_paths, facet_sequences, random_scene, rich_room
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -438,17 +441,20 @@ def back_face_hits(scene, path) -> bool:
     )
 
 
-def count_reflections(monkeypatch, trace, *args):
-    """Facet.reflect calls made by trace(*args), and its result."""
-    calls = []
-    reflect = Facet.reflect
+def count_mirrors(monkeypatch, trace, *args):
+    """Points mirrored through a facet plane by trace(*args), and its result.
 
-    def counted(facet, p):
+    Every mirror goes through tracer._mirror: the walk's, and Facet.reflect's,
+    which trace_sequence calls."""
+    calls = []
+    mirror = tracer._mirror
+
+    def counted(*mirror_args):
         calls.append(None)
-        return reflect(facet, p)
+        return mirror(*mirror_args)
 
     with monkeypatch.context() as m:
-        m.setattr(Facet, "reflect", counted)
+        m.setattr(tracer, "_mirror", counted)
         result = trace(*args)
     return len(calls), result
 
@@ -472,9 +478,10 @@ class TestSuffixWalk:
         # mirrors it 572 times.
         scene, ref = rich_room(np.random.default_rng(7))
         args = (scene, ref.tx_ref, ref.rx_ref, 3)
-        walked, paths = count_reflections(monkeypatch, trace_paths, *args)
-        brute, _ = count_reflections(monkeypatch, brute_force_paths, *args)
+        walked, paths = count_mirrors(monkeypatch, trace_paths, *args)
+        brute, _ = count_mirrors(monkeypatch, brute_force_paths, *args)
         assert brute == 20 + 2 * 20 * 19 + 3 * 20 * 19 * 19
+        assert walked == 572
         assert 39 * walked <= brute
         assert len(paths) > 10
         assert_matches_brute_force(*args)
@@ -680,6 +687,43 @@ class TestTraceSequence:
         )
         assert route is None
 
+    # What each check rejects, on a route its check alone let through.
+    VIOLATIONS = {
+        "check_bounds": lambda scene, route: not all(
+            scene.facets[fid].contains(v)
+            for fid, v in zip(route.facet_ids, route.vertices[1:-1])
+        ),
+        "check_side": lambda scene, route: back_face_hits(scene, TracedPath(route, 1.0, 1.0)),
+        "check_occlusion": lambda scene, route: any(
+            cross is not None and f.contains(cross[0])
+            for p, q in zip(route.vertices[:-1], route.vertices[1:])
+            for f in scene.facets
+            for cross in [f.crossing(p, q - p)]
+        ),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(VIOLATIONS))
+    def test_each_check_on_its_own(self, flag):
+        # One check off: every route the full checks accept comes out the
+        # same, bit for bit, and some route they reject comes through, one
+        # that breaks the rule of that check.
+        scene, ref = rich_room(np.random.default_rng(7))
+        args = (ref.tx_ref, ref.rx_ref)
+        accepted, let_through = 0, []
+        for seq in [(), *facet_sequences(len(scene.facets), 2)]:
+            full = trace_sequence(scene, seq, *args)
+            relaxed = trace_sequence(scene, seq, *args, **{flag: False})
+            if full is None:
+                if relaxed is not None:
+                    let_through.append(relaxed)
+                continue
+            accepted += 1
+            assert relaxed is not None and relaxed.facet_ids == full.facet_ids
+            assert np.array_equal(relaxed.vertices, full.vertices)
+        assert accepted >= 10
+        assert let_through
+        assert all(self.VIOLATIONS[flag](scene, route) for route in let_through)
+
 
 class TestToPwa:
     def test_los_angles(self):
@@ -700,6 +744,33 @@ class TestToPwa:
         pwa = to_pwa(bounce, ref)
         assert pwa.aod_el == pytest.approx(-math.atan(0.5), abs=1e-12)
         assert pwa.gain == bounce.gain
+
+    def test_angles_are_the_unit_vector_pipeline(self):
+        # to_pwa works on floats; it gives dir_to_angles' bits on the numpy
+        # unit steps, signed zeros included, on axis-aligned routes too.
+        rng = np.random.default_rng(6)
+        cases = [
+            (ground_scene(), np.array([0.0, 0.0, 1.0]), np.array([4.0, 0.0, 1.0])),
+            (ground_scene(), np.array([3.0, -2.0, 1.0]), np.array([3.0, 5.0, 2.0])),
+            (ground_scene(), np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, 1.0])),
+        ]
+        for _ in range(3):
+            scene, ref = random_scene(rng)
+            cases.append((scene, ref.tx_ref, ref.rx_ref))
+        compared = 0
+        for scene, tx, rx in cases:
+            ref = ReferencePair(tx_ref=tx, rx_ref=rx)
+            for p in trace_paths(scene, tx, rx, 2):
+                verts = p.route.vertices
+                want = (
+                    *dir_to_angles(-unit(verts[-1] - verts[-2])),
+                    *dir_to_angles(unit(verts[1] - verts[0])),
+                )
+                pwa = to_pwa(p, ref)
+                got = (pwa.aoa_az, pwa.aoa_el, pwa.aod_az, pwa.aod_el)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                compared += 1
+        assert compared >= 8
 
     def test_endpoint_mismatch_rejected(self):
         tx, rx = np.array([0.0, 0, 1]), np.array([10.0, 0, 1])
