@@ -8,6 +8,9 @@ parity. Observing the same paths at a few displaced TX/RX pairs pins both
 down: each displaced pair contributes one linear equation in
 (cos roll, sin roll) for either parity, obtained by squaring the modeled
 distance, and the parity/roll pair that explains the measured delays wins.
+Each parity's system, two columns and one row per displaced pair, is solved
+in least squares by Givens rotations on floats (_fit_roll); two or more pairs
+are taken.
 
 Paths are identified across pairs by one fixed greedy rule: reference paths
 take their matches strongest first, each the unused displaced path whose four
@@ -26,9 +29,8 @@ from .paths import (
     PwaPath,
     ReferencePair,
     RmPath,
+    _align_rows,
     _vec3,
-    align_rotation,
-    spherical_dir,
 )
 from .geometry import wrap_angle
 
@@ -120,13 +122,77 @@ def match_paths(
     return result
 
 
-def _fit_roll(a_mat: np.ndarray, c_vec: np.ndarray) -> tuple[float, float, float] | None:
-    """Least-squares (x, y, residual) for A @ (x, y) ~ C; None if rank < 2."""
-    sol, _, _, sv = np.linalg.lstsq(a_mat, c_vec, rcond=None)
-    if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
+def _fit_roll(rows, rhs) -> tuple[float, float, float] | None:
+    """Least-squares (x, y, residual) for A @ (x, y) ~ C; None if rank < 2.
+
+    rows are the (a, b) rows of A, two or more, and rhs the entries of C.
+    Givens rotations reduce [A | C] row by row to the triangle
+    R = [[r11, r12], [0, r22]] and Q^T C = (z1, z2, ...), without forming
+    A^T A. Rank < 2 means sigma_min <= 1e-12 sigma_max for R, whose singular
+    values multiply to |r11 r22| and have squares summing to
+    r11^2 + r12^2 + r22^2. The residual is summed from C - A @ (x, y) row by
+    row.
+    """
+    r11 = r12 = r22 = z1 = z2 = 0.0
+    for (a, b), c in zip(rows, rhs):
+        # rotate the row's first entry into r11, then its second into r22
+        rho = math.hypot(r11, a)
+        if rho != 0.0:
+            cs, sn = r11 / rho, a / rho
+            r11, r12, b = rho, cs * r12 + sn * b, cs * b - sn * r12
+            z1, c = cs * z1 + sn * c, cs * c - sn * z1
+        rho = math.hypot(r22, b)
+        if rho != 0.0:
+            r22, z2 = rho, (r22 * z2 + b * c) / rho
+    half, det = 0.5 * (r11 * r11 + r12 * r12 + r22 * r22), r11 * r22
+    sigma_max_sq = half + math.sqrt(max((half - det) * (half + det), 0.0))
+    if det <= 1e-12 * sigma_max_sq:
         return None
-    resid = float(np.sum((c_vec - a_mat @ sol) ** 2))
-    return float(sol[0]), float(sol[1]), resid
+    y = z2 / r22
+    x = (z1 - r12 * y) / r11
+    resid = 0.0
+    for (a, b), c in zip(rows, rhs):
+        e = c - (a * x + b * y)
+        resid += e * e
+    return x, y, resid
+
+
+def _roll_equation(rot_r, rot_t, d0, delta_r, delta_t, d_m):
+    """One displaced pair's equation in (cos roll, sin roll) for one path:
+    the row for s = +1, the row for s = -1 and the right-hand side.
+
+    rot_r and rot_t are the rows of align_rotation at the arrival and the
+    departure angles, d0 and d_m the path lengths at the reference and the
+    displaced pair, delta_r and delta_t the reference minus the displaced
+    positions. With a = rot @ delta at each end, the squared modeled
+    distance gives the row 2 (a_r1 a_t1 + s a_r2 a_t2, s a_r2 a_t1 - a_r1 a_t2)
+    and the right-hand side d_m^2 - geom - 2 a_r0 a_t0, where
+    geom = -d0^2 + |delta_r + d0 u_r|^2 + |delta_t + d0 u_t|^2 and u is the
+    direction, the first row of rot.
+    """
+    dr0, dr1, dr2 = delta_r
+    dt0, dt1, dt2 = delta_t
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot_r
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = rot_t
+    ar0 = r00 * dr0 + r01 * dr1 + r02 * dr2
+    ar1 = r10 * dr0 + r11 * dr1 + r12 * dr2
+    ar2 = r20 * dr0 + r21 * dr1 + r22 * dr2
+    at0 = t00 * dt0 + t01 * dt1 + t02 * dt2
+    at1 = t10 * dt0 + t11 * dt1 + t12 * dt2
+    at2 = t20 * dt0 + t21 * dt1 + t22 * dt2
+    er0, er1, er2 = dr0 + d0 * r00, dr1 + d0 * r01, dr2 + d0 * r02
+    et0, et1, et2 = dt0 + d0 * t00, dt1 + d0 * t01, dt2 + d0 * t02
+    geom = (
+        -d0 * d0
+        + (er0 * er0 + er1 * er1 + er2 * er2)
+        + (et0 * et0 + et1 * et1 + et2 * et2)
+    )
+    p, q, u, v = ar1 * at1, ar2 * at2, ar2 * at1, ar1 * at2
+    return (
+        (2.0 * (p + q), 2.0 * (u - v)),
+        (2.0 * (p - q), 2.0 * (-u - v)),
+        d_m * d_m - geom - 2.0 * ar0 * at0,
+    )
 
 
 def solve_gamma_s(
@@ -138,66 +204,62 @@ def solve_gamma_s(
 
     For each reference path and each displaced pair, the squared modeled
     distance is linear in (cos roll, sin roll) once the parity is fixed; the
-    two candidate linear systems are solved and the parity with the smaller
-    residual wins. When both residuals vanish (always the case with exactly
-    two displaced pairs and consistent data), the solution whose (x, y) lies
-    closer to the unit circle decides, since x^2 + y^2 = 1 must hold for the
-    true parity. Requires at least two displaced pairs.
+    two candidate linear systems are solved by _fit_roll's two-column least
+    squares and the parity with the smaller residual wins. When both
+    residuals vanish (always the case with exactly two displaced pairs and
+    consistent data), the solution whose (x, y) lies closer to the unit
+    circle decides, since x^2 + y^2 = 1 must hold for the true parity.
+    Requires at least two displaced pairs; one that observes no paths gives
+    no equations. The arithmetic runs on floats.
     """
     if len(displaced) < 2:
         raise ValueError("need at least two displaced pairs")
     if not ref_geometry.matches(reference.tx, reference.rx):
         raise ValueError("reference observation does not sit at the reference pair")
 
-    matches = [match_paths(reference, obs) for obs in displaced]
+    # per displaced pair: the matches, ref - displaced at RX and TX, and the
+    # observed paths
+    rx_ref, tx_ref = ref_geometry.rx_ref.tolist(), ref_geometry.tx_ref.tolist()
+    pairs = []
+    for obs in displaced:
+        if obs.paths:
+            sigma = match_paths(reference, obs)
+        else:
+            sigma = [None] * len(reference.paths)
+        delta_r = tuple(r - o for r, o in zip(rx_ref, obs.rx.tolist()))
+        delta_t = tuple(t - o for t, o in zip(tx_ref, obs.tx.tolist()))
+        pairs.append((sigma, delta_r, delta_t, obs.paths))
 
     solutions = []
     for i, path in enumerate(reference.paths):
-        rot_rx = align_rotation(path.aoa_az, path.aoa_el)
-        rot_tx = align_rotation(path.aod_az, path.aod_el)
-        u_r = spherical_dir(path.aoa_az, path.aoa_el)
-        u_t = spherical_dir(path.aod_az, path.aod_el)
+        rot_r = _align_rows(path.aoa_az, path.aoa_el)
+        rot_t = _align_rows(path.aod_az, path.aod_el)
         d0 = C_LIGHT * path.delay
 
-        rows_a: dict[int, list[list[float]]] = {1: [], -1: []}
-        rhs: list[float] = []
-        for obs, sigma in zip(displaced, matches):
+        rows_pos, rows_neg, rhs = [], [], []
+        for sigma, delta_r, delta_t, seen in pairs:
             j = sigma[i]
             if j is None:
                 continue
-            delta_r = ref_geometry.rx_ref - obs.rx
-            delta_t = ref_geometry.tx_ref - obs.tx
-            a_r = rot_rx @ delta_r
-            a_t = rot_tx @ delta_t
-            geom = (
-                -d0 * d0
-                + float(np.sum((delta_r + d0 * u_r) ** 2))
-                + float(np.sum((delta_t + d0 * u_t) ** 2))
+            row_pos, row_neg, c_m = _roll_equation(
+                rot_r, rot_t, d0, delta_r, delta_t, C_LIGHT * seen[j].delay
             )
-            d_m = C_LIGHT * obs.paths[j].delay
-            c_m = d_m * d_m - geom - 2.0 * a_r[0] * a_t[0]
-            for s in (1, -1):
-                rows_a[s].append(
-                    [
-                        2.0 * (a_r[1] * a_t[1] + s * a_r[2] * a_t[2]),
-                        2.0 * (s * a_r[2] * a_t[1] - a_r[1] * a_t[2]),
-                    ]
-                )
+            rows_pos.append(row_pos)
+            rows_neg.append(row_neg)
             rhs.append(c_m)
 
         if len(rhs) < 2:
             solutions.append(GammaSolution(s=0, gamma=math.nan, residual=math.inf))
             continue
-        c_vec = np.array(rhs)
-        fit_pos = _fit_roll(np.array(rows_a[1]), c_vec)
-        fit_neg = _fit_roll(np.array(rows_a[-1]), c_vec)
+        fit_pos = _fit_roll(rows_pos, rhs)
+        fit_neg = _fit_roll(rows_neg, rhs)
         if fit_pos is None or fit_neg is None:
             solutions.append(GammaSolution(s=0, gamma=math.nan, residual=math.inf))
             continue
 
         # Residuals tie (both systems interpolate) whenever there are only as
         # many equations as unknowns; fall back to unit-circle consistency.
-        tie_scale = max(float(np.sum(c_vec**2)), 1e-300)
+        tie_scale = max(sum([c * c for c in rhs]), 1e-300)
         if abs(fit_pos[2] - fit_neg[2]) > 1e-6 * tie_scale:
             s = 1 if fit_pos[2] < fit_neg[2] else -1
         else:

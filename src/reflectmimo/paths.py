@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _EYE3,
     _det3,
     _dir_angles,
     _euler_factor,
@@ -121,7 +120,17 @@ class RmImage:
         u = np.asarray(self.U, dtype=float)
         if u.shape != (3, 3):
             raise ValueError("U must be a 3x3 matrix")
-        if float(np.max(np.abs(u.T @ u - _EYE3))) > 1e-9:
+        # U^T U = I within 1e-9 entrywise, from the columns' dot products
+        (a, b, c), (d, e, f), (g, h, i) = u.tolist()
+        gram = (
+            a * a + d * d + g * g - 1.0,
+            b * b + e * e + h * h - 1.0,
+            c * c + f * f + i * i - 1.0,
+            a * b + d * e + g * h,
+            a * c + d * f + g * i,
+            b * c + e * f + h * i,
+        )
+        if max(map(abs, gram)) > 1e-9:
             raise ValueError("U must be orthogonal")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "g", _vec3(self.g, "g"))
@@ -163,21 +172,25 @@ class RmPath(PwaPath):
             raise ValueError(f"mirror parity must be -1 or +1, got {self.s!r}")
 
 
-def align_rotation(azimuth: float, elevation: float) -> np.ndarray:
-    """Rotation R_y(el) @ R_z(-az) mapping the direction (az, el) onto +x.
+def _align_rows(azimuth: float, elevation: float) -> tuple[tuple[float, ...], ...]:
+    """Rows of align_rotation(azimuth, elevation) as float triples; the first
+    is the unit direction (az, el).
 
     Each entry of the product is one product of the factors' entries, 0 or
     1; + 0.0 makes a zero entry +0.0, as the matrix product does.
     """
     ce, se = math.cos(elevation), math.sin(elevation)
     ca, sa = math.cos(-azimuth), math.sin(-azimuth)
-    return np.array(
-        [
-            [ce * ca, ce * -sa + 0.0, se + 0.0],
-            [sa + 0.0, ca, 0.0],
-            [-se * ca + 0.0, -se * -sa + 0.0, ce],
-        ]
+    return (
+        (ce * ca, ce * -sa + 0.0, se + 0.0),
+        (sa + 0.0, ca, 0.0),
+        (-se * ca + 0.0, -se * -sa + 0.0, ce),
     )
+
+
+def align_rotation(azimuth: float, elevation: float) -> np.ndarray:
+    """Rotation R_y(el) @ R_z(-az) mapping the direction (az, el) onto +x."""
+    return np.array(_align_rows(azimuth, elevation))
 
 
 def departure_mirror(path: RmPath) -> np.ndarray:

@@ -13,13 +13,22 @@ from hypothesis import strategies as st
 from reflectmimo.fit_dp import (
     PairObservation,
     _fit_roll,
+    _roll_equation,
     fit_rm_dp,
     match_paths,
     solve_gamma_s,
 )
 from reflectmimo.fit_rt import fit_rm_rt
 from reflectmimo.geometry import wrap_angle
-from reflectmimo.paths import PwaPath, ReferencePair, RmPath, rm_distance_angles
+from reflectmimo.geometry import spherical_dir
+from reflectmimo.paths import (
+    PwaPath,
+    ReferencePair,
+    RmPath,
+    _align_rows,
+    align_rotation,
+    rm_distance_angles,
+)
 from reflectmimo.tracer import Scene, make_facet
 
 from scenelib import observe, random_scene
@@ -221,6 +230,124 @@ class TestRollLeastSquares:
         assert abs(resid - res[0]) <= 1e-12
 
 
+EPS = np.finfo(float).eps
+
+
+class TestRollSolverAgainstLstsq:
+    """_fit_roll's Givens least squares against numpy's SVD-based lstsq."""
+
+    @staticmethod
+    def system(seed, n_rows, scale, cond, noise):
+        """n_rows x 2 matrix with singular values scale and scale / cond, and
+        a right-hand side A @ x_true plus noise * scale of random residual."""
+        rng = np.random.default_rng(seed)
+        left, _ = np.linalg.qr(rng.normal(size=(n_rows, 2)))
+        right, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        a = (left * [scale, scale / cond]) @ right.T
+        c = a @ rng.normal(size=2) + noise * scale * rng.normal(size=n_rows)
+        return a, c
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(2, 6),
+        log_scale=st.floats(-6.0, 6.0),
+        log_cond=st.floats(0.0, 8.0),
+        noise=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    )
+    def test_matches_lstsq(self, seed, n_rows, log_scale, log_cond, noise):
+        scale, cond = 10.0**log_scale, 10.0**log_cond
+        a, c = self.system(seed, n_rows, scale, cond, noise)
+        got = _fit_roll(a.tolist(), c.tolist())
+        sol, _, _, sv = np.linalg.lstsq(a, c, rcond=None)
+        kappa = sv[0] / sv[-1]
+        assert got is not None
+        r = c - a @ sol
+        want_resid = float(r @ r)
+        # least-squares perturbation bounds: the solution moves by
+        # eps kappa (|x| + kappa |r| / sigma_max), the residual vector by
+        # eps kappa |c|, with a margin for the rounding of both solvers
+        err_x = 64 * EPS * kappa * (np.linalg.norm(sol) + kappa * math.sqrt(want_resid) / sv[0])
+        assert math.hypot(got[0] - sol[0], got[1] - sol[1]) <= err_x
+        err_r = 64 * EPS * kappa * np.linalg.norm(c)
+        assert abs(got[2] - want_resid) <= 2.0 * math.sqrt(want_resid) * err_r + err_r**2
+
+    def test_consistent_system_residual_is_roundoff(self):
+        # the residual summed from C - A (x, y) sits at the rounding of C;
+        # one formed from the normal equations would sit at +-eps |C|^2
+        for seed in range(6):
+            a, c = self.system(seed, 4, 1e-4, 10.0, 0.0)
+            x, y, resid = _fit_roll(a.tolist(), c.tolist())
+            assert 0.0 <= resid <= (64 * EPS * 10.0) ** 2 * float(c @ c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(2, 6),
+        log_scale=st.floats(-6.0, 6.0),
+        ratio=st.floats(-1e6, 1e6).filter(lambda t: t != 0.0),
+        zero_col=st.sampled_from([None, 0, 1]),
+    )
+    def test_parallel_and_zero_columns_return_none(
+        self, seed, n_rows, log_scale, ratio, zero_col
+    ):
+        rng = np.random.default_rng(seed)
+        col = 10.0**log_scale * rng.normal(size=n_rows)
+        a = np.stack([col, ratio * col], axis=1)
+        if zero_col is not None:
+            a[:, zero_col] = 0.0
+        c = rng.normal(size=n_rows)
+        assert _fit_roll(a.tolist(), c.tolist()) is None
+        assert _fit_roll(np.zeros((n_rows, 2)).tolist(), c.tolist()) is None
+
+
+class TestRollEquation:
+    """The float rows and right-hand side against the matrix form."""
+
+    @staticmethod
+    def matrix_form(aoa, aod, d0, delta_r, delta_t, d_m):
+        a_r = align_rotation(*aoa) @ delta_r
+        a_t = align_rotation(*aod) @ delta_t
+        e_r = delta_r + d0 * spherical_dir(*aoa)
+        e_t = delta_t + d0 * spherical_dir(*aod)
+        geom = -d0 * d0 + float(e_r @ e_r) + float(e_t @ e_t)
+        rows = [
+            [
+                2.0 * (a_r[1] * a_t[1] + s * a_r[2] * a_t[2]),
+                2.0 * (s * a_r[2] * a_t[1] - a_r[1] * a_t[2]),
+            ]
+            for s in (1, -1)
+        ]
+        # the scale of the terms that cancel in the right-hand side
+        scale = d_m * d_m + d0 * d0 + float(e_r @ e_r) + float(e_t @ e_t)
+        return rows, d_m * d_m - geom - 2.0 * a_r[0] * a_t[0], scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        log_delta=st.floats(-4.0, 0.0),
+        d0=st.floats(0.5, 2000.0),
+    )
+    def test_rows_and_rhs_are_the_matrix_form(self, angles, seed, log_delta, d0):
+        rng = np.random.default_rng(seed)
+        aoa, aod = (angles[0], angles[1] / 2), (angles[2], angles[3] / 2)
+        delta_r, delta_t = 10.0**log_delta * rng.normal(size=(2, 3))
+        d_m = d0 * (1.0 + 1e-3 * rng.normal())
+        rot_r, rot_t = _align_rows(*aoa), _align_rows(*aod)
+        for rot, ang in ((rot_r, aoa), (rot_t, aod)):
+            assert np.array(rot).tobytes() == align_rotation(*ang).tobytes()
+            assert np.max(np.abs(np.array(rot[0]) - spherical_dir(*ang))) <= 1e-15
+        row_pos, row_neg, c_m = _roll_equation(
+            rot_r, rot_t, d0, tuple(delta_r), tuple(delta_t), d_m
+        )
+        want_rows, want_c, scale = self.matrix_form(aoa, aod, d0, delta_r, delta_t, d_m)
+        row_scale = 2.0 * np.linalg.norm(delta_r) * np.linalg.norm(delta_t)
+        for got, want in zip((row_pos, row_neg), want_rows):
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-15 * row_scale
+        assert abs(c_m - want_c) <= 1e-15 * scale
+
+
 class TestSolveGammaS:
     def test_los_parity_and_roll(self):
         scene = empty_scene()
@@ -370,6 +497,35 @@ class TestFitRmDp:
             assert est.delay == src.delay
             assert est.aoa_az == src.aoa_az and est.aoa_el == src.aoa_el
             assert est.aod_az == src.aod_az and est.aod_el == src.aod_el
+
+    def test_displaced_pair_without_paths_gives_no_equations(self):
+        # one 1 m floor tile at 28 GHz; a displaced pair that observes no
+        # paths gives no equations: beside two that do, the fit is theirs,
+        # beside one, every path is left with one equation and is dropped
+        tile = make_facet(
+            center=(5.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), half_u=0.5, half_v=0.5
+        )
+        scene = Scene(facets=(tile,), carrier_freq=28e9)
+        tx, rx = np.array([0.0, 0.0, 1.0]), np.array([10.0, 0.0, 1.0])
+        pair = ReferencePair(tx_ref=tx, rx_ref=rx)
+        ref_obs, ref_traced = observe(scene, tx, rx)
+        assert sorted(p.bounces for p in ref_traced) == [0, 1]
+        rng = np.random.default_rng(4)
+        seen = [
+            displaced_observation(scene, rng, r, tx0=tx, rx0=rx) for r in (0.01, 0.02)
+        ]
+        blind = PairObservation(tx=tx + [0.0, 0.01, 0.0], rx=rx, paths=())
+
+        sols = solve_gamma_s(ref_obs, [seen[0], blind, seen[1]], pair)
+        assert sols == solve_gamma_s(ref_obs, seen, pair)
+        for sol, traced in zip(sols, ref_traced):
+            truth = fit_rm_rt(traced, pair)
+            assert sol.ok and sol.s == truth.s
+            assert abs(wrap_angle(sol.gamma - truth.roll)) <= 1e-6
+
+        sols = solve_gamma_s(ref_obs, [blind, seen[0]], pair)
+        assert [(sol.s, sol.ok) for sol in sols] == [(0, False)] * 2
+        assert fit_rm_dp(ref_obs, [seen[1], blind], pair) == []
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=30, deadline=None)

@@ -64,6 +64,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             RmImage(U=np.eye(3) * 1.001, g=np.zeros(3))
 
+    def test_rm_image_orthogonality_bound_on_every_entry(self):
+        # U = Q (I + E) moves entry (i, j) of U^T U and its mirror by about
+        # 2 E_ij; the image is refused exactly when an entry is off I by
+        # more than 1e-9
+        rng = np.random.default_rng(5)
+        for i, j in itertools.product(range(3), repeat=2):
+            for offset in (6e-10, 4e-10, -6e-10, -4e-10):
+                e = np.zeros((3, 3))
+                e[i, j] = e[j, i] = offset
+                u = random_orthogonal(rng) @ (np.eye(3) + e)
+                off = float(np.max(np.abs(u.T @ u - np.eye(3))))
+                assert abs(off - 1e-9) > 1e-12  # not at the bound itself
+                if off > 1e-9:
+                    with pytest.raises(ValueError, match="orthogonal"):
+                        RmImage(U=u, g=np.zeros(3))
+                else:
+                    RmImage(U=u, g=np.zeros(3))
+
     def test_reference_pair_distinct(self):
         with pytest.raises(ValueError):
             ReferencePair(tx_ref=np.ones(3), rx_ref=np.ones(3))
