@@ -210,12 +210,15 @@ def solve_gamma_s(
     consistent data), the solution whose (x, y) lies closer to the unit
     circle decides, since x^2 + y^2 = 1 must hold for the true parity.
     Requires at least two displaced pairs; one that observes no paths gives
-    no equations. The arithmetic runs on floats.
+    no equations, and a reference that observes none has nothing to solve.
+    The arithmetic runs on floats.
     """
     if len(displaced) < 2:
         raise ValueError("need at least two displaced pairs")
     if not ref_geometry.matches(reference.tx, reference.rx):
         raise ValueError("reference observation does not sit at the reference pair")
+    if not reference.paths:
+        return []
 
     # per displaced pair: the matches, ref - displaced at RX and TX, and the
     # observed paths

@@ -527,6 +527,26 @@ class TestFitRmDp:
         assert [(sol.s, sol.ok) for sol in sols] == [(0, False)] * 2
         assert fit_rm_dp(ref_obs, [seen[1], blind], pair) == []
 
+    def test_reference_without_paths_gives_no_fit(self):
+        # a reference pair that observes nothing has nothing to match the
+        # displaced paths to, whether or not the displaced pairs see paths
+        tile = make_facet(
+            center=(5.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), half_u=0.5, half_v=0.5
+        )
+        scene = Scene(facets=(tile,), carrier_freq=28e9)
+        tx, rx = np.array([0.0, 0.0, 1.0]), np.array([10.0, 0.0, 1.0])
+        pair = ReferencePair(tx_ref=tx, rx_ref=rx)
+        rng = np.random.default_rng(4)
+        seen = [
+            displaced_observation(scene, rng, r, tx0=tx, rx0=rx) for r in (0.01, 0.02)
+        ]
+        assert all(obs.paths for obs in seen)
+        empty = PairObservation(tx=tx, rx=rx, paths=())
+        blind = [PairObservation(tx=obs.tx, rx=obs.rx, paths=()) for obs in seen]
+        for displaced in (seen, blind):
+            assert solve_gamma_s(empty, displaced, pair) == []
+            assert fit_rm_dp(empty, displaced, pair) == []
+
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_reference_order_does_not_change_the_fit(self, seed, data):
@@ -534,7 +554,8 @@ class TestFitRmDp:
         scene, pair = random_scene(rng)
         ref_obs, _ = observe(scene, pair.tx_ref, pair.rx_ref)
         gains = [abs(p.gain) for p in ref_obs.paths]
-        assume(len(set(gains)) == len(gains))
+        # a reference that observes nothing has no order to permute
+        assume(gains and len(set(gains)) == len(gains))
         displaced = [
             displaced_observation(scene, rng, r, tx0=pair.tx_ref, rx0=pair.rx_ref)
             for r in (0.01, 0.02)
