@@ -110,6 +110,9 @@ def save_scene(scene: Scene, fp: IO[str]) -> None:
 
 def load_scene(fp: IO[str]) -> Scene:
     doc = json.load(fp)
+    for f in doc.get("facets", []):
+        if not isinstance(f.get("two_sided", False), bool):  # bool("false") is True
+            raise ValueError(f"facet two_sided must be true or false, got {f['two_sided']!r}")
     facets = tuple(
         Facet(
             center=np.array(f["center"], dtype=float),
@@ -117,7 +120,7 @@ def load_scene(fp: IO[str]) -> Scene:
             axis_v=np.array(f["axis_v"], dtype=float),
             half_u=None if f.get("half_u") is None else float(f["half_u"]),
             half_v=None if f.get("half_v") is None else float(f["half_v"]),
-            two_sided=bool(f.get("two_sided", False)),
+            two_sided=f.get("two_sided", False),
         )
         for f in doc.get("facets", [])
     )

@@ -108,11 +108,15 @@ def match_paths(
         for j, cand in enumerate(displaced.paths):
             if j in used:
                 continue
-            # the four angle gaps in degrees, azimuths wrapped, summed in order
+            # the four angle gaps in degrees, azimuths wrapped, summed in order;
+            # a partial sum that reaches best_cost can only stay there or grow
             cost = _DEG_PER_RAD * abs(remainder(ref.aoa_az - cand.aoa_az, turn))
-            cost += _DEG_PER_RAD * abs(remainder(ref.aod_az - cand.aod_az, turn))
-            cost += _DEG_PER_RAD * abs(ref.aoa_el - cand.aoa_el)
-            cost += _DEG_PER_RAD * abs(ref.aod_el - cand.aod_el)
+            if cost < best_cost:
+                cost += _DEG_PER_RAD * abs(remainder(ref.aod_az - cand.aod_az, turn))
+            if cost < best_cost:
+                cost += _DEG_PER_RAD * abs(ref.aoa_el - cand.aoa_el)
+            if cost < best_cost:
+                cost += _DEG_PER_RAD * abs(ref.aod_el - cand.aod_el)
             if cost < best_cost:
                 best_cost = cost
                 best = j

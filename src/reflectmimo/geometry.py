@@ -38,11 +38,11 @@ def wrap_angle(angle: float) -> float:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit length; rejects (near-)zero input."""
+    """Return v scaled to unit length; rejects (near-)zero and non-finite input."""
     v = np.asarray(v, dtype=float)
     n = math.sqrt(v.dot(v))
-    if n < 1e-15:
-        raise ValueError("cannot normalize a zero vector")
+    if not 1e-15 <= n < math.inf:  # a NaN norm fails both comparisons
+        raise ValueError("cannot normalize a zero or non-finite vector")
     return v / n
 
 

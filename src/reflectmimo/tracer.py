@@ -6,17 +6,19 @@ ordered facet sequences up to a bounce limit as a tree keyed by suffix
 walk skips only sequences that unfolding would reject: it cuts a subtree
 where an image lies behind a one-sided facet (Borish 1984) or where two
 facets face away from each other (a facet-pair table kept by each Scene),
-and unfolds a sequence only when TX faces its first facet and, tracing one
+and yields a sequence only when TX faces its first facet and, tracing one
 pair, when the aim image lies in the cone from TX's mirror through that
-facet (the beam of Funkhouser et al. 1998, at its first reflection). Each
-route is unfolded towards those images and kept only if every interaction
-point lies inside its facet, hits the reflective side, and no segment is
-blocked by another facet. The kept sequences are sorted (line of sight,
-bounce count, lexicographic) before the seam rule and the gains, so the
-output is that of trying every sequence in that order. Gains follow
-free-space spreading over the route length with a fixed per-bounce loss,
-phase referenced to the scene carrier. Each traced path keeps its scene, so
-its mirror image (U, g) composes from the planes of the facets it meets.
+facet (the beam of Funkhouser et al. 1998, at its first reflection). What
+these culls read of a facet the Scene keeps from construction; a trace adds
+only three floats per cone. Each yielded sequence is unfolded towards those
+images, and its route kept only if every interaction point lies inside its
+facet, hits the reflective side, and no segment is blocked by another
+facet. The kept sequences are sorted (line of sight, bounce count,
+lexicographic) before the seam rule and the gains, so the output is that of
+trying every sequence in that order. Gains follow free-space spreading over
+the route length with a fixed per-bounce loss, phase referenced to the
+scene carrier. Each traced path keeps its scene, so its mirror image (U, g)
+composes from the planes of the facets it meets.
 Two tracers share the walk and these rules:
 
 * ``trace_paths`` traces one TX/RX pair on plain floats: the flat record
@@ -108,6 +110,8 @@ class Facet:
 
     def __post_init__(self) -> None:
         center = np.array(self.center, dtype=float)
+        if not np.isfinite(center).all():
+            raise ValueError(f"facet center must be finite, got {center}")
         axis_u = unit(self.axis_u)
         axis_v = unit(self.axis_v)
         if abs(float(axis_u @ axis_v)) > 1e-9:
@@ -216,13 +220,17 @@ class Scene:
     Each scene also keeps, for every facet g, the indices of the facets f
     that may come straight before g in a route (_predecessors): f != g, and
     the segment from f to g can leave f's reflective side and arrive on g's
-    (see _faces).
+    (see _faces). For _walk's culls it keeps each facet's plane
+    (two_sided, nx, ny, nz, b) in _planes, and in _frames its centre, axes
+    and half-extents padded by _PAD (None when unbounded).
     """
 
     facets: tuple[Facet, ...]
     carrier_freq: float
     reflection_loss_db: float = 3.0
     _predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _planes: tuple[tuple, ...] = field(init=False, repr=False)
+    _frames: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         facets = tuple(self.facets)
@@ -241,6 +249,9 @@ class Scene:
             for j, g in enumerate(flats)
         )
         object.__setattr__(self, "_predecessors", predecessors)
+        object.__setattr__(self, "_planes", tuple(f[:5] for f in flats))
+        padded = (tuple(None if h is None else h + _PAD for h in f[14:16]) for f in flats)
+        object.__setattr__(self, "_frames", tuple(f[5:14] + p for f, p in zip(flats, padded)))
 
     @property
     def wavelength(self) -> float:
@@ -369,66 +380,81 @@ _FLOAT_OPS = _Ops(bool, math.sqrt, max, cmath.exp)
 _ARRAY_OPS = _Ops(np.any, np.sqrt, np.maximum, np.exp)
 
 
-def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, reaches):
+def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
     """Depth-first walk of the facet-sequence tree, keyed by suffix.
 
     Yields (sequence, images) for the sequences that can have a route, line
     of sight () first; images[k] is rx mirrored through sequence[k:], the aim
     point of the segment arriving at interaction k. A child puts facet f in
     front of its node and mirrors the node's images[0] through f (_mirror),
-    from the height of images[0] over f's plane that the side cull below
-    also reads. Three culls, each of which skips only sequences that _unfold
-    rejects (their margins pad facets by _PAD, which covers _unfold's
-    rounding):
+    from the height of images[0] over f's plane (Scene._planes) that the
+    side cull below also reads. Three culls, each of which skips only
+    sequences that _unfold rejects (their margins pad facets by _PAD, which
+    covers _unfold's rounding):
 
     * f goes in front of the node's first facet only if the scene lists it
       as a predecessor (Scene._predecessors), which also excludes that
       facet itself: two consecutive hits on one facet are never specular.
     * A one-sided f is cut, with its subtree, unless images[0], where the
       segment leaving f heads, is strictly in front of it.
-    * reaches(f, aim) tells whether a route from TX can meet facet f first
-      and leave it towards aim. A node is yielded only when it holds for its
-      first facet and images[1]; a child at the bounce limit that fails it
-      is not pushed at all.
+    * cones[f] tells whether a route from TX can meet facet f first and
+      leave it towards images[0]: that truth value, or a cone of _tx_cones,
+      tested here on f's frame (Scene._frames). A child is yielded from its
+      node's loop only when it passes; a child at the bounce limit is built
+      only then, and never pushed.
 
-    On arrays, a test passes when it passes for any pair.
+    _kept sorts what is yielded. On arrays, a test passes when it passes for
+    any pair.
     """
     if not 0 <= max_bounces <= MAX_BOUNCES:
         raise ValueError(f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}")
-    flats = [f._flat for f in scene.facets]
+    planes, frames = scene._planes, scene._frames
     predecessors = scene._predecessors
     any_ = ops.any
-    stack = [((), (rx,), True)]
+    root = ((), (rx,))
+    yield root
+    stack = [root] if max_bounces else []
     while stack:
-        seq, images, reached = stack.pop()
-        if reached:
-            yield seq, images
-        depth = len(seq) + 1
-        if depth > max_bounces:
-            continue
+        seq, images = stack.pop()
+        leaf = len(seq) + 1 == max_bounces
         aim = images[0]
         ax, ay, az = aim
-        for idx in predecessors[seq[0]] if seq else range(len(flats)):
-            two_sided, nx, ny, nz, b = flats[idx][:5]
+        for idx in predecessors[seq[0]] if seq else range(len(planes)):
+            two_sided, nx, ny, nz, b = planes[idx]
             height = nx * ax + ny * ay + nz * az
-            if two_sided or any_(height > b):
-                reached = reaches(idx, aim)
-                if reached or depth < max_bounces:
-                    image = _mirror(aim, 2.0 * (height - b), nx, ny, nz)
-                    stack.append(((idx, *seq), (image, *images), reached))
+            if not (two_sided or any_(height > b)):
+                continue
+            reached = cones[idx]
+            if reached.__class__ is tuple:  # the test _tx_cones derives
+                h, a_u, a_v = reached
+                cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v = frames[idx]
+                dx, dy, dz = ax - cx, ay - cy, az - cz
+                z = nx * dx + ny * dy + nz * dz
+                d = h + z if h > 0.0 else -h - z
+                x_u = ux * dx + uy * dy + uz * dz
+                reached = half_u is None or not abs(a_u * z + h * x_u) > half_u * d
+                if reached and half_v is not None:
+                    reached = abs(a_v * z + h * (vx * dx + vy * dy + vz * dz)) <= half_v * d
+            if reached or not leaf:
+                node = ((idx,) + seq, (_mirror(aim, 2.0 * (height - b), nx, ny, nz),) + images)
+                if reached:
+                    yield node
+                if not leaf:
+                    stack.append(node)
 
 
-def _faced(flats: list[_Flat], tx, ops: _Ops) -> list:
-    """For each facet record, whether a route from TX can meet it first: it
-    is two-sided, or TX is strictly in front of it."""
+def _faced(planes, tx, ops: _Ops) -> list:
+    """For each facet plane (Scene._planes), whether a route from TX can meet
+    it first: it is two-sided, or TX is strictly in front of it."""
     return [
-        f.two_sided or ops.any(f.nx * tx[0] + f.ny * tx[1] + f.nz * tx[2] > f.b) for f in flats
+        two_sided or ops.any(nx * tx[0] + ny * tx[1] + nz * tx[2] > b)
+        for two_sided, nx, ny, nz, b in planes
     ]
 
 
-def _tx_cones(flats: list[_Flat], tx):
-    """reaches for _walk from the float triple tx and the facet records:
-    _faced, plus a cone.
+def _tx_cones(scene: Scene, tx) -> list:
+    """The cones of _walk from the float triple tx: for each facet, _faced,
+    or in its place the cone through the facet when TX faces it.
 
     A route meets facet f first where the segment from tx to the mirror of
     aim crosses f's plane, which is where the segment from f.reflect(tx) to
@@ -443,36 +469,17 @@ def _tx_cones(flats: list[_Flat], tx):
     with s the sign of h. s (h + z) is negative, and the test fails, when
     aim lies beyond f's plane from TX, where no route heads after meeting f.
     The test rounds like _unfold's crossing, which _PAD covers. TX within
-    _PAD of f's plane gets no cone, and neither does an unbounded f.
+    _PAD of f's plane gets no cone, and neither does an unbounded f. A cone
+    holds (h, a_u, a_v), what depends on TX; _walk reads the rest off f.
     """
-    cones = []
-    for f, faced in zip(flats, _faced(flats, tx, _FLOAT_OPS)):
-        rel = (tx[0] - f.cx, tx[1] - f.cy, tx[2] - f.cz)
-        h = _dot(rel, (f.nx, f.ny, f.nz))
-        if not faced or abs(h) <= _PAD or (f.half_u is None and f.half_v is None):
-            cones.append(faced)
-        else:
-            cones.append((h, _dot(rel, (f.ux, f.uy, f.uz)), _dot(rel, (f.vx, f.vy, f.vz))))
-
-    def reaches(idx, aim):
-        cone = cones[idx]
-        if cone.__class__ is bool:
-            return cone
-        h, a_u, a_v = cone
-        _, nx, ny, nz, _, cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v, _ = flats[idx]
-        dx, dy, dz = aim[0] - cx, aim[1] - cy, aim[2] - cz
-        z = nx * dx + ny * dy + nz * dz
-        d = h + z if h > 0.0 else -h - z
-        if half_u is not None:
-            x_u = ux * dx + uy * dy + uz * dz
-            if abs(a_u * z + h * x_u) > (half_u + _PAD) * d:
-                return False
-        if half_v is not None:
-            x_v = vx * dx + vy * dy + vz * dz
-            return abs(a_v * z + h * x_v) <= (half_v + _PAD) * d
-        return True
-
-    return reaches
+    cones = _faced(scene._planes, tx, _FLOAT_OPS)
+    for idx, ((_, nx, ny, nz, _), frame) in enumerate(zip(scene._planes, scene._frames)):
+        cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v = frame
+        rel = (tx[0] - cx, tx[1] - cy, tx[2] - cz)
+        h = _dot(rel, (nx, ny, nz))
+        if cones[idx] and abs(h) > _PAD and (half_u is not None or half_v is not None):
+            cones[idx] = (h, _dot(rel, (ux, uy, uz)), _dot(rel, (vx, vy, vz)))
+    return cones
 
 
 def _apart(a, b, ops: _Ops):
@@ -619,13 +626,14 @@ def trace_paths(
     Includes the line-of-sight path when unobstructed. The suffix walk
     skips only sequences that unfolding rejects, so the paths are those of
     trying every sequence. They are sorted by descending gain magnitude, ties
-    in sequence order (line of sight, bounce count, lexicographic). Coplanar
+    by ascending delay, then in sequence order (line of sight, bounce count,
+    lexicographic), as _in_path_order documents for trace_pairs. Coplanar
     facets that meet or overlap can both accept the same specular point; such
     a path is returned once, under the first facet sequence in that order.
     """
     flats = [f._flat for f in scene.facets]
     txf = _f3(tx)
-    walk = _walk(scene, _f3(rx), max_bounces, _FLOAT_OPS, _tx_cones(flats, txf))
+    walk = _walk(scene, _f3(rx), max_bounces, _FLOAT_OPS, _tx_cones(scene, txf))
     accepted = []
     for seq, images in walk:
         found = _unfold(flats, seq, images, txf)
@@ -727,8 +735,8 @@ def trace_pairs(
     """
     facets = scene.facets
     tx, rx = _coordinates(tx_points, rx_points)
-    faced = _faced([f._flat for f in facets], tx, _ARRAY_OPS)
-    walk = _walk(scene, rx, max_bounces, _ARRAY_OPS, lambda idx, aim: faced[idx])
+    faced = _faced(scene._planes, tx, _ARRAY_OPS)
+    walk = _walk(scene, rx, max_bounces, _ARRAY_OPS, faced)
     unfolded = ((seq, _unfold_batch(facets, seq, images, tx)) for seq, images in walk)
     accepted = [(seq, *found) for seq, found in unfolded if found is not None]
     traced = []

@@ -118,6 +118,14 @@ class TestSceneJson:
             assert got.two_sided == want.two_sided
         assert loaded.facets[1].half_u is None
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_two_sided_must_be_a_json_boolean(self, flag):
+        # bool("false") is True: a string would load as a two-sided facet
+        facet = {"center": [0, 0, 0], "axis_u": [1, 0, 0], "axis_v": [0, 1, 0], "two_sided": flag}
+        doc = {"carrier_hz": 1e9, "facets": [facet]}
+        with pytest.raises(ValueError, match="two_sided must be true or false"):
+            fileio.load_scene(io.StringIO(json.dumps(doc)))
+
     def test_defaults_on_load(self):
         doc = {"carrier_hz": 1e9}
         loaded = fileio.load_scene(io.StringIO(json.dumps(doc)))

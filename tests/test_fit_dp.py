@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -188,6 +189,14 @@ class TestMatchPaths:
         )
         ref_paths = data.draw(st.lists(path, min_size=1, max_size=6))
         disp_paths = data.draw(st.lists(path, min_size=1, max_size=6))
+        # Against ref r, `first` costs exactly c's first angle gap and
+        # `first_two` c's first two gaps, so partial sums of c and first_two
+        # meet the best cost exactly; the copies of c and first tie with
+        # them. In any order, ties must go to the lower index.
+        r, c = data.draw(st.sampled_from(ref_paths)), data.draw(st.sampled_from(disp_paths))
+        first = dataclasses.replace(r, gain=c.gain, aoa_az=c.aoa_az)
+        first_two = dataclasses.replace(first, aod_az=c.aod_az)
+        disp_paths = data.draw(st.permutations([*disp_paths, first, first_two, c, first]))
 
         def cost(a, b):
             gap = math.degrees(abs(wrap_angle(a.aoa_az - b.aoa_az)))

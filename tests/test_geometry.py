@@ -22,6 +22,14 @@ unit_vecs = st.builds(
 )
 
 
+class TestUnit:
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.0, -math.inf, 1.0), (0.0, 0.0, 0.0)])
+    def test_rejects_zero_and_non_finite(self, bad):
+        # nan < 1e-15 is False: a NaN norm must not pass as a non-zero one
+        with pytest.raises(ValueError, match="cannot normalize"):
+            unit(np.array(bad))
+
+
 class TestWrapAngle:
     @given(angles)
     def test_range_and_equivalence(self, a):

@@ -47,6 +47,25 @@ class TestTypes:
                 axis_v=np.array([1.0, 1.0, 0.0]),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_facet_rejects_non_finite_geometry(self, bad):
+        # a NaN-centred facet would never occlude, its crossing tests all
+        # failing; a NaN or infinite axis normalizes to NaN
+        x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="center must be finite"):
+            Facet(center=np.array([0.0, bad, 0.0]), axis_u=x, axis_v=y, half_u=1.0, half_v=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            Facet(center=np.zeros(3), axis_u=np.array([bad, 0.0, 0.0]), axis_v=y)
+        with pytest.raises(ValueError, match="non-finite"):
+            make_facet(center=np.zeros(3), normal=np.array([0.0, 0.0, bad]))
+
+    def test_truthy_two_sided_that_is_not_a_bool(self):
+        # numpy's True, as from a boolean array, on a facet without a cone:
+        # the walk must take it as the truth value it is
+        scene = Scene(facets=(make_facet(np.zeros(3), EZ, two_sided=np.True_),), carrier_freq=1e9)
+        paths = trace_paths(scene, np.array([0.0, 0.0, 1.0]), np.array([3.0, 0.0, 1.0]), 1)
+        assert [p.route.facet_ids for p in paths] == [(), (0,)]
+
     def test_scene_rejects_negative_loss(self):
         with pytest.raises(ValueError):
             Scene(facets=(), carrier_freq=1e9, reflection_loss_db=-1.0)
@@ -441,20 +460,22 @@ def back_face_hits(scene, path) -> bool:
     )
 
 
-def count_mirrors(monkeypatch, trace, *args):
-    """Points mirrored through a facet plane by trace(*args), and its result.
+def count_calls(monkeypatch, name, trace, *args):
+    """Calls of tracer.<name> that trace(*args) makes, and its result.
 
-    Every mirror goes through tracer._mirror: the walk's, and Facet.reflect's,
-    which trace_sequence calls."""
+    Every mirror through a facet plane goes through tracer._mirror: the
+    walk's, and Facet.reflect's, which trace_sequence calls. Each sequence
+    the walk yields is unfolded once, by _unfold in trace_paths and by
+    _unfold_batch in trace_pairs."""
     calls = []
-    mirror = tracer._mirror
+    original = getattr(tracer, name)
 
-    def counted(*mirror_args):
+    def counted(*call_args):
         calls.append(None)
-        return mirror(*mirror_args)
+        return original(*call_args)
 
     with monkeypatch.context() as m:
-        m.setattr(tracer, "_mirror", counted)
+        m.setattr(tracer, name, counted)
         result = trace(*args)
     return len(calls), result
 
@@ -478,13 +499,27 @@ class TestSuffixWalk:
         # mirrors it 572 times.
         scene, ref = rich_room(np.random.default_rng(7))
         args = (scene, ref.tx_ref, ref.rx_ref, 3)
-        walked, paths = count_mirrors(monkeypatch, trace_paths, *args)
-        brute, _ = count_mirrors(monkeypatch, brute_force_paths, *args)
+        walked, paths = count_calls(monkeypatch, "_mirror", trace_paths, *args)
+        brute, _ = count_calls(monkeypatch, "_mirror", brute_force_paths, *args)
         assert brute == 20 + 2 * 20 * 19 + 3 * 20 * 19 * 19
         assert walked == 572
         assert 39 * walked <= brute
         assert len(paths) > 10
         assert_matches_brute_force(*args)
+
+    def test_walk_yield_counts(self, monkeypatch):
+        # The sequences the walk yields in the seed-7 room at 3 bounces, as
+        # the unfolds they cost: brute-force agreement cannot see a cull
+        # that is lost, only one that cuts a path. trace_pairs has no cones.
+        scene, ref = rich_room(np.random.default_rng(7))
+        unfolded, paths = count_calls(
+            monkeypatch, "_unfold", trace_paths, scene, ref.tx_ref, ref.rx_ref, 3
+        )
+        assert (unfolded, len(paths)) == (461, 52)
+        unfolded, traced = count_calls(
+            monkeypatch, "_unfold_batch", trace_pairs, scene, ref.tx_ref[None], ref.rx_ref[None], 3
+        )
+        assert (unfolded, len(traced)) == (1222, 52)
 
     def test_two_sided_facets_are_never_cut(self):
         # The seed-7 room with every facet two-sided: paths that reflect off
