@@ -8,21 +8,15 @@ drawn from a single seeded generator, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, cycle, repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import (
-    LinkBudget,
-    RateModel,
-    band_rate,
-    singular_values,
-    stream_rates,
-)
+from .capacity import LinkBudget, RateModel, band_rate, singular_values, stream_rates
 from .channel import channel_evaluator, path_distances, phasor_sum, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
@@ -45,13 +39,7 @@ ESTIMATORS = ("constant", "pwa", "rm_rt", "rm_dp")
 _SWEEP_MODELS = ("exhaustive",) + ESTIMATORS
 
 # Channel model (see channel.MODELS) that evaluates each estimator's fit.
-_CHANNEL_MODEL = {
-    "exhaustive": "exhaustive",
-    "constant": "constant",
-    "pwa": "pwa",
-    "rm_rt": "rm_image",
-    "rm_dp": "rm_image",
-}
+_CHANNEL_MODEL = {m: "rm_image" if m.startswith("rm_") else m for m in _SWEEP_MODELS}
 
 
 @dataclass(frozen=True)
@@ -76,11 +64,10 @@ class DisplacementSpec:
         object.__setattr__(self, "distances", d)
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorRecord:
+class ErrorRecord(NamedTuple):
     """Normalized squared channel error of one model at one sample point.
 
-    Slotted: an experiment returns thousands of these.
+    A named tuple: an experiment returns thousands of these.
     """
 
     model: str
@@ -89,12 +76,20 @@ class ErrorRecord:
     epsilon: float
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(3)
-        n = math.sqrt(v.dot(v))
-        if n > 1e-6:
-            return v / n
+def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random unit directions, (count, 3).
+
+    Standard normal triples are drawn in sequence; one of norm <= 1e-6 is
+    dropped and the shortfall drawn from the same stream, so the result and
+    the generator's state are those of count draws of one triple at a time.
+    """
+    units = np.empty((0, 3))
+    while len(units) < count:
+        v = rng.standard_normal((count - len(units), 3))
+        n = np.sqrt(np.vecdot(v, v))
+        kept = n > 1e-6
+        units = np.concatenate((units, v[kept] / n[kept, None]))
+    return units
 
 
 def _fit_estimators(
@@ -115,24 +110,19 @@ def _fit_estimators(
     if not traced0:
         raise ValueError("no propagation paths at the reference pair")
     pwa0 = [to_pwa(p, ref) for p in traced0]
-    fitted: dict[str, list] = {}
-    for name in ("constant", "pwa"):
-        if name in models:
-            fitted[name] = pwa0
+    fitted: dict[str, list] = {n: pwa0 for n in ("constant", "pwa") if n in models}
     if "rm_rt" in models:
         fitted["rm_rt"] = [fit_rm_rt(p, ref) for p in traced0]
     if "rm_dp" in models:
         displaced = []
-        for dist in dp_distances:
-            tx_m = ref.tx_ref + dist * _random_unit(rng)
-            rx_m = ref.rx_ref + dist * _random_unit(rng)
+        units = _random_units(rng, 2 * len(dp_distances))
+        for dist, dir_tx, dir_rx in zip(dp_distances, units[0::2], units[1::2]):
+            tx_m = ref.tx_ref + dist * dir_tx
+            rx_m = ref.rx_ref + dist * dir_rx
             pair_ref = ReferencePair(tx_ref=tx_m, rx_ref=rx_m)
             traced = trace_paths(scene, tx_m, rx_m, max_bounces)
-            displaced.append(
-                PairObservation(
-                    tx=tx_m, rx=rx_m, paths=tuple(to_pwa(p, pair_ref) for p in traced)
-                )
-            )
+            paths = tuple(to_pwa(p, pair_ref) for p in traced)
+            displaced.append(PairObservation(tx=tx_m, rx=rx_m, paths=paths))
         reference_obs = PairObservation(tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0))
         fitted["rm_dp"] = fit_rm_dp(reference_obs, displaced, ref)
     return traced0, fitted
@@ -155,15 +145,43 @@ def displacement_experiment(
     frequencies, with E0 the total path energy at the reference. The band
     is centred on the scene carrier, which is also the phase reference.
 
-    All S samples are traced as paired endpoints in one trace_pairs call, and
-    the truth and each model are synthesized as (S, n_freq) arrays, each
-    sample's paths summed in trace_paths' order. Records run sample by
-    sample, then frequency, then model; the pair traces issued are logged.
+    Returns one ErrorRecord named tuple per sample, frequency and model, in
+    that order; every field is a builtin str or float. The pair traces
+    issued are logged.
     """
+    if n_freq < 1:
+        raise ValueError(f"n_freq must be >= 1, got {n_freq}")
+    if not models:
+        raise ValueError("need at least one model")
     unknown = set(models) - set(ESTIMATORS)
     if unknown:
         raise ValueError(f"unknown estimator(s) {sorted(unknown)}")
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
 
+    freqs, eps = _displacement_errors(
+        scene, ref, spec, bandwidth, n_freq, models, max_bounces
+    )
+    # The record columns share each distance and frequency float, and
+    # tuple.__new__ (what ErrorRecord._make calls) does no per-field work.
+    per_distance = spec.directions_per_distance * n_freq * len(models)
+    rows = zip(
+        cycle(models),
+        chain.from_iterable(repeat(d, per_distance) for d in spec.distances),
+        cycle([f for f in freqs.tolist() for _ in models]),
+        memoryview(eps.reshape(-1)),  # iterates as builtin floats
+    )
+    return list(map(tuple.__new__, repeat(ErrorRecord), rows))
+
+
+def _displacement_errors(scene, ref, spec, bandwidth, n_freq, models, max_bounces):
+    """displacement_experiment's n_freq frequencies and (S, n_freq, models)
+    errors; the traces and channels die with this frame.
+
+    All S samples are traced as paired endpoints in one trace_pairs call, and
+    the truth and each model are synthesized as (S, n_freq) arrays, each
+    sample's paths summed in trace_paths' order.
+    """
     f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
     dp_distances = spec.distances[:2]
@@ -171,37 +189,25 @@ def displacement_experiment(
     energy0 = sum(abs(p.gain) ** 2 for p in traced0)
 
     freqs = rng.uniform(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, size=n_freq)
-    samples = [
-        (dist, _random_unit(rng), _random_unit(rng))
-        for dist in spec.distances
-        for _ in range(spec.directions_per_distance)
-    ]
-    tx_m = np.array([ref.tx_ref + dist * dir_tx for dist, dir_tx, _ in samples])
-    rx_m = np.array([ref.rx_ref + dist * dir_rx for dist, _, dir_rx in samples])
-    n_traced = 1 + (len(dp_distances) if "rm_dp" in models else 0) + len(samples)
+    dists = np.repeat(spec.distances, spec.directions_per_distance)
+    units = _random_units(rng, 2 * len(dists))
+    tx_m = ref.tx_ref + dists[:, None] * units[0::2]
+    rx_m = ref.rx_ref + dists[:, None] * units[1::2]
+    n_traced = 1 + (len(dp_distances) if "rm_dp" in models else 0) + len(dists)
     log.info("displacement experiment pair traces: %d", n_traced)
 
     # (paths, samples, 1) against (n_freq,): one (samples, n_freq) sum
-    gains, delays = _in_path_order(
-        trace_pairs(scene, tx_m, rx_m, max_bounces), (len(samples), 1)
-    )
+    pairs = trace_pairs(scene, tx_m, rx_m, max_bounces)
+    gains, delays = _in_path_order(pairs, (len(dists), 1))
     h_true = phasor_sum(gains, delays, C_LIGHT * delays, freqs, f0)
-    eps = np.empty((len(samples), n_freq, len(models)))
+    eps = np.empty((len(dists), n_freq, len(models)))
     for k, name in enumerate(models):
         paths = fitted[name]
         distances = path_distances(rx_m, tx_m, paths, ref, _CHANNEL_MODEL[name])
-        h_est = phasor_sum(
-            [p.gain for p in paths],
-            [p.delay for p in paths],
-            [d[:, None] for d in distances],
-            freqs,
-            f0,
-        )
+        g, tau = [p.gain for p in paths], [p.delay for p in paths]
+        h_est = phasor_sum(g, tau, [d[:, None] for d in distances], freqs, f0)
         eps[:, :, k] = abs(h_est - h_true) ** 2 / energy0
-
-    keys = itertools.product([dist for dist, _, _ in samples], freqs.tolist(), models)
-    values = eps.ravel().tolist()
-    return [ErrorRecord(name, dist, f, e) for (dist, f, name), e in zip(keys, values)]
+    return freqs, eps
 
 
 @dataclass(frozen=True)
@@ -276,14 +282,7 @@ def capacity_sweep(
                 counts[name] += len(rx_points) * len(tx_points)
             _, se_avg = band_rate(evaluator, f0, budget, rate_model, n_freq)
             center = stream_rates(singular_values(evaluator(f0)), budget, rate_model)
-            cells.append(
-                SweepCell(
-                    rotation=float(rot),
-                    model=name,
-                    se_center=float(center.max()),
-                    se_avg=se_avg,
-                    rank_used=int(np.argmax(center)) + 1,
-                )
-            )
+            se_center, rank_used = float(center.max()), int(np.argmax(center)) + 1
+            cells.append(SweepCell(float(rot), name, se_center, se_avg, rank_used))
     log.info("capacity sweep trace counts: %s", counts)
     return cells, counts

@@ -190,7 +190,10 @@ def load_paths(fp: IO[str]) -> PathExport:
         pwa = PwaPath(**_pwa_from_fields(e, "delay_s"))
         route = None
         if e.get("route") is not None:
-            route = Route(vertices=np.array(e["route"], dtype=float))
+            verts = np.array(e["route"], dtype=float)
+            if not np.isfinite(verts).all():
+                raise ValueError("path route has non-finite vertices")
+            route = Route(vertices=verts)
         paths.append((pwa, route))
     return PathExport(
         tx=np.array(doc["tx"], dtype=float),

@@ -25,10 +25,18 @@ def fit_from_route(route: Route) -> RmImage:
     """Mirror-image parameters (U, g) of one route.
 
     A direct route (no interactions) yields the identity image. Raises
-    ValueError on degenerate routes: repeated vertices or straight-through
-    interactions, whose mirror normal is undefined.
+    ValueError on non-finite vertices and on degenerate routes: repeated
+    vertices or straight-through interactions, whose mirror normal is
+    undefined.
+
+    Each normal is read off unit steps between rounded vertices, so the
+    image loses accuracy as 1 / the shortest leg: on generated rooms U is
+    off the facet image by up to ~2.3e-12 where a leg is 0.9 mm long. A
+    traced path's facet image (TracedPath.image) does not depend on legs.
     """
     verts = np.asarray(route.vertices, dtype=float)
+    if not np.isfinite(verts).all():
+        raise ValueError("route has non-finite vertices")
     steps = np.diff(verts, axis=0)
     lengths = np.linalg.norm(steps, axis=1)
     if np.any(lengths < 1e-12):

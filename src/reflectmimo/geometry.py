@@ -49,8 +49,8 @@ def unit(v: np.ndarray) -> np.ndarray:
 def _unit3(v: np.ndarray) -> tuple[float, float, float]:
     """unit(v) of a numpy 3-vector, as floats."""
     n = math.sqrt(v.dot(v))
-    if n < 1e-15:
-        raise ValueError("cannot normalize a zero vector")
+    if not 1e-15 <= n < math.inf:
+        raise ValueError("cannot normalize a zero or non-finite vector")
     x, y, z = v.tolist()
     return x / n, y / n, z / n
 

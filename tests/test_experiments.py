@@ -1,7 +1,9 @@
 """Experiment drivers: displacement error curves and rotation capacity sweeps."""
 
 import cmath
+import csv
 import functools
+import io
 import logging
 import math
 
@@ -14,6 +16,7 @@ from reflectmimo import (
     C_LIGHT,
     ESTIMATORS,
     DisplacementSpec,
+    ErrorRecord,
     LinkBudget,
     PairObservation,
     ReferencePair,
@@ -31,6 +34,8 @@ from reflectmimo import (
     to_pwa,
     trace_paths,
 )
+from reflectmimo.experiments import _random_units
+from reflectmimo.fileio import write_error_csv
 from scenelib import random_scene
 
 F0 = 140e9
@@ -211,13 +216,96 @@ class TestDisplacementExperiment:
         with pytest.raises(ValueError, match="no propagation paths"):
             displacement_experiment(bscene, bref, spec)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_freq=0), "n_freq"),
+            (dict(models=()), "at least one model"),
+            (dict(bandwidth=0.0), "bandwidth"),
+            (dict(bandwidth=-1e9), "bandwidth"),
+            (dict(bandwidth=math.nan), "bandwidth"),
+            (dict(bandwidth=math.inf), "bandwidth"),
+        ],
+    )
+    def test_rejects_bad_arguments_before_tracing(self, kwargs, message):
+        # the blocked scene has no reference path: a trace would fail first
+        scene, ref = blocked_scene()
+        spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=2)
+        with pytest.raises(ValueError, match=message):
+            displacement_experiment(scene, ref, spec, **kwargs)
+
+
+class TestErrorRecord:
+    def test_named_tuple_contract(self):
+        assert ErrorRecord._fields == ("model", "distance", "frequency", "epsilon")
+        rec = ErrorRecord("pwa", 0.01, F0, 1.25e-7)
+        assert (rec.model, rec.distance, rec.frequency, rec.epsilon) == tuple(rec)
+        with pytest.raises(AttributeError):
+            rec.epsilon = 0.0
+
+    def test_experiment_fields_are_builtin_and_survive_the_csv(self):
+        scene, ref = corridor_scene(100.0)
+        spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=2)
+        records = displacement_experiment(scene, ref, spec, n_freq=3, max_bounces=1)
+        assert len(records) == 2 * 2 * 3 * 4
+        for rec in records:
+            # np.float64 subclasses float; write_error_csv needs builtin reprs
+            assert [type(x) for x in rec] == [str, float, float, float]
+        buf = io.StringIO()
+        write_error_csv(records, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        parsed = [(m, float(d), float(f), float(e)) for m, d, f, e in rows]
+        assert parsed == [tuple(rec) for rec in records]
+
 
 def _random_unit(rng):
+    """One random direction at a time: the draw _random_units batches."""
     while True:
         v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
         if n > 1e-6:
             return v / n
+
+
+class ZeroedTriples:
+    """A generator whose standard normal stream has the triples at the given
+    positions replaced by zero vectors, which a direction draw rejects."""
+
+    def __init__(self, seed, zeroed):
+        self.rng = np.random.default_rng(seed)
+        self.zeroed = zeroed
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        v = self.rng.standard_normal(size).reshape(-1, 3)
+        for k in range(len(v)):
+            if self.drawn + k in self.zeroed:
+                v[k] = 0.0
+        self.drawn += len(v)
+        return v.reshape(size)
+
+
+class TestRandomUnits:
+    """The batched direction draw against one-at-a-time draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 99, 2**16])
+    @pytest.mark.parametrize("count", [0, 1, 4, 120])
+    def test_matches_sequential_draws(self, seed, count):
+        batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _random_units(batch, count)
+        want = np.array([_random_unit(loop) for _ in range(count)]).reshape(count, 3)
+        assert got.shape == (count, 3)
+        assert got.tobytes() == want.tobytes()
+        assert batch.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("zeroed", [{0, 4}, {0, 4, 6}])
+    def test_rejected_triples_are_redrawn_from_the_stream(self, zeroed):
+        batch, loop = ZeroedTriples(5, zeroed), ZeroedTriples(5, zeroed)
+        got = _random_units(batch, 6)
+        want = np.array([_random_unit(loop) for _ in range(6)])
+        assert got.tobytes() == want.tobytes()
+        assert batch.drawn == loop.drawn == 6 + len(zeroed)
+        assert batch.rng.bit_generator.state == loop.rng.bit_generator.state
 
 
 def fits_and_draws(scene, ref, spec, bandwidth, n_freq, max_bounces):

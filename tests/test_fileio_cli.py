@@ -200,6 +200,21 @@ class TestPathsJson:
         assert main(["fit", "rt", "--paths", str(paths), "--out", "-"]) == 2
         assert "delay is inconsistent" in capsys.readouterr().err
 
+    def test_non_finite_route_vertex_rejected(self, tmp_path, capsys):
+        export, _, _ = traced_export(ground_scene(), TX, RX)
+        buf = io.StringIO()
+        fileio.save_paths(export, buf)
+        doc = json.loads(buf.getvalue())
+        bounce = next(e for e in doc["paths"] if len(e["route"]) == 3)
+        bounce["route"][1][0] = math.nan
+        text = json.dumps(doc)  # Python's json writes and reads NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.load_paths(io.StringIO(text))
+        paths = tmp_path / "paths.json"
+        paths.write_text(text)
+        assert main(["fit", "rt", "--paths", str(paths), "--out", "-"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_zero_gain_rejected(self):
         export, _, _ = traced_export(ground_scene(), TX, RX)
         pwa = export.paths[0][0]

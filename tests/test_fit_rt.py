@@ -88,6 +88,12 @@ class TestFitFromRoute:
         with pytest.raises(ValueError):
             fit_from_route(route)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_vertices(self, bad):
+        route = Route(vertices=np.array([[0.0, 0, 1], [bad, 0, 0], [3.0, 0, 1]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_from_route(route)
+
     def test_determinant_law_all_bounce_counts(self):
         scene, ref = corridor_scene()
         paths = trace_paths(scene, ref.tx_ref, ref.rx_ref, 3)

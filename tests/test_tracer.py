@@ -814,6 +814,16 @@ class TestToPwa:
         with pytest.raises(ValueError):
             to_pwa(path, bad_ref)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_interaction_point_rejected(self, bad):
+        # a NaN norm passes a "norm below epsilon" test; an infinite one
+        # normalizes to NaN
+        tx, rx = np.array([0.0, 0, 1]), np.array([3.0, 0, 1])
+        route = Route(vertices=np.array([tx, [bad, 0.0, 0.0], rx]))
+        path = TracedPath(route=route, gain=1e-3 + 0j, delay=1e-8)
+        with pytest.raises(ValueError, match="non-finite"):
+            to_pwa(path, ReferencePair(tx_ref=tx, rx_ref=rx))
+
     def test_angles_match_distance_gradients(self):
         from reflectmimo import spherical_dir
         from scenelib import retrace_length
