@@ -16,7 +16,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import LinkBudget, RateModel, band_rate, singular_values, stream_rates
+from .capacity import (
+    LinkBudget,
+    RateModel,
+    band_rate,
+    singular_values,
+    stream_rates,
+)
 from .channel import channel_evaluator, path_distances, phasor_sum, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
@@ -39,7 +45,13 @@ ESTIMATORS = ("constant", "pwa", "rm_rt", "rm_dp")
 _SWEEP_MODELS = ("exhaustive",) + ESTIMATORS
 
 # Channel model (see channel.MODELS) that evaluates each estimator's fit.
-_CHANNEL_MODEL = {m: "rm_image" if m.startswith("rm_") else m for m in _SWEEP_MODELS}
+_CHANNEL_MODEL = {
+    "exhaustive": "exhaustive",
+    "constant": "constant",
+    "pwa": "pwa",
+    "rm_rt": "rm_image",
+    "rm_dp": "rm_image",
+}
 
 
 @dataclass(frozen=True)
@@ -64,10 +76,13 @@ class DisplacementSpec:
         object.__setattr__(self, "distances", d)
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class ErrorRecord(NamedTuple):
     """Normalized squared channel error of one model at one sample point.
 
-    A named tuple: an experiment returns thousands of these.
+    A named tuple, built at tuple cost: an experiment returns thousands of
+    these. Also a frozen dataclass, so dataclasses.replace, fields and
+    asdict work on it as on any other record of the package.
     """
 
     model: str
@@ -86,7 +101,7 @@ def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
     units = np.empty((0, 3))
     while len(units) < count:
         v = rng.standard_normal((count - len(units), 3))
-        n = np.sqrt(np.vecdot(v, v))
+        n = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
         kept = n > 1e-6
         units = np.concatenate((units, v[kept] / n[kept, None]))
     return units
@@ -110,7 +125,10 @@ def _fit_estimators(
     if not traced0:
         raise ValueError("no propagation paths at the reference pair")
     pwa0 = [to_pwa(p, ref) for p in traced0]
-    fitted: dict[str, list] = {n: pwa0 for n in ("constant", "pwa") if n in models}
+    fitted: dict[str, list] = {}
+    for name in ("constant", "pwa"):
+        if name in models:
+            fitted[name] = pwa0
     if "rm_rt" in models:
         fitted["rm_rt"] = [fit_rm_rt(p, ref) for p in traced0]
     if "rm_dp" in models:
@@ -121,8 +139,11 @@ def _fit_estimators(
             rx_m = ref.rx_ref + dist * dir_rx
             pair_ref = ReferencePair(tx_ref=tx_m, rx_ref=rx_m)
             traced = trace_paths(scene, tx_m, rx_m, max_bounces)
-            paths = tuple(to_pwa(p, pair_ref) for p in traced)
-            displaced.append(PairObservation(tx=tx_m, rx=rx_m, paths=paths))
+            displaced.append(
+                PairObservation(
+                    tx=tx_m, rx=rx_m, paths=tuple(to_pwa(p, pair_ref) for p in traced)
+                )
+            )
         reference_obs = PairObservation(tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0))
         fitted["rm_dp"] = fit_rm_dp(reference_obs, displaced, ref)
     return traced0, fitted
@@ -174,9 +195,20 @@ def displacement_experiment(
     return list(map(tuple.__new__, repeat(ErrorRecord), rows))
 
 
-def _displacement_errors(scene, ref, spec, bandwidth, n_freq, models, max_bounces):
-    """displacement_experiment's n_freq frequencies and (S, n_freq, models)
-    errors; the traces and channels die with this frame.
+def _displacement_errors(
+    scene: Scene,
+    ref: ReferencePair,
+    spec: DisplacementSpec,
+    bandwidth: float,
+    n_freq: int,
+    models: Sequence[str],
+    max_bounces: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and errors of displacement_experiment, before any record.
+
+    Returns the n_freq frequencies and the (S, n_freq, len(models)) errors.
+    The traces and channels are local, so they are freed with this frame
+    before the records are built.
 
     All S samples are traced as paired endpoints in one trace_pairs call, and
     the truth and each model are synthesized as (S, n_freq) arrays, each
@@ -197,15 +229,21 @@ def _displacement_errors(scene, ref, spec, bandwidth, n_freq, models, max_bounce
     log.info("displacement experiment pair traces: %d", n_traced)
 
     # (paths, samples, 1) against (n_freq,): one (samples, n_freq) sum
-    pairs = trace_pairs(scene, tx_m, rx_m, max_bounces)
-    gains, delays = _in_path_order(pairs, (len(dists), 1))
+    gains, delays = _in_path_order(
+        trace_pairs(scene, tx_m, rx_m, max_bounces), (len(dists), 1)
+    )
     h_true = phasor_sum(gains, delays, C_LIGHT * delays, freqs, f0)
     eps = np.empty((len(dists), n_freq, len(models)))
     for k, name in enumerate(models):
         paths = fitted[name]
         distances = path_distances(rx_m, tx_m, paths, ref, _CHANNEL_MODEL[name])
-        g, tau = [p.gain for p in paths], [p.delay for p in paths]
-        h_est = phasor_sum(g, tau, [d[:, None] for d in distances], freqs, f0)
+        h_est = phasor_sum(
+            [p.gain for p in paths],
+            [p.delay for p in paths],
+            [d[:, None] for d in distances],
+            freqs,
+            f0,
+        )
         eps[:, :, k] = abs(h_est - h_true) ** 2 / energy0
     return freqs, eps
 
@@ -282,7 +320,14 @@ def capacity_sweep(
                 counts[name] += len(rx_points) * len(tx_points)
             _, se_avg = band_rate(evaluator, f0, budget, rate_model, n_freq)
             center = stream_rates(singular_values(evaluator(f0)), budget, rate_model)
-            se_center, rank_used = float(center.max()), int(np.argmax(center)) + 1
-            cells.append(SweepCell(float(rot), name, se_center, se_avg, rank_used))
+            cells.append(
+                SweepCell(
+                    rotation=float(rot),
+                    model=name,
+                    se_center=float(center.max()),
+                    se_avg=se_avg,
+                    rank_used=int(np.argmax(center)) + 1,
+                )
+            )
     log.info("capacity sweep trace counts: %s", counts)
     return cells, counts

@@ -2,6 +2,7 @@
 
 import cmath
 import csv
+import dataclasses
 import functools
 import io
 import logging
@@ -242,6 +243,18 @@ class TestErrorRecord:
         assert (rec.model, rec.distance, rec.frequency, rec.epsilon) == tuple(rec)
         with pytest.raises(AttributeError):
             rec.epsilon = 0.0
+
+    def test_dataclass_contract(self):
+        # a record is still a frozen dataclass: replace, fields and asdict work
+        rec = ErrorRecord("pwa", 0.01, F0, 1.25e-7)
+        assert dataclasses.is_dataclass(rec)
+        assert [f.name for f in dataclasses.fields(ErrorRecord)] == list(ErrorRecord._fields)
+        moved = dataclasses.replace(rec, epsilon=2.5e-7)
+        assert type(moved) is ErrorRecord
+        assert moved == ErrorRecord("pwa", 0.01, F0, 2.5e-7)
+        assert dataclasses.asdict(rec) == rec._asdict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.model = "rm_rt"
 
     def test_experiment_fields_are_builtin_and_survive_the_csv(self):
         scene, ref = corridor_scene(100.0)
