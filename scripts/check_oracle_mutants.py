@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Check that the tracer tests catch three faults in the tracer's unfolding.
+
+Copies src/, tests/ and pyproject.toml into a temporary directory and, one at
+a time, applies to tracer._unfold there each of three mutants:
+
+* side:   the side test flipped (a one-sided facet reflects from its back),
+* slack:  a bounds slack of 0 in place of 1e-9,
+* halves: the u and v half-extents swapped.
+
+For the unmutated copy and then for each mutant it runs
+
+    pytest tests/test_tracer.py tests/test_acceptance.py -q -x
+
+against the copy, one run after another. A mutant survives when its run
+passes. Nothing is written into the repository.
+
+    python scripts/check_oracle_mutants.py
+
+Exits 0 when every mutant fails a test, 1 when one survives, and 2 when the
+check cannot run: a mutant no longer matches the source, or the unmutated
+copy fails.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_tracer.py", "tests/test_acceptance.py"]
+
+# name -> (text in _unfold, replacement, occurrences)
+MUTANTS = {
+    "side": ("and denom >= 0.0:", "and denom <= 0.0:", 1),
+    "slack": ("+ _T_EPS:", "+ 0.0:", 2),
+    "halves": ("half_u, half_v, _ = flats[idx]", "half_v, half_u, _ = flats[idx]", 1),
+}
+
+
+def mutate(source: str, old: str, new: str, count: int) -> str:
+    """source with old replaced by new inside _unfold, which must hold old
+    exactly count times."""
+    start = source.index("\ndef _unfold(")
+    end = source.index("\ndef ", start + 1)
+    body = source[start:end]
+    if body.count(old) != count:
+        raise SystemExit(f"mutant {old!r} -> {new!r} no longer matches _unfold")
+    return source[:start] + body.replace(old, new) + source[end:]
+
+
+def run_tests(copy: Path) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "pytest", *TESTS, "-q", "-x", "-p", "no:cacheprovider"]
+    return subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+
+
+def failures(result: subprocess.CompletedProcess) -> list[str]:
+    return [line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        tracer = copy / "src" / "reflectmimo" / "tracer.py"
+        original = tracer.read_text()
+
+        result = run_tests(copy)
+        if result.returncode != 0:
+            print("the unmutated copy fails:", *failures(result), sep="\n  ")
+            return 2
+        print("unmutated: passes")
+
+        survivors = []
+        for name, (old, new, count) in MUTANTS.items():
+            tracer.write_text(mutate(original, old, new, count))
+            result = run_tests(copy)
+            if result.returncode == 0:
+                survivors.append(name)
+                print(f"{name}: SURVIVED")
+            elif result.returncode == 1:  # pytest: some test failed
+                print(f"{name}: caught by", *failures(result))
+            else:
+                print(f"{name}: pytest exited {result.returncode}", result.stdout, result.stderr)
+                return 2
+        tracer.write_text(original)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,7 +49,6 @@ from .fit_rt import fit_from_route, fit_rm_rt
 from .geometry import (
     dir_to_angles,
     euler_factor_so3,
-    householder,
     rotation_matrix,
     spherical_dir,
     unit,
@@ -112,7 +111,6 @@ __all__ = [
     "fit_from_route",
     "fit_rm_dp",
     "fit_rm_rt",
-    "householder",
     "image_to_angles",
     "make_facet",
     "match_paths",

@@ -25,7 +25,7 @@ from .experiments import (
     capacity_sweep,
     displacement_experiment,
 )
-from .channel import path_distances, phasor_sum
+from .channel import mimo_matrix
 from .fit_dp import fit_rm_dp
 from .fit_rt import fit_rm_rt
 from .paths import ReferencePair, angles_to_image
@@ -112,16 +112,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         export = fileio.load_rm(fp)
     paths = [path for path, _ in export.paths]
     model = "rm_image" if args.model == "rm" else args.model
-    dists = path_distances(args.rx, args.tx, paths, export.ref, model)
-    total = complex(
-        phasor_sum(
-            [p.gain for p in paths],
-            [p.delay for p in paths],
-            dists,
-            args.freq,
-            export.f0_hz,
+    total = 0j  # no paths, no channel
+    if paths:
+        h = mimo_matrix(
+            args.tx[None], args.rx[None], model, args.freq, export.f0_hz,
+            paths=paths, ref=export.ref,
         )
-    )
+        total = complex(h[0, 0])
     print(f"{total.real:.17g}{total.imag:+.17g}j")
     return 0
 

@@ -282,6 +282,10 @@ def capacity_sweep(
     table and the number of path traces each model consumed, the cost metric
     that separates exhaustive re-tracing from the one-off fits.
     """
+    if not models:
+        raise ValueError("need at least one model")
+    if len(rotations) == 0:
+        raise ValueError("need at least one rotation")
     unknown = set(models) - set(_SWEEP_MODELS)
     if unknown:
         raise ValueError(f"unknown model(s) {sorted(unknown)}")

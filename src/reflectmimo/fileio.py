@@ -110,9 +110,6 @@ def save_scene(scene: Scene, fp: IO[str]) -> None:
 
 def load_scene(fp: IO[str]) -> Scene:
     doc = json.load(fp)
-    for f in doc.get("facets", []):
-        if not isinstance(f.get("two_sided", False), bool):  # bool("false") is True
-            raise ValueError(f"facet two_sided must be true or false, got {f['two_sided']!r}")
     facets = tuple(
         Facet(
             center=np.array(f["center"], dtype=float),

@@ -1,4 +1,4 @@
-"""3-D geometry primitives: axis rotations, mirror reflections, direction
+"""3-D geometry primitives: axis rotations, the z mirror, direction
 angles and the Euler factorization used by the reflection path model.
 
 Vectors are numpy arrays of shape (3,), matrices of shape (3, 3). All angles
@@ -14,15 +14,12 @@ import numpy as np
 __all__ = [
     "dir_to_angles",
     "euler_factor_so3",
-    "householder",
     "rotation_matrix",
     "spherical_dir",
     "unit",
     "wrap_angle",
     "z_reflection",
 ]
-
-_EYE3 = np.eye(3)
 
 # Below this, a direction is considered numerically parallel to the z axis and
 # the azimuth of the gimbal-locked frame is pinned to 0.
@@ -82,15 +79,6 @@ def z_reflection(s: int) -> np.ndarray:
     if s not in (-1, 1):
         raise ValueError(f"reflection parity must be -1 or +1, got {s!r}")
     return np.diag([1.0, 1.0, float(s)])
-
-
-def householder(u: np.ndarray) -> np.ndarray:
-    """Householder mirror I - 2 u u^T across the plane with unit normal u."""
-    u = np.asarray(u, dtype=float)
-    n = float(np.linalg.norm(u))
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"mirror normal must be unit length, got |u| = {n}")
-    return _EYE3 - 2.0 * np.outer(u, u)
 
 
 def _det3(r0, r1, r2) -> float:

@@ -65,7 +65,7 @@ MAX_BOUNCES = 3
 # intersection/occlusion tests.
 _T_EPS = 1e-9
 
-# How far the tests that must keep every point contains accepts, the
+# How far the tests that must keep every point the bounds test accepts, the
 # occlusion boxes and the culls of _walk, pad a facet's rectangle. _T_EPS is
 # the bounds slack; 2 _T_EPS more covers the rounding of a hit point, off
 # its plane and along its segment: a few ulps of the coordinates, grown by
@@ -77,7 +77,7 @@ _PAD = 3 * _T_EPS
 # The plain floats each Facet keeps for the trace loops, which unpack them
 # into locals: the reflective side, the plane n . x = b, the centre, the
 # in-plane axes, the half-extents (None when unbounded) and the axis-aligned
-# box, low corner then high, of the points contains accepts, for the
+# box, low corner then high, of the points the bounds test accepts, for the
 # occlusion test's quick reject (infinite unless bounded along both axes).
 _Flat = namedtuple("_Flat", "two_sided nx ny nz b cx cy cz ux uy uz vx vy vz half_u half_v box")
 
@@ -91,11 +91,11 @@ class Facet:
     unless two_sided is set. half_u / half_v are half-extents in meters along
     the two axes; None means unbounded in that direction.
 
-    Facets are immutable, fields and arrays alike, and compare by identity.
-    Each facet also keeps its geometry as one flat record of plain floats
-    (_Flat), which the trace loops, reflect, contains and crossing read
-    (reflect and contains also take triples of coordinate arrays, crossing
-    has crossing_batch).
+    A facet is a plain record: the mirror, crossing, bounds and side tests
+    are the tracer's functions, on the flat record of plain floats (_Flat)
+    each facet keeps next to its arrays. Facets are immutable, fields and
+    arrays alike, and compare by identity. two_sided must be a bool
+    (numpy's included) and is kept as a Python bool.
     """
 
     center: np.ndarray
@@ -119,6 +119,9 @@ class Facet:
         for half in (self.half_u, self.half_v):
             if half is not None and not (math.isfinite(half) and half > 0.0):
                 raise ValueError(f"facet half-extent must be positive, got {half}")
+        if not isinstance(self.two_sided, (bool, np.bool_)):  # bool("false") is True
+            raise ValueError(f"facet two_sided must be true or false, got {self.two_sided!r}")
+        object.__setattr__(self, "two_sided", bool(self.two_sided))
         normal = np.cross(axis_u, axis_v)
         arrays = {"center": center, "axis_u": axis_u, "axis_v": axis_v, "normal": normal}
         for name, value in arrays.items():
@@ -136,57 +139,6 @@ class Facet:
             *halves, box,
         )
         object.__setattr__(self, "_flat", flat)
-
-    def reflect(self, p):
-        """Mirror image of point p across the facet plane.
-
-        p is a float triple or a triple of coordinate arrays; the image is
-        the same kind of triple.
-        """
-        _, nx, ny, nz, b = self._flat[:5]
-        return _mirror(p, 2.0 * (nx * p[0] + ny * p[1] + nz * p[2] - b), nx, ny, nz)
-
-    def contains(self, p):
-        """True when in-plane point p lies within the facet bounds; for a
-        triple of coordinate arrays, a boolean array unless unbounded."""
-        f = self._flat
-        rel = (p[0] - f.cx, p[1] - f.cy, p[2] - f.cz)
-        inside = True
-        if f.half_u is not None:
-            inside = abs(_dot(rel, (f.ux, f.uy, f.uz))) <= f.half_u + _T_EPS
-        if f.half_v is not None:
-            inside = inside & (abs(_dot(rel, (f.vx, f.vy, f.vz))) <= f.half_v + _T_EPS)
-        return inside
-
-    def crossing(self, p, step) -> tuple[tuple[float, float, float], float] | None:
-        """Where the open segment p -> p + step crosses the facet plane.
-
-        Returns (hit point, normal . step), or None when the segment is
-        parallel to the plane or meets it only within _T_EPS of an endpoint.
-        The sign of normal . step tells the side the segment arrives from.
-        """
-        _, nx, ny, nz, b = self._flat[:5]
-        denom = nx * step[0] + ny * step[1] + nz * step[2]
-        if denom == 0.0:
-            return None
-        t = (b - (nx * p[0] + ny * p[1] + nz * p[2])) / denom
-        if t <= _T_EPS or t >= 1.0 - _T_EPS:
-            return None
-        return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom
-
-    def crossing_batch(self, p, step):
-        """crossing for triples of coordinate arrays.
-
-        Returns (hit point, normal . step, mask of the segments that cross);
-        the hit point is only meaningful where the mask is set.
-        """
-        _, nx, ny, nz, b = self._flat[:5]
-        denom = nx * step[0] + ny * step[1] + nz * step[2]
-        crosses = denom != 0.0
-        num = b - (nx * p[0] + ny * p[1] + nz * p[2])
-        t = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=crosses)
-        crosses &= (t > _T_EPS) & (t < 1.0 - _T_EPS)
-        return (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2]), denom, crosses
 
 
 def make_facet(
@@ -347,7 +299,7 @@ def _faces(f: _Flat, g: _Flat) -> bool:
     point of facet g can lie in front of f, as one that leaves or meets a
     one-sided f must.
 
-    The end on g lies within g's rectangle up to contains' slack, off g's
+    The end on g lies within g's rectangle up to the bounds slack, off g's
     plane by rounding, and in front of f up to rounding. So it suffices that
     some corner of g's rectangle, padded by _PAD along both axes and the
     normal, lies strictly in front of f. Always true for a two-sided f and
@@ -457,12 +409,12 @@ def _tx_cones(scene: Scene, tx) -> list:
     or in its place the cone through the facet when TX faces it.
 
     A route meets facet f first where the segment from tx to the mirror of
-    aim crosses f's plane, which is where the segment from f.reflect(tx) to
-    aim does. So aim must lie in the cone from f.reflect(tx) through f's
-    rectangle padded by _PAD. In f's frame, let TX lie at height h and
-    in-plane coordinates (a_u, a_v), and aim at height z and (x_u, x_v). The
-    crossing lies at (a_u z + h x_u) / (h + z) along u, so the cone's four
-    side planes read
+    aim crosses f's plane, which is where the segment from TX's mirror
+    through f to aim does. So aim must lie in the cone from that mirror
+    through f's rectangle padded by _PAD. In f's frame, let TX lie at
+    height h and in-plane coordinates (a_u, a_v), and aim at height z and
+    (x_u, x_v). The crossing lies at (a_u z + h x_u) / (h + z) along u, so
+    the cone's four side planes read
 
         |a_u z + h x_u| <= (half_u + _PAD) s (h + z),  and the same along v,
 
@@ -537,17 +489,19 @@ def trace_sequence(
 
     Returns None when no valid route exists. Disabling the checks still
     requires each unfolded intersection to fall strictly inside its segment,
-    so the result remains a genuine geometric route; the relaxed mode is the
-    re-tracing oracle used to follow a known path to displaced endpoints.
+    so the result remains a genuine geometric route; the relaxed mode
+    follows a known path to displaced endpoints. The mirrors are _walk's
+    (_mirror) and the unfolding is trace_paths' (_unfold).
     """
-    facets = scene.facets
+    flats = [f._flat for f in scene.facets]
     for idx in sequence:
-        if not 0 <= idx < len(facets):
+        if not 0 <= idx < len(flats):
             raise ValueError(f"facet index {idx} out of range")
     images = [_f3(rx)]
     for idx in reversed(sequence):
-        images.insert(0, facets[idx].reflect(images[0]))
-    flats = [f._flat for f in facets]
+        _, nx, ny, nz, b = flats[idx][:5]
+        ax, ay, az = images[0]
+        images.insert(0, _mirror(images[0], 2.0 * (nx * ax + ny * ay + nz * az - b), nx, ny, nz))
     found = _unfold(flats, sequence, images, _f3(tx), check_bounds, check_side, check_occlusion)
     return None if found is None else Route(np.array(found[0]), sequence)
 
@@ -557,9 +511,10 @@ def _unfold(
 ):
     """trace_sequence's route as (vertices, length), or None, for valid facet
     indices, the facet records, float-triple TX and the receiver images of
-    _walk; the length sums the segment norms in order. The crossing, bounds
-    and occlusion tests are Facet.crossing's and Facet.contains' arithmetic,
-    written out on the records' floats."""
+    _walk; the length sums the segment norms in order. The crossing (open
+    segment, t within (_T_EPS, 1 - _T_EPS)), bounds (_T_EPS slack), side and
+    occlusion tests are written out on the records' floats; _crossed is the
+    same arithmetic on coordinate arrays."""
     rxf = images[-1]
     if not sequence and not _apart(txf, rxf, _FLOAT_OPS):
         return None
@@ -677,17 +632,42 @@ def _coordinates(tx_points, rx_points) -> tuple[tuple[np.ndarray, ...], ...]:
     return tx, rx
 
 
-def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, tx):
-    """_unfold for every pair: the route vertices, the route lengths and the
-    mask of pairs with a route; None as soon as no pair has one."""
+def _crossed(f: _Flat, p, step):
+    """Where the open segments p -> p + step cross the plane of facet record
+    f, on triples of coordinate arrays: (hit point, normal . step, mask of
+    the segments that cross within the facet's bounds). The crossing and
+    bounds tests are _unfold's; the hit point is only meaningful where the
+    mask is set, and the sign of normal . step tells the side the segment
+    arrives from."""
+    _, nx, ny, nz, b, cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v, _ = f
+    denom = nx * step[0] + ny * step[1] + nz * step[2]
+    crosses = denom != 0.0
+    num = b - (nx * p[0] + ny * p[1] + nz * p[2])
+    t = np.divide(num, denom, out=np.zeros(np.shape(denom)), where=crosses)
+    crosses &= (t > _T_EPS) & (t < 1.0 - _T_EPS)
+    hit = (p[0] + t * step[0], p[1] + t * step[1], p[2] + t * step[2])
+    del t  # the bounds test's temporaries take its place at peak memory
+    if crosses.any():
+        rel = (hit[0] - cx, hit[1] - cy, hit[2] - cz)
+        if half_u is not None:
+            crosses &= abs(_dot(rel, (ux, uy, uz))) <= half_u + _T_EPS
+        if half_v is not None:
+            crosses &= abs(_dot(rel, (vx, vy, vz))) <= half_v + _T_EPS
+    return hit, denom, crosses
+
+
+def _unfold_batch(flats, sequence: tuple[int, ...], images, tx):
+    """_unfold for every pair, on the facet records: the route vertices, the
+    route lengths and the mask of pairs with a route; None as soon as no
+    pair has one."""
     rx = images[-1]
     valid = True if sequence else _apart(tx, rx, _ARRAY_OPS)
     points = []
     p = tx
     for idx, aim in zip(sequence, images):
-        f = facets[idx]
-        hit, denom, valid_k = f.crossing_batch(p, _sub(aim, p))
-        valid = valid & valid_k & f.contains(hit)
+        f = flats[idx]
+        hit, denom, crosses = _crossed(f, p, _sub(aim, p))
+        valid = valid & crosses
         if not f.two_sided:
             valid &= denom < 0.0
         if not valid.any():
@@ -699,11 +679,9 @@ def _unfold_batch(facets: tuple[Facet, ...], sequence: tuple[int, ...], images, 
     for a, b in zip(vertices[:-1], vertices[1:]):
         step = _sub(b, a)
         box = (*map(np.min, map(np.minimum, a, b)), *map(np.max, map(np.maximum, a, b)))
-        for f in facets:
-            if not _misses(f._flat.box, box):
-                hit, _, crosses = f.crossing_batch(a, step)
-                if crosses.any():
-                    valid = valid & ~(crosses & f.contains(hit))
+        for f in flats:
+            if not _misses(f.box, box):
+                valid = valid & ~_crossed(f, a, step)[2]
         if not valid.any():
             return None
     length = 0.0
@@ -733,11 +711,11 @@ def trace_pairs(
     sequence. Per pair, the routes are those of trace_paths, the seam rule
     included: the delays are equal bit for bit and the gains to rounding.
     """
-    facets = scene.facets
+    flats = [f._flat for f in scene.facets]
     tx, rx = _coordinates(tx_points, rx_points)
     faced = _faced(scene._planes, tx, _ARRAY_OPS)
     walk = _walk(scene, rx, max_bounces, _ARRAY_OPS, faced)
-    unfolded = ((seq, _unfold_batch(facets, seq, images, tx)) for seq, images in walk)
+    unfolded = ((seq, _unfold_batch(flats, seq, images, tx)) for seq, images in walk)
     accepted = [(seq, *found) for seq, found in unfolded if found is not None]
     traced = []
     for seq, _, valid, length in _kept(accepted, _ARRAY_OPS):

@@ -4,6 +4,13 @@ Scenes are built so that specular paths reliably exist: TX and RX sit near
 the x axis at 50-160 m separation, reflectors are placed well off-axis (side
 walls and an overhead panel) with mildly tilted normals so the recovered
 roll angles are generic rather than axis-aligned special cases.
+
+The tracer's oracle is the classical image method (Borish 1984) written out
+here from its definitions on plain numpy vectors: mirror, crossing, inside,
+blocked, unfold and brute_force_paths read only the public Facet fields
+(normal, intercept, center, axis_u, axis_v, half_u, half_v, two_sided) and
+share no code with the tracer, so a wrong unfolding, bounds or side rule in
+the tracer cannot change the oracle with it.
 """
 
 from __future__ import annotations
@@ -19,14 +26,18 @@ from reflectmimo import (
     Facet,
     PairObservation,
     ReferencePair,
+    Route,
     Scene,
     TracedPath,
     make_facet,
-    route_length,
     to_pwa,
     trace_paths,
-    trace_sequence,
 )
+
+# The tracer's slack: an interaction point must lie strictly inside its
+# segment, more than _SLACK of the segment parameter from either end, and
+# may lie up to _SLACK m outside its facet's rectangle.
+_SLACK = 1e-9
 
 
 def observe(scene: Scene, tx, rx, max_bounces: int = 2):
@@ -133,45 +144,122 @@ def facet_sequences(n_facets: int, max_bounces: int):
                 yield seq
 
 
-def brute_force_paths(scene: Scene, tx, rx, max_bounces: int) -> list[TracedPath]:
-    """trace_paths by trying every facet sequence: the tracer's oracle.
+def _dot(a, b):
+    return np.sum(a * b, axis=-1)
 
-    Line of sight first, then facet_sequences in order, each through the
-    public trace_sequence. The occlusion test (every segment against every
-    facet, with no bounding-box reject), the seam rule (drop a route when an
-    earlier kept route with as many bounces has the same length and vertices
-    within 1e-9 of its length) and the gains are written out here.
+
+def mirror(facet: Facet, p) -> np.ndarray:
+    """Image of point p through the facet's plane n . x = b: p moved twice
+    its height n . p - b above the plane, against n."""
+    p = np.asarray(p, dtype=float)
+    return p - 2.0 * (_dot(facet.normal, p) - facet.intercept) * facet.normal
+
+
+def crossing(facet: Facet, p: np.ndarray, q: np.ndarray):
+    """Where the open segment p -> q crosses the facet's plane, as (point,
+    n . (q - p)); None when the segment is parallel to the plane or meets it
+    at a segment parameter t outside (_SLACK, 1 - _SLACK). The sign of
+    n . (q - p) is negative when the segment arrives on the normal side."""
+    step = q - p
+    denom = _dot(facet.normal, step)
+    if denom == 0.0:
+        return None
+    t = (facet.intercept - _dot(facet.normal, p)) / denom
+    if not _SLACK < t < 1.0 - _SLACK:
+        return None
+    return p + t * step, denom
+
+
+def inside(facet: Facet, x: np.ndarray) -> bool:
+    """Whether in-plane point x lies within the facet's rectangle, up to
+    _SLACK along each bounded axis."""
+    rel = x - facet.center
+    return all(
+        half is None or abs(_dot(rel, axis)) <= half + _SLACK
+        for axis, half in ((facet.axis_u, facet.half_u), (facet.axis_v, facet.half_v))
+    )
+
+
+def blocked(scene: Scene, p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether the open segment p -> q passes through any facet of the
+    scene, its own included: every facet is tested, with no quick reject."""
+    return any(
+        hit is not None and inside(f, hit[0])
+        for f in scene.facets
+        for hit in [crossing(f, p, q)]
+    )
+
+
+def unfold(scene: Scene, sequence, tx, rx, checked: bool = True) -> np.ndarray | None:
+    """The route of one facet sequence by the image method, as its
+    (bounces + 2, 3) vertices: TX, the interaction points, RX.
+
+    RX is mirrored through the facets from last to first; the route then
+    runs from TX towards each image in turn, and meets each facet where that
+    segment crosses its plane. None when a segment misses its plane and,
+    when checked, when a point lies outside its facet or the segment
+    arrives on the back of a one-sided facet. Occlusion is not tested.
     """
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
-    gap = tx - rx
+    facets = [scene.facets[i] for i in sequence]
+    images = [rx]
+    for f in reversed(facets):
+        images.insert(0, mirror(f, images[0]))
+    vertices = [tx]
+    for f, image in zip(facets, images):
+        hit = crossing(f, vertices[-1], image)
+        if hit is None:
+            return None
+        point, arrival = hit
+        if checked and not (inside(f, point) and (f.two_sided or arrival < 0.0)):
+            return None
+        vertices.append(point)
+    vertices.append(rx)
+    return np.array(vertices)
+
+
+def _length(vertices: np.ndarray) -> float:
+    return float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
+
+
+def brute_force_paths(scene: Scene, tx, rx, max_bounces: int) -> list[TracedPath]:
+    """trace_paths by trying every facet sequence: the tracer's oracle.
+
+    Line of sight first (when TX and RX lie more than 1e-12 m apart), then
+    facet_sequences in order, each unfolded and tested against every facet
+    for occlusion. The seam rule: a route is dropped when an earlier kept
+    route with as many bounces has its length and every vertex coordinate
+    within 1e-9 max(1, length). Gains: free-space spreading over the route
+    length, the scene's per-bounce loss and the carrier phase. Sorted by
+    descending gain magnitude, then delay, then sequence order.
+    """
+    tx = np.asarray(tx, dtype=float)
+    rx = np.asarray(rx, dtype=float)
     seqs = list(facet_sequences(len(scene.facets), max_bounces))
-    if math.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2]) > 1e-12:
+    if np.linalg.norm(rx - tx) > 1e-12:
         seqs.insert(0, ())
-    routes = [trace_sequence(scene, seq, tx, rx, check_occlusion=False) for seq in seqs]
     loss_amp = 10.0 ** (-scene.reflection_loss_db / 20.0)
     paths = []
-    for r in routes:
-        if r is None or any(
-            cross is not None and f.contains(cross[0])
-            for p, q in zip(r.vertices[:-1], r.vertices[1:])
-            for f in scene.facets
-            for cross in [f.crossing(p, q - p)]
+    for seq in seqs:
+        vertices = unfold(scene, seq, tx, rx)
+        if vertices is None or any(
+            blocked(scene, p, q) for p, q in zip(vertices[:-1], vertices[1:])
         ):
             continue
-        length = route_length(r)
+        length = _length(vertices)
         tol = 1e-9 * max(1.0, length)
         if any(
             abs(p.delay * C_LIGHT - length) <= tol
-            and p.route.vertices.shape == r.vertices.shape
-            and float(np.max(np.abs(p.route.vertices - r.vertices))) <= tol
+            and p.route.vertices.shape == vertices.shape
+            and np.all(np.abs(p.route.vertices - vertices) <= tol)
             for p in paths
         ):
             continue
-        amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp ** r.bounces
+        amp = scene.wavelength / (4.0 * math.pi * length) * loss_amp ** len(seq)
         phase = -2.0 * math.pi * scene.carrier_freq * length / C_LIGHT
         gain = amp * cmath.exp(1j * phase)
-        paths.append(TracedPath(route=r, gain=gain, delay=length / C_LIGHT))
+        paths.append(TracedPath(route=Route(vertices, seq), gain=gain, delay=length / C_LIGHT))
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))
     return paths
 
@@ -179,22 +267,14 @@ def brute_force_paths(scene: Scene, tx, rx, max_bounces: int) -> list[TracedPath
 def retrace_length(scene: Scene, path: TracedPath, tx, rx) -> float | None:
     """Ground-truth length of `path`'s facet sequence unfolded to (tx, rx).
 
-    Re-runs the image construction with bounds/side/occlusion checks
-    disabled so finite extents don't matter.  Returns None when the
-    sequence has no specular route at the displaced endpoints (a reflection
-    point leaves its segment, which happens near grazing incidence) — the
-    route length is undefined there and callers skip the sample.
+    Unfolds with the bounds, side and occlusion tests off, so finite extents
+    don't matter. Returns None when the sequence has no specular route at
+    the displaced endpoints (a reflection point leaves its segment, which
+    happens near grazing incidence): the route length is undefined there and
+    callers skip the sample.
     """
-    route = trace_sequence(
-        scene,
-        path.route.facet_ids,
-        np.asarray(tx, dtype=float),
-        np.asarray(rx, dtype=float),
-        check_bounds=False,
-        check_side=False,
-        check_occlusion=False,
-    )
-    return None if route is None else route_length(route)
+    vertices = unfold(scene, path.route.facet_ids, tx, rx, checked=False)
+    return None if vertices is None else _length(vertices)
 
 
 def random_orthogonal(rng: np.random.Generator, det: int | None = None) -> np.ndarray:

@@ -570,3 +570,17 @@ class TestCapacitySweep:
             capacity_sweep(
                 bscene, bref, [0.0], LinkBudget(), rows=2, cols=2, models=("pwa",)
             )
+
+    @pytest.mark.parametrize(
+        "rotations, kwargs, message",
+        [
+            ([0.0], dict(models=()), "at least one model"),
+            ([], {}, "at least one rotation"),
+            (np.array([]), dict(models=("exhaustive",)), "at least one rotation"),
+        ],
+    )
+    def test_rejects_empty_arguments_before_tracing(self, rotations, kwargs, message):
+        # the blocked scene has no reference path: a trace would fail first
+        scene, ref = blocked_scene()
+        with pytest.raises(ValueError, match=message):
+            capacity_sweep(scene, ref, rotations, LinkBudget(), **kwargs)

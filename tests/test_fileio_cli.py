@@ -123,7 +123,7 @@ class TestSceneJson:
         # bool("false") is True: a string would load as a two-sided facet
         facet = {"center": [0, 0, 0], "axis_u": [1, 0, 0], "axis_v": [0, 1, 0], "two_sided": flag}
         doc = {"carrier_hz": 1e9, "facets": [facet]}
-        with pytest.raises(ValueError, match="two_sided must be true or false"):
+        with pytest.raises(ValueError, match=f"two_sided must be true or false, got {flag!r}"):
             fileio.load_scene(io.StringIO(json.dumps(doc)))
 
     def test_defaults_on_load(self):
@@ -357,6 +357,16 @@ class TestCli:
                 "--freq", repr(F0 + 1e8), "--model", model,
             ]) == 0
             complex(capsys.readouterr().out.strip())
+
+    def test_predict_without_paths_is_zero(self, tmp_path, capsys):
+        ref = ReferencePair(tx_ref=np.array([0.0, 0.0, 1.0]), rx_ref=np.array([4.0, 0.0, 1.0]))
+        rm = tmp_path / "rm.json"
+        with open(rm, "w") as fp:
+            fileio.save_rm(fileio.RmExport(ref=ref, f0_hz=F0, paths=()), fp)
+        assert main([
+            "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+        ]) == 0
+        assert capsys.readouterr().out.strip() == "0+0j"
 
     def test_fit_dp_pipeline(self, scene_file, tmp_path):
         ref = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "ref.json")

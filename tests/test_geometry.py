@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
+    RmImage,
     dir_to_angles,
     euler_factor_so3,
-    householder,
     rotation_matrix,
     spherical_dir,
     unit,
@@ -98,24 +98,32 @@ class TestZReflection:
 
 
 class TestHouseholder:
+    # The Householder mirror I - 2 n n^T is the U of a one-plane image.
+    @staticmethod
+    def mirror(n, b=0.0) -> RmImage:
+        return RmImage.from_planes([(n, b)])
+
     def test_ez(self):
-        assert householder(np.array([0.0, 0.0, 1.0])) == pytest.approx(
+        assert self.mirror(np.array([0.0, 0.0, 1.0])).U == pytest.approx(
             np.diag([1.0, 1.0, -1.0])
         )
 
     def test_ex_applied(self):
-        v = householder(np.array([1.0, 0.0, 0.0])) @ np.array([5.0, 1.0, 1.0])
+        v = self.mirror(np.array([1.0, 0.0, 0.0])).U @ np.array([5.0, 1.0, 1.0])
         assert v == pytest.approx([-5.0, 1.0, 1.0])
 
-    @given(u=unit_vecs)
-    def test_det_minus_one_and_involution(self, u):
-        v = householder(u)
+    @given(u=unit_vecs, b=st.floats(-5.0, 5.0))
+    def test_det_minus_one_and_involution(self, u, b):
+        img = self.mirror(u, b)
+        v = img.U
+        assert np.max(np.abs(v - (np.eye(3) - 2.0 * np.outer(u, u)))) <= 1e-12
         assert np.linalg.det(v) == pytest.approx(-1.0, abs=1e-12)
         assert np.max(np.abs(v @ v - np.eye(3))) <= 1e-12
+        assert img.g == pytest.approx(2.0 * b * u, abs=1e-12)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            householder(np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="unit length"):
+            self.mirror(np.array([1.0, 1.0, 0.0]))
 
 
 class TestEulerFactorSO3:
