@@ -41,8 +41,10 @@ class LinkBudget:
     noise_figure_db: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0.0:
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0.0):
             raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.noise_figure_db)):
+            raise ValueError("transmit power and noise figure must be finite")
 
     @property
     def tx_power_w(self) -> float:
@@ -65,7 +67,7 @@ class RateModel:
     se_max: float = 4.8
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.se_max <= 0.0:
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.alpha, self.se_max)):
             raise ValueError("rate model constants must be positive")
 
 

@@ -71,7 +71,7 @@ def upa(
     """
     if rows < 1 or cols < 1:
         raise ValueError("array must have at least one row and one column")
-    if spacing <= 0.0:
+    if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("element spacing must be positive")
     ys = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing

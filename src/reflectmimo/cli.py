@@ -34,14 +34,21 @@ from .tracer import Scene, to_pwa, trace_paths
 _DEFAULT_ROTATIONS_DEG = [float(d) for d in range(-180, 180, 15)]
 
 
+def _parse_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _parse_vec(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z — got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return np.array([_parse_float(p) for p in parts])
 
 
 @contextlib.contextmanager
@@ -242,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rm", required=True)
     p.add_argument("--tx", required=True, type=_parse_vec)
     p.add_argument("--rx", required=True, type=_parse_vec)
-    p.add_argument("--freq", required=True, type=float)
+    p.add_argument("--freq", required=True, type=_parse_float)
     p.add_argument("--model", choices=("constant", "pwa", "rm"), default="rm")
     p.set_defaults(func=_cmd_predict)
 

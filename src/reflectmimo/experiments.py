@@ -69,7 +69,7 @@ class DisplacementSpec:
 
     def __post_init__(self) -> None:
         d = tuple(float(x) for x in self.distances)
-        if len(d) < 2 or any(x <= 0.0 for x in d) or list(d) != sorted(d):
+        if len(d) < 2 or not all(math.isfinite(x) and x > 0.0 for x in d) or list(d) != sorted(d):
             raise ValueError("distances must be >= 2 positive values, ascending")
         if self.directions_per_distance < 1:
             raise ValueError("need at least one direction per distance")

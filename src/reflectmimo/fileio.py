@@ -48,6 +48,15 @@ __all__ = [
 _DEG = math.pi / 180.0
 
 
+def _finite(entry: dict, key: str):
+    """entry[key] as a float, or as a float array if it is a list. Python's
+    json reads NaN and Infinity, so a non-finite number is rejected here."""
+    x = np.array(entry[key], dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite {key!r} in file")
+    return x if x.ndim else float(x)
+
+
 def _gain_to_fields(gain: complex) -> tuple[float, float]:
     mag = abs(gain)
     if mag <= 0.0:
@@ -74,9 +83,9 @@ def _pwa_to_fields(path: PwaPath, delay_key: str) -> dict:
 def _pwa_from_fields(entry: dict, delay_key: str) -> dict:
     """PwaPath keyword arguments read back from _pwa_to_fields output."""
     return {
-        "gain": _gain_from_fields(float(entry["gain_db"]), float(entry["phase_deg"])),
-        "delay": float(entry[delay_key]),
-        **{name: float(entry[f"{name}_deg"]) * _DEG for name in _ANGLES},
+        "gain": _gain_from_fields(_finite(entry, "gain_db"), _finite(entry, "phase_deg")),
+        "delay": _finite(entry, delay_key),
+        **{name: _finite(entry, f"{name}_deg") * _DEG for name in _ANGLES},
     }
 
 
@@ -185,17 +194,12 @@ def load_paths(fp: IO[str]) -> PathExport:
     paths = []
     for e in doc["paths"]:
         pwa = PwaPath(**_pwa_from_fields(e, "delay_s"))
-        route = None
-        if e.get("route") is not None:
-            verts = np.array(e["route"], dtype=float)
-            if not np.isfinite(verts).all():
-                raise ValueError("path route has non-finite vertices")
-            route = Route(vertices=verts)
+        route = None if e.get("route") is None else Route(vertices=_finite(e, "route"))
         paths.append((pwa, route))
     return PathExport(
-        tx=np.array(doc["tx"], dtype=float),
-        rx=np.array(doc["rx"], dtype=float),
-        f0_hz=float(doc["f0_hz"]),
+        tx=_finite(doc, "tx"),
+        rx=_finite(doc, "rx"),
+        f0_hz=_finite(doc, "f0_hz"),
         paths=tuple(paths),
     )
 
@@ -238,20 +242,17 @@ def load_rm(fp: IO[str]) -> RmExport:
     """Load fitted parameters; verifies that the two stored parametrizations
     describe the same distance function before returning."""
     doc = json.load(fp)
-    ref = ReferencePair(
-        tx_ref=np.array(doc["tx_ref"], dtype=float),
-        rx_ref=np.array(doc["rx_ref"], dtype=float),
-    )
+    ref = ReferencePair(tx_ref=_finite(doc, "tx_ref"), rx_ref=_finite(doc, "rx_ref"))
     paths = []
     for e in doc["paths"]:
         path = RmPath(
             **_pwa_from_fields(e, "tau_s"),
-            roll=float(e["roll_deg"]) * _DEG,
-            s=int(e["s"]),
+            roll=_finite(e, "roll_deg") * _DEG,
+            s=int(_finite(e, "s")),
         )
-        img = RmImage(U=np.array(e["U"], dtype=float), g=np.array(e["g"], dtype=float))
+        img = RmImage(U=_finite(e, "U"), g=_finite(e, "g"))
         paths.append((path, img))
-    export = RmExport(ref=ref, f0_hz=float(doc["f0_hz"]), paths=tuple(paths))
+    export = RmExport(ref=ref, f0_hz=_finite(doc, "f0_hz"), paths=tuple(paths))
     _check_rm_consistency(export)
     return export
 
@@ -269,7 +270,7 @@ def _check_rm_consistency(export: RmExport) -> None:
             tx = export.ref.tx_ref + rng.uniform(-2.0, 2.0, size=3)
             da = rm_distance_angles(rx, tx, export.ref, path)
             di = rm_distance_image(rx, tx, img)
-            if abs(da - di) > 1e-9 * max(1.0, di):
+            if not abs(da - di) <= 1e-9 * max(1.0, di):  # a NaN fails too
                 raise ValueError(
                     f"path {k}: stored parametrizations disagree "
                     f"({da!r} vs {di!r}); file is corrupt or inconsistent"

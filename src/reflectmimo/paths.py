@@ -76,8 +76,10 @@ class ReferencePair:
     def __post_init__(self) -> None:
         tx = _vec3(self.tx_ref, "tx_ref")
         rx = _vec3(self.rx_ref, "rx_ref")
-        if float(np.linalg.norm(rx - tx)) < 1e-12:
-            raise ValueError("reference TX and RX positions coincide")
+        span = math.dist(tx, rx)  # inf or nan, with no warning, if a point is not finite
+        if not 1e-12 <= span < math.inf:
+            what = "coincide" if span < 1e-12 else "are not finite"
+            raise ValueError(f"reference TX and RX positions {what}")
         object.__setattr__(self, "tx_ref", tx)
         object.__setattr__(self, "rx_ref", rx)
 

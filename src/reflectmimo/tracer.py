@@ -47,6 +47,7 @@ from .geometry import _dir_angles, _unit3, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage
 
 __all__ = [
+    "MAX_BOUNCES",
     "Facet",
     "Route",
     "Scene",
@@ -189,7 +190,7 @@ class Scene:
         object.__setattr__(self, "facets", facets)
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError("carrier frequency must be positive")
-        if self.reflection_loss_db < 0.0:
+        if not (math.isfinite(self.reflection_loss_db) and self.reflection_loss_db >= 0.0):
             raise ValueError("reflection loss must be non-negative (dB)")
         flats = [f._flat for f in facets]
         predecessors = tuple(

@@ -1,7 +1,9 @@
 """The public surface: exported names and the benchmark's span targets.
 
 Every name a module lists in __all__ must exist, so a deletion that leaves its
-export entry behind fails here rather than at a star import.
+export entry behind fails here rather than at a star import. The package root
+re-exports the __all__ of its eight pipeline modules and nothing else, so a
+public name is declared in one place.
 
 perfbench/spans.py wraps public functions by (layer, name) to time them; a
 name deleted from the package would only show up there as a failed traced
@@ -46,9 +48,24 @@ def test_every_exported_name_resolves():
     assert len(set(reflectmimo.__all__)) == len(reflectmimo.__all__)
 
 
-@pytest.mark.parametrize(
-    "module", [m.name for m in pkgutil.iter_modules(reflectmimo.__path__)]
-)
+SUBMODULES = [m.name for m in pkgutil.iter_modules(reflectmimo.__path__)]
+
+# The modules the root re-exports, in the order of its __all__; fileio and
+# the CLI stay behind their module names.
+PIPELINE = ["capacity", "channel", "experiments", "fit_dp", "fit_rt", "geometry", "paths", "tracer"]
+
+
+def test_root_exports_are_the_pipeline_modules_exports():
+    modules = [importlib.import_module(f"reflectmimo.{name}") for name in PIPELINE]
+    assert reflectmimo.__all__ == [n for mod in modules for n in mod.__all__]
+    # a star import that leaks a helper module (np, math) or a private
+    # helper without an underscore shows up as an extra public attribute
+    public = {n for n in dir(reflectmimo) if not n.startswith("_")}
+    assert public - set(SUBMODULES) == set(reflectmimo.__all__)
+    assert "MAX_BOUNCES" in reflectmimo.tracer.__all__
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
 def test_every_submodule_export_resolves(module):
     mod = importlib.import_module(f"reflectmimo.{module}")
     names = getattr(mod, "__all__", [])

@@ -1,6 +1,7 @@
 """On-disk formats and the command-line front end."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 from reflectmimo import (
+    DisplacementSpec,
     ErrorRecord,
+    LinkBudget,
+    RateModel,
     ReferencePair,
     Scene,
     SweepCell,
@@ -20,6 +24,7 @@ from reflectmimo import (
     make_facet,
     to_pwa,
     trace_paths,
+    upa,
 )
 from reflectmimo import fileio
 from reflectmimo.cli import main
@@ -88,6 +93,48 @@ PWA_KEYS = [
     "aod_az_deg",
     "aod_el_deg",
 ]
+
+
+def saved(save, export) -> dict:
+    buf = io.StringIO()
+    save(export, buf)
+    return json.loads(buf.getvalue())
+
+
+def poisoned(doc: dict, key: str, bad: float) -> str:
+    """doc as JSON text, with every number of key (a top-level key, else one
+    of path 1's) set to bad; Python's json writes and reads NaN and Infinity."""
+    holder = doc if key in doc else doc["paths"][1]
+    holder[key] = np.full(np.shape(holder[key]), bad).tolist()
+    return json.dumps(doc)
+
+
+# Numbers that a JSON config or scene can set to NaN or Infinity, which pass a
+# plain `<= 0` check: each must fail its constructor with the usual message.
+NON_FINITE_SETTINGS = {
+    "bandwidth_hz": (lambda x: LinkBudget(bandwidth_hz=x), "bandwidth must be positive"),
+    "tx_power_dbm": (lambda x: LinkBudget(tx_power_dbm=x), "must be finite"),
+    "noise_figure_db": (lambda x: LinkBudget(noise_figure_db=x), "must be finite"),
+    "alpha": (lambda x: RateModel(alpha=x), "rate model constants must be positive"),
+    "se_max_bpshz": (lambda x: RateModel(se_max=x), "rate model constants must be positive"),
+    "reflection_loss_db": (
+        lambda x: Scene(facets=(), carrier_freq=F0, reflection_loss_db=x),
+        "reflection loss must be non-negative",
+    ),
+    "spacing_m": (lambda x: upa(2, 2, x, np.zeros(3)), "element spacing must be positive"),
+    "distances_m": (
+        lambda x: DisplacementSpec(distances=(0.01, x)),
+        "distances must be >= 2 positive values",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("setting", sorted(NON_FINITE_SETTINGS))
+def test_non_finite_setting_rejected(setting, bad):
+    build, message = NON_FINITE_SETTINGS[setting]
+    with pytest.raises(ValueError, match=message):
+        build(bad)
 
 
 class TestSceneJson:
@@ -215,6 +262,16 @@ class TestPathsJson:
         assert main(["fit", "rt", "--paths", str(paths), "--out", "-"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "key", ["tx", "rx", "f0_hz", *(k.format(delay="delay_s") for k in PWA_KEYS)]
+    )
+    def test_non_finite_number_rejected(self, key, bad):
+        export, _, _ = traced_export(ground_scene(), TX, RX)
+        text = poisoned(saved(fileio.save_paths, export), key, bad)
+        with pytest.raises(ValueError, match=f"non-finite '{key}'"):
+            fileio.load_paths(io.StringIO(text))
+
     def test_zero_gain_rejected(self):
         export, _, _ = traced_export(ground_scene(), TX, RX)
         pwa = export.paths[0][0]
@@ -261,6 +318,25 @@ class TestRmJson:
         corrupt = io.StringIO(json.dumps(doc))
         with pytest.raises(ValueError, match="disagree"):
             fileio.load_rm(corrupt)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "key",
+        ["tx_ref", "rx_ref", "f0_hz", *(k.format(delay="tau_s") for k in PWA_KEYS),
+         "roll_deg", "s", "U", "g"],
+    )
+    def test_non_finite_number_rejected(self, key, bad):
+        text = poisoned(saved(fileio.save_rm, rm_export(ground_scene(), TX, RX)), key, bad)
+        with pytest.raises(ValueError, match=f"non-finite '{key}'"):
+            fileio.load_rm(io.StringIO(text))
+
+    def test_consistency_check_fails_on_nan(self):
+        # a NaN distance compares False with any tolerance; it must not pass
+        export = rm_export(ground_scene(), TX, RX)
+        path, img = export.paths[1]
+        bad = dataclasses.replace(export, paths=((dataclasses.replace(path, roll=math.nan), img),))
+        with pytest.raises(ValueError, match="path 0: stored parametrizations disagree"):
+            fileio._check_rm_consistency(bad)
 
 
 class TestCsv:
@@ -540,6 +616,38 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--scene", scene_file, "--tx", "1,2", "--rx", "0,0,0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_arguments_exit_via_argparse(self, scene_file, tmp_path, capsys, bad):
+        paths = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "paths.json")
+        rm = str(tmp_path / "rm.json")
+        assert main(["fit", "rt", "--paths", paths, "--out", rm]) == 0
+        capsys.readouterr()
+        calls = [  # "--opt=value", so that "-inf" is not read as an option
+            ["trace", "--scene", scene_file, f"--tx={bad},0,5", "--rx", "4,0,1"],
+            ["trace", "--scene", scene_file, "--tx", "0,0,1", f"--rx=4,{bad},1"],
+            ["predict", "--rm", rm, "--tx", "0,0,1", "--rx", "4,0,1", f"--freq={bad}"],
+        ]
+        for argv in calls:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "expected a finite number" in capsys.readouterr().err
+
+    def test_predict_on_non_finite_model_exits_2(self, scene_file, tmp_path, capsys):
+        paths = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "paths.json")
+        rm = tmp_path / "rm.json"
+        assert main(["fit", "rt", "--paths", paths, "--out", str(rm)]) == 0
+        doc = json.loads(rm.read_text())
+        doc["paths"][0]["roll_deg"] = math.nan
+        rm.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([
+            "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite 'roll_deg'" in captured.err
 
     def test_config_missing_reference_exits_2(self, scene_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"

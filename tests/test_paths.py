@@ -86,6 +86,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             ReferencePair(tx_ref=np.ones(3), rx_ref=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("end", ["tx_ref", "rx_ref", "both"])
+    def test_reference_pair_rejects_non_finite_points(self, bad, end):
+        point = np.array([1.0, bad, 2.0])
+        kwargs = {"tx_ref": np.zeros(3), "rx_ref": np.array([4.0, 0.0, 1.0])}
+        for key in kwargs if end == "both" else [end]:
+            kwargs[key] = point
+        with pytest.raises(ValueError, match="not finite"):
+            ReferencePair(**kwargs)
+
     def test_reference_pair_match_tolerance_scales_with_separation(self):
         ex = np.array([1.0, 0.0, 0.0])
         for sep in (0.5, 2000.0):
