@@ -5,14 +5,15 @@ complex (M, N) array indexed [rx][tx]: the transmit power is split equally
 over the k strongest streams and the per-stream rate follows a clipped
 linear-in-log spectral efficiency curve; the stream count maximizing the sum
 is chosen. Wideband rate integrates the per-frequency spectral efficiency
-over the band with the midpoint rule.
+over the band with the midpoint rule, from the matrices at its sub-band
+midpoints that the caller synthesizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
@@ -119,27 +120,24 @@ def optimal_streams(
 
 
 def band_rate(
-    channel_at: Callable[[float], np.ndarray],
-    f0: float,
+    matrices: Iterable[np.ndarray],
     budget: LinkBudget,
     model: RateModel = RateModel(),
-    n_freq: int = 10,
 ) -> tuple[float, float]:
-    """Midpoint-rule rate over [f0 - B/2, f0 + B/2], B = budget.bandwidth_hz,
-    of the channel whose (M, N) matrix at frequency f is channel_at(f). The
-    band is the one the budget's noise power covers.
+    """Midpoint-rule rate over B = budget.bandwidth_hz, the band the budget's
+    noise power covers, from the (M, N) channel matrices at the midpoints of
+    its n equal sub-bands, as ``channel_evaluator(...).band(B, n)`` yields.
 
     Returns (rate in bit/s, band-averaged spectral efficiency in bps/Hz).
     """
+    bandwidth = budget.bandwidth_hz
+    total, n_freq = 0.0, 0
+    # map holds no matrix while the next one is synthesized
+    for n_freq, singulars in enumerate(map(singular_values, matrices), 1):
+        total += spectral_efficiency(singulars, budget, model)
     if n_freq < 1:
         raise ValueError("need at least one frequency sample")
-    bandwidth = budget.bandwidth_hz
-    step = bandwidth / n_freq
-    total = 0.0
-    for i in range(n_freq):
-        f = f0 - bandwidth / 2.0 + (i + 0.5) * step
-        total += spectral_efficiency(singular_values(channel_at(f)), budget, model)
-    rate = step * total
+    rate = bandwidth / n_freq * total
     return rate, rate / bandwidth
 
 

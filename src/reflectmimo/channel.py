@@ -6,7 +6,9 @@ builds one), and a channel matrix is a complex (M, N) array, indexed
 
 Every channel value is one phasor sum, ``phasor_sum``: path p contributes
 ``gain_p * exp(j 2 pi (delay_p * f0 - f * d_p / c))``, where d_p is the
-path's propagation distance between the two antennas. ``path_distances``
+path's propagation distance between the two antennas; a band's midpoint
+grid turns each path's sum at one midpoint into the next by its rotor
+``phasor_sum([1], [0], [d_p], step, f0)``. ``path_distances``
 gives d_p under one of the extrapolation models, for any broadcastable
 arrays of receiver and transmitter points:
 
@@ -26,7 +28,8 @@ Elements are isotropic: no per-element pattern weighting is applied.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -205,6 +208,34 @@ def mimo_matrix(
     )(f)
 
 
+@dataclass(frozen=True, eq=False)
+class _Evaluator:
+    """What ``channel_evaluator`` returns: per-path terms of ``phasor_sum``."""
+
+    gains: list
+    delays: list
+    distances: list
+    f0: float
+
+    def __call__(self, f: float) -> np.ndarray:
+        return phasor_sum(self.gains, self.delays, self.distances, f, self.f0)
+
+    def band(self, bandwidth: float, n_freq: int) -> Iterator[np.ndarray]:
+        """Matrices at f0 - bandwidth/2 + (k + 1/2) step, step = bandwidth/n_freq,
+        k = 0..n_freq-1: per path two exponentials, then a rotor multiply per step."""
+        if n_freq < 1:
+            raise ValueError("need at least one frequency sample")
+        step = bandwidth / n_freq
+        start = self.f0 - bandwidth / 2.0 + 0.5 * step
+        paths = zip(self.gains, self.delays, self.distances)
+        running = [phasor_sum([g], [tau], [d], start, self.f0) for g, tau, d in paths]
+        rotors = [phasor_sum([1.0], [0.0], [d], step, self.f0) for d in self.distances]
+        for _ in range(n_freq):
+            yield sum(running)
+            for phasor, rotor in zip(running, rotors):
+                phasor *= rotor
+
+
 def channel_evaluator(
     tx_points: np.ndarray,
     rx_points: np.ndarray,
@@ -215,8 +246,9 @@ def channel_evaluator(
     ref: ReferencePair | None = None,
     scene: Scene | None = None,
     max_bounces: int = 2,
-) -> Callable[[float], np.ndarray]:
-    """Frequency -> (M, N) matrix closure for the models of ``mimo_matrix``.
+) -> _Evaluator:
+    """Frequency -> (M, N) matrix ``at(f)`` for the models of ``mimo_matrix``;
+    ``at.band(B, n)`` yields the n midpoint matrices of the band B around f0.
 
     The element pairs are re-traced, or the modeled element distances
     computed, once; each call only synthesizes the matrix at its frequency.
@@ -228,10 +260,9 @@ def channel_evaluator(
     if model == "exhaustive":
         _require(scene is not None, "exhaustive model requires a scene")
         traced = trace_pairs(scene, tx[None, :], rx[:, None], max_bounces)
-        if not traced:
-            return lambda f: np.zeros((len(rx), len(tx)), dtype=complex)
-        gains = [g for _, g, _ in traced]
-        delays = [d for _, _, d in traced]
+        # no pair has a path: one zero-gain term keeps the matrix shape
+        gains = [g for _, g, _ in traced] or [np.zeros((len(rx), len(tx)))]
+        delays = [d for _, _, d in traced] or [0.0]
         distances = [C_LIGHT * d for d in delays]
     else:
         _require(len(paths) > 0, f"{model} model requires a non-empty path list")
@@ -239,4 +270,4 @@ def channel_evaluator(
         distances = path_distances(rx[:, None], tx[None, :], paths, ref, model)
         gains = [p.gain for p in paths]
         delays = [p.delay for p in paths]
-    return lambda f: phasor_sum(gains, delays, distances, f, f0)
+    return _Evaluator(gains, delays, distances, f0)

@@ -147,23 +147,30 @@ def _config_ref(cfg: dict) -> ReferencePair:
     )
 
 
+def _integer(value) -> int:
+    """A whole number; JSON reads 8.0, Infinity and NaN as floats."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # Experiment config keys -> (library parameter, type). Only the keys a config
 # sets are passed on, so the defaults are those of the library signatures.
 _SPEC_KEYS = {
     "distances_m": ("distances", tuple),
-    "directions_per_distance": ("directions_per_distance", int),
-    "rng_seed": ("rng_seed", int),
+    "directions_per_distance": ("directions_per_distance", _integer),
+    "rng_seed": ("rng_seed", _integer),
 }
 _DISPLACEMENT_KEYS = {
     "bandwidth_hz": ("bandwidth", float),
-    "n_freq": ("n_freq", int),
+    "n_freq": ("n_freq", _integer),
     "models": ("models", tuple),
-    "max_bounces": ("max_bounces", int),
+    "max_bounces": ("max_bounces", _integer),
 }
 _BUDGET_KEYS = {key: (key, float) for key in ("tx_power_dbm", "bandwidth_hz", "noise_figure_db")}
 _RATE_KEYS = {"alpha": ("alpha", float), "se_max_bpshz": ("se_max", float)}
 _SWEEP_KEYS = {
-    **{key: (key, int) for key in ("rows", "cols", "n_freq", "max_bounces", "rng_seed")},
+    **{key: (key, _integer) for key in ("rows", "cols", "n_freq", "max_bounces", "rng_seed")},
     "spacing_m": ("spacing", float),
     "models": ("models", tuple),
     "dp_displacements_m": ("dp_distances", tuple),
@@ -171,7 +178,14 @@ _SWEEP_KEYS = {
 
 
 def _config_kwargs(cfg: dict, keys: dict) -> dict:
-    return {param: kind(cfg[key]) for key, (param, kind) in keys.items() if key in cfg}
+    kwargs = {}
+    for key, (param, kind) in keys.items():
+        if key in cfg:
+            try:
+                kwargs[param] = kind(cfg[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    return kwargs
 
 
 def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:

@@ -289,6 +289,10 @@ def capacity_sweep(
     unknown = set(models) - set(_SWEEP_MODELS)
     if unknown:
         raise ValueError(f"unknown model(s) {sorted(unknown)}")
+    if not np.all(np.isfinite(rotations)):
+        raise ValueError("rotations must be finite")
+    if not all(math.isfinite(d) and d > 0.0 for d in dp_distances):
+        raise ValueError("dp_distances must be finite and positive")
     f0 = scene.carrier_freq
     rng = np.random.default_rng(rng_seed)
 
@@ -322,7 +326,7 @@ def capacity_sweep(
             )
             if name == "exhaustive":
                 counts[name] += len(rx_points) * len(tx_points)
-            _, se_avg = band_rate(evaluator, f0, budget, rate_model, n_freq)
+            _, se_avg = band_rate(evaluator.band(budget.bandwidth_hz, n_freq), budget, rate_model)
             center = stream_rates(singular_values(evaluator(f0)), budget, rate_model)
             cells.append(
                 SweepCell(

@@ -306,3 +306,25 @@ def gram_singular_values(h: np.ndarray) -> np.ndarray:
     roots = np.roots(coeffs)
     vals = np.clip(roots.real, 0.0, None)
     return np.sqrt(np.sort(vals)[::-1])
+
+
+def band_midpoints(f0: float, bandwidth: float, n_freq: int) -> list[float]:
+    """The midpoint-rule frequencies of the band bandwidth around f0."""
+    return [f0 - bandwidth / 2.0 + (k + 0.5) * (bandwidth / n_freq) for k in range(n_freq)]
+
+
+def band_tolerance(at, bandwidth: float, n_freq: int) -> float:
+    """Bound on |at.band(bandwidth, n_freq)[k] - at(f_k)| for the evaluator at.
+
+    Both sides carry the rounding of the phase argument 2 pi (tau f0 - f d/c),
+    a few ulps of its largest value, and the walk adds the rounding of one
+    rotor multiply per midpoint; each path's share scales with its gain.
+    """
+    f_max = at.f0 + bandwidth / 2.0
+    reach = max(
+        max(np.max(np.abs(d)), C_LIGHT * np.max(np.abs(tau)))
+        for d, tau in zip(at.distances, at.delays)
+    )
+    phase = 2.0 * math.pi * f_max * reach / C_LIGHT
+    gain = np.max(sum(np.abs(g) for g in at.gains))
+    return gain * (8.0 * np.spacing(phase) + 4.0 * n_freq * np.finfo(float).eps)

@@ -19,12 +19,12 @@ from reflectmimo.capacity import (
     singular_values,
     spectral_efficiency,
 )
-from reflectmimo.channel import mimo_matrix, upa
+from reflectmimo.channel import channel_evaluator, mimo_matrix, upa
 from reflectmimo.fit_rt import fit_rm_rt
 from reflectmimo.paths import C_LIGHT, ReferencePair
 from reflectmimo.tracer import Scene, trace_paths
 
-from scenelib import gram_singular_values
+from scenelib import band_midpoints, band_tolerance, gram_singular_values
 
 F0 = 140e9
 BUDGET = LinkBudget()
@@ -202,72 +202,75 @@ class TestSpectralEfficiency:
         assert loop[k - 1] >= max(loop) - 1e-12
 
 
+def los_evaluator(rows: int, spacing: float, r: float = 100.0):
+    """channel_evaluator of the rm_image fit of a free-space link of length r
+    between two rows x rows UPAs, with the route fit it evaluates."""
+    scene = Scene(facets=(), carrier_freq=F0)
+    tx_c = np.array([0.0, 0.0, 2.0])
+    rx_c = np.array([r, 0.0, 2.0])
+    ref = ReferencePair(tx_ref=tx_c, rx_ref=rx_c)
+    rm = [fit_rm_rt(p, ref) for p in trace_paths(scene, tx_c, rx_c)]
+    txa = upa(rows, rows, spacing, tx_c)
+    rxa = upa(rows, rows, spacing, rx_c)
+    return channel_evaluator(txa, rxa, "rm_image", F0, paths=rm, ref=ref), rm
+
+
 class TestBandRate:
     def test_flat_channel_averages_to_center(self):
         h = np.eye(2, dtype=complex) * snr_unit_singular(BUDGET)
-        rate, se_avg = band_rate(lambda f: h, F0, BUDGET, MODEL, n_freq=10)
+        rate, se_avg = band_rate([h] * 10, BUDGET, MODEL)
         se0 = spectral_efficiency(singular_values(h), BUDGET, MODEL)
         assert abs(se_avg - se0) <= 1e-12
         assert abs(rate - se_avg * BUDGET.bandwidth_hz) <= 1e-3
 
     def test_single_sample_is_center_frequency(self):
-        seen = []
-
-        def channel(f):
-            seen.append(f)
-            return np.eye(2, dtype=complex) * snr_unit_singular(BUDGET)
-
-        band_rate(channel, F0, BUDGET, MODEL, n_freq=1)
-        assert seen == [F0]
+        at, _ = los_evaluator(2, 0.14)
+        [h] = at.band(BUDGET.bandwidth_hz, 1)
+        assert np.array_equal(h, at(F0))
+        _, se_avg = band_rate(at.band(BUDGET.bandwidth_hz, 1), BUDGET, MODEL)
+        se0 = spectral_efficiency(singular_values(at(F0)), BUDGET, MODEL)
+        assert abs(se_avg - se0) <= 1e-12 * se0
 
     def test_samples_cover_band_midpoints(self):
-        seen = []
-
-        def channel(f):
-            seen.append(f)
-            return np.eye(1, dtype=complex)
-
-        band_rate(channel, F0, BUDGET, MODEL, n_freq=4)
-        expected = [F0 - 1e9 + (i + 0.5) * 5e8 for i in range(4)]
-        assert np.allclose(seen, expected)
-        # the band is the budget's, whose noise power the rate model uses
-        seen.clear()
-        band_rate(channel, F0, LinkBudget(bandwidth_hz=1e9), MODEL, n_freq=4)
-        expected = [F0 - 5e8 + (i + 0.5) * 2.5e8 for i in range(4)]
-        assert np.allclose(seen, expected)
+        # 100 m at 140 GHz: the phase turns by 2 pi 100 m / c per Hz, so a
+        # matrix off its midpoint by a fraction of a sub-band is far outside
+        # the rounding bound
+        at, _ = los_evaluator(2, 0.14)
+        for bandwidth, n_freq in ((2e9, 4), (1e9, 4), (1e9, 3)):
+            tol = band_tolerance(at, bandwidth, n_freq)
+            band = list(at.band(bandwidth, n_freq))
+            midpoints = band_midpoints(F0, bandwidth, n_freq)
+            assert len(band) == n_freq
+            for h, f in zip(band, midpoints):
+                assert np.max(np.abs(h - at(f))) <= tol
+                assert np.max(np.abs(h - at(f + 0.01 * bandwidth / n_freq))) > 1e3 * tol
+        # the rate integrates over the budget's band, whose noise power the
+        # rate model uses: n sub-bands of B / n
+        budget = LinkBudget(bandwidth_hz=1e9)
+        band = list(at.band(budget.bandwidth_hz, 4))
+        rate, se_avg = band_rate(band, budget, MODEL)
+        per_freq = [spectral_efficiency(singular_values(h), budget, MODEL) for h in band]
+        assert abs(se_avg - sum(per_freq) / 4) <= 1e-12 * se_avg
+        assert abs(rate - se_avg * budget.bandwidth_hz) <= 1e-12 * rate
 
     def test_validation(self):
-        h = np.eye(1, dtype=complex)
-        with pytest.raises(ValueError):
-            band_rate(lambda f: h, F0, BUDGET, MODEL, n_freq=0)
+        with pytest.raises(ValueError, match="at least one frequency sample"):
+            band_rate([], BUDGET, MODEL)
+        at, _ = los_evaluator(1, 0.14)
+        with pytest.raises(ValueError, match="at least one frequency sample"):
+            band_rate(at.band(BUDGET.bandwidth_hz, 0), BUDGET, MODEL)
 
     def test_orthogonal_spacing_los_closed_form(self):
         # at element spacing sqrt(lambda R / 8) the 8x8 LOS matrix is close
         # to a scaled unitary: 64 equal singular values of 8|g| carry the
         # whole Frobenius energy
         lam = C_LIGHT / F0
-        r = 100.0
-        spacing = math.sqrt(lam * r / 8.0)
-        scene = Scene(facets=(), carrier_freq=F0)
-        tx_c = np.array([0.0, 0.0, 2.0])
-        rx_c = np.array([r, 0.0, 2.0])
-        ref = ReferencePair(tx_ref=tx_c, rx_ref=rx_c)
-        rm = [fit_rm_rt(p, ref) for p in trace_paths(scene, tx_c, rx_c)]
-        txa = upa(8, 8, spacing, tx_c)
-        rxa = upa(8, 8, spacing, rx_c)
-        s = singular_values(
-            mimo_matrix(txa, rxa, "rm_image", F0, F0, paths=rm, ref=ref)
-        )
+        at, rm = los_evaluator(8, math.sqrt(lam * 100.0 / 8.0))
+        s = singular_values(at(F0))
         assert s[0] / s[-1] <= 1.01
         gain = abs(rm[0].gain)
         se_analytic = spectral_efficiency(np.full(64, 8.0 * gain), BUDGET, MODEL)
-        _, se_avg = band_rate(
-            lambda f: mimo_matrix(txa, rxa, "rm_image", f, F0, paths=rm, ref=ref),
-            F0,
-            BUDGET,
-            MODEL,
-            n_freq=10,
-        )
+        _, se_avg = band_rate(at.band(BUDGET.bandwidth_hz, 10), BUDGET, MODEL)
         assert abs(se_avg - se_analytic) / se_analytic <= 0.01
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflectmimo.channel import (
@@ -33,9 +33,9 @@ from reflectmimo.paths import (
     rm_distance_angles,
     rm_distance_image,
 )
-from reflectmimo.tracer import Scene, make_facet, route_length, trace_paths
+from reflectmimo.tracer import Scene, make_facet, route_length, to_pwa, trace_paths
 
-from scenelib import observe, random_scene
+from scenelib import band_midpoints, band_tolerance, observe, random_scene
 
 F0 = 140e9
 
@@ -398,8 +398,7 @@ class TestTracedPairs:
         txa = upa(2, 2, 0.1, center=(0.0, 0.0, 1.0))
         rxa = upa(1, 3, 0.1, center=(10.0, 0.0, 1.0))
         at = channel_evaluator(txa, rxa, "exhaustive", F0, scene=scene, max_bounces=0)
-        for f in (F0, F0 + 1e9):
-            h = at(f)
+        for h in [at(F0), at(F0 + 1e9), *at.band(2e9, 3)]:
             assert h.shape == (3, 4) and h.dtype == complex
             assert np.all(h == 0j)
         pairs = trace_array_pairs(scene, txa, rxa, max_bounces=0)
@@ -510,3 +509,62 @@ class TestBroadcastMatchesScalarLoop:
                 if gains.size:
                     want = np.sum(gains * np.exp(-2j * math.pi * (f - F_LOW) * delays))
                 assert abs(h[m, n] - want) <= 1e-12 * np.sum(np.abs(gains))
+
+
+class TestBandWalk:
+    """``band`` walks the midpoint grid by per-path rotors; ``at(f)`` sums
+    the phasors at each frequency afresh."""
+
+    @staticmethod
+    def evaluators(seed: int):
+        """One evaluator per model on a random scene, with a screen 1 m in
+        front of one receive element that cuts its line of sight only, so
+        the exhaustive model has pairs without a route on that sequence."""
+        scene, ref = random_scene(np.random.default_rng(seed))
+        txa = upa(2, 2, 1.0, center=ref.tx_ref)
+        rxa = upa(2, 2, 1.0, center=ref.rx_ref)
+        toward_tx = ref.tx_ref - rxa[0]
+        screen = make_facet(
+            center=rxa[0] + toward_tx / np.linalg.norm(toward_tx),
+            normal=toward_tx,
+            half_u=0.2,
+            half_v=0.2,
+        )
+        screened = Scene(facets=scene.facets + (screen,), carrier_freq=scene.carrier_freq)
+        traced = trace_paths(screened, ref.tx_ref, ref.rx_ref, max_bounces=1)
+        assume(traced)  # a tilted wall can cut the line of sight
+        plane_wave = [to_pwa(p, ref) for p in traced]
+        fits = {
+            "constant": plane_wave,
+            "pwa": plane_wave,
+            "rm_image": [fit_rm_rt(p, ref) for p in traced],
+        }
+        f0 = scene.carrier_freq
+        at = {
+            model: channel_evaluator(txa, rxa, model, f0, paths=paths, ref=ref)
+            for model, paths in fits.items()
+        }
+        at["exhaustive"] = channel_evaluator(
+            txa, rxa, "exhaustive", f0, scene=screened, max_bounces=1
+        )
+        return at
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bandwidth=st.floats(1e8, 2e10),
+        n_freq=st.sampled_from((1, 2, 3, 10)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_band_matches_each_midpoint(self, seed, bandwidth, n_freq):
+        at = self.evaluators(seed)
+        exhaustive = at["exhaustive"]
+        assume(len(exhaustive.gains) >= 2)  # a few scenes' one reflection misses
+        assert any(np.any(g == 0.0) for g in exhaustive.gains)
+        for model, evaluator in at.items():
+            tol = band_tolerance(evaluator, bandwidth, n_freq)
+            band = list(evaluator.band(bandwidth, n_freq))  # a yielded matrix must not change
+            freqs = band_midpoints(evaluator.f0, bandwidth, n_freq)
+            assert len(band) == n_freq
+            for h, f in zip(band, freqs):
+                assert h.shape == (4, 4)
+                assert np.max(np.abs(h - evaluator(f))) <= tol, model

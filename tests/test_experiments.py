@@ -584,3 +584,19 @@ class TestCapacitySweep:
         scene, ref = blocked_scene()
         with pytest.raises(ValueError, match=message):
             capacity_sweep(scene, ref, rotations, LinkBudget(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "rotations, kwargs, message",
+        [
+            ([0.0, math.nan], {}, "rotations must be finite"),
+            (np.array([math.inf]), dict(models=("exhaustive",)), "rotations must be finite"),
+            ([0.0], dict(dp_distances=(0.01, math.nan)), "dp_distances must be finite"),
+            ([0.0], dict(dp_distances=(0.01, math.inf)), "dp_distances must be finite"),
+            ([0.0], dict(dp_distances=(0.0, 0.02)), "dp_distances must be finite and positive"),
+            ([0.0], dict(dp_distances=(-0.01,)), "dp_distances must be finite and positive"),
+        ],
+    )
+    def test_rejects_non_finite_settings_before_tracing(self, rotations, kwargs, message):
+        scene, ref = blocked_scene()
+        with pytest.raises(ValueError, match=message):
+            capacity_sweep(scene, ref, rotations, LinkBudget(), **kwargs)

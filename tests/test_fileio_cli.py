@@ -649,6 +649,45 @@ class TestCli:
         assert captured.out == ""
         assert "non-finite 'roll_deg'" in captured.err
 
+    def run_experiment(self, experiment, scene_file, tmp_path, cfg) -> int:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        return main([
+            "experiment", experiment, "--scene", scene_file,
+            "--config", str(config), "--out", str(tmp_path / "o.csv"),
+        ])
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("rotations_deg", [0.0, math.nan], "rotations must be finite"),
+            ("dp_displacements_m", [0.01, math.nan], "dp_distances must be finite and positive"),
+            ("dp_displacements_m", [0.0, 0.02], "dp_distances must be finite and positive"),
+        ],
+    )
+    def test_capacity_config_bad_setting_exits_2(
+        self, scene_file, tmp_path, capsys, key, value, message
+    ):
+        cfg = {"tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "rows": 2, "cols": 2,
+               "models": ["rm_dp"], "n_freq": 1, "max_bounces": 1, key: value}
+        assert self.run_experiment("capacity", scene_file, tmp_path, cfg) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5], ids=["inf", "nan", "2.5"])
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [("capacity", key) for key in ("rows", "cols", "n_freq", "max_bounces", "rng_seed")]
+        + [("displacement", key)
+           for key in ("directions_per_distance", "rng_seed", "n_freq", "max_bounces")],
+    )
+    def test_integer_config_key_not_an_integer_exits_2(
+        self, scene_file, tmp_path, capsys, experiment, key, bad
+    ):
+        cfg = {"tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], key: bad}
+        assert self.run_experiment(experiment, scene_file, tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert f"error: config key {key!r}: expected an integer, got {bad!r}" in err
+
     def test_config_missing_reference_exits_2(self, scene_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rotations_deg": [0.0]}))
