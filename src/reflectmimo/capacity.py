@@ -125,8 +125,11 @@ def band_rate(
     model: RateModel = RateModel(),
 ) -> tuple[float, float]:
     """Midpoint-rule rate over B = budget.bandwidth_hz, the band the budget's
-    noise power covers, from the (M, N) channel matrices at the midpoints of
-    its n equal sub-bands, as ``channel_evaluator(...).band(B, n)`` yields.
+    noise power covers, from the channel matrices at the midpoints of its n
+    equal sub-bands, as ``channel_evaluator(...).band(B, n)`` yields. Only
+    their singular values are read, so any matrices whose nonzero singular
+    values are the channel's serve, such as the cores that
+    ``plane_wave_core(...).band(B, n)`` yields.
 
     Returns (rate in bit/s, band-averaged spectral efficiency in bps/Hz).
     """

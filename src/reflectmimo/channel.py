@@ -16,6 +16,13 @@ arrays of receiver and transmitter points:
 * ``pwa``         first-order plane-wave extrapolation,
 * ``rm_image``    reflection model, matrix form (exact for specular paths).
 
+The ``constant`` and ``pwa`` distances split into a receive term and a
+transmit term, so each path is one outer product of a receive and a
+transmit phase vector and the (M, N) matrix has rank at most P for P
+paths. ``plane_wave_core`` gives the (min(M, P), min(N, P)) core of its
+P-column factors instead, with the same nonzero singular values; the
+capacity sweep rates these two models from it.
+
 The ``exhaustive`` model instead re-traces every element pair through the
 scene with ``tracer.trace_pairs``, TX points as (1, N) against RX points
 as (M, 1), one facet sequence over all pairs at a time; each traced
@@ -39,6 +46,7 @@ from .paths import (
     PwaPath,
     ReferencePair,
     RmPath,
+    _pwa_terms,
     angles_to_image,
     pwa_distance,
     rm_distance_image,
@@ -47,16 +55,20 @@ from .tracer import Scene, _in_path_order, trace_pairs
 
 __all__ = [
     "MODELS",
+    "PLANE_WAVE_MODELS",
     "channel_evaluator",
     "mimo_from_traced_pairs",
     "mimo_matrix",
     "path_distances",
     "phasor_sum",
+    "plane_wave_core",
     "trace_array_pairs",
     "upa",
 ]
 
 MODELS = ("constant", "pwa", "rm_image", "exhaustive")
+# The models whose channel has rank <= P, for P paths: see plane_wave_core.
+PLANE_WAVE_MODELS = ("constant", "pwa")
 
 
 def upa(
@@ -208,6 +220,15 @@ def mimo_matrix(
     )(f)
 
 
+def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, float]:
+    """First frequency and step of the midpoints f0 - bandwidth/2 + (k + 1/2) step,
+    step = bandwidth/n_freq, k = 0..n_freq-1, of the band's n_freq sub-bands."""
+    if n_freq < 1:
+        raise ValueError("need at least one frequency sample")
+    step = bandwidth / n_freq
+    return f0 - bandwidth / 2.0 + 0.5 * step, step
+
+
 @dataclass(frozen=True, eq=False)
 class _Evaluator:
     """What ``channel_evaluator`` returns: per-path terms of ``phasor_sum``."""
@@ -221,12 +242,9 @@ class _Evaluator:
         return phasor_sum(self.gains, self.delays, self.distances, f, self.f0)
 
     def band(self, bandwidth: float, n_freq: int) -> Iterator[np.ndarray]:
-        """Matrices at f0 - bandwidth/2 + (k + 1/2) step, step = bandwidth/n_freq,
-        k = 0..n_freq-1: per path two exponentials, then a rotor multiply per step."""
-        if n_freq < 1:
-            raise ValueError("need at least one frequency sample")
-        step = bandwidth / n_freq
-        start = self.f0 - bandwidth / 2.0 + 0.5 * step
+        """Matrices at the band's midpoints (``_midpoint_grid``) in ascending
+        order: per path two exponentials, then a rotor multiply per step."""
+        start, step = _midpoint_grid(self.f0, bandwidth, n_freq)
         paths = zip(self.gains, self.delays, self.distances)
         running = [phasor_sum([g], [tau], [d], start, self.f0) for g, tau, d in paths]
         rotors = [phasor_sum([1.0], [0.0], [d], step, self.f0) for d in self.distances]
@@ -271,3 +289,65 @@ def channel_evaluator(
         gains = [p.gain for p in paths]
         delays = [p.delay for p in paths]
     return _Evaluator(gains, delays, distances, f0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Core:
+    """What ``plane_wave_core`` returns: the factors of H(f) = A diag(c) B^T."""
+
+    rx_terms: np.ndarray  # (M, P), alpha_p at each receive element
+    tx_terms: np.ndarray  # (N, P), beta_p at each transmit element
+    gains: np.ndarray  # (P,)
+    delays: np.ndarray  # (P,)
+    f0: float
+
+    def __call__(self, f: float | np.ndarray) -> np.ndarray:
+        """The core at frequency f; for an array of frequencies, a stack of
+        cores with the frequency axes first."""
+        f = np.asarray(f, dtype=float)[..., None, None]
+        a = phasor_sum([1.0], [0.0], [self.rx_terms], f, self.f0)
+        b = phasor_sum([1.0], [0.0], [self.tx_terms], f, self.f0)
+        c = phasor_sum([self.gains], [self.delays], [C_LIGHT * self.delays], f, self.f0)
+        r_b = np.linalg.qr(b, mode="r")
+        return (np.linalg.qr(a, mode="r") * c) @ np.swapaxes(r_b, -1, -2)
+
+    def band(self, bandwidth: float, n_freq: int) -> Iterator[np.ndarray]:
+        """Cores at the band's midpoints (``_midpoint_grid``) in ascending
+        order, computed as one stack."""
+        start, step = _midpoint_grid(self.f0, bandwidth, n_freq)
+        return iter(self(start + step * np.arange(n_freq)))
+
+
+def plane_wave_core(
+    tx_points: np.ndarray,
+    rx_points: np.ndarray,
+    model: str,
+    f0: float,
+    *,
+    paths: Sequence[PwaPath],
+    ref: ReferencePair,
+) -> _Core:
+    """Frequency -> core ``at(f)`` of a ``constant`` or ``pwa`` channel, a
+    (min(M, P), min(N, P)) matrix for P paths whose singular values are the
+    nonzero singular values of ``channel_evaluator(...)(f)``; ``at.band(B, n)``
+    yields the n cores at the midpoints of the band B around f0.
+
+    Path p's plane-wave distance is c tau_p + alpha_p(rx) + beta_p(tx) (zero
+    alpha and beta for ``constant``), so H(f) = A diag(c) B^T with A[:, p] =
+    exp(-2 pi j f alpha_p / c), B[:, p] = exp(-2 pi j f beta_p / c) and c_p =
+    g_p exp(2 pi j tau_p (f0 - f)). The core is R_A diag(c) R_B^T, from the
+    triangular factors of A = Q_A R_A and B = Q_B R_B, whose Q factors have
+    orthonormal columns and so leave the singular values unchanged.
+    """
+    _require(model in PLANE_WAVE_MODELS, f"no plane-wave core for model {model!r}")
+    _require(len(paths) > 0, f"{model} model requires a non-empty path list")
+    tx = as_points(tx_points, "tx_points")
+    rx = as_points(rx_points, "rx_points")
+    if model == "pwa":
+        alphas, betas = zip(*(_pwa_terms(rx, tx, ref, p) for p in paths))
+        rx_terms, tx_terms = np.column_stack(alphas), np.column_stack(betas)
+    else:
+        rx_terms, tx_terms = np.zeros((len(rx), len(paths))), np.zeros((len(tx), len(paths)))
+    gains = np.array([p.gain for p in paths], dtype=complex)
+    delays = np.array([p.delay for p in paths])
+    return _Core(rx_terms, tx_terms, gains, delays, f0)

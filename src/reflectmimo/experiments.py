@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from typing import NamedTuple, Sequence
@@ -23,7 +24,14 @@ from .capacity import (
     singular_values,
     stream_rates,
 )
-from .channel import channel_evaluator, path_distances, phasor_sum, upa
+from .channel import (
+    PLANE_WAVE_MODELS,
+    channel_evaluator,
+    path_distances,
+    phasor_sum,
+    plane_wave_core,
+    upa,
+)
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
 from .paths import C_LIGHT, ReferencePair
@@ -107,6 +115,18 @@ def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
     return units
 
 
+def _frequency_count(n_freq) -> int:
+    """n_freq as an int; ValueError unless ``operator.index`` takes it (an
+    int or numpy integer, not a float) and it is at least 1."""
+    try:
+        count = operator.index(n_freq)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"n_freq must be a positive integer, got {n_freq!r}")
+    return count
+
+
 def _fit_estimators(
     scene: Scene,
     ref: ReferencePair,
@@ -170,8 +190,7 @@ def displacement_experiment(
     that order; every field is a builtin str or float. The pair traces
     issued are logged.
     """
-    if n_freq < 1:
-        raise ValueError(f"n_freq must be >= 1, got {n_freq}")
+    n_freq = _frequency_count(n_freq)
     if not models:
         raise ValueError("need at least one model")
     unknown = set(models) - set(ESTIMATORS)
@@ -282,6 +301,7 @@ def capacity_sweep(
     table and the number of path traces each model consumed, the cost metric
     that separates exhaustive re-tracing from the one-off fits.
     """
+    n_freq = _frequency_count(n_freq)
     if not models:
         raise ValueError("need at least one model")
     if len(rotations) == 0:
@@ -314,16 +334,23 @@ def capacity_sweep(
             rows, cols, spacing, ref.tx_ref, azimuth_rotation=tx_boresight + rot
         )
         for name in models:
-            evaluator = channel_evaluator(
-                tx_points,
-                rx_points,
-                _CHANNEL_MODEL[name],
-                f0,
-                paths=fitted.get(name, ()),
-                ref=ref,
-                scene=scene,
-                max_bounces=max_bounces,
-            )
+            model = _CHANNEL_MODEL[name]
+            if model in PLANE_WAVE_MODELS:
+                # rank <= P: the rates read only the nonzero singular values
+                evaluator = plane_wave_core(
+                    tx_points, rx_points, model, f0, paths=fitted[name], ref=ref
+                )
+            else:
+                evaluator = channel_evaluator(
+                    tx_points,
+                    rx_points,
+                    model,
+                    f0,
+                    paths=fitted.get(name, ()),
+                    ref=ref,
+                    scene=scene,
+                    max_bounces=max_bounces,
+                )
             if name == "exhaustive":
                 counts[name] += len(rx_points) * len(tx_points)
             _, se_avg = band_rate(evaluator.band(budget.bandwidth_hz, n_freq), budget, rate_model)

@@ -216,11 +216,21 @@ def pwa_distance(
     tx[None, :] give the (M, N) element-pair distances); two single points
     give a float.
     """
+    alpha, beta = _pwa_terms(rx, tx, ref, path)
+    return C_LIGHT * path.delay + alpha + beta
+
+
+def _pwa_terms(
+    rx: np.ndarray, tx: np.ndarray, ref: ReferencePair, path: PwaPath
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The receive and transmit terms of pwa_distance, apart: the receiver's
+    displacement against the arrival direction and the transmitter's against
+    the departure direction, of rx's and tx's leading shapes."""
     u_r = spherical_dir(path.aoa_az, path.aoa_el)
     u_t = spherical_dir(path.aod_az, path.aod_el)
     alpha = (ref.rx_ref - _points(rx, "rx")) @ u_r
     beta = (ref.tx_ref - _points(tx, "tx")) @ u_t
-    return C_LIGHT * path.delay + alpha + beta
+    return alpha, beta
 
 
 def rm_distance_image(

@@ -20,6 +20,7 @@ from reflectmimo.channel import (
     mimo_matrix,
     path_distances,
     phasor_sum,
+    plane_wave_core,
     trace_array_pairs,
     upa,
 )
@@ -35,7 +36,7 @@ from reflectmimo.paths import (
 )
 from reflectmimo.tracer import Scene, make_facet, route_length, to_pwa, trace_paths
 
-from scenelib import band_midpoints, band_tolerance, observe, random_scene
+from scenelib import band_midpoints, band_tolerance, core_tolerance, observe, random_scene
 
 F0 = 140e9
 
@@ -568,3 +569,52 @@ class TestBandWalk:
             for h, f in zip(band, freqs):
                 assert h.shape == (4, 4)
                 assert np.max(np.abs(h - evaluator(f))) <= tol, model
+
+
+class TestPlaneWaveCore:
+    """A plane-wave channel with P paths has rank <= P, and its core
+    R_A diag(c) R_B^T has the dense matrix's nonzero singular values."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(((1, 1), (2, 1), (1, 3), (2, 2), (4, 4))),
+        spacing=st.floats(0.002, 0.5),
+        bandwidth=st.floats(1e8, 2e10),
+        offset=st.floats(-0.5, 0.5),
+        n_freq=st.sampled_from((1, 3)),
+        model=st.sampled_from(("pwa", "constant")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_singular_values_match_the_dense_matrix(
+        self, seed, shape, spacing, bandwidth, offset, n_freq, model
+    ):
+        rng = np.random.default_rng(seed)
+        scene, ref = random_scene(rng)
+        traced = trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces=2)
+        assume(traced)  # a tilted wall can cut the line of sight
+        paths = [to_pwa(p, ref) for p in traced]
+        txa = upa(*shape, spacing, ref.tx_ref, rng.uniform(-math.pi, math.pi))
+        rxa = upa(*shape[::-1], spacing, ref.rx_ref, rng.uniform(-math.pi, math.pi))
+        m, n, p = len(rxa), len(txa), len(paths)
+        f0 = scene.carrier_freq
+        at = channel_evaluator(txa, rxa, model, f0, paths=paths, ref=ref)
+        core = plane_wave_core(txa, rxa, model, f0, paths=paths, ref=ref)
+
+        def spectrum_gap(core_matrix, dense_matrix):
+            padded = np.zeros(min(m, n))
+            padded[: min(core_matrix.shape)] = np.linalg.svd(core_matrix, compute_uv=False)
+            return np.max(np.abs(padded - np.linalg.svd(dense_matrix, compute_uv=False)))
+
+        f = f0 + offset * bandwidth
+        h = core(f)
+        assert h.shape == (min(m, p), min(n, p))
+        dense = mimo_matrix(txa, rxa, model, f, f0, paths=paths, ref=ref)
+        assert spectrum_gap(h, dense) <= core_tolerance(at, f)
+
+        # the same midpoints as the dense band, whose walk adds its own rounding
+        walk = band_tolerance(at, bandwidth, n_freq) * math.sqrt(m * n)
+        cores = list(core.band(bandwidth, n_freq))
+        assert len(cores) == n_freq
+        freqs = band_midpoints(f0, bandwidth, n_freq)
+        for h, dense, f in zip(cores, at.band(bandwidth, n_freq), freqs):
+            assert spectrum_gap(h, dense) <= core_tolerance(at, f) + walk

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
@@ -20,10 +20,12 @@ from reflectmimo import (
     ErrorRecord,
     LinkBudget,
     PairObservation,
+    RateModel,
     ReferencePair,
     Scene,
     angles_to_image,
     capacity_sweep,
+    channel_evaluator,
     displacement_experiment,
     fit_rm_dp,
     fit_rm_rt,
@@ -32,12 +34,14 @@ from reflectmimo import (
     phasor_sum,
     pwa_distance,
     rm_distance_image,
+    singular_values,
     to_pwa,
     trace_paths,
 )
+from reflectmimo import capacity, channel, experiments
 from reflectmimo.experiments import _random_units
 from reflectmimo.fileio import write_error_csv
-from scenelib import random_scene
+from scenelib import band_tolerance, core_tolerance, random_scene
 
 F0 = 140e9
 WAVELENGTH = 299792458.0 / F0
@@ -81,6 +85,26 @@ def empty_los(range_m):
         tx_ref=np.array([0.0, 0.0, 2.0]), rx_ref=np.array([range_m, 0.0, 2.0])
     )
     return scene, ref
+
+
+def count_traces(monkeypatch) -> list[str]:
+    """The trace_paths and trace_pairs calls the experiments make, directly
+    or through the exhaustive channel, by name, one entry per call."""
+    calls = []
+    for module, name in (
+        (experiments, "trace_paths"),
+        (experiments, "trace_pairs"),
+        (channel, "trace_pairs"),
+    ):
+        def counted(*args, _name=name, _trace=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _trace(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+BAD_COUNTS = [0, -2, 2.5, 3.0, "3", None]
 
 
 def medians_by_distance(records, model):
@@ -234,6 +258,18 @@ class TestDisplacementExperiment:
         spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=2)
         with pytest.raises(ValueError, match=message):
             displacement_experiment(scene, ref, spec, **kwargs)
+
+
+    @pytest.mark.parametrize("n_freq", BAD_COUNTS)
+    def test_rejects_n_freq_not_a_positive_integer_before_tracing(self, monkeypatch, n_freq):
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=1)
+        with pytest.raises(ValueError, match="n_freq must be a positive integer"):
+            displacement_experiment(scene, ref, spec, n_freq=n_freq, max_bounces=1)
+        assert calls == []
+        displacement_experiment(scene, ref, spec, n_freq=np.int64(1), max_bounces=1)
+        assert calls
 
 
 class TestErrorRecord:
@@ -600,3 +636,91 @@ class TestCapacitySweep:
         scene, ref = blocked_scene()
         with pytest.raises(ValueError, match=message):
             capacity_sweep(scene, ref, rotations, LinkBudget(), **kwargs)
+
+    @pytest.mark.parametrize("n_freq", BAD_COUNTS)
+    @pytest.mark.parametrize("models", [("exhaustive",), ("pwa", "rm_dp")])
+    def test_rejects_n_freq_not_a_positive_integer_before_tracing(
+        self, monkeypatch, models, n_freq
+    ):
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        kwargs = dict(rows=2, cols=2, models=models, max_bounces=1)
+        with pytest.raises(ValueError, match="n_freq must be a positive integer"):
+            capacity_sweep(scene, ref, [0.0], LinkBudget(), n_freq=n_freq, **kwargs)
+        assert calls == []
+        capacity_sweep(scene, ref, [0.0], LinkBudget(), n_freq=np.int64(1), **kwargs)
+        assert calls
+
+    def test_plane_wave_cells_take_no_dense_matrix(self, monkeypatch):
+        def no_dense_channel(*args, **kwargs):
+            raise AssertionError("dense channel synthesized for a plane-wave model")
+
+        shapes = []
+
+        def recorded(h):
+            shapes.append(h.shape)
+            return singular_values(h)
+
+        monkeypatch.setattr(experiments, "channel_evaluator", no_dense_channel)
+        monkeypatch.setattr(experiments, "singular_values", recorded)
+        monkeypatch.setattr(capacity, "singular_values", recorded)
+        scene, ref = corridor_scene(100.0)  # line of sight, ground and wall: 3 paths
+        cells, _ = capacity_sweep(
+            scene, ref, [0.0, 1.0], LinkBudget(), rows=4, cols=4,
+            models=("constant", "pwa"), n_freq=3, max_bounces=1,
+        )
+        assert len(cells) == 4
+        assert len(shapes) == 4 * (3 + 1)  # the band and its centre, per cell
+        assert all(m <= 3 and n <= 3 for m, n in shapes)
+
+
+class TestPlaneWaveCells:
+    """``capacity_sweep`` rates ``constant`` and ``pwa`` from the rank-P core;
+    the dense (M, N) band gives the same cells, within the dense matrix's own
+    phase rounding carried through the rate's slope. (That rounding is up to
+    ~1e-10 of a cell at 50-160 m and 140 GHz; on the demo the cells are
+    equal.)"""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(((1, 1), (2, 1), (2, 2), (3, 3))),
+        power_dbm=st.floats(-10.0, 40.0),
+        bandwidth=st.floats(1e8, 2e10),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_cells_match_the_dense_band(self, seed, shape, power_dbm, bandwidth):
+        rng = np.random.default_rng(seed)
+        scene, ref = random_scene(rng)
+        assume(trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces=2))
+        budget = LinkBudget(tx_power_dbm=power_dbm, bandwidth_hz=bandwidth)
+        rotations = rng.uniform(-math.pi, math.pi, size=2)
+        kwargs = dict(
+            rows=shape[0], cols=shape[1], spacing=0.05, models=("constant", "pwa"), n_freq=3
+        )
+        fast, _ = capacity_sweep(scene, ref, rotations, budget, **kwargs)
+        dense = []
+
+        def dense_evaluator(tx_points, rx_points, model, f0, *, paths, ref):
+            at = channel_evaluator(tx_points, rx_points, model, f0, paths=paths, ref=ref)
+            dense.append(at)
+            return at
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "plane_wave_core", dense_evaluator)
+            slow, _ = capacity_sweep(scene, ref, rotations, budget, **kwargs)
+
+        # Each singular value moves by at most t, and one stream's rate
+        # alpha log2(1 + s^2 P / (k noise)) by at most alpha sqrt(P / (k noise))
+        # / ln 2 per unit of s, so the sum over k <= L streams by sqrt(L P / noise)
+        # times that; here M = N = L = elements, and sqrt(M N) = elements.
+        elements = shape[0] * shape[1]
+        slope = RateModel().alpha * math.sqrt(
+            elements * budget.tx_power_w / budget.noise_power_w
+        ) / math.log(2.0)
+        f_max = scene.carrier_freq + bandwidth / 2.0
+        assert len(fast) == len(slow) == len(dense) == 4
+        for a, b, at in zip(fast, slow, dense):
+            t = core_tolerance(at, f_max) + elements * band_tolerance(at, bandwidth, 3)
+            assert (a.rotation, a.model, a.rank_used) == (b.rotation, b.model, b.rank_used)
+            assert abs(a.se_center - b.se_center) <= slope * t
+            assert abs(a.se_avg - b.se_avg) <= slope * t
