@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Check that the tracer tests catch three faults in the tracer's unfolding.
+"""Check that the tracer tests catch four faults in the tracer's unfolding.
 
 Copies src/, tests/ and pyproject.toml into a temporary directory and, one at
-a time, applies to tracer._unfold there each of three mutants:
+a time, applies to tracer._unfold there each of four mutants:
 
-* side:   the side test flipped (a one-sided facet reflects from its back),
-* slack:  a bounds slack of 0 in place of 1e-9,
-* halves: the u and v half-extents swapped.
+* side:      the side test flipped (a one-sided facet reflects from its back),
+* slack:     a bounds slack of 0 in place of 1e-9,
+* halves:    the u and v half-extents swapped,
+* occlusion: the occluder loop dropped (no facet blocks a segment).
 
 For the unmutated copy and then for each mutant it runs
 
@@ -36,6 +37,7 @@ MUTANTS = {
     "side": ("and denom >= 0.0:", "and denom <= 0.0:", 1),
     "slack": ("+ _T_EPS:", "+ 0.0:", 2),
     "halves": ("half_u, half_v, _ = flats[idx]", "half_v, half_u, _ = flats[idx]", 1),
+    "occlusion": ("for f in occluders:", "for f in ():", 1),
 }
 
 

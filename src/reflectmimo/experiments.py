@@ -24,17 +24,10 @@ from .capacity import (
     singular_values,
     stream_rates,
 )
-from .channel import (
-    PLANE_WAVE_MODELS,
-    channel_evaluator,
-    path_distances,
-    phasor_sum,
-    plane_wave_core,
-    upa,
-)
+from .channel import PLANE_WAVE_MODELS, _fitted, _traced, channel_evaluator, plane_wave_core, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .paths import C_LIGHT, ReferencePair
+from .paths import ReferencePair
 from .tracer import Scene, TracedPath, _in_path_order, to_pwa, trace_pairs, trace_paths
 
 __all__ = [
@@ -79,9 +72,16 @@ class DisplacementSpec:
         d = tuple(float(x) for x in self.distances)
         if len(d) < 2 or not all(math.isfinite(x) and x > 0.0 for x in d) or list(d) != sorted(d):
             raise ValueError("distances must be >= 2 positive values, ascending")
-        if self.directions_per_distance < 1:
+        try:
+            count = operator.index(self.directions_per_distance)
+        except TypeError:
+            raise ValueError(
+                f"directions_per_distance must be an integer, got {self.directions_per_distance!r}"
+            ) from None
+        if count < 1:
             raise ValueError("need at least one direction per distance")
         object.__setattr__(self, "distances", d)
+        object.__setattr__(self, "directions_per_distance", count)
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -230,8 +230,8 @@ def _displacement_errors(
     before the records are built.
 
     All S samples are traced as paired endpoints in one trace_pairs call, and
-    the truth and each model are synthesized as (S, n_freq) arrays, each
-    sample's paths summed in trace_paths' order.
+    the truth and each model are synthesized as (n_freq, S) arrays, each
+    sample's paths summed in trace_paths' order, and stored transposed.
     """
     f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
@@ -247,23 +247,13 @@ def _displacement_errors(
     n_traced = 1 + (len(dp_distances) if "rm_dp" in models else 0) + len(dists)
     log.info("displacement experiment pair traces: %d", n_traced)
 
-    # (paths, samples, 1) against (n_freq,): one (samples, n_freq) sum
-    gains, delays = _in_path_order(
-        trace_pairs(scene, tx_m, rx_m, max_bounces), (len(dists), 1)
-    )
-    h_true = phasor_sum(gains, delays, C_LIGHT * delays, freqs, f0)
+    # (paths, samples) against (n_freq, 1): one (n_freq, samples) sum
+    gains, delays = _in_path_order(trace_pairs(scene, tx_m, rx_m, max_bounces), (len(dists),))
+    h_true = _traced(gains, delays, f0)(freqs[:, None])
     eps = np.empty((len(dists), n_freq, len(models)))
     for k, name in enumerate(models):
-        paths = fitted[name]
-        distances = path_distances(rx_m, tx_m, paths, ref, _CHANNEL_MODEL[name])
-        h_est = phasor_sum(
-            [p.gain for p in paths],
-            [p.delay for p in paths],
-            [d[:, None] for d in distances],
-            freqs,
-            f0,
-        )
-        eps[:, :, k] = abs(h_est - h_true) ** 2 / energy0
+        at = _fitted(rx_m, tx_m, fitted[name], ref, _CHANNEL_MODEL[name], f0)
+        eps[:, :, k] = (abs(at(freqs[:, None]) - h_true) ** 2 / energy0).T
     return freqs, eps
 
 
@@ -313,6 +303,8 @@ def capacity_sweep(
         raise ValueError("rotations must be finite")
     if not all(math.isfinite(d) and d > 0.0 for d in dp_distances):
         raise ValueError("dp_distances must be finite and positive")
+    if "rm_dp" in models and len(dp_distances) < 2:
+        raise ValueError("rm_dp needs at least two dp_distances")
     f0 = scene.carrier_freq
     rng = np.random.default_rng(rng_seed)
 

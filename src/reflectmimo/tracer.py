@@ -22,7 +22,7 @@ composes from the planes of the facets it meets.
 Two tracers share the walk and these rules:
 
 * ``trace_paths`` traces one TX/RX pair on plain floats: the flat record
-  each Facet keeps next to its arrays, unpacked into locals, because numpy
+  the Scene builds for each facet, unpacked into locals, because numpy
   call and attribute overhead dominate at one pair. Its unfolding writes
   the crossing, bounds, side and occlusion tests out inline and measures
   the route length on the way.
@@ -75,7 +75,7 @@ _T_EPS = 1e-9
 _PAD = 3 * _T_EPS
 
 
-# The plain floats each Facet keeps for the trace loops, which unpack them
+# The plain floats of a facet in Scene._flats, which the trace loops unpack
 # into locals: the reflective side, the plane n . x = b, the centre, the
 # in-plane axes, the half-extents (None when unbounded) and the axis-aligned
 # box, low corner then high, of the points the bounds test accepts, for the
@@ -92,11 +92,11 @@ class Facet:
     unless two_sided is set. half_u / half_v are half-extents in meters along
     the two axes; None means unbounded in that direction.
 
-    A facet is a plain record: the mirror, crossing, bounds and side tests
-    are the tracer's functions, on the flat record of plain floats (_Flat)
-    each facet keeps next to its arrays. Facets are immutable, fields and
-    arrays alike, and compare by identity. two_sided must be a bool
-    (numpy's included) and is kept as a Python bool.
+    A facet is a plain record of its validated geometry: the mirror,
+    crossing, bounds and side tests are the tracer's functions, on the flat
+    record of plain floats (_Flat) each Scene builds from it. Facets are
+    immutable, fields and arrays alike, and compare by identity. two_sided
+    must be a bool (numpy's included) and is kept as a Python bool.
     """
 
     center: np.ndarray
@@ -107,7 +107,6 @@ class Facet:
     two_sided: bool = False
     normal: np.ndarray = field(init=False)
     intercept: float = field(init=False)
-    _flat: _Flat = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         center = np.array(self.center, dtype=float)
@@ -128,18 +127,20 @@ class Facet:
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        intercept = float(normal @ center)
-        object.__setattr__(self, "intercept", intercept)
-        box = (-math.inf,) * 3 + (math.inf,) * 3
-        if self.half_u is not None and self.half_v is not None:
-            reach = np.abs(axis_u) * self.half_u + np.abs(axis_v) * self.half_v + _PAD
-            box = _f3(center - reach) + _f3(center + reach)
-        halves = (None if h is None else float(h) for h in (self.half_u, self.half_v))
-        flat = _Flat(
-            self.two_sided, *_f3(normal), intercept, *_f3(center), *_f3(axis_u), *_f3(axis_v),
-            *halves, box,
-        )
-        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "intercept", float(normal @ center))
+
+
+def _flat(f: Facet) -> _Flat:
+    """The flat record of facet f, its box padded by _PAD."""
+    box = (-math.inf,) * 3 + (math.inf,) * 3
+    if f.half_u is not None and f.half_v is not None:
+        reach = np.abs(f.axis_u) * f.half_u + np.abs(f.axis_v) * f.half_v + _PAD
+        box = _f3(f.center - reach) + _f3(f.center + reach)
+    halves = (None if h is None else float(h) for h in (f.half_u, f.half_v))
+    return _Flat(
+        f.two_sided, *_f3(f.normal), f.intercept, *_f3(f.center), *_f3(f.axis_u),
+        *_f3(f.axis_v), *halves, box,
+    )
 
 
 def make_facet(
@@ -170,17 +171,18 @@ def make_facet(
 class Scene:
     """Facet collection plus the carrier frequency and per-bounce loss.
 
-    Each scene also keeps, for every facet g, the indices of the facets f
-    that may come straight before g in a route (_predecessors): f != g, and
-    the segment from f to g can leave f's reflective side and arrive on g's
-    (see _faces). For _walk's culls it keeps each facet's plane
-    (two_sided, nx, ny, nz, b) in _planes, and in _frames its centre, axes
-    and half-extents padded by _PAD (None when unbounded).
+    Each scene builds every facet's flat record (_Flat) once, into _flats,
+    and from them the indices of the facets f that may come straight before
+    each facet g in a route (_predecessors): f != g, and the segment from f
+    to g can leave f's reflective side and arrive on g's (see _faces). For
+    _walk's culls it keeps each facet's plane (two_sided, nx, ny, nz, b) in
+    _planes, and in _frames its centre, axes and half-extents padded by _PAD.
     """
 
     facets: tuple[Facet, ...]
     carrier_freq: float
     reflection_loss_db: float = 3.0
+    _flats: tuple[_Flat, ...] = field(init=False, repr=False)
     _predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _planes: tuple[tuple, ...] = field(init=False, repr=False)
     _frames: tuple[tuple, ...] = field(init=False, repr=False)
@@ -192,7 +194,8 @@ class Scene:
             raise ValueError("carrier frequency must be positive")
         if not (math.isfinite(self.reflection_loss_db) and self.reflection_loss_db >= 0.0):
             raise ValueError("reflection loss must be non-negative (dB)")
-        flats = [f._flat for f in facets]
+        flats = tuple(map(_flat, facets))
+        object.__setattr__(self, "_flats", flats)
         predecessors = tuple(
             tuple(
                 i
@@ -261,8 +264,8 @@ class TracedPath:
         ids = self.route.facet_ids
         if self.scene is None or ids is None:
             return None
-        flats = [self.scene.facets[i]._flat for i in ids]
-        return RmImage.from_planes(((f.nx, f.ny, f.nz), f.b) for f in flats)
+        planes = self.scene._planes
+        return RmImage.from_planes((planes[i][1:4], planes[i][4]) for i in ids)
 
 
 def route_length(route: Route) -> float:
@@ -278,6 +281,14 @@ def route_length(route: Route) -> float:
 
 def _f3(a) -> tuple[float, float, float]:
     return (float(a[0]), float(a[1]), float(a[2]))
+
+
+def _point(name: str, p) -> tuple[float, float, float]:
+    """Point p as a float triple; ValueError naming it unless finite."""
+    x, y, z = _f3(p)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"{name} must be finite, got {p}")
+    return x, y, z
 
 
 def _dot(a, b) -> float:
@@ -488,34 +499,36 @@ def trace_sequence(
 ) -> Route | None:
     """Construct the specular route for one ordered facet sequence.
 
-    Returns None when no valid route exists. Disabling the checks still
-    requires each unfolded intersection to fall strictly inside its segment,
-    so the result remains a genuine geometric route; the relaxed mode
-    follows a known path to displaced endpoints. The mirrors are _walk's
-    (_mirror) and the unfolding is trace_paths' (_unfold).
+    Returns None when no valid route exists. A check turned off relaxes
+    what _unfold reads: the sequence's facets lose their bounds or turn
+    two-sided, or no facet occludes. Each unfolded point must still lie
+    strictly inside its segment, so a relaxed route, which follows a known
+    path to displaced endpoints, stays geometric. Mirrors as in _walk.
     """
-    flats = [f._flat for f in scene.facets]
+    flats = scene._flats
     for idx in sequence:
         if not 0 <= idx < len(flats):
             raise ValueError(f"facet index {idx} out of range")
-    images = [_f3(rx)]
+    bounds = {} if check_bounds else {"half_u": None, "half_v": None}
+    side = {} if check_side else {"two_sided": True}
+    hits = {idx: flats[idx]._replace(**bounds, **side) for idx in sequence}
+    txf = _point("tx", tx)
+    images = [_point("rx", rx)]
     for idx in reversed(sequence):
         _, nx, ny, nz, b = flats[idx][:5]
         ax, ay, az = images[0]
         images.insert(0, _mirror(images[0], 2.0 * (nx * ax + ny * ay + nz * az - b), nx, ny, nz))
-    found = _unfold(flats, sequence, images, _f3(tx), check_bounds, check_side, check_occlusion)
+    found = _unfold(hits, sequence, images, txf, flats if check_occlusion else ())
     return None if found is None else Route(np.array(found[0]), sequence)
 
 
-def _unfold(
-    flats, sequence, images, txf, check_bounds=True, check_side=True, check_occlusion=True
-):
-    """trace_sequence's route as (vertices, length), or None, for valid facet
-    indices, the facet records, float-triple TX and the receiver images of
-    _walk; the length sums the segment norms in order. The crossing (open
-    segment, t within (_T_EPS, 1 - _T_EPS)), bounds (_T_EPS slack), side and
-    occlusion tests are written out on the records' floats; _crossed is the
-    same arithmetic on coordinate arrays."""
+def _unfold(flats, sequence, images, txf, occluders):
+    """The route through sequence as (vertices, length), or None, from the
+    records flats[idx] it reflects off, float-triple TX, _walk's receiver
+    images and the records that may block it, occluders; the length sums
+    the segment norms in order. The crossing (open segment, t within
+    (_T_EPS, 1 - _T_EPS)), bounds (_T_EPS slack), side and occlusion tests
+    are written out on the records' floats; _crossed is that on arrays."""
     rxf = images[-1]
     if not sequence and not _apart(txf, rxf, _FLOAT_OPS):
         return None
@@ -531,13 +544,12 @@ def _unfold(
         if t <= _T_EPS or t >= 1.0 - _T_EPS:
             return None
         px, py, pz = px + t * sx, py + t * sy, pz + t * sz
-        if check_bounds:
-            dx, dy, dz = px - cx, py - cy, pz - cz
-            if half_u is not None and not abs(dx * ux + dy * uy + dz * uz) <= half_u + _T_EPS:
-                return None
-            if half_v is not None and not abs(dx * vx + dy * vy + dz * vz) <= half_v + _T_EPS:
-                return None
-        if check_side and not two_sided and denom >= 0.0:
+        dx, dy, dz = px - cx, py - cy, pz - cz
+        if half_u is not None and not abs(dx * ux + dy * uy + dz * uz) <= half_u + _T_EPS:
+            return None
+        if half_v is not None and not abs(dx * vx + dy * vy + dz * vz) <= half_v + _T_EPS:
+            return None
+        if not two_sided and denom >= 0.0:
             return None
         vertices.append((px, py, pz))
     vertices.append(rxf)
@@ -546,13 +558,11 @@ def _unfold(
     for (ax, ay, az), (bx, by, bz) in zip(vertices[:-1], vertices[1:]):
         sx, sy, sz = bx - ax, by - ay, bz - az
         length = length + math.sqrt(sx * sx + sy * sy + sz * sz)
-        if not check_occlusion:
-            continue
         # blocked when the open segment a->b crosses a facet rectangle
         lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
         lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
         lo_z, hi_z = (az, bz) if az <= bz else (bz, az)
-        for f in flats:
+        for f in occluders:
             box = f.box
             if (
                 box[0] > hi_x or box[1] > hi_y or box[2] > hi_z
@@ -587,12 +597,12 @@ def trace_paths(
     facets that meet or overlap can both accept the same specular point; such
     a path is returned once, under the first facet sequence in that order.
     """
-    flats = [f._flat for f in scene.facets]
-    txf = _f3(tx)
-    walk = _walk(scene, _f3(rx), max_bounces, _FLOAT_OPS, _tx_cones(scene, txf))
+    flats = scene._flats
+    txf = _point("tx", tx)
+    walk = _walk(scene, _point("rx", rx), max_bounces, _FLOAT_OPS, _tx_cones(scene, txf))
     accepted = []
     for seq, images in walk:
-        found = _unfold(flats, seq, images, txf)
+        found = _unfold(flats, seq, images, txf, flats)
         if found is not None:
             # vertex arrays, kept as the routes: as float tuples they would
             # double the memory of the accepted routes
@@ -613,15 +623,17 @@ def trace_paths(
 def _coordinates(tx_points, rx_points) -> tuple[tuple[np.ndarray, ...], ...]:
     """The x, y, z columns of the TX and RX point arrays, no axis inserted.
 
-    Each array is (..., 3) with at least one leading axis and one point, and
-    the two leading shapes must broadcast: the broadcast shape is that of
-    every per-pair array of trace_pairs.
+    Each array is (..., 3) with at least one leading axis and one point, all
+    finite, and the two leading shapes must broadcast: the broadcast shape
+    is that of every per-pair array of trace_pairs.
     """
     columns = []
     for name, points in (("tx_points", tx_points), ("rx_points", rx_points)):
         pts = np.asarray(points, dtype=float)
         if pts.ndim < 2 or pts.shape[-1] != 3 or pts.size == 0:
             raise ValueError(f"{name} must have shape (..., 3) with at least one point")
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{name} must be finite")
         columns.append(tuple(np.ascontiguousarray(pts[..., k]) for k in range(3)))
     tx, rx = columns
     try:
@@ -712,11 +724,10 @@ def trace_pairs(
     sequence. Per pair, the routes are those of trace_paths, the seam rule
     included: the delays are equal bit for bit and the gains to rounding.
     """
-    flats = [f._flat for f in scene.facets]
     tx, rx = _coordinates(tx_points, rx_points)
     faced = _faced(scene._planes, tx, _ARRAY_OPS)
     walk = _walk(scene, rx, max_bounces, _ARRAY_OPS, faced)
-    unfolded = ((seq, _unfold_batch(flats, seq, images, tx)) for seq, images in walk)
+    unfolded = ((seq, _unfold_batch(scene._flats, seq, images, tx)) for seq, images in walk)
     accepted = [(seq, *found) for seq, found in unfolded if found is not None]
     traced = []
     for seq, _, valid, length in _kept(accepted, _ARRAY_OPS):

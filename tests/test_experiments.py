@@ -140,6 +140,18 @@ class TestDisplacementSpec:
         with pytest.raises(ValueError):
             DisplacementSpec(directions_per_distance=0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+    def test_rejects_non_integral_directions(self, count):
+        # 2.5 used to pass, and the experiment failed after tracing
+        with pytest.raises(ValueError, match="directions_per_distance must be an integer"):
+            DisplacementSpec(directions_per_distance=count)
+
+    def test_keeps_directions_as_int(self):
+        spec = DisplacementSpec(directions_per_distance=np.int64(2))
+        assert type(spec.directions_per_distance) is int
+        with pytest.raises(ValueError, match="need at least one direction per distance"):
+            DisplacementSpec(directions_per_distance=-1)
+
 
 class TestDisplacementExperiment:
     def test_record_grid_shape(self):
@@ -650,6 +662,19 @@ class TestCapacitySweep:
         assert calls == []
         capacity_sweep(scene, ref, [0.0], LinkBudget(), n_freq=np.int64(1), **kwargs)
         assert calls
+
+    @pytest.mark.parametrize("dp_distances", [(), (0.01,)])
+    def test_rm_dp_rejects_fewer_than_two_dp_distances_before_tracing(
+        self, monkeypatch, dp_distances
+    ):
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        kwargs = dict(rows=2, cols=2, n_freq=1, max_bounces=1, dp_distances=dp_distances)
+        with pytest.raises(ValueError, match="rm_dp needs at least two dp_distances"):
+            capacity_sweep(scene, ref, [0.0], LinkBudget(), models=("pwa", "rm_dp"), **kwargs)
+        assert calls == []
+        capacity_sweep(scene, ref, [0.0], LinkBudget(), models=("pwa",), **kwargs)
+        assert calls == ["trace_paths"]
 
     def test_plane_wave_cells_take_no_dense_matrix(self, monkeypatch):
         def no_dense_channel(*args, **kwargs):

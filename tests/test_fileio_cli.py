@@ -26,7 +26,7 @@ from reflectmimo import (
     trace_paths,
     upa,
 )
-from reflectmimo import fileio
+from reflectmimo import experiments, fileio
 from reflectmimo.cli import main
 from reflectmimo.paths import C_LIGHT, angles_to_image
 
@@ -672,6 +672,18 @@ class TestCli:
                "models": ["rm_dp"], "n_freq": 1, "max_bounces": 1, key: value}
         assert self.run_experiment("capacity", scene_file, tmp_path, cfg) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dp_displacements", [[], [0.01]])
+    def test_capacity_config_one_rm_dp_displacement_exits_2_before_tracing(
+        self, scene_file, tmp_path, capsys, monkeypatch, dp_displacements
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "trace_paths", lambda *args: calls.append(args))
+        cfg = {"tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "rows": 2, "cols": 2,
+               "models": ["rm_dp"], "dp_displacements_m": dp_displacements}
+        assert self.run_experiment("capacity", scene_file, tmp_path, cfg) == 2
+        assert "error: rm_dp needs at least two dp_distances" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5], ids=["inf", "nan", "2.5"])
     @pytest.mark.parametrize(

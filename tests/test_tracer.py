@@ -132,8 +132,9 @@ class TestFacetReflect:
 
 
 class TestFacetImmutable:
-    # The trace loop reads the float copies a Facet makes of its arrays, so a
-    # facet changed after construction would be traced with its old geometry.
+    # The trace loops read the float records a Scene builds from its facets'
+    # arrays, so a facet changed after the scene was built would be traced
+    # with its old geometry.
     def test_mutation_raises_and_trace_is_unchanged(self):
         center = np.zeros(3)
         scene = Scene(
@@ -217,6 +218,17 @@ class TestTracePaths:
     def test_max_bounces_guard(self):
         with pytest.raises(ValueError):
             trace_paths(ground_scene(), self.TX, self.RX, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tx", "rx"])
+    def test_non_finite_endpoint_rejected(self, name, bad):
+        # every crossing test fails on a NaN, so the trace used to be empty
+        points = {"tx": self.TX.copy(), "rx": self.RX.copy()}
+        points[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            trace_paths(ground_scene(), points["tx"], points["rx"], 1)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            trace_sequence(ground_scene(), (0,), points["tx"], points["rx"])
 
     def test_gain_friis_and_phase(self):
         scene = ground_scene()
@@ -454,6 +466,14 @@ class TestTracePairs:
             trace_pairs(ground_scene(), np.zeros((2, 3)), np.ones((3, 3)))
         with pytest.raises(ValueError, match="rx_points must have shape"):
             trace_pairs(ground_scene(), np.zeros((2, 3)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("name", ["tx_points", "rx_points"])
+    def test_non_finite_points_rejected(self, name):
+        # a NaN pair used to drop out of every entry without an error
+        points = {"tx_points": np.zeros((2, 3)), "rx_points": np.ones((2, 3))}
+        points[name][1, 2] = math.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            trace_pairs(ground_scene(), points["tx_points"], points["rx_points"])
 
 
 def assert_matches_brute_force(scene, tx, rx, max_bounces):
