@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Check that the tracer tests catch four faults in the tracer's unfolding.
+"""Check that the tests catch faults in the tracer's unfolding and in the
+reflection model's angle-to-image conversion, through their oracles in
+tests/scenelib.py.
 
 Copies src/, tests/ and pyproject.toml into a temporary directory and, one at
-a time, applies to tracer._unfold there each of four mutants:
+a time, applies there each of six mutants, keyed by module and function:
 
-* side:      the side test flipped (a one-sided facet reflects from its back),
-* slack:     a bounds slack of 0 in place of 1e-9,
-* halves:    the u and v half-extents swapped,
-* occlusion: the occluder loop dropped (no facet blocks a segment).
+* tracer._unfold
+  * side:      the side test flipped (a one-sided facet reflects from its back),
+  * slack:     a bounds slack of 0 in place of 1e-9,
+  * halves:    the u and v half-extents swapped,
+  * occlusion: the occluder loop dropped (no facet blocks a segment);
+* paths.angles_to_image
+  * parity:    the mirror parity factor z_reflection(s) dropped,
+  * roll:      the roll angle negated.
 
 For the unmutated copy and then for each mutant it runs
 
-    pytest tests/test_tracer.py tests/test_acceptance.py -q -x
+    pytest tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -30,25 +36,33 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_tracer.py", "tests/test_acceptance.py"]
+TESTS = ["tests/test_paths.py", "tests/test_tracer.py", "tests/test_acceptance.py"]
 
-# name -> (text in _unfold, replacement, occurrences)
+# (module, function) -> {name: (text in the function, replacement, occurrences)}
 MUTANTS = {
-    "side": ("and denom >= 0.0:", "and denom <= 0.0:", 1),
-    "slack": ("+ _T_EPS:", "+ 0.0:", 2),
-    "halves": ("half_u, half_v, _ = flats[idx]", "half_v, half_u, _ = flats[idx]", 1),
-    "occlusion": ("for f in occluders:", "for f in ():", 1),
+    ("tracer", "_unfold"): {
+        "side": ("and denom >= 0.0:", "and denom <= 0.0:", 1),
+        "slack": ("+ _T_EPS:", "+ 0.0:", 2),
+        "halves": ("half_u, half_v, _ = flats[idx]", "half_v, half_u, _ = flats[idx]", 1),
+        "occlusion": ("for f in occluders:", "for f in ():", 1),
+    },
+    ("paths", "angles_to_image"): {
+        "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
+        "roll": ('rotation_matrix("x", path.roll)', 'rotation_matrix("x", -path.roll)', 1),
+    },
 }
 
 
-def mutate(source: str, old: str, new: str, count: int) -> str:
-    """source with old replaced by new inside _unfold, which must hold old
-    exactly count times."""
-    start = source.index("\ndef _unfold(")
-    end = source.index("\ndef ", start + 1)
+def mutate(source: str, function: str, old: str, new: str, count: int) -> str:
+    """source with old replaced by new inside the top-level function, which
+    must hold old exactly count times."""
+    start = source.index(f"\ndef {function}(")
+    end = source.find("\ndef ", start + 1)
+    if end < 0:  # the module's last function
+        end = len(source)
     body = source[start:end]
     if body.count(old) != count:
-        raise SystemExit(f"mutant {old!r} -> {new!r} no longer matches _unfold")
+        raise SystemExit(f"mutant {old!r} -> {new!r} no longer matches {function}")
     return source[:start] + body.replace(old, new) + source[end:]
 
 
@@ -67,8 +81,6 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        tracer = copy / "src" / "reflectmimo" / "tracer.py"
-        original = tracer.read_text()
 
         result = run_tests(copy)
         if result.returncode != 0:
@@ -77,18 +89,22 @@ def main() -> int:
         print("unmutated: passes")
 
         survivors = []
-        for name, (old, new, count) in MUTANTS.items():
-            tracer.write_text(mutate(original, old, new, count))
-            result = run_tests(copy)
-            if result.returncode == 0:
-                survivors.append(name)
-                print(f"{name}: SURVIVED")
-            elif result.returncode == 1:  # pytest: some test failed
-                print(f"{name}: caught by", *failures(result))
-            else:
-                print(f"{name}: pytest exited {result.returncode}", result.stdout, result.stderr)
-                return 2
-        tracer.write_text(original)
+        for (module, function), mutants in MUTANTS.items():
+            target = copy / "src" / "reflectmimo" / f"{module}.py"
+            original = target.read_text()
+            for name, (old, new, count) in mutants.items():
+                label = f"{module}.{function} {name}"
+                target.write_text(mutate(original, function, old, new, count))
+                result = run_tests(copy)
+                if result.returncode == 0:
+                    survivors.append(label)
+                    print(f"{label}: SURVIVED")
+                elif result.returncode == 1:  # pytest: some test failed
+                    print(f"{label}: caught by", *failures(result))
+                else:
+                    print(f"{label}: pytest exited {result.returncode}", result.stdout, result.stderr)
+                    return 2
+            target.write_text(original)
     return 1 if survivors else 0
 
 

@@ -28,7 +28,7 @@ from .experiments import (
 from .channel import mimo_matrix
 from .fit_dp import fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .paths import ReferencePair, angles_to_image
+from .paths import ReferencePair
 from .tracer import Scene, to_pwa, trace_paths
 
 _DEFAULT_ROTATIONS_DEG = [float(d) for d in range(-180, 180, 15)]
@@ -85,11 +85,8 @@ def _cmd_fit_rt(args: argparse.Namespace) -> int:
     with open(args.paths) as fp:
         export = fileio.load_paths(fp)
     ref = export.reference
-    fitted = []
-    for traced in export.traced():
-        rm = fit_rm_rt(traced, ref)
-        fitted.append((rm, angles_to_image(rm, ref)))
-    out = fileio.RmExport(ref=ref, f0_hz=export.f0_hz, paths=tuple(fitted))
+    fitted = tuple(fit_rm_rt(traced, ref) for traced in export.traced())
+    out = fileio.RmExport(ref=ref, f0_hz=export.f0_hz, paths=fitted)
     with _open_out(args.out) as fp:
         fileio.save_rm(out, fp)
     return 0
@@ -103,12 +100,8 @@ def _cmd_fit_dp(args: argparse.Namespace) -> int:
         with open(name) as fp:
             displaced.append(fileio.load_paths(fp).observation())
     ref = ref_export.reference
-    fitted = fit_rm_dp(ref_export.observation(), displaced, ref)
-    out = fileio.RmExport(
-        ref=ref,
-        f0_hz=ref_export.f0_hz,
-        paths=tuple((rm, angles_to_image(rm, ref)) for rm in fitted),
-    )
+    fitted = tuple(fit_rm_dp(ref_export.observation(), displaced, ref))
+    out = fileio.RmExport(ref=ref, f0_hz=ref_export.f0_hz, paths=fitted)
     with _open_out(args.out) as fp:
         fileio.save_rm(out, fp)
     return 0
@@ -117,13 +110,12 @@ def _cmd_fit_dp(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     with open(args.rm) as fp:
         export = fileio.load_rm(fp)
-    paths = [path for path, _ in export.paths]
     model = "rm_image" if args.model == "rm" else args.model
     total = 0j  # no paths, no channel
-    if paths:
+    if export.paths:
         h = mimo_matrix(
             args.tx[None], args.rx[None], model, args.freq, export.f0_hz,
-            paths=paths, ref=export.ref,
+            paths=export.paths, ref=export.ref,
         )
         total = complex(h[0, 0])
     print(f"{total.real:.17g}{total.imag:+.17g}j")

@@ -80,8 +80,10 @@ class DisplacementSpec:
             ) from None
         if count < 1:
             raise ValueError("need at least one direction per distance")
+        seed = _at_least(self.rng_seed, 0, "rng_seed must be a non-negative integer")
         object.__setattr__(self, "distances", d)
         object.__setattr__(self, "directions_per_distance", count)
+        object.__setattr__(self, "rng_seed", seed)
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -115,16 +117,28 @@ def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
     return units
 
 
-def _frequency_count(n_freq) -> int:
-    """n_freq as an int; ValueError unless ``operator.index`` takes it (an
-    int or numpy integer, not a float) and it is at least 1."""
+def _at_least(value, least: int, message: str) -> int:
+    """value as an int; ValueError(f"{message}, got {value!r}") unless
+    ``operator.index`` takes it (an int or numpy integer, not a float) and it
+    is at least least."""
     try:
-        count = operator.index(n_freq)
+        count = operator.index(value)
     except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"n_freq must be a positive integer, got {n_freq!r}")
+        count = least - 1
+    if count < least:
+        raise ValueError(f"{message}, got {value!r}")
     return count
+
+
+def _check_models(models: Sequence[str], known: Sequence[str]) -> None:
+    """ValueError unless models names at least one of known, each once."""
+    if not models:
+        raise ValueError("need at least one model")
+    unknown = set(models) - set(known)
+    if unknown:
+        raise ValueError(f"unknown model(s) {sorted(unknown)}")
+    if len(set(models)) < len(models):
+        raise ValueError(f"repeated model in {list(models)}")
 
 
 def _fit_estimators(
@@ -190,12 +204,8 @@ def displacement_experiment(
     that order; every field is a builtin str or float. The pair traces
     issued are logged.
     """
-    n_freq = _frequency_count(n_freq)
-    if not models:
-        raise ValueError("need at least one model")
-    unknown = set(models) - set(ESTIMATORS)
-    if unknown:
-        raise ValueError(f"unknown estimator(s) {sorted(unknown)}")
+    n_freq = _at_least(n_freq, 1, "n_freq must be a positive integer")
+    _check_models(models, ESTIMATORS)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
 
@@ -291,14 +301,11 @@ def capacity_sweep(
     table and the number of path traces each model consumed, the cost metric
     that separates exhaustive re-tracing from the one-off fits.
     """
-    n_freq = _frequency_count(n_freq)
-    if not models:
-        raise ValueError("need at least one model")
+    n_freq = _at_least(n_freq, 1, "n_freq must be a positive integer")
+    rng_seed = _at_least(rng_seed, 0, "rng_seed must be a non-negative integer")
+    _check_models(models, _SWEEP_MODELS)
     if len(rotations) == 0:
         raise ValueError("need at least one rotation")
-    unknown = set(models) - set(_SWEEP_MODELS)
-    if unknown:
-        raise ValueError(f"unknown model(s) {sorted(unknown)}")
     if not np.all(np.isfinite(rotations)):
         raise ValueError("rotations must be finite")
     if not all(math.isfinite(d) and d > 0.0 for d in dp_distances):

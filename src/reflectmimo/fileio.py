@@ -3,7 +3,7 @@ parameters and experiment CSV tables.
 
 Files carry angles in degrees and complex gains as (gain_db, phase_deg); the
 in-memory API stays in radians and complex numbers. The raw fields of path
-and model files (delays, route vertices, positions, U, g) are written with
+and model files (delays, route vertices and positions) are written with
 the shortest repr and load back bit for bit; gains and angles pass through
 the dB/degree conversion and change in their last digits on a round trip.
 """
@@ -21,15 +21,7 @@ import numpy as np
 
 from .experiments import ErrorRecord, SweepCell
 from .fit_dp import PairObservation
-from .paths import (
-    C_LIGHT,
-    PwaPath,
-    ReferencePair,
-    RmImage,
-    RmPath,
-    rm_distance_angles,
-    rm_distance_image,
-)
+from .paths import C_LIGHT, PwaPath, ReferencePair, RmPath
 from .tracer import Facet, Route, Scene, TracedPath, route_length
 
 __all__ = [
@@ -210,23 +202,22 @@ def load_paths(fp: IO[str]) -> PathExport:
 
 @dataclass(frozen=True, eq=False)
 class RmExport:
-    """Fitted reflection model: both parametrizations of every path."""
+    """Fitted reflection model: the angle form of every path."""
 
     ref: ReferencePair
     f0_hz: float
-    paths: tuple[tuple[RmPath, RmImage], ...]
+    paths: tuple[RmPath, ...]
+
+
+# The keys of a model file's path entry, as save_rm writes them.
+_RM_KEYS = ("gain_db", "phase_deg", "tau_s", *(f"{a}_deg" for a in _ANGLES), "roll_deg", "s")
 
 
 def save_rm(export: RmExport, fp: IO[str]) -> None:
     entries = []
-    for path, img in export.paths:
+    for path in export.paths:
         entry = _pwa_to_fields(path, "tau_s")
-        entry.update(
-            roll_deg=path.roll / _DEG,
-            s=path.s,
-            U=[_vec(row) for row in img.U],
-            g=_vec(img.g),
-        )
+        entry.update(roll_deg=path.roll / _DEG, s=path.s)
         entries.append(entry)
     doc = {
         "tx_ref": _vec(export.ref.tx_ref),
@@ -239,42 +230,21 @@ def save_rm(export: RmExport, fp: IO[str]) -> None:
 
 
 def load_rm(fp: IO[str]) -> RmExport:
-    """Load fitted parameters; verifies that the two stored parametrizations
-    describe the same distance function before returning."""
+    """Load fitted parameters; a path entry with a key that save_rm does not
+    write, or a parity s other than -1 or +1, is rejected by name."""
     doc = json.load(fp)
     ref = ReferencePair(tx_ref=_finite(doc, "tx_ref"), rx_ref=_finite(doc, "rx_ref"))
     paths = []
     for e in doc["paths"]:
-        path = RmPath(
-            **_pwa_from_fields(e, "tau_s"),
-            roll=_finite(e, "roll_deg") * _DEG,
-            s=int(_finite(e, "s")),
-        )
-        img = RmImage(U=_finite(e, "U"), g=_finite(e, "g"))
-        paths.append((path, img))
-    export = RmExport(ref=ref, f0_hz=_finite(doc, "f0_hz"), paths=tuple(paths))
-    _check_rm_consistency(export)
-    return export
-
-
-# Random probe points per path at which the two stored forms must agree.
-_N_PROBE = 10
-
-
-def _check_rm_consistency(export: RmExport) -> None:
-    """The angle form and the matrix form must agree at random probe points."""
-    rng = np.random.default_rng(20240917)
-    for k, (path, img) in enumerate(export.paths):
-        for _ in range(_N_PROBE):
-            rx = export.ref.rx_ref + rng.uniform(-2.0, 2.0, size=3)
-            tx = export.ref.tx_ref + rng.uniform(-2.0, 2.0, size=3)
-            da = rm_distance_angles(rx, tx, export.ref, path)
-            di = rm_distance_image(rx, tx, img)
-            if not abs(da - di) <= 1e-9 * max(1.0, di):  # a NaN fails too
-                raise ValueError(
-                    f"path {k}: stored parametrizations disagree "
-                    f"({da!r} vs {di!r}); file is corrupt or inconsistent"
-                )
+        unknown = [key for key in e if key not in _RM_KEYS]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in a model file path")
+        s = _finite(e, "s")
+        if s not in (-1.0, 1.0):
+            raise ValueError(f"'s' must be -1 or +1, got {s!r}")
+        roll = _finite(e, "roll_deg") * _DEG
+        paths.append(RmPath(**_pwa_from_fields(e, "tau_s"), roll=roll, s=int(s)))
+    return RmExport(ref=ref, f0_hz=_finite(doc, "f0_hz"), paths=tuple(paths))
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,19 @@ move away from the reference positions:
 
 * ``pwa_distance``      first-order plane-wave extrapolation from the path's
                         arrival/departure directions (second-order error),
-* ``rm_distance_*``     the reflection model: distance to a mirror image of
+* ``rm_distance_image`` the reflection model: distance to a mirror image of
                         the transmitter, exact for any chain of planar
                         specular reflections.
 
-The reflection model comes in two equivalent parametrizations: the matrix
-form (orthogonal ``U`` and offset ``g``, distance ``|rx - U tx - g|``) and an
-8-parameter angle form (delay, four arrival/departure angles, a transmitter
-roll angle and a +-1 mirror parity). ``image_to_angles`` / ``angles_to_image``
-convert between them.
+A fitted path is the 8-parameter angle form ``RmPath`` (delay, four
+arrival/departure angles, a transmitter roll angle and a +-1 mirror
+parity). ``angles_to_image`` derives from it the matrix form (orthogonal
+``U`` and offset ``g``, distance ``|rx - U tx - g|``) that is evaluated.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,16 +40,11 @@ __all__ = [
     "RmPath",
     "align_rotation",
     "angles_to_image",
-    "departure_mirror",
-    "image_to_angles",
     "pwa_distance",
-    "rm_distance_angles",
     "rm_distance_image",
 ]
 
 C_LIGHT = 299_792_458.0  # speed of light, m/s (exact)
-
-_EX = np.array([1.0, 0.0, 0.0])
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -90,6 +85,16 @@ class ReferencePair:
         return math.sqrt(d_tx.dot(d_tx)) <= tol and math.sqrt(d_rx.dot(d_rx)) <= tol
 
 
+def _check_finite(path, names: tuple[str, ...]) -> None:
+    """ValueError naming the first of the path's fields names that is not
+    finite; a complex gain is finite when both its parts are. PwaPath and
+    RmPath call it only once the sum of the fields is not finite, so a
+    record costs one test: to_pwa builds one per traced path."""
+    for name in names:
+        if not cmath.isfinite(getattr(path, name)):
+            raise ValueError(f"path {name} must be finite, got {getattr(path, name)!r}")
+
+
 @dataclass(frozen=True)
 class PwaPath:
     """Plane-wave parameters of one path at the reference pair.
@@ -109,6 +114,8 @@ class PwaPath:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delay) and self.delay > 0.0):
             raise ValueError(f"path delay must be positive, got {self.delay}")
+        if not cmath.isfinite(self.gain + self.aoa_az + self.aoa_el + self.aod_az + self.aod_el):
+            _check_finite(self, ("gain", "aoa_az", "aoa_el", "aod_az", "aod_el"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +177,10 @@ class RmPath(PwaPath):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not math.isfinite(self.roll):
+            _check_finite(self, ("roll",))
         if self.s not in (-1, 1):
-            raise ValueError(f"mirror parity must be -1 or +1, got {self.s!r}")
+            raise ValueError(f"mirror parity s must be -1 or +1, got {self.s!r}")
 
 
 def _align_rows(azimuth: float, elevation: float) -> tuple[tuple[float, ...], ...]:
@@ -193,16 +202,6 @@ def _align_rows(azimuth: float, elevation: float) -> tuple[tuple[float, ...], ..
 def align_rotation(azimuth: float, elevation: float) -> np.ndarray:
     """Rotation R_y(el) @ R_z(-az) mapping the direction (az, el) onto +x."""
     return np.array(_align_rows(azimuth, elevation))
-
-
-def departure_mirror(path: RmPath) -> np.ndarray:
-    """Orthogonal factor Q_z(s) R_x(roll) R_y(aod_el) R_z(-aod_az) acting on
-    transmitter displacements in the angle-form distance."""
-    return (
-        z_reflection(path.s)
-        @ rotation_matrix("x", path.roll)
-        @ align_rotation(path.aod_az, path.aod_el)
-    )
 
 
 def pwa_distance(
@@ -247,37 +246,10 @@ def rm_distance_image(
     return np.linalg.norm(_points(rx, "rx") - mirrored, axis=-1)
 
 
-def rm_distance_angles(
-    rx: np.ndarray, tx: np.ndarray, ref: ReferencePair, path: RmPath
-) -> float:
-    """Reflection-model distance evaluated from the 8-parameter angle form.
-
-    Equal (up to roundoff) to rm_distance_image with the converted image.
-    """
-    rot_rx = align_rotation(path.aoa_az, path.aoa_el)
-    mir_tx = departure_mirror(path)
-    d = C_LIGHT * path.delay * _EX
-    d = d + rot_rx @ (ref.rx_ref - _vec3(rx, "rx"))
-    d = d + mir_tx @ (ref.tx_ref - _vec3(tx, "tx"))
-    return float(np.linalg.norm(d))
-
-
-def image_to_angles(img: RmImage, ref: ReferencePair, gain: complex = 0j) -> RmPath:
-    """Convert the matrix form (U, g) into the angle form at a reference pair.
-
-    The arrival direction points from the reference receiver toward the
-    transmitter image, the departure parameters follow from the Euler
-    factorization of the residual rotation. Raises ValueError when the image
-    coincides with the reference receiver (zero path length).
-    """
-    dist, angles = _image_angles(img, ref)
-    return RmPath(gain, dist / C_LIGHT, *angles)
-
-
 def _image_angles(img: RmImage, ref: ReferencePair) -> tuple[float, tuple]:
-    """image_to_angles' image distance, and the RmPath fields that follow
-    gain and delay, in order: (aoa_az, aoa_el, aod_az, aod_el, roll, s). On
-    floats past the numpy products."""
+    """The image distance and the RmPath fields that follow gain and delay,
+    in order: (aoa_az, aoa_el, aod_az, aod_el, roll, s). On floats past the
+    numpy products; ValueError when the image sits on the reference receiver."""
     d0 = ref.rx_ref - img.U @ ref.tx_ref - img.g
     dist = math.sqrt(d0.dot(d0))
     if dist < 1e-12:
@@ -295,9 +267,10 @@ def _image_angles(img: RmImage, ref: ReferencePair) -> tuple[float, tuple]:
 
 
 def angles_to_image(path: RmPath, ref: ReferencePair) -> RmImage:
-    """Convert the angle form back into the matrix form (U, g)."""
+    """The matrix form (U, g) of the angle form at the reference pair."""
     rot_rx = align_rotation(path.aoa_az, path.aoa_el)
-    u = -rot_rx.T @ departure_mirror(path)
+    mirror = z_reflection(path.s) @ rotation_matrix("x", path.roll)
+    u = -rot_rx.T @ (mirror @ align_rotation(path.aod_az, path.aod_el))
     d0 = -C_LIGHT * path.delay * spherical_dir(path.aoa_az, path.aoa_el)
     g = ref.rx_ref - u @ ref.tx_ref - d0
     return RmImage(U=u, g=g)

@@ -17,6 +17,11 @@ blocked, unfold and brute_force_paths read only the public Facet fields
 (normal, intercept, center, axis_u, axis_v, half_u, half_v, two_sided) and
 share no code with the tracer, so a wrong unfolding, bounds or side rule in
 the tracer cannot change the oracle with it.
+
+The reflection model's oracles are its angle form written out as 3x3 numpy
+products: rm_distance_angles evaluates a path's distance from its eight
+parameters, and image_to_angles converts an image (U, g) into them. The
+package evaluates only the image that paths.angles_to_image derives.
 """
 
 from __future__ import annotations
@@ -32,12 +37,19 @@ from reflectmimo import (
     Facet,
     PairObservation,
     ReferencePair,
+    RmImage,
+    RmPath,
     Route,
     Scene,
     TracedPath,
+    align_rotation,
+    dir_to_angles,
+    euler_factor_so3,
     make_facet,
+    rotation_matrix,
     to_pwa,
     trace_paths,
+    z_reflection,
 )
 
 # The tracer's slack: an interaction point must lie strictly inside its
@@ -291,6 +303,43 @@ def random_orthogonal(rng: np.random.Generator, det: int | None = None) -> np.nd
     if det is not None and round(float(np.linalg.det(q))) != det:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def rm_distance_angles(rx, tx, ref: ReferencePair, path: RmPath) -> float:
+    """Reflection-model distance evaluated from the 8-parameter angle form:
+    |c tau e_x + A_r (rx_ref - rx) + Q_z(s) R_x(roll) A_t (tx_ref - tx)|,
+    with A_r and A_t the align rotations of the arrival and departure
+    directions."""
+    rot_rx = align_rotation(path.aoa_az, path.aoa_el)
+    mir_tx = (
+        z_reflection(path.s)
+        @ rotation_matrix("x", path.roll)
+        @ align_rotation(path.aod_az, path.aod_el)
+    )
+    d = C_LIGHT * path.delay * np.array([1.0, 0.0, 0.0])
+    d = d + rot_rx @ (ref.rx_ref - np.asarray(rx, dtype=float))
+    d = d + mir_tx @ (ref.tx_ref - np.asarray(tx, dtype=float))
+    return float(np.linalg.norm(d))
+
+
+def image_to_angles(img: RmImage, ref: ReferencePair, gain: complex = 0j) -> RmPath:
+    """The angle form of the image (U, g) at a reference pair, through
+    3-vector and 3x3 numpy products.
+
+    The arrival direction points from the reference receiver toward the
+    transmitter image, the departure parameters follow from the Euler
+    factorization of the residual rotation. Raises ValueError when the image
+    coincides with the reference receiver (zero path length).
+    """
+    d0 = ref.rx_ref - img.U @ ref.tx_ref - img.g
+    dist = math.sqrt(d0.dot(d0))
+    if dist < 1e-12:
+        raise ValueError("transmitter image coincides with the reference receiver")
+    aoa_az, aoa_el = dir_to_angles(-d0 / dist)
+    w = -(rotation_matrix("y", aoa_el) @ rotation_matrix("z", -aoa_az)) @ img.U
+    s = int(round(float(np.linalg.det(w))))
+    roll, aod_el, aod_az = euler_factor_so3(z_reflection(s) @ w)
+    return RmPath(gain, dist / C_LIGHT, aoa_az, aoa_el, aod_az, aod_el, roll, s)
 
 
 def gram_singular_values(h: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from scenelib import random_scene, retrace_length
+from scenelib import random_scene, retrace_length, rm_distance_angles
 
 from reflectmimo import (
     LinkBudget,
@@ -27,7 +27,6 @@ from reflectmimo import (
     pwa_distance,
     rayleigh_distance,
     rho,
-    rm_distance_angles,
     rm_distance_image,
     singular_values,
     solve_gamma_s,

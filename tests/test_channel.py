@@ -31,12 +31,18 @@ from reflectmimo.paths import (
     RmPath,
     angles_to_image,
     pwa_distance,
-    rm_distance_angles,
     rm_distance_image,
 )
 from reflectmimo.tracer import Scene, make_facet, route_length, to_pwa, trace_paths
 
-from scenelib import band_midpoints, band_tolerance, core_tolerance, observe, random_scene
+from scenelib import (
+    band_midpoints,
+    band_tolerance,
+    core_tolerance,
+    observe,
+    random_scene,
+    rm_distance_angles,
+)
 
 F0 = 140e9
 

@@ -105,6 +105,7 @@ def count_traces(monkeypatch) -> list[str]:
 
 
 BAD_COUNTS = [0, -2, 2.5, 3.0, "3", None]
+BAD_SEEDS = [-1, 2.5, 3.0, "3", None]
 
 
 def medians_by_distance(records, model):
@@ -145,6 +146,13 @@ class TestDisplacementSpec:
         # 2.5 used to pass, and the experiment failed after tracing
         with pytest.raises(ValueError, match="directions_per_distance must be an integer"):
             DisplacementSpec(directions_per_distance=count)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_rejects_rng_seed_not_a_non_negative_integer(self, seed):
+        # 2.5 used to pass, and the experiment raised numpy's TypeError
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            DisplacementSpec(rng_seed=seed)
+        assert type(DisplacementSpec(rng_seed=np.int64(2)).rng_seed) is int
 
     def test_keeps_directions_as_int(self):
         spec = DisplacementSpec(directions_per_distance=np.int64(2))
@@ -282,6 +290,15 @@ class TestDisplacementExperiment:
         assert calls == []
         displacement_experiment(scene, ref, spec, n_freq=np.int64(1), max_bounces=1)
         assert calls
+
+    def test_rejects_repeated_model_before_tracing(self, monkeypatch):
+        # ("pwa", "pwa") used to return every pwa record twice
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=1)
+        with pytest.raises(ValueError, match="repeated model"):
+            displacement_experiment(scene, ref, spec, models=("pwa", "rm_rt", "pwa"))
+        assert calls == []
 
 
 class TestErrorRecord:
@@ -662,6 +679,29 @@ class TestCapacitySweep:
         assert calls == []
         capacity_sweep(scene, ref, [0.0], LinkBudget(), n_freq=np.int64(1), **kwargs)
         assert calls
+
+    @pytest.mark.parametrize("rng_seed", BAD_SEEDS)
+    @pytest.mark.parametrize("models", [("exhaustive",), ("pwa", "rm_dp")])
+    def test_rejects_rng_seed_not_a_non_negative_integer_before_tracing(
+        self, monkeypatch, models, rng_seed
+    ):
+        # 2.5 used to raise numpy's TypeError
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        kwargs = dict(rows=2, cols=2, models=models, n_freq=1, max_bounces=1)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            capacity_sweep(scene, ref, [0.0], LinkBudget(), rng_seed=rng_seed, **kwargs)
+        assert calls == []
+        capacity_sweep(scene, ref, [0.0], LinkBudget(), rng_seed=np.int64(1), **kwargs)
+        assert calls
+
+    @pytest.mark.parametrize("models", [("exhaustive", "exhaustive"), ("pwa", "rm_dp", "pwa")])
+    def test_rejects_repeated_model_before_tracing(self, monkeypatch, models):
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        with pytest.raises(ValueError, match="repeated model"):
+            capacity_sweep(scene, ref, [0.0], LinkBudget(), rows=2, cols=2, models=models)
+        assert calls == []
 
     @pytest.mark.parametrize("dp_distances", [(), (0.01,)])
     def test_rm_dp_rejects_fewer_than_two_dp_distances_before_tracing(

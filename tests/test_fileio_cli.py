@@ -1,7 +1,6 @@
 """On-disk formats and the command-line front end."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -59,10 +58,8 @@ def traced_export(scene, tx, rx, max_bounces=1):
 
 
 def rm_export(scene, tx, rx):
-    export, traced, ref = traced_export(scene, tx, rx)
-    fitted = tuple(
-        (rm, angles_to_image(rm, ref)) for rm in (fit_rm_rt(p, ref) for p in traced)
-    )
+    _, traced, ref = traced_export(scene, tx, rx)
+    fitted = tuple(fit_rm_rt(p, ref) for p in traced)
     return fileio.RmExport(ref=ref, f0_hz=scene.carrier_freq, paths=fitted)
 
 
@@ -285,7 +282,7 @@ class TestPathsJson:
 
 
 class TestRmJson:
-    def test_roundtrip_with_consistency_check(self):
+    def test_roundtrip(self):
         export = rm_export(ground_scene(), TX, RX)
         buf = io.StringIO()
         fileio.save_rm(export, buf)
@@ -293,50 +290,57 @@ class TestRmJson:
         loaded = fileio.load_rm(buf)
 
         assert len(loaded.paths) == 2
-        for (got, got_img), (want, want_img) in zip(loaded.paths, export.paths):
-            assert got.s == want.s
+        for got, want in zip(loaded.paths, export.paths):
+            assert type(got.s) is int and got.s == want.s
             assert got.delay == want.delay
-            assert abs(got.roll - want.roll) <= 1e-12
-            assert np.array_equal(got_img.U, want_img.U)
-            assert np.array_equal(got_img.g, want_img.g)
+            assert abs(got.gain - want.gain) <= 1e-12 * abs(want.gain)
+            for field in ("aoa_az", "aoa_el", "aod_az", "aod_el", "roll"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
 
     def test_resave_keeps_keys_and_values(self):
         export = rm_export(ground_scene(), TX, RX)
         first, second = resave(fileio.save_rm, fileio.load_rm, export)
-        keys = [k.format(delay="tau_s") for k in PWA_KEYS] + ["roll_deg", "s", "U", "g"]
+        keys = [k.format(delay="tau_s") for k in PWA_KEYS] + ["roll_deg", "s"]
         for doc in (first, second):
             assert list(doc) == ["tx_ref", "rx_ref", "f0_hz", "paths"]
             assert [list(e) for e in doc["paths"]] == [keys, keys]
         assert numbers(second) == pytest.approx(numbers(first), rel=1e-12, abs=1e-12)
 
-    def test_corrupt_file_rejected(self):
+    @pytest.mark.parametrize("keys", [("U",), ("g",), ("U", "g"), ("tau",)])
+    def test_unknown_key_rejected(self, keys, tmp_path, capsys):
+        # a file that still carries the matrix form (U, then g) fails on 'U'
         export = rm_export(ground_scene(), TX, RX)
-        buf = io.StringIO()
-        fileio.save_rm(export, buf)
-        doc = json.loads(buf.getvalue())
-        doc["paths"][1]["roll_deg"] += 5.0
-        corrupt = io.StringIO(json.dumps(doc))
-        with pytest.raises(ValueError, match="disagree"):
-            fileio.load_rm(corrupt)
+        doc = saved(fileio.save_rm, export)
+        img = angles_to_image(export.paths[1], export.ref)
+        image = {"U": img.U.tolist(), "g": img.g.tolist(), "tau": 1e-8}
+        doc["paths"][1].update({key: image[key] for key in keys})
+        with pytest.raises(ValueError, match=f"unknown key '{keys[0]}'"):
+            fileio.load_rm(io.StringIO(json.dumps(doc)))
+        rm = tmp_path / "rm.json"
+        rm.write_text(json.dumps(doc))
+        assert main([
+            "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+        ]) == 2
+        assert f"unknown key '{keys[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parity", [-1.4, -0.5, 0, 0.9999999, 2, -3])
+    def test_parity_other_than_plus_or_minus_one_rejected(self, parity):
+        # -1.4 used to load as s = -1
+        doc = saved(fileio.save_rm, rm_export(ground_scene(), TX, RX))
+        doc["paths"][1]["s"] = parity
+        with pytest.raises(ValueError, match=f"'s' must be -1 or \\+1, got {float(parity)!r}"):
+            fileio.load_rm(io.StringIO(json.dumps(doc)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "key",
         ["tx_ref", "rx_ref", "f0_hz", *(k.format(delay="tau_s") for k in PWA_KEYS),
-         "roll_deg", "s", "U", "g"],
+         "roll_deg", "s"],
     )
     def test_non_finite_number_rejected(self, key, bad):
         text = poisoned(saved(fileio.save_rm, rm_export(ground_scene(), TX, RX)), key, bad)
         with pytest.raises(ValueError, match=f"non-finite '{key}'"):
             fileio.load_rm(io.StringIO(text))
-
-    def test_consistency_check_fails_on_nan(self):
-        # a NaN distance compares False with any tolerance; it must not pass
-        export = rm_export(ground_scene(), TX, RX)
-        path, img = export.paths[1]
-        bad = dataclasses.replace(export, paths=((dataclasses.replace(path, roll=math.nan), img),))
-        with pytest.raises(ValueError, match="path 0: stored parametrizations disagree"):
-            fileio._check_rm_consistency(bad)
 
 
 class TestCsv:
@@ -454,7 +458,7 @@ class TestCli:
         assert main(["fit", "dp", "--ref", ref, "--disp", d1, d2, "--out", rm]) == 0
         with open(rm) as fp:
             loaded = fileio.load_rm(fp)
-        assert sorted(p.s for p, _ in loaded.paths) == [-1, 1]
+        assert sorted(p.s for p in loaded.paths) == [-1, 1]
 
     def test_experiment_displacement_csv(self, scene_file, tmp_path):
         config = tmp_path / "disp.json"

@@ -28,11 +28,10 @@ from reflectmimo.paths import (
     RmPath,
     _align_rows,
     align_rotation,
-    rm_distance_angles,
 )
 from reflectmimo.tracer import Scene, make_facet
 
-from scenelib import observe, random_scene
+from scenelib import observe, random_scene, rm_distance_angles
 
 TX0 = np.array([0.0, 0.0, 2.0])
 RX0 = np.array([13.0, 0.0, 2.0])

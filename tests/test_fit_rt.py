@@ -15,13 +15,12 @@ from reflectmimo import (
     fit_from_route,
     fit_rm_rt,
     make_facet,
-    rm_distance_angles,
     rm_distance_image,
     to_pwa,
     trace_paths,
     wrap_angle,
 )
-from scenelib import random_scene, retrace_length, rich_room
+from scenelib import random_scene, retrace_length, rich_room, rm_distance_angles
 
 ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")
 

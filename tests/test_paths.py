@@ -13,19 +13,14 @@ from reflectmimo import (
     RmImage,
     RmPath,
     angles_to_image,
-    dir_to_angles,
-    euler_factor_so3,
-    image_to_angles,
     pwa_distance,
-    rm_distance_angles,
     rm_distance_image,
     rotation_matrix,
     spherical_dir,
     unit,
-    z_reflection,
 )
-from reflectmimo.paths import align_rotation
-from scenelib import random_orthogonal
+from reflectmimo.paths import _image_angles, align_rotation
+from scenelib import image_to_angles, random_orthogonal, rm_distance_angles
 
 def los_distance(rx: np.ndarray, tx: np.ndarray) -> float:
     """Straight-line distance, the oracle for line-of-sight paths."""
@@ -59,6 +54,21 @@ class TestTypes:
                 gain=1.0, delay=1e-7, aoa_az=0, aoa_el=0, aod_az=0, aod_el=0,
                 roll=0.0, s=0,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["gain", "gain.imag", "aoa_az", "aoa_el", "aod_az", "aod_el", "roll"]
+    )
+    def test_non_finite_field_rejected(self, field, bad):
+        # a NaN roll used to construct, and only the model file's
+        # load-time cross-check caught it
+        pwa = dict(gain=1.0 + 0j, delay=1e-7, aoa_az=0.3, aoa_el=-0.2, aod_az=2.0, aod_el=0.1)
+        name = field.partition(".")[0]
+        value = complex(1.0, bad) if field == "gain.imag" else bad
+        for cls, kwargs in ((PwaPath, pwa), (RmPath, dict(pwa, roll=0.7, s=1))):
+            if name in kwargs:
+                with pytest.raises(ValueError, match=f"path {name} must be finite"):
+                    cls(**dict(kwargs, **{name: value}))
 
     def test_rm_image_orthogonality_validated(self):
         with pytest.raises(ValueError):
@@ -320,19 +330,9 @@ class TestFloatArithmetic:
             want = rotation_matrix("y", el) @ rotation_matrix("z", -az)
             assert align_rotation(az, el).tobytes() == want.tobytes(), (az, el)
 
-    @staticmethod
-    def matrix_pipeline(img, ref):
-        """image_to_angles through 3-vector and 3x3 numpy products."""
-        d0 = ref.rx_ref - img.U @ ref.tx_ref - img.g
-        dist = math.sqrt(d0.dot(d0))
-        aoa_az, aoa_el = dir_to_angles(-d0 / dist)
-        w = -(rotation_matrix("y", aoa_el) @ rotation_matrix("z", -aoa_az)) @ img.U
-        s = int(round(float(np.linalg.det(w))))
-        roll, aod_el, aod_az = euler_factor_so3(z_reflection(s) @ w)
-        return dist / C_LIGHT, aoa_az, aoa_el, aod_az, aod_el, roll, s
-
     def test_image_to_angles_is_the_matrix_pipeline(self):
-        # Signed permutations between axis-aligned endpoints, then random
+        # fit_rm_rt's conversion against the oracle's numpy products, on
+        # signed permutations between axis-aligned endpoints, then random
         # images.
         signs = itertools.product([1.0, -1.0], repeat=3)
         images = [
@@ -354,12 +354,12 @@ class TestFloatArithmetic:
         compared = 0
         for img, ref in itertools.product(images, refs):
             try:
-                want = self.matrix_pipeline(img, ref)
+                want = image_to_angles(img, ref)
             except ValueError:  # the image sits on the receiver
                 continue
-            got = image_to_angles(img, ref)
-            fields = (got.delay, got.aoa_az, got.aoa_el, got.aod_az, got.aod_el, got.roll, got.s)
-            assert bits(fields) == bits(want)
+            dist, angles = _image_angles(img, ref)
+            fields = (want.aoa_az, want.aoa_el, want.aod_az, want.aod_el, want.roll, want.s)
+            assert bits((dist / C_LIGHT, *angles)) == bits((want.delay, *fields))
             compared += 1
         assert compared >= 400
 
