@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Check that the tests catch faults in the tracer's unfolding and in the
-reflection model's angle-to-image conversion, through their oracles in
-tests/scenelib.py.
+"""Check that the tests catch faults in the tracer's unfolding, in the
+reflection model's angle-to-image conversion, both through their oracles in
+tests/scenelib.py, and in the stream-rate kernel, through the closed-form
+and rho-loop checks of tests/test_capacity.py.
 
 Copies src/, tests/ and pyproject.toml into a temporary directory and, one at
-a time, applies there each of six mutants, keyed by module and function:
+a time, applies there each of eight mutants, keyed by module and function:
 
 * tracer._unfold
   * side:      the side test flipped (a one-sided facet reflects from its back),
@@ -13,11 +14,16 @@ a time, applies there each of six mutants, keyed by module and function:
   * occlusion: the occluder loop dropped (no facet blocks a segment);
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
-  * roll:      the roll angle negated.
+  * roll:      the roll angle negated;
+* capacity._triangle
+  * streams:   row k of the stream table sums k + 1 streams at power P/k;
+* capacity._stream_rates
+  * clip:      the se_max cap on the per-stream rate dropped.
 
 For the unmutated copy and then for each mutant it runs
 
-    pytest tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py -q -x
+    pytest tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
+        tests/test_capacity.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -36,7 +42,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_paths.py", "tests/test_tracer.py", "tests/test_acceptance.py"]
+TESTS = [
+    "tests/test_paths.py",
+    "tests/test_tracer.py",
+    "tests/test_acceptance.py",
+    "tests/test_capacity.py",
+]
 
 # (module, function) -> {name: (text in the function, replacement, occurrences)}
 MUTANTS = {
@@ -49,6 +60,12 @@ MUTANTS = {
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
         "roll": ('rotation_matrix("x", path.roll)', 'rotation_matrix("x", -path.roll)', 1),
+    },
+    ("capacity", "_triangle"): {
+        "streams": ("np.tril_indices(size)", "np.tril_indices(size, 1)", 1),
+    },
+    ("capacity", "_stream_rates"): {
+        "clip": ("np.minimum(snr, model.se_max, out=snr)", "snr", 1),
     },
 }
 

@@ -7,10 +7,17 @@ linear-in-log spectral efficiency curve; the stream count maximizing the sum
 is chosen. Wideband rate integrates the per-frequency spectral efficiency
 over the band with the midpoint rule, from the matrices at its sub-band
 midpoints that the caller synthesizes.
+
+The K sums for k = 1..K come from the packed lower triangle of the k × i
+table of per-stream rates: row k holds only the k streams in use, K(K+1)/2
+entries in all, and one np.add.reduceat gives the row sums. The gather
+indices, the 1/k of each entry and the row starts depend on K alone and are
+built once per size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -80,29 +87,59 @@ def singular_values(h: np.ndarray) -> np.ndarray:
 
 def rho(snr: float, model: RateModel = RateModel()) -> float:
     """Per-stream spectral efficiency at a given SNR, bps/Hz."""
-    if snr < 0.0:
-        raise ValueError("SNR must be non-negative")
+    if not snr >= 0.0:
+        raise ValueError(f"SNR must be non-negative, got {snr!r}")
     return min(model.alpha * math.log2(1.0 + snr), model.se_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _triangle(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed lower triangle of the size × size stream table, row by row:
+    the stream index i <= k - 1 of each entry of row k, its 1/k, and the
+    offset where each row starts. Read-only, as every caller shares them."""
+    rows, cols = np.tril_indices(size)
+    inv_k = 1.0 / (rows + 1.0)
+    starts = np.flatnonzero(cols == 0)
+    for a in (cols, inv_k, starts):
+        a.flags.writeable = False
+    return cols, inv_k, starts
+
+
+def _checked(singulars) -> np.ndarray:
+    """singulars as a float array, or ValueError unless it is a non-empty
+    1-D list of finite non-negative values. min and max are NaN if any value
+    is, so the one comparison also rejects NaN."""
+    s = np.asarray(singulars, dtype=float)
+    if s.ndim != 1 or s.size == 0 or not (s.min() >= 0.0 and s.max() < math.inf):
+        raise ValueError(
+            "singular values must be a non-empty 1-D list of finite non-negative values"
+        )
+    return s
+
+
+def _stream_rates(s: np.ndarray, budget: LinkBudget, model: RateModel) -> np.ndarray:
+    """stream_rates of a non-empty, finite, non-negative and descending s."""
+    cols, inv_k, starts = _triangle(s.size)
+    # Entry (k, i) is the per-stream SNR s_i^2 P / (N k) of an equal split
+    # over k streams. The packed triangle, K(K+1)/2 entries, is the only
+    # scratch array: half the K × K table, which a sweep's peak memory would
+    # otherwise hold, and no mask over its unused upper half.
+    snr = (s * s * (budget.tx_power_w / budget.noise_power_w))[cols]
+    snr *= inv_k
+    snr += 1.0
+    np.log2(snr, out=snr)
+    snr *= model.alpha
+    np.minimum(snr, model.se_max, out=snr)
+    return np.add.reduceat(snr, starts)
 
 
 def stream_rates(
     singulars: np.ndarray, budget: LinkBudget, model: RateModel = RateModel()
 ) -> np.ndarray:
-    """Sum rate of the k strongest streams at equal power, for k = 1..K, bps/Hz."""
-    s = np.sort(np.asarray(singulars, dtype=float))[::-1]
-    if s.size == 0 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
-        raise ValueError("singular values must be a non-empty finite non-negative list")
-    # Row k-1 holds the per-stream SNRs s_i^2 P / (N k) of an equal split over
-    # k streams; only its first k entries, the streams in use, are summed.
-    # einsum forms the outer product without the scratch buffers of a
-    # broadcast multiply, which would raise the peak memory of a sweep.
-    k = np.arange(1, s.size + 1)
-    snr = np.einsum("k,i->ki", budget.tx_power_w / (budget.noise_power_w * k), s**2)
-    snr += 1.0
-    np.log2(snr, out=snr)
-    snr *= model.alpha
-    np.minimum(snr, model.se_max, out=snr)
-    return np.sum(snr, axis=1, where=np.tri(s.size, dtype=bool))
+    """Sum rate of the k strongest streams at equal power, for k = 1..K, bps/Hz.
+
+    singulars is a 1-D list in any order."""
+    return _stream_rates(np.sort(_checked(singulars))[::-1], budget, model)
 
 
 def spectral_efficiency(
@@ -135,9 +172,11 @@ def band_rate(
     """
     bandwidth = budget.bandwidth_hz
     total, n_freq = 0.0, 0
-    # map holds no matrix while the next one is synthesized
-    for n_freq, singulars in enumerate(map(singular_values, matrices), 1):
-        total += spectral_efficiency(singulars, budget, model)
+    # map holds no matrix while the next one is synthesized. The SVD's values
+    # come descending, so they skip stream_rates' sort, but are still checked:
+    # a matrix holding inf gives NaNs and no LinAlgError.
+    for n_freq, s in enumerate(map(singular_values, matrices), 1):
+        total += float(_stream_rates(_checked(s), budget, model).max())
     if n_freq < 1:
         raise ValueError("need at least one frequency sample")
     rate = bandwidth / n_freq * total

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import as_points, rotation_matrix
+from .geometry import _at_least, as_points, rotation_matrix
 from .paths import (
     C_LIGHT,
     PwaPath,
@@ -84,10 +84,15 @@ def upa(
     The unrotated array spans the y (columns) and z (rows) axes with boresight
     along +x; azimuth_rotation turns it about the global z axis.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("array must have at least one row and one column")
+    rows = _at_least(rows, 1, "rows must be a positive integer")
+    cols = _at_least(cols, 1, "cols must be a positive integer")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("element spacing must be positive")
+    center = np.asarray(center, dtype=float)
+    if center.shape != (3,) or not np.isfinite(center).all():
+        raise ValueError(f"center must be a finite 3-vector, got {center!r}")
+    if not math.isfinite(azimuth_rotation):
+        raise ValueError(f"azimuth_rotation must be finite, got {azimuth_rotation!r}")
     ys = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     yy, zz = np.meshgrid(ys, zs)
@@ -95,7 +100,7 @@ def upa(
         [np.zeros(rows * cols), yy.ravel(), zz.ravel()]
     )
     rot = rotation_matrix("z", azimuth_rotation)
-    return np.asarray(center, dtype=float) + local @ rot.T
+    return center + local @ rot.T
 
 
 def phasor_sum(

@@ -27,6 +27,7 @@ from .capacity import (
 from .channel import PLANE_WAVE_MODELS, _fitted, _traced, channel_evaluator, plane_wave_core, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
+from .geometry import _at_least
 from .paths import ReferencePair
 from .tracer import Scene, TracedPath, _in_path_order, to_pwa, trace_pairs, trace_paths
 
@@ -115,19 +116,6 @@ def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
         kept = n > 1e-6
         units = np.concatenate((units, v[kept] / n[kept, None]))
     return units
-
-
-def _at_least(value, least: int, message: str) -> int:
-    """value as an int; ValueError(f"{message}, got {value!r}") unless
-    ``operator.index`` takes it (an int or numpy integer, not a float) and it
-    is at least least."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = least - 1
-    if count < least:
-        raise ValueError(f"{message}, got {value!r}")
-    return count
 
 
 def _check_models(models: Sequence[str], known: Sequence[str]) -> None:

@@ -42,7 +42,10 @@ _DEG = math.pi / 180.0
 
 def _finite(entry: dict, key: str):
     """entry[key] as a float, or as a float array if it is a list. Python's
-    json reads NaN and Infinity, so a non-finite number is rejected here."""
+    json reads NaN and Infinity, so a non-finite number is rejected here, and
+    true and false, which numpy would read as 1.0 and 0.0."""
+    if isinstance(entry[key], bool):
+        raise ValueError(f"{key!r} must be a number, got {entry[key]!r}")
     x = np.array(entry[key], dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite {key!r} in file")

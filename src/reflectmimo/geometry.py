@@ -8,6 +8,7 @@ are radians; angle-valued results are wrapped to (-pi, pi].
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -59,6 +60,19 @@ def as_points(points, name: str) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"{name} must have shape (K, 3) with K >= 1")
     return pts
+
+
+def _at_least(value, least: int, message: str) -> int:
+    """value as an int; ValueError(f"{message}, got {value!r}") unless
+    ``operator.index`` takes it (an int or numpy integer, not a float) and it
+    is at least least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise ValueError(f"{message}, got {value!r}")
+    return count
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:

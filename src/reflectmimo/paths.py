@@ -179,8 +179,12 @@ class RmPath(PwaPath):
         super().__post_init__()
         if not math.isfinite(self.roll):
             _check_finite(self, ("roll",))
-        if self.s not in (-1, 1):
-            raise ValueError(f"mirror parity s must be -1 or +1, got {self.s!r}")
+        # True and 1.0 are `in (-1, 1)` too: only an int or numpy integer is
+        # a parity, and it is stored as int
+        s = self.s
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (-1, 1):
+            raise ValueError(f"mirror parity s must be -1 or +1, got {s!r}")
+        object.__setattr__(self, "s", int(s))
 
 
 def _align_rows(azimuth: float, elevation: float) -> tuple[tuple[float, ...], ...]:

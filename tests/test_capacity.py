@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflectmimo.capacity import (
@@ -18,6 +18,7 @@ from reflectmimo.capacity import (
     rho,
     singular_values,
     spectral_efficiency,
+    stream_rates,
 )
 from reflectmimo.channel import channel_evaluator, mimo_matrix, upa
 from reflectmimo.fit_rt import fit_rm_rt
@@ -88,6 +89,11 @@ class TestRho:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rho(-0.1)
+
+    def test_nan_rejected(self):
+        # rho(nan) used to return nan
+        with pytest.raises(ValueError, match="SNR must be non-negative, got nan"):
+            rho(math.nan)
 
     def test_custom_model(self):
         assert rho(3.0, RateModel(alpha=1.0, se_max=2.0)) == 2.0
@@ -178,6 +184,13 @@ class TestSpectralEfficiency:
         with pytest.raises(ValueError):
             optimal_streams([math.nan, 1e-3], BUDGET, MODEL)
 
+    def test_two_dimensional_rejected(self):
+        # a matrix in place of its singular values used to fail inside einsum
+        with pytest.raises(ValueError, match="non-empty 1-D list"):
+            stream_rates(np.ones((2, 2)), BUDGET, MODEL)
+        with pytest.raises(ValueError, match="non-empty 1-D list"):
+            stream_rates(1.0, BUDGET, MODEL)
+
     @given(
         st.lists(
             st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3])
@@ -256,9 +269,49 @@ class TestBandRate:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one frequency sample"):
             band_rate([], BUDGET, MODEL)
+        # the SVD of a matrix holding inf is NaN, with no LinAlgError
+        h = np.eye(3, dtype=complex)
+        h[0, 1] = math.inf
+        assert np.isnan(singular_values(h)).all()
+        with pytest.raises(ValueError, match="non-empty 1-D list of finite"):
+            band_rate([np.eye(3, dtype=complex), h], BUDGET, MODEL)
+        with pytest.raises(ValueError, match="non-empty 1-D list of finite"):
+            band_rate([np.zeros((0, 3), dtype=complex)], BUDGET, MODEL)
         at, _ = los_evaluator(1, 0.14)
         with pytest.raises(ValueError, match="at least one frequency sample"):
             band_rate(at.band(BUDGET.bandwidth_hz, 0), BUDGET, MODEL)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 8),  # rows
+                st.integers(1, 8),  # columns
+                st.integers(0, 8),  # rank, capped at min(rows, columns)
+                st.floats(-3.0, 9.0),  # log10 of the entry scale in unit-SNR values
+                st.integers(0, 2**32 - 1),  # entry seed
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example([(1, 1, 1, 0.0, 0), (1, 1, 0, 0.0, 0), (8, 8, 3, 2.0, 1), (2, 5, 1, 9.0, 2)])
+    @settings(max_examples=150, deadline=None)
+    def test_is_mean_of_per_matrix_spectral_efficiency(self, specs):
+        # rank-deficient matrices and the 1 × 1 cores of one-path plane-wave
+        # channels included; SNRs from 1e-6 to far above the se_max cap
+        band = []
+        for rows, cols, rank, log_scale, seed in specs:
+            rng = np.random.default_rng(seed)
+            rank = min(rank, rows, cols)
+            a = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+            b = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+            band.append(a @ b * (10.0**log_scale * snr_unit_singular(BUDGET)))
+        rate, se_avg = band_rate(iter(band), BUDGET, MODEL)
+        per_matrix = [spectral_efficiency(singular_values(h), BUDGET, MODEL) for h in band]
+        mean = sum(per_matrix) / len(band)
+        tol = 1e-12 * max(mean, 1.0)
+        assert abs(se_avg - mean) <= tol
+        assert abs(rate - mean * BUDGET.bandwidth_hz) <= tol * BUDGET.bandwidth_hz
 
     def test_orthogonal_spacing_los_closed_form(self):
         # at element spacing sqrt(lambda R / 8) the 8x8 LOS matrix is close

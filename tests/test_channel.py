@@ -105,6 +105,33 @@ class TestUpa:
         with pytest.raises(ValueError):
             upa(4, 4, 0.0, center=(0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            # 8.5 rows used to raise numpy's TypeError, a NaN center or
+            # rotation to return NaN element positions, and a scalar center
+            # to be added to every coordinate
+            (dict(rows=8.5), "rows"),
+            (dict(rows=8.0), "rows"),
+            (dict(cols="4"), "cols"),
+            (dict(cols=0), "cols"),
+            (dict(center=(0.0, math.nan, 1.0)), "center"),
+            (dict(center=(math.inf, 0.0, 1.0)), "center"),
+            (dict(center=5.0), "center"),
+            (dict(center=(0.0, 1.0)), "center"),
+            (dict(azimuth_rotation=math.nan), "azimuth_rotation"),
+            (dict(azimuth_rotation=-math.inf), "azimuth_rotation"),
+        ],
+    )
+    def test_bad_argument_named(self, kwargs, name):
+        args = dict(rows=4, cols=4, spacing=0.14, center=(0.0, 0.0, 1.0)) | kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            upa(**args)
+
+    def test_numpy_integer_sizes(self):
+        pos = upa(np.int64(2), np.int32(3), 0.14, center=(0.0, 0.0, 1.0))
+        assert np.array_equal(pos, upa(2, 3, 0.14, center=(0.0, 0.0, 1.0)))
+
     @given(
         rows=st.integers(1, 8),
         cols=st.integers(1, 8),

@@ -331,6 +331,15 @@ class TestRmJson:
         with pytest.raises(ValueError, match=f"'s' must be -1 or \\+1, got {float(parity)!r}"):
             fileio.load_rm(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("parity", [True, False])
+    def test_boolean_parity_rejected(self, parity):
+        # true used to load as s = +1, and an RmPath built with s=True was
+        # saved as "s": true
+        doc = saved(fileio.save_rm, rm_export(ground_scene(), TX, RX))
+        doc["paths"][1]["s"] = parity
+        with pytest.raises(ValueError, match=f"'s' must be a number, got {parity!r}"):
+            fileio.load_rm(io.StringIO(json.dumps(doc)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "key",

@@ -55,6 +55,24 @@ class TestTypes:
                 roll=0.0, s=0,
             )
 
+    @pytest.mark.parametrize(
+        "s", [True, False, np.True_, 1.0, -1.0, np.float64(1.0), 1 + 0j, "1"]
+    )
+    def test_rm_path_s_must_be_an_integer(self, s):
+        # a bool or a float equal to +-1 used to be stored as given
+        with pytest.raises(ValueError, match="mirror parity s must be -1 or \\+1"):
+            RmPath(
+                gain=1.0, delay=1e-7, aoa_az=0, aoa_el=0, aod_az=0, aod_el=0,
+                roll=0.0, s=s,
+            )
+
+    @pytest.mark.parametrize("s", [1, -1, np.int64(1), np.int8(-1)])
+    def test_rm_path_s_stored_as_int(self, s):
+        path = RmPath(
+            gain=1.0, delay=1e-7, aoa_az=0, aoa_el=0, aod_az=0, aod_el=0, roll=0.0, s=s
+        )
+        assert type(path.s) is int and path.s == s
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field", ["gain", "gain.imag", "aoa_az", "aoa_el", "aod_az", "aod_el", "roll"]
