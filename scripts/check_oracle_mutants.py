@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
 """Check that the tests catch faults in the tracer's unfolding, in the
 reflection model's angle-to-image conversion, both through their oracles in
-tests/scenelib.py, and in the stream-rate kernel, through the closed-form
-and rho-loop checks of tests/test_capacity.py.
+tests/scenelib.py, in the pair tracer's unfolding, through its agreement
+with the scalar one in tests/test_tracer.py, and in the stream-rate kernel,
+through the closed-form and rho-loop checks of tests/test_capacity.py.
 
-Copies src/, tests/ and pyproject.toml into a temporary directory and, one at
-a time, applies there each of eight mutants, keyed by module and function:
+Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
+into a temporary directory and, one at a time, applies there each of eleven
+mutants, keyed by module and function:
 
 * tracer._unfold
   * side:      the side test flipped (a one-sided facet reflects from its back),
   * slack:     a bounds slack of 0 in place of 1e-9,
   * halves:    the u and v half-extents swapped,
   * occlusion: the occluder loop dropped (no facet blocks a segment);
+* tracer._inside, the pair tracer's bounds test
+  * slack:     a bounds slack of 0 in place of 1e-9;
+* tracer._unfold_batch
+  * occlusion: the occluder loop dropped,
+  * side:      the side test flipped;
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
   * roll:      the roll angle negated;
@@ -57,6 +64,13 @@ MUTANTS = {
         "halves": ("half_u, half_v, _ = flats[idx]", "half_v, half_u, _ = flats[idx]", 1),
         "occlusion": ("for f in occluders:", "for f in ():", 1),
     },
+    ("tracer", "_inside"): {
+        "slack": ("+ _T_EPS", "+ 0.0", 2),
+    },
+    ("tracer", "_unfold_batch"): {
+        "occlusion": ("for f in flats:", "for f in ():", 1),
+        "side": ("crosses &= denom < 0.0", "crosses &= denom > 0.0", 1),
+    },
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
         "roll": ('rotation_matrix("x", path.roll)', 'rotation_matrix("x", -path.roll)', 1),
@@ -95,7 +109,7 @@ def failures(result: subprocess.CompletedProcess) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "demo"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
 

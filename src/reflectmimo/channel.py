@@ -116,8 +116,15 @@ def phasor_sum(
     be an array (one value per antenna pair) and f an array of frequencies;
     they broadcast, and the paths are accumulated one at a time into one
     array of that shape. The reference delay anchors the phase at the
-    carrier f0. An empty path list gives 0j.
+    carrier f0. An empty path list gives 0j; sequences of different
+    lengths raise ValueError.
     """
+    n_gains, n_delays, n_distances = len(gains), len(delays), len(distances)
+    if not n_gains == n_delays == n_distances:
+        raise ValueError(
+            "phasor_sum needs one gain, delay and distance per path, got "
+            f"{n_gains} gains, {n_delays} delays and {n_distances} distances"
+        )
     terms = (
         g * np.exp(2j * math.pi * (tau * f0 - f * d / C_LIGHT))
         for g, tau, d in zip(gains, delays, distances)

@@ -134,8 +134,8 @@ def _load_config(path: str) -> dict:
 
 def _config_ref(cfg: dict) -> ReferencePair:
     return ReferencePair(
-        tx_ref=np.array(cfg["tx_ref"], dtype=float),
-        rx_ref=np.array(cfg["rx_ref"], dtype=float),
+        tx_ref=np.array(fileio._number(cfg, "tx_ref"), dtype=float),
+        rx_ref=np.array(fileio._number(cfg, "rx_ref"), dtype=float),
     )
 
 
@@ -170,11 +170,14 @@ _SWEEP_KEYS = {
 
 
 def _config_kwargs(cfg: dict, keys: dict) -> dict:
+    """The library arguments for the keys cfg sets; every value but the
+    model names is read through fileio._number."""
     kwargs = {}
     for key, (param, kind) in keys.items():
         if key in cfg:
+            value = cfg[key] if key == "models" else fileio._number(cfg, key)
             try:
-                kwargs[param] = kind(cfg[key])
+                kwargs[param] = kind(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
     return kwargs
@@ -194,9 +197,10 @@ def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:
 def capacity_from_config(scene: Scene, cfg: dict) -> tuple[list[SweepCell], dict[str, int]]:
     """capacity_sweep on scene with the parameters an experiment config sets;
     the rotations default to a full turn in 15 degree steps."""
-    rotations = [
-        math.radians(d) for d in cfg.get("rotations_deg", _DEFAULT_ROTATIONS_DEG)
-    ]
+    degrees = _DEFAULT_ROTATIONS_DEG
+    if "rotations_deg" in cfg:
+        degrees = fileio._number(cfg, "rotations_deg")
+    rotations = [math.radians(d) for d in degrees]
     return capacity_sweep(
         scene,
         _config_ref(cfg),

@@ -14,6 +14,7 @@ import cmath
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -40,13 +41,29 @@ __all__ = [
 _DEG = math.pi / 180.0
 
 
+def _number(doc: dict, key: str):
+    """doc[key], a number or a list of them (nested to any depth), as it
+    stands; ValueError naming key for any other entry. Every number of a
+    scene, a path export, a model file and an experiment config is read
+    through here. JSON's true and false are rejected, as a value or as a
+    list entry alike: Python's json reads them as bools, which float(),
+    int() and numpy take for 1 and 0. So is a string, which float() would
+    parse."""
+    pending = [doc[key]]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return doc[key]
+
+
 def _finite(entry: dict, key: str):
-    """entry[key] as a float, or as a float array if it is a list. Python's
-    json reads NaN and Infinity, so a non-finite number is rejected here, and
-    true and false, which numpy would read as 1.0 and 0.0."""
-    if isinstance(entry[key], bool):
-        raise ValueError(f"{key!r} must be a number, got {entry[key]!r}")
-    x = np.array(entry[key], dtype=float)
+    """entry[key] (see _number) as a float, or as a float array if it is a
+    list. Python's json reads NaN and Infinity, so a non-finite number is
+    rejected here."""
+    x = np.array(_number(entry, key), dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite {key!r} in file")
     return x if x.ndim else float(x)
@@ -113,22 +130,25 @@ def save_scene(scene: Scene, fp: IO[str]) -> None:
 
 
 def load_scene(fp: IO[str]) -> Scene:
+    """The scene a scene JSON file describes; its numbers are read through
+    _number, and Facet and Scene check their values."""
     doc = json.load(fp)
     facets = tuple(
         Facet(
-            center=np.array(f["center"], dtype=float),
-            axis_u=np.array(f["axis_u"], dtype=float),
-            axis_v=np.array(f["axis_v"], dtype=float),
-            half_u=None if f.get("half_u") is None else float(f["half_u"]),
-            half_v=None if f.get("half_v") is None else float(f["half_v"]),
+            center=np.array(_number(f, "center"), dtype=float),
+            axis_u=np.array(_number(f, "axis_u"), dtype=float),
+            axis_v=np.array(_number(f, "axis_v"), dtype=float),
+            half_u=None if f.get("half_u") is None else float(_number(f, "half_u")),
+            half_v=None if f.get("half_v") is None else float(_number(f, "half_v")),
             two_sided=f.get("two_sided", False),
         )
         for f in doc.get("facets", [])
     )
+    loss_db = _number(doc, "reflection_loss_db") if "reflection_loss_db" in doc else 3.0
     return Scene(
         facets=facets,
-        carrier_freq=float(doc["carrier_hz"]),
-        reflection_loss_db=float(doc.get("reflection_loss_db", 3.0)),
+        carrier_freq=float(_number(doc, "carrier_hz")),
+        reflection_loss_db=float(loss_db),
     )
 
 

@@ -244,10 +244,23 @@ def rm_distance_image(
     rx and tx are points of shape (..., 3) whose leading axes broadcast
     against each other, as in pwa_distance; the transmitter images are
     formed before the broadcast, so N transmitters are mirrored once for
-    any number of receivers. Two single points give a float.
+    any number of receivers. Two single points give a float. The difference
+    is subtracted, squared and summed one coordinate at a time, in place and
+    in np.linalg.norm's order: no (..., 3) array of the broadcast shape is
+    formed.
     """
     mirrored = _points(tx, "tx") @ img.U.T + img.g
-    return np.linalg.norm(_points(rx, "rx") - mirrored, axis=-1)
+    rx = _points(rx, "rx")
+    total = rx[..., 0] - mirrored[..., 0]
+    total *= total
+    diff = np.empty_like(total)
+    for k in (1, 2):
+        # filled, then subtracted: numpy buffers one broadcast operand, not two
+        diff[...] = rx[..., k]
+        diff -= mirrored[..., k]
+        diff *= diff
+        total += diff
+    return np.sqrt(total)
 
 
 def _image_angles(img: RmImage, ref: ReferencePair) -> tuple[float, tuple]:

@@ -181,6 +181,23 @@ class TestScalarChannel:
         assert abs(val - parts) <= 1e-15
         assert phasor_sum([], [], [], F0, F0) == 0j
 
+    @pytest.mark.parametrize(
+        "gains, delays, dists",
+        [
+            ([1.0, 0.5j, 0.2], [1e-7, 1.1e-7], [30.0, 33.0, 35.0]),
+            ([1.0], [1e-7, 1.1e-7], [30.0, 33.0]),
+            ([1.0, 0.5j], [1e-7, 1.1e-7], [30.0]),
+            ([], [], np.ones((1, 2, 2))),
+        ],
+    )
+    def test_path_counts_must_agree(self, gains, delays, dists):
+        # zip stopped at the shortest: 3 gains with 2 delays summed 2 paths
+        message = (
+            f"got {len(gains)} gains, {len(delays)} delays and {len(dists)} distances"
+        )
+        with pytest.raises(ValueError, match=message):
+            phasor_sum(gains, delays, dists, F0, F0)
+
 
 class TestMimoMatrixModels:
     def test_1x1_reduces_to_scalar_channel(self):

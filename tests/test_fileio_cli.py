@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import runpy
 import sys
 
@@ -106,6 +107,16 @@ def poisoned(doc: dict, key: str, bad: float) -> str:
     return json.dumps(doc)
 
 
+def with_true(doc: dict, key: str) -> str:
+    """doc as JSON text, with the last number of key (a top-level key, else
+    one of path 1's) set to true: a list entry when key holds a list."""
+    holder, name = (doc, key) if key in doc else (doc["paths"][1], key)
+    while isinstance(holder[name], list):
+        holder, name = holder[name], -1
+    holder[name] = True
+    return json.dumps(doc)
+
+
 # Numbers that a JSON config or scene can set to NaN or Infinity, which pass a
 # plain `<= 0` check: each must fail its constructor with the usual message.
 NON_FINITE_SETTINGS = {
@@ -168,6 +179,29 @@ class TestSceneJson:
         facet = {"center": [0, 0, 0], "axis_u": [1, 0, 0], "axis_v": [0, 1, 0], "two_sided": flag}
         doc = {"carrier_hz": 1e9, "facets": [facet]}
         with pytest.raises(ValueError, match=f"two_sided must be true or false, got {flag!r}"):
+            fileio.load_scene(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "key, value, bad",
+        [
+            ("carrier_hz", True, True),
+            ("reflection_loss_db", False, False),
+            ("center", [0, 0, True], True),
+            ("axis_u", [1, False, 0], False),
+            ("axis_v", [0, 1, True], True),
+            ("half_u", True, True),
+            ("half_v", False, False),
+            ("carrier_hz", "1e9", "1e9"),
+            ("reflection_loss_db", None, None),
+        ],
+    )
+    def test_numbers_only(self, key, value, bad):
+        # "center": [0, 0, true] loaded as z = 1, "carrier_hz": true as 1 Hz
+        # and "carrier_hz": "1e9" as 1e9 Hz
+        facet = {"center": [0, 0, 0], "axis_u": [1, 0, 0], "axis_v": [0, 1, 0], "half_u": 1.0}
+        doc = {"carrier_hz": 1e9, "reflection_loss_db": 3.0, "facets": [facet]}
+        (doc if key in doc else facet)[key] = value
+        with pytest.raises(ValueError, match=re.escape(f"{key!r} must be a number, got {bad!r}")):
             fileio.load_scene(io.StringIO(json.dumps(doc)))
 
     def test_defaults_on_load(self):
@@ -269,6 +303,16 @@ class TestPathsJson:
         with pytest.raises(ValueError, match=f"non-finite '{key}'"):
             fileio.load_paths(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "key", ["tx", "rx", "f0_hz", "route", *(k.format(delay="delay_s") for k in PWA_KEYS)]
+    )
+    def test_boolean_rejected(self, key):
+        # "tx": [0, 0, true] loaded as z = 1; so did a route vertex
+        export, _, _ = traced_export(ground_scene(), TX, RX)
+        text = with_true(saved(fileio.save_paths, export), key)
+        with pytest.raises(ValueError, match=f"'{key}' must be a number, got True"):
+            fileio.load_paths(io.StringIO(text))
+
     def test_zero_gain_rejected(self):
         export, _, _ = traced_export(ground_scene(), TX, RX)
         pwa = export.paths[0][0]
@@ -349,6 +393,17 @@ class TestRmJson:
     def test_non_finite_number_rejected(self, key, bad):
         text = poisoned(saved(fileio.save_rm, rm_export(ground_scene(), TX, RX)), key, bad)
         with pytest.raises(ValueError, match=f"non-finite '{key}'"):
+            fileio.load_rm(io.StringIO(text))
+
+
+    @pytest.mark.parametrize(
+        "key",
+        ["tx_ref", "rx_ref", "f0_hz", *(k.format(delay="tau_s") for k in PWA_KEYS), "roll_deg"],
+    )
+    def test_boolean_rejected(self, key):
+        # "tx_ref": [true, 0, 1] loaded as [1, 0, 1]
+        text = with_true(saved(fileio.save_rm, rm_export(ground_scene(), TX, RX)), key)
+        with pytest.raises(ValueError, match=f"'{key}' must be a number, got True"):
             fileio.load_rm(io.StringIO(text))
 
 
@@ -712,6 +767,44 @@ class TestCli:
         assert self.run_experiment(experiment, scene_file, tmp_path, cfg) == 2
         err = capsys.readouterr().err
         assert f"error: config key {key!r}: expected an integer, got {bad!r}" in err
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [("capacity", key) for key in (
+            "tx_ref", "rows", "cols", "spacing_m", "n_freq", "max_bounces", "rng_seed",
+            "rotations_deg", "dp_displacements_m", "tx_power_dbm", "bandwidth_hz",
+            "noise_figure_db", "alpha", "se_max_bpshz",
+        )]
+        + [("displacement", key) for key in (
+            "rx_ref", "distances_m", "directions_per_distance", "rng_seed", "bandwidth_hz",
+            "n_freq", "max_bounces",
+        )],
+    )
+    def test_boolean_config_number_exits_2(
+        self, scene_file, tmp_path, capsys, monkeypatch, experiment, key
+    ):
+        # "rows": true traced a 1-row array; [0, 0, true] read as [0, 0, 1]
+        calls = []
+        monkeypatch.setattr(experiments, "trace_paths", lambda *args: calls.append(args))
+        monkeypatch.setattr(experiments, "trace_pairs", lambda *args: calls.append(args))
+        cfg = {
+            "capacity": {
+                "tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "rows": 2, "cols": 2,
+                "spacing_m": 0.01, "n_freq": 1, "max_bounces": 1, "rng_seed": 0,
+                "rotations_deg": [0.0], "models": ["rm_dp"], "dp_displacements_m": [0.01, 0.02],
+                "tx_power_dbm": 20.0, "bandwidth_hz": 1e9, "noise_figure_db": 3.0,
+                "alpha": 0.75, "se_max_bpshz": 4.8,
+            },
+            "displacement": {
+                "tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "distances_m": [0.01, 0.02],
+                "directions_per_distance": 1, "rng_seed": 0, "bandwidth_hz": 1e9, "n_freq": 1,
+                "max_bounces": 1,
+            },
+        }[experiment]
+        text = with_true(cfg, key)
+        assert self.run_experiment(experiment, scene_file, tmp_path, json.loads(text)) == 2
+        assert f"error: '{key}' must be a number, got True" in capsys.readouterr().err
+        assert calls == []
 
     def test_config_missing_reference_exits_2(self, scene_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"

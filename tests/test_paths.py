@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +202,43 @@ class TestRmDistanceImage:
             np.array([3.0, 2.0, 1.0]), np.array([1.5, 2.0, 1.0]), img
         )
         assert got == pytest.approx(8.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rx_shape, tx_shape",
+        [((3,), (3,)), ((5, 3), (5, 3)), ((4, 1, 3), (1, 6, 3)), ((3,), (7, 3)), ((2, 3), (3,))],
+    )
+    def test_bits_of_the_broadcast_norm(self, rx_shape, tx_shape):
+        # summed one coordinate at a time in the order np.linalg.norm sums
+        # the (..., 3) difference, so every bit is that norm's
+        rng = np.random.default_rng(len(rx_shape) * 10 + len(tx_shape))
+        for det in (1.0, -1.0):
+            img = RmImage(U=random_orthogonal(rng, det), g=rng.uniform(-50.0, 50.0, 3))
+            rx = rng.uniform(-80.0, 80.0, rx_shape)
+            tx = rng.uniform(-80.0, 80.0, tx_shape)
+            want = np.linalg.norm(rx - (tx @ img.U.T + img.g), axis=-1)
+            got = rm_distance_image(rx, tx, img)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_without_a_coordinate_triple(self):
+        # (64, 1, 3) receivers against (1, 64, 3) transmitters, M N 8 bytes
+        # an array: the running sum, one coordinate difference and numpy's
+        # buffer for the difference's broadcast operand (M N values below
+        # 8192 pairs) peak near 3.1 M N 8 bytes. A broadcast (M, N, 3)
+        # difference and its norm take about 8 M N 8.
+        rng = np.random.default_rng(3)
+        rx = rng.uniform(-5.0, 5.0, (64, 1, 3))
+        tx = rng.uniform(-5.0, 5.0, (1, 64, 3))
+        rm_distance_image(rx, tx, GROUND_BOUNCE)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rm_distance_image(rx, tx, GROUND_BOUNCE)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 64 * 64 * 8
 
 
 class TestConversions:

@@ -1,6 +1,10 @@
 import dataclasses
+import gc
 import itertools
+import json
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ from reflectmimo import (
     trace_sequence,
     unit,
 )
-from reflectmimo import tracer
+from reflectmimo import tracer, upa
+from reflectmimo.fileio import load_scene
 from reflectmimo.tracer import _T_EPS
 from scenelib import (
     blocked,
@@ -37,6 +42,7 @@ from scenelib import (
 )
 
 EZ = np.array([0.0, 0.0, 1.0])
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "demo"
 
 
 def ground_scene(**kwargs) -> Scene:
@@ -337,6 +343,26 @@ def routes_by_pair(traced, shape):
     ]
 
 
+def random_panel(rng) -> Facet:
+    """A bounded one-sided facet at a random pose."""
+    return make_facet(
+        rng.uniform(-5.0, 5.0, 3), rng.standard_normal(3), *rng.uniform(0.3, 2.0, size=2)
+    )
+
+
+def points_past_each_edge(rng, facet, beyond):
+    """Four points in facet's plane, past its -u, +u, -v and +v edges by
+    beyond * _T_EPS, each at a random place along its edge."""
+    halves = (facet.half_u, facet.half_v)
+    axes = (facet.axis_u, facet.axis_v)
+    return [
+        facet.center
+        + sign * (halves[k] + beyond * _T_EPS) * axes[k]
+        + rng.uniform(-1.0, 1.0) * halves[1 - k] * axes[1 - k]
+        for k, sign in itertools.product(range(2), (-1.0, 1.0))
+    ]
+
+
 _offset = st.tuples(*[st.floats(-6.0, 6.0)] * 3)
 _offsets = st.lists(_offset, min_size=1, max_size=3)
 # (TX offset, RX offset) of each of up to 4 paired endpoints
@@ -447,6 +473,63 @@ class TestTracePairs:
             scene, (ref.tx_ref + offsets)[None, :], (ref.rx_ref - offsets)[:, None], max_bounces
         )
         assert max(len(seq) for seq, _, _ in traced) == max_bounces
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beyond=st.floats(0.1, 0.9))
+    def test_specular_points_just_past_each_edge(self, seed, beyond):
+        # Pair k's specular point lies past edge k of the panel by less than
+        # the bounds slack _T_EPS, which the bounds test accepts.
+        rng = np.random.default_rng(seed)
+        panel = random_panel(rng)
+        tx, rx = [], []
+        for hit in points_past_each_edge(rng, panel, beyond):
+            along = rng.uniform(-2.0, 2.0, size=2) @ np.array([panel.axis_u, panel.axis_v])
+            tx.append(hit + rng.uniform(0.5, 20.0) * unit(panel.normal + along))
+            rx.append(hit + rng.uniform(0.5, 20.0) * unit(panel.normal - along))
+        scene = Scene(facets=(panel,), carrier_freq=140e9)
+        traced = assert_pairs_match_scalar(scene, np.array(tx), np.array(rx), 1)
+        assert [np.all(g != 0.0) for seq, g, _ in traced if seq == (0,)] == [True]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beyond=st.floats(0.1, 0.9))
+    def test_lines_of_sight_just_past_each_screen_edge(self, seed, beyond):
+        # Pair k's line of sight crosses the screen's plane past edge k by
+        # less than the bounds slack, which the occlusion test counts as
+        # blocked, from either side.
+        rng = np.random.default_rng(seed)
+        screen = random_panel(rng)
+        tx, rx = [], []
+        for cross in points_past_each_edge(rng, screen, beyond):
+            along = rng.uniform(-2.0, 2.0, size=2) @ np.array([screen.axis_u, screen.axis_v])
+            ray = unit(rng.choice([-1.0, 1.0]) * screen.normal + along)
+            tx.append(cross + rng.uniform(0.5, 20.0) * ray)
+            rx.append(cross - rng.uniform(0.5, 20.0) * ray)
+        scene = Scene(facets=(screen,), carrier_freq=140e9)
+        assert assert_pairs_match_scalar(scene, np.array(tx), np.array(rx), 0) == []
+
+    def test_per_pair_memory_at_16x16(self):
+        # One call on 16 x 16 UPAs against 16 x 16 in the blocked demo: per
+        # pair, the route's hit points, its length and mask, and scratch of
+        # one coordinate array at a time, 67.5 bytes a pair with numpy 2.4.
+        # A coordinate triple per step, hit point and in-plane offset takes
+        # about 139.
+        with open(DEMO / "blocked.json") as fp:
+            scene = load_scene(fp)
+        with open(DEMO / "capacity_config.json") as fp:
+            cfg = json.load(fp)
+        tx = upa(16, 16, 0.14, np.array(cfg["tx_ref"]))[None, :]
+        rx = upa(16, 16, 0.14, np.array(cfg["rx_ref"]), azimuth_rotation=math.pi)[:, None]
+        trace_pairs(scene, tx, rx, 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traced = trace_pairs(scene, tx, rx, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [(seq, np.count_nonzero(g)) for seq, g, _ in traced] == [((0,), 16**4)]
+        assert peak <= 80 * 16**4
 
     @pytest.mark.parametrize("max_bounces", [-1, 4])
     def test_bounce_limit_guard(self, max_bounces):
