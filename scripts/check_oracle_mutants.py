@@ -2,11 +2,13 @@
 """Check that the tests catch faults in the tracer's unfolding, in the
 reflection model's angle-to-image conversion, both through their oracles in
 tests/scenelib.py, in the pair tracer's unfolding, through its agreement
-with the scalar one in tests/test_tracer.py, and in the stream-rate kernel,
-through the closed-form and rho-loop checks of tests/test_capacity.py.
+with the scalar one in tests/test_tracer.py, in the stream-rate kernel,
+through the closed-form and rho-loop checks of tests/test_capacity.py, and
+in the one check of a point, through the table of every point entry in
+tests/test_points.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
-into a temporary directory and, one at a time, applies there each of eleven
+into a temporary directory and, one at a time, applies there each of twelve
 mutants, keyed by module and function:
 
 * tracer._unfold
@@ -25,12 +27,14 @@ mutants, keyed by module and function:
 * capacity._triangle
   * streams:   row k of the stream table sums k + 1 streams at power P/k;
 * capacity._stream_rates
-  * clip:      the se_max cap on the per-stream rate dropped.
+  * clip:      the se_max cap on the per-stream rate dropped;
+* geometry.as_points
+  * finite:    the finiteness test disabled (a NaN or infinite point passes).
 
 For the unmutated copy and then for each mutant it runs
 
-    pytest tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
-        tests/test_capacity.py -q -x
+    pytest tests/test_points.py tests/test_paths.py tests/test_tracer.py \
+        tests/test_acceptance.py tests/test_capacity.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -50,6 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
+    "tests/test_points.py",
     "tests/test_paths.py",
     "tests/test_tracer.py",
     "tests/test_acceptance.py",
@@ -80,6 +85,9 @@ MUTANTS = {
     },
     ("capacity", "_stream_rates"): {
         "clip": ("np.minimum(snr, model.se_max, out=snr)", "snr", 1),
+    },
+    ("geometry", "as_points"): {
+        "finite": ("if not np.isfinite(pts).all():", "if False:", 1),
     },
 }
 

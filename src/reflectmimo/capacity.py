@@ -185,6 +185,6 @@ def band_rate(
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
     """Far-field boundary 2 D^2 / lambda of an aperture of size D."""
-    if aperture < 0.0 or wavelength <= 0.0:
-        raise ValueError("aperture must be non-negative and wavelength positive")
+    if not (0.0 <= aperture < math.inf and 0.0 < wavelength < math.inf):
+        raise ValueError("aperture must be non-negative and wavelength positive, both finite")
     return 2.0 * aperture * aperture / wavelength

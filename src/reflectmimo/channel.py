@@ -88,9 +88,7 @@ def upa(
     cols = _at_least(cols, 1, "cols must be a positive integer")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("element spacing must be positive")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (3,) or not np.isfinite(center).all():
-        raise ValueError(f"center must be a finite 3-vector, got {center!r}")
+    center = as_points(center, "center", 1)
     if not math.isfinite(azimuth_rotation):
         raise ValueError(f"azimuth_rotation must be finite, got {azimuth_rotation!r}")
     ys = (np.arange(cols) - (cols - 1) / 2.0) * spacing
@@ -180,8 +178,8 @@ def trace_array_pairs(
     trace_paths' order; tracing once and evaluating many frequencies
     amortizes the cost. A per-pair view of ``trace_pairs``.
     """
-    tx = as_points(tx_points, "tx_points")
-    rx = as_points(rx_points, "rx_points")
+    tx = as_points(tx_points, "tx_points", 2)
+    rx = as_points(rx_points, "rx_points", 2)
     traced = trace_pairs(scene, tx[None, :], rx[:, None], max_bounces)
     shape = (len(rx), len(tx))
     gains, delays = _in_path_order(traced, shape)
@@ -297,8 +295,8 @@ def channel_evaluator(
     """
     if model not in MODELS:
         raise ValueError(f"unknown channel model {model!r}, expected one of {MODELS}")
-    tx = as_points(tx_points, "tx_points")
-    rx = as_points(rx_points, "rx_points")
+    tx = as_points(tx_points, "tx_points", 2)
+    rx = as_points(rx_points, "rx_points", 2)
     if model == "exhaustive":
         _require(scene is not None, "exhaustive model requires a scene")
         traced = trace_pairs(scene, tx[None, :], rx[:, None], max_bounces)
@@ -360,8 +358,8 @@ def plane_wave_core(
     """
     _require(model in PLANE_WAVE_MODELS, f"no plane-wave core for model {model!r}")
     _require(len(paths) > 0, f"{model} model requires a non-empty path list")
-    tx = as_points(tx_points, "tx_points")
-    rx = as_points(rx_points, "rx_points")
+    tx = as_points(tx_points, "tx_points", 2)
+    rx = as_points(rx_points, "rx_points", 2)
     if model == "pwa":
         alphas, betas = zip(*(_pwa_terms(rx, tx, ref, p) for p in paths))
         rx_terms, tx_terms = np.column_stack(alphas), np.column_stack(betas)

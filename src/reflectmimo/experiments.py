@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from typing import NamedTuple, Sequence
@@ -73,14 +72,10 @@ class DisplacementSpec:
         d = tuple(float(x) for x in self.distances)
         if len(d) < 2 or not all(math.isfinite(x) and x > 0.0 for x in d) or list(d) != sorted(d):
             raise ValueError("distances must be >= 2 positive values, ascending")
-        try:
-            count = operator.index(self.directions_per_distance)
-        except TypeError:
-            raise ValueError(
-                f"directions_per_distance must be an integer, got {self.directions_per_distance!r}"
-            ) from None
-        if count < 1:
-            raise ValueError("need at least one direction per distance")
+        count = _at_least(
+            self.directions_per_distance, 1,
+            "directions_per_distance must be an integer: need at least one direction per distance",
+        )
         seed = _at_least(self.rng_seed, 0, "rng_seed must be a non-negative integer")
         object.__setattr__(self, "distances", d)
         object.__setattr__(self, "directions_per_distance", count)

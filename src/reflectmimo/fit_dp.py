@@ -30,9 +30,8 @@ from .paths import (
     ReferencePair,
     RmPath,
     _align_rows,
-    _vec3,
 )
-from .geometry import wrap_angle
+from .geometry import as_points, wrap_angle
 
 __all__ = [
     "GammaSolution",
@@ -58,8 +57,8 @@ class PairObservation:
     paths: tuple[PwaPath, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tx", _vec3(self.tx, "tx"))
-        object.__setattr__(self, "rx", _vec3(self.rx, "rx"))
+        object.__setattr__(self, "tx", as_points(self.tx, "tx", 1))
+        object.__setattr__(self, "rx", as_points(self.rx, "rx", 1))
         object.__setattr__(self, "paths", tuple(self.paths))
 
 

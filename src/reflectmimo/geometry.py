@@ -53,12 +53,21 @@ def _unit3(v: np.ndarray) -> tuple[float, float, float]:
     return x / n, y / n, z / n
 
 
-def as_points(points, name: str) -> np.ndarray:
-    """points as a float (K, 3) array of K >= 1 points, the form of an
-    antenna array; a ValueError names the argument otherwise."""
+# The shapes as_points takes, by its ndim: one point, an antenna array, or
+# any array of points.
+_POINT_SHAPES = {1: "(3,)", 2: "(K, 3) with K >= 1", None: "(..., 3) with at least one point"}
+
+
+def as_points(points, name: str, ndim: int | None) -> np.ndarray:
+    """points as a float array of shape (..., 3) that holds at least one
+    point, all finite, with ndim axes: 1 for one point, 2 for an antenna
+    array (K, 3), None for any number. The one check of a point; a
+    ValueError names the argument otherwise."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError(f"{name} must have shape (K, 3) with K >= 1")
+    if pts.shape[-1:] != (3,) or pts.size == 0 or ndim not in (None, pts.ndim):
+        raise ValueError(f"{name} must have shape {_POINT_SHAPES[ndim]}, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must be finite")
     return pts
 
 
@@ -123,7 +132,7 @@ def _euler_factor(m0, m1, m2) -> tuple[float, float, float]:
     for i in range(3):
         for j in range(i, 3):
             dot = m0[i] * m0[j] + m1[i] * m1[j] + m2[i] * m2[j]
-            if abs(dot - (1.0 if i == j else 0.0)) > 1e-9:
+            if not abs(dot - (1.0 if i == j else 0.0)) <= 1e-9:  # a NaN fails too
                 raise ValueError("matrix is not orthogonal")
     if _det3(m0, m1, m2) < 0.0:
         raise ValueError("matrix has determinant -1, not a proper rotation")
@@ -155,7 +164,7 @@ def dir_to_angles(u: np.ndarray) -> tuple[float, float]:
     """
     u = np.asarray(u, dtype=float)
     n = math.sqrt(u.dot(u))
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:
         raise ValueError(f"direction must be unit length, got |u| = {n}")
     return _dir_angles(float(u[0]), float(u[1]), float(u[2]))
 

@@ -27,6 +27,7 @@ from .geometry import (
     _det3,
     _dir_angles,
     _euler_factor,
+    as_points,
     rotation_matrix,
     spherical_dir,
     z_reflection,
@@ -47,20 +48,6 @@ __all__ = [
 C_LIGHT = 299_792_458.0  # speed of light, m/s (exact)
 
 
-def _vec3(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    return v
-
-
-def _points(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape[-1:] != (3,):
-        raise ValueError(f"{name} must have shape (..., 3), got shape {v.shape}")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class ReferencePair:
     """Reference TX/RX positions that anchor all extrapolation models."""
@@ -69,12 +56,10 @@ class ReferencePair:
     rx_ref: np.ndarray
 
     def __post_init__(self) -> None:
-        tx = _vec3(self.tx_ref, "tx_ref")
-        rx = _vec3(self.rx_ref, "rx_ref")
-        span = math.dist(tx, rx)  # inf or nan, with no warning, if a point is not finite
-        if not 1e-12 <= span < math.inf:
-            what = "coincide" if span < 1e-12 else "are not finite"
-            raise ValueError(f"reference TX and RX positions {what}")
+        tx = as_points(self.tx_ref, "tx_ref", 1)
+        rx = as_points(self.rx_ref, "rx_ref", 1)
+        if math.dist(tx, rx) < 1e-12:
+            raise ValueError("reference TX and RX positions coincide")
         object.__setattr__(self, "tx_ref", tx)
         object.__setattr__(self, "rx_ref", rx)
 
@@ -139,10 +124,10 @@ class RmImage:
             a * c + d * f + g * i,
             b * c + e * f + h * i,
         )
-        if max(map(abs, gram)) > 1e-9:
+        if not all(abs(x) <= 1e-9 for x in gram):  # a NaN entry fails too
             raise ValueError("U must be orthogonal")
         object.__setattr__(self, "U", u)
-        object.__setattr__(self, "g", _vec3(self.g, "g"))
+        object.__setattr__(self, "g", as_points(self.g, "g", 1))
 
     @classmethod
     def from_planes(cls, planes) -> RmImage:
@@ -153,7 +138,7 @@ class RmImage:
         cols, g = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)
         for n, b in planes:
             nx, ny, nz = map(float, n)
-            if abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) > 1e-9:
+            if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-9:
                 raise ValueError(f"mirror normal must be unit length, got {n}")
             images = []
             for (x, y, z), off in zip((*cols, g), (0.0, 0.0, 0.0, b)):
@@ -231,8 +216,8 @@ def _pwa_terms(
     the departure direction, of rx's and tx's leading shapes."""
     u_r = spherical_dir(path.aoa_az, path.aoa_el)
     u_t = spherical_dir(path.aod_az, path.aod_el)
-    alpha = (ref.rx_ref - _points(rx, "rx")) @ u_r
-    beta = (ref.tx_ref - _points(tx, "tx")) @ u_t
+    alpha = (ref.rx_ref - as_points(rx, "rx", None)) @ u_r
+    beta = (ref.tx_ref - as_points(tx, "tx", None)) @ u_t
     return alpha, beta
 
 
@@ -249,8 +234,8 @@ def rm_distance_image(
     in np.linalg.norm's order: no (..., 3) array of the broadcast shape is
     formed.
     """
-    mirrored = _points(tx, "tx") @ img.U.T + img.g
-    rx = _points(rx, "rx")
+    mirrored = as_points(tx, "tx", None) @ img.U.T + img.g
+    rx = as_points(rx, "rx", None)
     total = rx[..., 0] - mirrored[..., 0]
     total *= total
     diff = np.empty_like(total)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _dir_angles, _unit3, unit
+from .geometry import _dir_angles, _unit3, as_points, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage
 
 __all__ = [
@@ -116,11 +116,9 @@ class Facet:
     intercept: float = field(init=False)
 
     def __post_init__(self) -> None:
-        center = np.array(self.center, dtype=float)
-        if not np.isfinite(center).all():
-            raise ValueError(f"facet center must be finite, got {center}")
-        axis_u = unit(self.axis_u)
-        axis_v = unit(self.axis_v)
+        center = np.array(as_points(self.center, "center", 1))  # a copy, made read-only below
+        axis_u = unit(as_points(self.axis_u, "axis_u", 1))
+        axis_v = unit(as_points(self.axis_v, "axis_v", 1))
         if abs(float(axis_u @ axis_v)) > 1e-9:
             raise ValueError("facet axes must be orthogonal")
         for half in (self.half_u, self.half_v):
@@ -158,7 +156,7 @@ def make_facet(
     two_sided: bool = False,
 ) -> Facet:
     """Build a facet from its center and normal, choosing in-plane axes."""
-    n = unit(normal)
+    n = unit(as_points(normal, "normal", 1))
     helper = np.array([0.0, 0.0, 1.0])
     if abs(float(n @ helper)) > 0.9:
         helper = np.array([1.0, 0.0, 0.0])
@@ -233,9 +231,9 @@ class Route:
     facet_ids: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 2:
-            raise ValueError("route vertices must have shape (K+1, 3) with K >= 1")
+        v = as_points(self.vertices, "vertices", 2)
+        if v.shape[0] < 2:
+            raise ValueError(f"vertices must hold at least the TX and RX points, got {v.shape}")
         object.__setattr__(self, "vertices", v)
         if self.facet_ids is not None:
             ids = tuple(int(i) for i in self.facet_ids)
@@ -288,14 +286,6 @@ def route_length(route: Route) -> float:
 
 def _f3(a) -> tuple[float, float, float]:
     return (float(a[0]), float(a[1]), float(a[2]))
-
-
-def _point(name: str, p) -> tuple[float, float, float]:
-    """Point p as a float triple; ValueError naming it unless finite."""
-    x, y, z = _f3(p)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{name} must be finite, got {p}")
-    return x, y, z
 
 
 def _dot(a, b) -> float:
@@ -532,8 +522,8 @@ def trace_sequence(
     bounds = {} if check_bounds else {"half_u": None, "half_v": None}
     side = {} if check_side else {"two_sided": True}
     hits = {idx: flats[idx]._replace(**bounds, **side) for idx in sequence}
-    txf = _point("tx", tx)
-    images = [_point("rx", rx)]
+    txf = as_points(tx, "tx", 1).tolist()
+    images = [as_points(rx, "rx", 1).tolist()]
     for idx in reversed(sequence):
         _, nx, ny, nz, b = flats[idx][:5]
         ax, ay, az = images[0]
@@ -619,8 +609,9 @@ def trace_paths(
     a path is returned once, under the first facet sequence in that order.
     """
     flats = scene._flats
-    txf = _point("tx", tx)
-    walk = _walk(scene, _point("rx", rx), max_bounces, _FLOAT_OPS, _tx_cones(scene, txf))
+    txf = as_points(tx, "tx", 1).tolist()
+    rxf = as_points(rx, "rx", 1).tolist()
+    walk = _walk(scene, rxf, max_bounces, _FLOAT_OPS, _tx_cones(scene, txf))
     accepted = []
     for seq, images in walk:
         found = _unfold(flats, seq, images, txf, flats)
@@ -644,17 +635,15 @@ def trace_paths(
 def _coordinates(tx_points, rx_points) -> tuple[tuple[np.ndarray, ...], ...]:
     """The x, y, z columns of the TX and RX point arrays, no axis inserted.
 
-    Each array is (..., 3) with at least one leading axis and one point, all
-    finite, and the two leading shapes must broadcast: the broadcast shape
-    is that of every per-pair array of trace_pairs.
+    Each array is as_points' (..., 3) with at least one leading axis, and
+    the two leading shapes must broadcast: the broadcast shape is that of
+    every per-pair array of trace_pairs.
     """
     columns = []
     for name, points in (("tx_points", tx_points), ("rx_points", rx_points)):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim < 2 or pts.shape[-1] != 3 or pts.size == 0:
-            raise ValueError(f"{name} must have shape (..., 3) with at least one point")
-        if not np.isfinite(pts).all():
-            raise ValueError(f"{name} must be finite")
+        pts = as_points(points, name, None)
+        if pts.ndim < 2:
+            raise ValueError(f"{name} must have a leading axis, got {pts.shape}")
         columns.append(tuple(np.ascontiguousarray(pts[..., k]) for k in range(3)))
     tx, rx = columns
     try:

@@ -347,6 +347,14 @@ class TestRayleighDistance:
         with pytest.raises(ValueError):
             rayleigh_distance(1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        # a NaN aperture used to give nan, an infinite wavelength 0.0
+        with pytest.raises(ValueError):
+            rayleigh_distance(bad, 0.002)
+        with pytest.raises(ValueError):
+            rayleigh_distance(1.0, bad)
+
 
 class TestLinkBudget:
     def test_noise_floor_constants(self):

@@ -125,7 +125,7 @@ class TestUpa:
     )
     def test_bad_argument_named(self, kwargs, name):
         args = dict(rows=4, cols=4, spacing=0.14, center=(0.0, 0.0, 1.0)) | kwargs
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{name} must (be|have shape)"):
             upa(**args)
 
     def test_numpy_integer_sizes(self):

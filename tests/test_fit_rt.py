@@ -89,9 +89,9 @@ class TestFitFromRoute:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_vertices(self, bad):
-        route = Route(vertices=np.array([[0.0, 0, 1], [bad, 0, 0], [3.0, 0, 1]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            fit_from_route(route)
+        # a Route holds finite vertices only, so fit_from_route never meets one
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            Route(vertices=np.array([[0.0, 0, 1], [bad, 0, 0], [3.0, 0, 1]]))
 
     def test_determinant_law_all_bounce_counts(self):
         scene, ref = corridor_scene()

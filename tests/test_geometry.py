@@ -175,6 +175,16 @@ class TestEulerFactorSO3:
         with pytest.raises(ValueError):
             euler_factor_so3(np.eye(3) * 1.1)
 
+    def test_rejects_non_finite_entries(self):
+        # a NaN entry used to pass the orthogonality test and factor to
+        # angles, (0, 0, 0) for a NaN on the diagonal
+        for i in range(3):
+            for j in range(3):
+                m = np.eye(3)
+                m[i, j] = math.nan
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    euler_factor_so3(m)
+
 
 class TestSphericalDir:
     def test_x_axis(self):
@@ -218,3 +228,9 @@ class TestDirToAngles:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dir_to_angles(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN norm used to pass the unit-length test and give a NaN azimuth
+        with pytest.raises(ValueError, match="unit length"):
+            dir_to_angles(np.array([bad, 0.0, 0.0]))

@@ -112,6 +112,25 @@ class TestTypes:
                 else:
                     RmImage(U=u, g=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rm_image_rejects_non_finite_u_entries(self, bad):
+        # with a NaN among the six U^T U entries, their max depended on
+        # where the NaN stood, and a NaN U passed
+        for i, j in itertools.product(range(3), repeat=2):
+            u = np.eye(3)
+            u[i, j] = bad
+            with pytest.raises(ValueError, match="U must be orthogonal"):
+                RmImage(U=u, g=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mirror_normal_must_be_finite(self, bad):
+        # a NaN normal used to give an all-NaN U
+        for k in range(3):
+            normal = [0.0, 0.0, 1.0]
+            normal[k] = bad
+            with pytest.raises(ValueError, match="mirror normal must be unit length"):
+                RmImage.from_planes([(normal, 0.0)])
+
     def test_reference_pair_distinct(self):
         with pytest.raises(ValueError):
             ReferencePair(tx_ref=np.ones(3), rx_ref=np.ones(3))
@@ -123,7 +142,7 @@ class TestTypes:
         kwargs = {"tx_ref": np.zeros(3), "rx_ref": np.array([4.0, 0.0, 1.0])}
         for key in kwargs if end == "both" else [end]:
             kwargs[key] = point
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=f"{'tx_ref' if end == 'both' else end} must be finite"):
             ReferencePair(**kwargs)
 
     def test_reference_pair_match_tolerance_scales_with_separation(self):
