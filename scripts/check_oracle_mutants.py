@@ -3,12 +3,13 @@
 reflection model's angle-to-image conversion, both through their oracles in
 tests/scenelib.py, in the pair tracer's unfolding, through its agreement
 with the scalar one in tests/test_tracer.py, in the stream-rate kernel,
-through the closed-form and rho-loop checks of tests/test_capacity.py, and
-in the one check of a point, through the table of every point entry in
-tests/test_points.py.
+through the closed-form and rho-loop checks of tests/test_capacity.py, in
+the one check of a point, through the table of every point entry in
+tests/test_points.py, and in the one reader of a file's numbers, through
+the table of every file key in tests/test_file_keys.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
-into a temporary directory and, one at a time, applies there each of twelve
+into a temporary directory and, one at a time, applies there each of thirteen
 mutants, keyed by module and function:
 
 * tracer._unfold
@@ -29,12 +30,15 @@ mutants, keyed by module and function:
 * capacity._stream_rates
   * clip:      the se_max cap on the per-stream rate dropped;
 * geometry.as_points
-  * finite:    the finiteness test disabled (a NaN or infinite point passes).
+  * finite:    the finiteness test disabled (a NaN or infinite point passes);
+* fileio._number
+  * nesting:   the nesting test disabled (a list passes where a number
+               belongs, and a number where a list belongs).
 
 For the unmutated copy and then for each mutant it runs
 
-    pytest tests/test_points.py tests/test_paths.py tests/test_tracer.py \
-        tests/test_acceptance.py tests/test_capacity.py -q -x
+    pytest tests/test_points.py tests/test_file_keys.py tests/test_paths.py \
+        tests/test_tracer.py tests/test_acceptance.py tests/test_capacity.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -55,6 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_points.py",
+    "tests/test_file_keys.py",
     "tests/test_paths.py",
     "tests/test_tracer.py",
     "tests/test_acceptance.py",
@@ -88,6 +93,9 @@ MUTANTS = {
     },
     ("geometry", "as_points"): {
         "finite": ("if not np.isfinite(pts).all():", "if False:", 1),
+    },
+    ("fileio", "_number"): {
+        "nesting": ("if x.ndim != depth:", "if False:", 1),
     },
 }
 

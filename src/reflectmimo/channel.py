@@ -230,13 +230,12 @@ def mimo_matrix(
     )(f)
 
 
-def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, float]:
-    """First frequency and step of the midpoints f0 - bandwidth/2 + (k + 1/2) step,
-    step = bandwidth/n_freq, k = 0..n_freq-1, of the band's n_freq sub-bands."""
-    if n_freq < 1:
-        raise ValueError("need at least one frequency sample")
+def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, float, int]:
+    """First frequency, step and count of the midpoints f0 - bandwidth/2 + (k + 1/2)
+    step, step = bandwidth/n_freq, k = 0..n_freq-1, of the band's sub-bands."""
+    n_freq = _at_least(n_freq, 1, "need at least one frequency sample")
     step = bandwidth / n_freq
-    return f0 - bandwidth / 2.0 + 0.5 * step, step
+    return f0 - bandwidth / 2.0 + 0.5 * step, step, n_freq
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +253,7 @@ class _Evaluator:
     def band(self, bandwidth: float, n_freq: int) -> Iterator[np.ndarray]:
         """Matrices at the band's midpoints (``_midpoint_grid``) in ascending
         order: per path two exponentials, then a rotor multiply per step."""
-        start, step = _midpoint_grid(self.f0, bandwidth, n_freq)
+        start, step, n_freq = _midpoint_grid(self.f0, bandwidth, n_freq)
         paths = zip(self.gains, self.delays, self.distances)
         running = [phasor_sum([g], [tau], [d], start, self.f0) for g, tau, d in paths]
         rotors = [phasor_sum([1.0], [0.0], [d], step, self.f0) for d in self.distances]
@@ -331,7 +330,7 @@ class _Core:
     def band(self, bandwidth: float, n_freq: int) -> Iterator[np.ndarray]:
         """Cores at the band's midpoints (``_midpoint_grid``) in ascending
         order, computed as one stack."""
-        start, step = _midpoint_grid(self.f0, bandwidth, n_freq)
+        start, step, n_freq = _midpoint_grid(self.f0, bandwidth, n_freq)
         return iter(self(start + step * np.arange(n_freq)))
 
 

@@ -123,64 +123,52 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _load_config(path: str) -> dict:
-    import json
-
     with open(path) as fp:
-        doc = json.load(fp)
-    if not isinstance(doc, dict):
-        raise ValueError("experiment config must be a JSON object")
-    return doc
+        return fileio._document(fp)
 
 
 def _config_ref(cfg: dict) -> ReferencePair:
-    return ReferencePair(
-        tx_ref=np.array(fileio._number(cfg, "tx_ref"), dtype=float),
-        rx_ref=np.array(fileio._number(cfg, "rx_ref"), dtype=float),
-    )
+    return ReferencePair(**{key: fileio._number(cfg, key, 1) for key in ("tx_ref", "rx_ref")})
 
 
-def _integer(value) -> int:
-    """A whole number; JSON reads 8.0, Infinity and NaN as floats."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _model_names(cfg: dict) -> tuple[str, ...]:
+    names = cfg["models"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"'models' must be a list of model names, got {names!r}")
+    return tuple(names)
 
 
-# Experiment config keys -> (library parameter, type). Only the keys a config
-# sets are passed on, so the defaults are those of the library signatures.
+# Experiment config keys -> (library parameter, ndim of fileio._number, or
+# None for the model names). Only the keys a config sets are passed on, so
+# the defaults are those of the library signatures.
 _SPEC_KEYS = {
-    "distances_m": ("distances", tuple),
-    "directions_per_distance": ("directions_per_distance", _integer),
-    "rng_seed": ("rng_seed", _integer),
+    "distances_m": ("distances", 1),
+    "directions_per_distance": ("directions_per_distance", int),
+    "rng_seed": ("rng_seed", int),
 }
 _DISPLACEMENT_KEYS = {
-    "bandwidth_hz": ("bandwidth", float),
-    "n_freq": ("n_freq", _integer),
-    "models": ("models", tuple),
-    "max_bounces": ("max_bounces", _integer),
+    "bandwidth_hz": ("bandwidth", 0),
+    "n_freq": ("n_freq", int),
+    "models": ("models", None),
+    "max_bounces": ("max_bounces", int),
 }
-_BUDGET_KEYS = {key: (key, float) for key in ("tx_power_dbm", "bandwidth_hz", "noise_figure_db")}
-_RATE_KEYS = {"alpha": ("alpha", float), "se_max_bpshz": ("se_max", float)}
+_BUDGET_KEYS = {key: (key, 0) for key in ("tx_power_dbm", "bandwidth_hz", "noise_figure_db")}
+_RATE_KEYS = {"alpha": ("alpha", 0), "se_max_bpshz": ("se_max", 0)}
 _SWEEP_KEYS = {
-    **{key: (key, _integer) for key in ("rows", "cols", "n_freq", "max_bounces", "rng_seed")},
-    "spacing_m": ("spacing", float),
-    "models": ("models", tuple),
-    "dp_displacements_m": ("dp_distances", tuple),
+    **{key: (key, int) for key in ("rows", "cols", "n_freq", "max_bounces", "rng_seed")},
+    "spacing_m": ("spacing", 0),
+    "models": ("models", None),
+    "dp_displacements_m": ("dp_distances", 1),
 }
 
 
 def _config_kwargs(cfg: dict, keys: dict) -> dict:
-    """The library arguments for the keys cfg sets; every value but the
-    model names is read through fileio._number."""
-    kwargs = {}
-    for key, (param, kind) in keys.items():
-        if key in cfg:
-            value = cfg[key] if key == "models" else fileio._number(cfg, key)
-            try:
-                kwargs[param] = kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-    return kwargs
+    """The library arguments for the keys cfg sets."""
+    return {
+        param: _model_names(cfg) if ndim is None else fileio._number(cfg, key, ndim)
+        for key, (param, ndim) in keys.items()
+        if key in cfg
+    }
 
 
 def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:
@@ -199,7 +187,7 @@ def capacity_from_config(scene: Scene, cfg: dict) -> tuple[list[SweepCell], dict
     the rotations default to a full turn in 15 degree steps."""
     degrees = _DEFAULT_ROTATIONS_DEG
     if "rotations_deg" in cfg:
-        degrees = fileio._number(cfg, "rotations_deg")
+        degrees = fileio._number(cfg, "rotations_deg", 1)
     rotations = [math.radians(d) for d in degrees]
     return capacity_sweep(
         scene,

@@ -41,32 +41,44 @@ __all__ = [
 _DEG = math.pi / 180.0
 
 
-def _number(doc: dict, key: str):
-    """doc[key], a number or a list of them (nested to any depth), as it
-    stands; ValueError naming key for any other entry. Every number of a
-    scene, a path export, a model file and an experiment config is read
-    through here. JSON's true and false are rejected, as a value or as a
-    list entry alike: Python's json reads them as bools, which float(),
-    int() and numpy take for 1 and 0. So is a string, which float() would
-    parse."""
-    pending = [doc[key]]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, (list, tuple)):
-            pending.extend(value)
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return doc[key]
-
-
-def _finite(entry: dict, key: str):
-    """entry[key] (see _number) as a float, or as a float array if it is a
-    list. Python's json reads NaN and Infinity, so a non-finite number is
-    rejected here."""
-    x = np.array(_number(entry, key), dtype=float)
+def _number(doc: dict, key: str, ndim=0):
+    """doc[key] read as a float for ndim 0, an int for ndim int (a count,
+    which only configs hold; 8.0 reads as 8), or a float array for ndim 1
+    (a list of numbers) or 2 (a list of such lists). Every number of a
+    scene, a path export, a model file and a config is read here. Any other
+    shape or entry raises a ValueError naming key: that takes in JSON's true
+    and false, which Python reads as bools and float() as 1 and 0, strings,
+    null, and NaN and Infinity, which Python's json reads too."""
+    value = doc[key]
+    depth = 0 if ndim is int else ndim
+    x = np.array(value, dtype=object)  # a ragged list stays a list of lists
+    if x.ndim != depth:
+        shape = ("a number", "a list of numbers", "a list of equal-length lists of numbers")
+        raise ValueError(f"{key!r} must be {shape[depth]}, got {value!r}")
+    for entry in x.flat:
+        if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
+            raise ValueError(f"{key!r} must be a number, got {entry!r}")
+    if ndim is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"config key {key!r}: expected an integer, got {value!r}")
+        return int(value)
+    x = x.astype(float)
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite {key!r} in file")
-    return x if x.ndim else float(x)
+    return x if depth else float(x)
+
+
+def _document(fp: IO[str]) -> dict:
+    """The JSON object fp holds; its entry lists, facets and paths, must be
+    lists of objects where it has them."""
+    doc = json.load(fp)
+    if not isinstance(doc, dict):
+        raise ValueError("the file must hold a JSON object")
+    for key in ("facets", "paths"):
+        entries = doc.get(key, [])
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"{key!r} must be a list of objects")
+    return doc
 
 
 def _gain_to_fields(gain: complex) -> tuple[float, float]:
@@ -95,9 +107,9 @@ def _pwa_to_fields(path: PwaPath, delay_key: str) -> dict:
 def _pwa_from_fields(entry: dict, delay_key: str) -> dict:
     """PwaPath keyword arguments read back from _pwa_to_fields output."""
     return {
-        "gain": _gain_from_fields(_finite(entry, "gain_db"), _finite(entry, "phase_deg")),
-        "delay": _finite(entry, delay_key),
-        **{name: _finite(entry, f"{name}_deg") * _DEG for name in _ANGLES},
+        "gain": _gain_from_fields(_number(entry, "gain_db"), _number(entry, "phase_deg")),
+        "delay": _number(entry, delay_key),
+        **{name: _number(entry, f"{name}_deg") * _DEG for name in _ANGLES},
     }
 
 
@@ -130,26 +142,20 @@ def save_scene(scene: Scene, fp: IO[str]) -> None:
 
 
 def load_scene(fp: IO[str]) -> Scene:
-    """The scene a scene JSON file describes; its numbers are read through
-    _number, and Facet and Scene check their values."""
-    doc = json.load(fp)
+    """The scene a scene JSON file describes. A key the file leaves out, or
+    a null (unbounded) half-extent, is not passed, so the defaults are
+    those of Facet and Scene, which check the values."""
+    doc = _document(fp)
     facets = tuple(
         Facet(
-            center=np.array(_number(f, "center"), dtype=float),
-            axis_u=np.array(_number(f, "axis_u"), dtype=float),
-            axis_v=np.array(_number(f, "axis_v"), dtype=float),
-            half_u=None if f.get("half_u") is None else float(_number(f, "half_u")),
-            half_v=None if f.get("half_v") is None else float(_number(f, "half_v")),
-            two_sided=f.get("two_sided", False),
+            **{key: _number(f, key, 1) for key in ("center", "axis_u", "axis_v")},
+            **{key: _number(f, key) for key in ("half_u", "half_v") if f.get(key) is not None},
+            **{key: f[key] for key in ("two_sided",) if key in f},
         )
         for f in doc.get("facets", [])
     )
-    loss_db = _number(doc, "reflection_loss_db") if "reflection_loss_db" in doc else 3.0
-    return Scene(
-        facets=facets,
-        carrier_freq=float(_number(doc, "carrier_hz")),
-        reflection_loss_db=float(loss_db),
-    )
+    loss = {key: _number(doc, key) for key in ("reflection_loss_db",) if key in doc}
+    return Scene(facets=facets, carrier_freq=_number(doc, "carrier_hz"), **loss)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +211,16 @@ def save_paths(export: PathExport, fp: IO[str]) -> None:
 
 
 def load_paths(fp: IO[str]) -> PathExport:
-    doc = json.load(fp)
+    doc = _document(fp)
     paths = []
     for e in doc["paths"]:
         pwa = PwaPath(**_pwa_from_fields(e, "delay_s"))
-        route = None if e.get("route") is None else Route(vertices=_finite(e, "route"))
+        route = None if e.get("route") is None else Route(vertices=_number(e, "route", 2))
         paths.append((pwa, route))
     return PathExport(
-        tx=_finite(doc, "tx"),
-        rx=_finite(doc, "rx"),
-        f0_hz=_finite(doc, "f0_hz"),
+        tx=_number(doc, "tx", 1),
+        rx=_number(doc, "rx", 1),
+        f0_hz=_number(doc, "f0_hz"),
         paths=tuple(paths),
     )
 
@@ -255,19 +261,19 @@ def save_rm(export: RmExport, fp: IO[str]) -> None:
 def load_rm(fp: IO[str]) -> RmExport:
     """Load fitted parameters; a path entry with a key that save_rm does not
     write, or a parity s other than -1 or +1, is rejected by name."""
-    doc = json.load(fp)
-    ref = ReferencePair(tx_ref=_finite(doc, "tx_ref"), rx_ref=_finite(doc, "rx_ref"))
+    doc = _document(fp)
+    ref = ReferencePair(tx_ref=_number(doc, "tx_ref", 1), rx_ref=_number(doc, "rx_ref", 1))
     paths = []
     for e in doc["paths"]:
         unknown = [key for key in e if key not in _RM_KEYS]
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in a model file path")
-        s = _finite(e, "s")
+        s = _number(e, "s")
         if s not in (-1.0, 1.0):
             raise ValueError(f"'s' must be -1 or +1, got {s!r}")
-        roll = _finite(e, "roll_deg") * _DEG
+        roll = _number(e, "roll_deg") * _DEG
         paths.append(RmPath(**_pwa_from_fields(e, "tau_s"), roll=roll, s=int(s)))
-    return RmExport(ref=ref, f0_hz=_finite(doc, "f0_hz"), paths=tuple(paths))
+    return RmExport(ref=ref, f0_hz=_number(doc, "f0_hz"), paths=tuple(paths))
 
 
 # ---------------------------------------------------------------------------

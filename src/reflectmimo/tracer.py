@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _dir_angles, _unit3, as_points, unit
+from .geometry import _at_least, _dir_angles, _unit3, as_points, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage
 
 __all__ = [
@@ -336,16 +336,20 @@ def _misses(fbox, box) -> bool:
 # arrays; ops holds the few calls that differ between the two
 
 
-def _cis(x: np.ndarray) -> np.ndarray:
-    """exp(1j x) of a float array, written into one complex array."""
-    z = np.zeros(x.shape, dtype=complex)
-    z.imag = x
-    return np.exp(z, out=z)
+def _rect(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """amp exp(1j phase) of float arrays, as cmath.rect: exp(1j phase)
+    written into one complex array, whose parts are then scaled in place."""
+    z = np.zeros(phase.shape, dtype=complex)
+    z.imag = phase
+    np.exp(z, out=z)
+    z.real *= amp
+    z.imag *= amp
+    return z
 
 
-_Ops = namedtuple("_Ops", "any sqrt maximum cis")  # any: "some pair passes"
-_FLOAT_OPS = _Ops(bool, math.sqrt, max, lambda x: cmath.exp(1j * x))
-_ARRAY_OPS = _Ops(np.any, np.sqrt, np.maximum, _cis)
+_Ops = namedtuple("_Ops", "any sqrt maximum rect")  # any: "some pair passes"
+_FLOAT_OPS = _Ops(bool, math.sqrt, max, cmath.rect)
+_ARRAY_OPS = _Ops(np.any, np.sqrt, np.maximum, _rect)
 
 
 def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
@@ -374,8 +378,9 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
     _kept sorts what is yielded. On arrays, a test passes when it passes for
     any pair.
     """
-    if not 0 <= max_bounces <= MAX_BOUNCES:
-        raise ValueError(f"max_bounces must be between 0 and {MAX_BOUNCES}, got {max_bounces}")
+    message = f"max_bounces must be between 0 and {MAX_BOUNCES}"
+    if _at_least(max_bounces, 0, message) > MAX_BOUNCES:
+        raise ValueError(f"{message}, got {max_bounces!r}")
     planes, frames = scene._planes, scene._frames
     predecessors = scene._predecessors
     any_ = ops.any
@@ -487,15 +492,14 @@ def _kept(accepted, ops: _Ops):
 
 def _gain(scene: Scene, length, bounces: int, ops: _Ops):
     """Free-space spreading over the route length, the per-bounce loss and
-    the carrier phase: the phasor, scaled in place by the amplitude. On
-    arrays length must be the caller's own copy, which this overwrites."""
+    the carrier phase, as one phasor (_Ops.rect). On arrays length must be
+    the caller's own copy, which this overwrites."""
     loss_amp = 10.0 ** (-scene.reflection_loss_db / 20.0)
-    phasor = ops.cis(-2.0 * math.pi * scene.carrier_freq * length / C_LIGHT)
+    phase = -2.0 * math.pi * scene.carrier_freq * length / C_LIGHT
     length *= 4.0 * math.pi
     amp = scene.wavelength / length
     amp *= loss_amp**bounces
-    phasor *= amp
-    return phasor
+    return ops.rect(amp, phase)
 
 
 def trace_sequence(

@@ -621,6 +621,19 @@ class TestBandWalk:
                 assert np.max(np.abs(h - evaluator(f))) <= tol, model
 
 
+@pytest.mark.parametrize("n_freq", [2.5, 2.0])
+@pytest.mark.parametrize("evaluator", [channel_evaluator, plane_wave_core])
+def test_band_sample_count_must_be_an_integer(evaluator, n_freq):
+    # plane_wave_core's band took 2.5 for three samples at a step of B / 2.5,
+    # the last outside the band; channel_evaluator's raised a TypeError
+    paths, _, ref = fitted_paths(empty_scene(), np.zeros(3), np.array([20.0, 0.0, 0.0]))
+    txa = upa(2, 2, 0.01, center=ref.tx_ref)
+    rxa = upa(2, 2, 0.01, center=ref.rx_ref)
+    at = evaluator(txa, rxa, "pwa", F0, paths=paths, ref=ref)
+    with pytest.raises(ValueError, match=f"need at least one frequency sample, got {n_freq}"):
+        list(at.band(1e9, n_freq))
+
+
 class TestPlaneWaveCore:
     """A plane-wave channel with P paths has rank <= P, and its core
     R_A diag(c) R_B^T has the dense matrix's nonzero singular values."""

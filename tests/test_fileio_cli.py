@@ -728,8 +728,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("rotations_deg", [0.0, math.nan], "rotations must be finite"),
-            ("dp_displacements_m", [0.01, math.nan], "dp_distances must be finite and positive"),
+            ("rotations_deg", [0.0, math.nan], "non-finite 'rotations_deg' in file"),
+            ("dp_displacements_m", [0.01, math.nan], "non-finite 'dp_displacements_m' in file"),
             ("dp_displacements_m", [0.0, 0.02], "dp_distances must be finite and positive"),
         ],
     )

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -538,6 +539,19 @@ class TestTracePairs:
         with pytest.raises(ValueError, match="max_bounces"):
             trace_paths(ground_scene(), tx[0], rx[0], max_bounces)
         with pytest.raises(ValueError, match="max_bounces"):
+            trace_pairs(ground_scene(), tx, rx, max_bounces)
+
+    @pytest.mark.parametrize("max_bounces", [1.5, 2.0, "2"])
+    def test_bounce_limit_must_be_an_integer(self, max_bounces):
+        # with 1.5 no node was a leaf, and in a room the walk grew until
+        # memory ran out; one facet is no predecessor of itself, so here the
+        # walk ends anyway
+        tx = np.zeros((1, 3)) + EZ
+        rx = np.ones((1, 3))
+        message = f"max_bounces must be between 0 and 3, got {max_bounces!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trace_paths(ground_scene(), tx[0], rx[0], max_bounces)
+        with pytest.raises(ValueError, match=re.escape(message)):
             trace_pairs(ground_scene(), tx, rx, max_bounces)
 
     def test_point_arrays_checked(self):
