@@ -5,11 +5,14 @@ tests/scenelib.py, in the pair tracer's unfolding, through its agreement
 with the scalar one in tests/test_tracer.py, in the stream-rate kernel,
 through the closed-form and rho-loop checks of tests/test_capacity.py, in
 the one check of a point, through the table of every point entry in
-tests/test_points.py, and in the one reader of a file's numbers, through
-the table of every file key in tests/test_file_keys.py.
+tests/test_points.py, in the one reader of a file's numbers, through the
+table of every file key in tests/test_file_keys.py, in the seam rule's
+tolerance, through the tiles a micrometre apart in tests/test_tracer.py,
+and in the unchecked construction of the tracers' own records, through
+their public twins in tests/test_records.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
-into a temporary directory and, one at a time, applies there each of thirteen
+into a temporary directory and, one at a time, applies there each of sixteen
 mutants, keyed by module and function:
 
 * tracer._unfold
@@ -22,6 +25,8 @@ mutants, keyed by module and function:
 * tracer._unfold_batch
   * occlusion: the occluder loop dropped,
   * side:      the side test flipped;
+* tracer._kept, the seam rule
+  * seam:      a tolerance of 1e-6 of the route length in place of 1e-9;
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
   * roll:      the roll angle negated;
@@ -31,14 +36,19 @@ mutants, keyed by module and function:
   * clip:      the se_max cap on the per-stream rate dropped;
 * geometry.as_points
   * finite:    the finiteness test disabled (a NaN or infinite point passes);
+* geometry._record
+  * order:     the fields zipped with the values in reversed order,
+  * dict:      the fields set by __dict__.update, which makes the instance
+               dict that key-sharing avoids;
 * fileio._number
   * nesting:   the nesting test disabled (a list passes where a number
                belongs, and a number where a list belongs).
 
 For the unmutated copy and then for each mutant it runs
 
-    pytest tests/test_points.py tests/test_file_keys.py tests/test_paths.py \
-        tests/test_tracer.py tests/test_acceptance.py tests/test_capacity.py -q -x
+    pytest tests/test_points.py tests/test_file_keys.py tests/test_records.py \
+        tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
+        tests/test_capacity.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -60,6 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_points.py",
     "tests/test_file_keys.py",
+    "tests/test_records.py",
     "tests/test_paths.py",
     "tests/test_tracer.py",
     "tests/test_acceptance.py",
@@ -81,6 +92,9 @@ MUTANTS = {
         "occlusion": ("for f in flats:", "for f in ():", 1),
         "side": ("crosses &= denom < 0.0", "crosses &= denom > 0.0", 1),
     },
+    ("tracer", "_kept"): {
+        "seam": ("tol = 1e-9 *", "tol = 1e-6 *", 1),
+    },
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
         "roll": ('rotation_matrix("x", path.roll)', 'rotation_matrix("x", -path.roll)', 1),
@@ -93,6 +107,17 @@ MUTANTS = {
     },
     ("geometry", "as_points"): {
         "finite": ("if not np.isfinite(pts).all():", "if False:", 1),
+    },
+    ("geometry", "_record"): {
+        "order": (
+            "zip(cls.__match_args__, values)", "zip(reversed(cls.__match_args__), values)", 1
+        ),
+        "dict": (
+            "for name, value in zip(cls.__match_args__, values):\n"
+            "        object.__setattr__(obj, name, value)",
+            "obj.__dict__.update(zip(cls.__match_args__, values))",
+            1,
+        ),
     },
     ("fileio", "_number"): {
         "nesting": ("if x.ndim != depth:", "if False:", 1),

@@ -70,8 +70,9 @@ def _number(doc: dict, key: str, ndim=0):
 
 def _document(fp: IO[str]) -> dict:
     """The JSON object fp holds; its entry lists, facets and paths, must be
-    lists of objects where it has them."""
-    doc = json.load(fp)
+    lists of objects where it has them. An integer literal of 309 characters
+    or more is read as a float: past the float range it is inf, as 1e400 is."""
+    doc = json.load(fp, parse_int=lambda text: int(text) if len(text) < 309 else float(text))
     if not isinstance(doc, dict):
         raise ValueError("the file must hold a JSON object")
     for key in ("facets", "paths"):
@@ -89,7 +90,11 @@ def _gain_to_fields(gain: complex) -> tuple[float, float]:
 
 
 def _gain_from_fields(gain_db: float, phase_deg: float) -> complex:
-    return 10.0 ** (gain_db / 20.0) * cmath.exp(1j * math.radians(phase_deg))
+    try:
+        magnitude = 10.0 ** (gain_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"'gain_db' is past the float range, got {gain_db!r}") from None
+    return magnitude * cmath.exp(1j * math.radians(phase_deg))
 
 
 _ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")

@@ -71,6 +71,15 @@ def as_points(points, name: str, ndim: int | None) -> np.ndarray:
     return pts
 
 
+def _record(cls, *values):
+    """A frozen dataclass cls, its fields set in order to values unchecked, for values
+    built from checked ones; one by one, as __init__ does, so no instance dict is made."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _at_least(value, least: int, message: str) -> int:
     """value as an int; ValueError(f"{message}, got {value!r}") unless
     ``operator.index`` takes it (an int or numpy integer, not a float) and it
@@ -127,13 +136,18 @@ def euler_factor_so3(m: np.ndarray) -> tuple[float, float, float]:
     return _euler_factor(*m.tolist())
 
 
+def _orthogonal(m0, m1, m2) -> bool:
+    """M^T M = I within 1e-9 entrywise, M of rows m0, m1, m2 (float triples); a NaN fails."""
+    return all(
+        abs(m0[i] * m0[j] + m1[i] * m1[j] + m2[i] * m2[j] - (i == j)) <= 1e-9
+        for i in range(3) for j in range(i, 3)
+    )
+
+
 def _euler_factor(m0, m1, m2) -> tuple[float, float, float]:
     """euler_factor_so3 of the matrix with rows m0, m1, m2 (float triples)."""
-    for i in range(3):
-        for j in range(i, 3):
-            dot = m0[i] * m0[j] + m1[i] * m1[j] + m2[i] * m2[j]
-            if not abs(dot - (1.0 if i == j else 0.0)) <= 1e-9:  # a NaN fails too
-                raise ValueError("matrix is not orthogonal")
+    if not _orthogonal(m0, m1, m2):
+        raise ValueError("matrix is not orthogonal")
     if _det3(m0, m1, m2) < 0.0:
         raise ValueError("matrix has determinant -1, not a proper rotation")
 

@@ -27,6 +27,7 @@ from .geometry import (
     _det3,
     _dir_angles,
     _euler_factor,
+    _orthogonal,
     as_points,
     rotation_matrix,
     spherical_dir,
@@ -65,9 +66,10 @@ class ReferencePair:
 
     def matches(self, tx: np.ndarray, rx: np.ndarray) -> bool:
         """True when tx and rx are within 1e-9 * max(1, |rx_ref - tx_ref|) of it."""
-        span, d_tx, d_rx = self.rx_ref - self.tx_ref, tx - self.tx_ref, rx - self.rx_ref
-        tol = 1e-9 * max(1.0, math.sqrt(span.dot(span)))
-        return math.sqrt(d_tx.dot(d_tx)) <= tol and math.sqrt(d_rx.dot(d_rx)) <= tol
+        tx_ref, rx_ref = self.tx_ref.tolist(), self.rx_ref.tolist()
+        tol = 1e-9 * max(1.0, math.dist(tx_ref, rx_ref))
+        tx, rx = np.asarray(tx).tolist(), np.asarray(rx).tolist()
+        return math.dist(tx, tx_ref) <= tol and math.dist(rx, rx_ref) <= tol
 
 
 def _check_finite(path, names: tuple[str, ...]) -> None:
@@ -105,7 +107,8 @@ class PwaPath:
 
 @dataclass(frozen=True, eq=False)
 class RmImage:
-    """Matrix form of the reflection model: mirror image U @ tx + g."""
+    """Matrix form of the reflection model: mirror image U @ tx + g. Construction
+    checks U orthogonal and g finite; TracedPath.image's facet images skip it (_record)."""
 
     U: np.ndarray
     g: np.ndarray
@@ -114,17 +117,7 @@ class RmImage:
         u = np.asarray(self.U, dtype=float)
         if u.shape != (3, 3):
             raise ValueError("U must be a 3x3 matrix")
-        # U^T U = I within 1e-9 entrywise, from the columns' dot products
-        (a, b, c), (d, e, f), (g, h, i) = u.tolist()
-        gram = (
-            a * a + d * d + g * g - 1.0,
-            b * b + e * e + h * h - 1.0,
-            c * c + f * f + i * i - 1.0,
-            a * b + d * e + g * h,
-            a * c + d * f + g * i,
-            b * c + e * f + h * i,
-        )
-        if not all(abs(x) <= 1e-9 for x in gram):  # a NaN entry fails too
+        if not _orthogonal(*u.tolist()):
             raise ValueError("U must be orthogonal")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "g", as_points(self.g, "g", 1))
@@ -134,18 +127,24 @@ class RmImage:
         """Image of specular reflections off the planes n . x = b, (n, b) with
         unit n in the order the path meets them; none give the identity. Each
         mirrors the image so far, x -> x - 2 (n . x - b) n: U's columns by its
-        linear part, g by all of it."""
-        cols, g = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)
-        for n, b in planes:
-            nx, ny, nz = map(float, n)
+        linear part, g by all of it (_mirrored)."""
+        planes = [(tuple(map(float, n)), b) for n, b in planes]
+        for (nx, ny, nz), _ in planes:
             if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-9:
-                raise ValueError(f"mirror normal must be unit length, got {n}")
-            images = []
-            for (x, y, z), off in zip((*cols, g), (0.0, 0.0, 0.0, b)):
-                d = 2.0 * (nx * x + ny * y + nz * z - off)
-                images.append((x - d * nx, y - d * ny, z - d * nz))
-            *cols, g = images
-        return cls(U=np.array(cols).T, g=np.array(g))
+                raise ValueError(f"mirror normal must be unit length, got {(nx, ny, nz)}")
+        return cls(*_mirrored(planes))
+
+
+def _mirrored(planes) -> tuple[np.ndarray, np.ndarray]:
+    """from_planes' (U, g), n unit float triples; U F-ordered, so products round as before."""
+    cols, g = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)
+    for (nx, ny, nz), b in planes:
+        images = []
+        for (x, y, z), off in zip((*cols, g), (0.0, 0.0, 0.0, b)):
+            d = 2.0 * (nx * x + ny * y + nz * z - off)
+            images.append((x - d * nx, y - d * ny, z - d * nz))
+        *cols, g = images
+    return np.array(cols).T, np.array(g)
 
 
 @dataclass(frozen=True)

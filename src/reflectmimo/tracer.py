@@ -25,7 +25,8 @@ Two tracers share the walk and these rules:
   the Scene builds for each facet, unpacked into locals, because numpy
   call and attribute overhead dominate at one pair. Its unfolding writes
   the crossing, bounds, side and occlusion tests out inline and measures
-  the route length on the way.
+  the route length on the way. Its routes and trace_sequence's, and the
+  images of TracedPath.image, skip the constructors' re-checks (_record).
 * ``trace_pairs`` traces many pairs at once, TX and RX point arrays whose
   leading axes broadcast (paired endpoints, or every pair of two arrays):
   for a fixed facet sequence the unfolding, bounds, side and occlusion
@@ -50,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _at_least, _dir_angles, _unit3, as_points, unit
-from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage
+from .geometry import _at_least, _dir_angles, _record, _unit3, as_points, unit
+from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage, _mirrored
 
 __all__ = [
     "MAX_BOUNCES",
@@ -225,6 +226,7 @@ class Route:
 
     facet_ids lists the facet index of each interaction; it is None for
     routes loaded from external exports that do not carry facet identities.
+    Construction checks both; trace_paths' and trace_sequence's routes skip it (_record).
     """
 
     vertices: np.ndarray
@@ -269,8 +271,8 @@ class TracedPath:
         ids = self.route.facet_ids
         if self.scene is None or ids is None:
             return None
-        planes = self.scene._planes
-        return RmImage.from_planes((planes[i][1:4], planes[i][4]) for i in ids)
+        planes = self.scene._planes  # unit normals: Facet checked them
+        return _record(RmImage, *_mirrored((planes[i][1:4], planes[i][4]) for i in ids))
 
 
 def route_length(route: Route) -> float:
@@ -533,7 +535,7 @@ def trace_sequence(
         ax, ay, az = images[0]
         images.insert(0, _mirror(images[0], 2.0 * (nx * ax + ny * ay + nz * az - b), nx, ny, nz))
     found = _unfold(hits, sequence, images, txf, flats if check_occlusion else ())
-    return None if found is None else Route(np.array(found[0]), sequence)
+    return None if found is None else _record(Route, np.array(found[0]), tuple(map(int, sequence)))
 
 
 def _unfold(flats, sequence, images, txf, occluders):
@@ -625,7 +627,7 @@ def trace_paths(
             accepted.append((seq, np.array(found[0]), found[1]))
     paths = []
     for seq, vertices, _, length in _kept(accepted, _FLOAT_OPS):
-        route = Route(vertices, seq)
+        route = _record(Route, vertices, seq)
         gain = _gain(scene, length, len(seq), _FLOAT_OPS)
         paths.append(TracedPath(route=route, gain=gain, delay=length / C_LIGHT, scene=scene))
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))

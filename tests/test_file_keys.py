@@ -119,7 +119,12 @@ SHAPE_CASES = {
     "nested once more": lambda v, ndim: [v],
     "ragged": lambda v, ndim: [v[0][:-1], *v[1:]] if ndim == 2 else None,
 }
-ENTRY_CASES = {"true": True, "string": "1", "null": None, "nan": math.nan, "inf": math.inf}
+# 10**400 is written as an integer literal past the float range: it must be
+# read as inf, as 1e400 is, not end in an OverflowError or pass as a count
+ENTRY_CASES = {
+    "true": True, "string": "1", "null": None, "nan": math.nan, "inf": math.inf,
+    "past the float range": 10**400,
+}
 # a null half-extent is an unbounded facet side
 NULLABLE = {"half_u", "half_v"}
 
@@ -144,9 +149,11 @@ def _cases():
             for case, entry in ENTRY_CASES.items():
                 if case == "null" and key in NULLABLE:
                     continue
-                if isinstance(entry, float):  # non-finite
+                if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                    # not finite; an integer past the float range reads as inf
+                    shown = entry if isinstance(entry, float) else math.inf
                     message = (
-                        f"config key '{key}': expected an integer, got {entry!r}" if ndim is int
+                        f"config key '{key}': expected an integer, got {shown!r}" if ndim is int
                         else f"non-finite '{key}' in file"
                     )
                 else:
@@ -229,4 +236,14 @@ def test_models_must_be_a_list_of_names(kind, models, tmp_path, capsys):
     # "pwa" was split into letters: unknown model(s) ['a', 'p', 'w']
     doc = dict(FILES[kind][0], models=models)
     message = f"'models' must be a list of model names, got {models!r}"
+    _check(kind, json.dumps(doc), message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("gain_db", [7000.0, 1e300])
+@pytest.mark.parametrize("kind", ["paths", "model"])
+def test_gain_past_the_float_range_is_rejected(kind, gain_db, tmp_path, capsys):
+    # 10 ** (gain_db / 20) ended in an OverflowError, and the command in exit 1
+    doc = json.loads(json.dumps(FILES[kind][0]))
+    doc["paths"][-1]["gain_db"] = gain_db
+    message = f"'gain_db' is past the float range, got {gain_db!r}"
     _check(kind, json.dumps(doc), message, tmp_path, capsys)

@@ -280,6 +280,31 @@ class TestDuplicateRoutes:
         assert [p.route.facet_ids for p in paths] == [(), (0,)]
         assert paths[1].delay * C_LIGHT == pytest.approx(math.sqrt(116.0), rel=1e-12)
 
+    @pytest.mark.parametrize("strip_first", [True, False])
+    def test_tiles_a_micrometre_apart_keep_both_routes(self, strip_first):
+        # A floor and, 1 um above it, a strip 2 um wide along x that holds
+        # its own specular point but neither point where the floor's route
+        # crosses its plane (3.3 um either side of the floor's point). The
+        # two routes differ by about 0.6 um in length and 1 um at the bounce,
+        # over 1e-9 of their 10.4 m: the seam rule keeps both, where a
+        # tolerance of 1e-6 of the length would drop the second.
+        tx, rx, lift = np.array([-5.0, 0.0, 2.0]), np.array([5.0, 0.0, 1.0]), 1e-6
+        x_strip = -5.0 + 10.0 * (2.0 - lift) / (3.0 - 2.0 * lift)  # its specular point
+        ex, ey = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        floor = Facet(np.zeros(3), ex, ey, half_u=10.0, half_v=10.0)
+        strip = Facet(np.array([x_strip, 0.0, lift]), ex, ey, half_u=1e-6, half_v=1.0)
+        facets = (strip, floor) if strip_first else (floor, strip)
+        scene = Scene(facets=facets, carrier_freq=140e9)
+        paths = trace_paths(scene, tx, rx, max_bounces=1)
+        lengths = {p.route.facet_ids: p.delay * C_LIGHT for p in paths}
+        i_strip, i_floor = facets.index(strip), facets.index(floor)
+        assert sorted(lengths) == [(), (0,), (1,)]
+        assert lengths[(i_floor,)] == pytest.approx(math.sqrt(109.0), rel=1e-15)
+        strip_length = math.hypot(10.0, 3.0 - 2.0 * lift)
+        assert lengths[(i_strip,)] == pytest.approx(strip_length, rel=1e-15)
+        traced = assert_pairs_match_scalar(scene, tx[None], rx[None], 1)
+        assert sorted(seq for seq, _, _ in traced) == [(), (0,), (1,)]
+
     def test_equal_length_paths_are_kept(self):
         # Mirror-symmetric walls: each delay occurs twice, on distinct routes.
         walls = tuple(
