@@ -6,14 +6,16 @@ with the scalar one in tests/test_tracer.py, in the stream-rate kernel,
 through the closed-form and rho-loop checks of tests/test_capacity.py, in
 the one check of a point, through the table of every point entry in
 tests/test_points.py, in the one reader of a file's numbers, through the
-table of every file key in tests/test_file_keys.py, in the seam rule's
+table of every file key in tests/test_file_keys.py, in the check of a
+file's keys, through its unknown-key cases there, in the link budget's
+power range, through its out-of-range budgets there, in the seam rule's
 tolerance, through the tiles a micrometre apart in tests/test_tracer.py,
 and in the unchecked construction of the tracers' own records, through
 their public twins in tests/test_records.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
-into a temporary directory and, one at a time, applies there each of sixteen
-mutants, keyed by module and function:
+into a temporary directory and, one at a time, applies there each of
+eighteen mutants, keyed by module and top-level function or class:
 
 * tracer._unfold
   * side:      the side test flipped (a one-sided facet reflects from its back),
@@ -34,6 +36,9 @@ mutants, keyed by module and function:
   * streams:   row k of the stream table sums k + 1 streams at power P/k;
 * capacity._stream_rates
   * clip:      the se_max cap on the per-stream rate dropped;
+* capacity.LinkBudget
+  * range:     the range test of the powers in watts disabled (an infinite
+               or zero power passes);
 * geometry.as_points
   * finite:    the finiteness test disabled (a NaN or infinite point passes);
 * geometry._record
@@ -42,7 +47,9 @@ mutants, keyed by module and function:
                dict that key-sharing avoids;
 * fileio._number
   * nesting:   the nesting test disabled (a list passes where a number
-               belongs, and a number where a list belongs).
+               belongs, and a number where a list belongs);
+* fileio._check_keys
+  * unknown:   the key test disabled (a key the kind does not hold passes).
 
 For the unmutated copy and then for each mutant it runs
 
@@ -60,6 +67,7 @@ check cannot run: a mutant no longer matches the source, or the unmutated
 copy fails.
 """
 
+import re
 import shutil
 import subprocess
 import sys
@@ -77,7 +85,7 @@ TESTS = [
     "tests/test_capacity.py",
 ]
 
-# (module, function) -> {name: (text in the function, replacement, occurrences)}
+# (module, function or class) -> {name: (text in it, replacement, occurrences)}
 MUTANTS = {
     ("tracer", "_unfold"): {
         "side": ("and denom >= 0.0:", "and denom <= 0.0:", 1),
@@ -105,6 +113,9 @@ MUTANTS = {
     ("capacity", "_stream_rates"): {
         "clip": ("np.minimum(snr, model.se_max, out=snr)", "snr", 1),
     },
+    ("capacity", "LinkBudget"): {
+        "range": ("if not 0.0 < watts < math.inf:", "if False:", 1),
+    },
     ("geometry", "as_points"): {
         "finite": ("if not np.isfinite(pts).all():", "if False:", 1),
     },
@@ -122,16 +133,22 @@ MUTANTS = {
     ("fileio", "_number"): {
         "nesting": ("if x.ndim != depth:", "if False:", 1),
     },
+    ("fileio", "_check_keys"): {
+        "unknown": ("if key not in keys:", "if False:", 1),
+    },
 }
 
 
+_TOP_LEVEL = re.compile(r"^(?:def|class) ", re.M)
+
+
 def mutate(source: str, function: str, old: str, new: str, count: int) -> str:
-    """source with old replaced by new inside the top-level function, which
-    must hold old exactly count times."""
-    start = source.index(f"\ndef {function}(")
-    end = source.find("\ndef ", start + 1)
-    if end < 0:  # the module's last function
-        end = len(source)
+    """source with old replaced by new inside the top-level function or
+    class, up to the next top-level def or class, which must hold old
+    exactly count times."""
+    start = re.search(rf"^(?:def|class) {function}\b", source, re.M).start()
+    following = _TOP_LEVEL.search(source, start + 1)
+    end = len(source) if following is None else following.start()  # the module's last
     body = source[start:end]
     if body.count(old) != count:
         raise SystemExit(f"mutant {old!r} -> {new!r} no longer matches {function}")

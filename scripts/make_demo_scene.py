@@ -4,8 +4,8 @@
 * corridor.json     2 km ground+wall corridor; displacement error experiment
 * blocked.json      25 m wall-bounce link with the LOS shadowed; capacity sweep
 
-The configs feed scripts/run_displacement.py and scripts/run_capacity.py (or
-the `reflectmimo experiment ...` subcommands directly).
+The configs feed the `reflectmimo experiment displacement` and
+`reflectmimo experiment capacity` commands, which write demo/*.csv.
 """
 
 import argparse

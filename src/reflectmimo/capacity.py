@@ -53,6 +53,20 @@ class LinkBudget:
             raise ValueError("bandwidth must be positive")
         if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.noise_figure_db)):
             raise ValueError("transmit power and noise figure must be finite")
+        # 10 ** (x / 10) leaves the float range past x = 308.25 * 10 and
+        # its watts reach 0.0 below about -3200 dBm; a subnormal bandwidth
+        # takes the noise power to 0.0 too
+        for power, keys in (
+            ("tx_power_w", ("tx_power_dbm",)),
+            ("noise_power_w", ("noise_figure_db", "bandwidth_hz")),
+        ):
+            try:
+                watts = getattr(self, power)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                given = ", ".join(f"{key!r} = {getattr(self, key)!r}" for key in keys)
+                raise ValueError(f"{power} must be positive and finite, got {watts!r} from {given}")
 
     @property
     def tx_power_w(self) -> float:

@@ -2,8 +2,11 @@
 and run the displacement/capacity experiments on JSON scene files.
 
 ``displacement_from_config`` and ``capacity_from_config`` map a JSON
-experiment config to the library call; the experiment commands and the
-scripts under ``scripts/`` share them, so a config means the same to both.
+experiment config to the library call, rejecting a key the config kind does
+not hold. ``experiment displacement`` writes the per-sample error table and
+prints the median error by model and displacement on stderr; ``experiment
+capacity`` writes the sweep table and prints each model's trace count and
+worst relative deviation of the band-averaged rate from ``exhaustive``.
 """
 
 from __future__ import annotations
@@ -127,8 +130,11 @@ def _load_config(path: str) -> dict:
         return fileio._document(fp)
 
 
+_REF_KEYS = ("tx_ref", "rx_ref")
+
+
 def _config_ref(cfg: dict) -> ReferencePair:
-    return ReferencePair(**{key: fileio._number(cfg, key, 1) for key in ("tx_ref", "rx_ref")})
+    return ReferencePair(**{key: fileio._number(cfg, key, 1) for key in _REF_KEYS})
 
 
 def _model_names(cfg: dict) -> tuple[str, ...]:
@@ -174,6 +180,8 @@ def _config_kwargs(cfg: dict, keys: dict) -> dict:
 def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:
     """displacement_experiment on scene with the parameters an experiment
     config sets."""
+    keys = _REF_KEYS + (*_SPEC_KEYS, *_DISPLACEMENT_KEYS)
+    fileio._check_keys(cfg, keys, "a displacement config")
     return displacement_experiment(
         scene,
         _config_ref(cfg),
@@ -185,6 +193,8 @@ def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:
 def capacity_from_config(scene: Scene, cfg: dict) -> tuple[list[SweepCell], dict[str, int]]:
     """capacity_sweep on scene with the parameters an experiment config sets;
     the rotations default to a full turn in 15 degree steps."""
+    keys = _REF_KEYS + ("rotations_deg", *_BUDGET_KEYS, *_RATE_KEYS, *_SWEEP_KEYS)
+    fileio._check_keys(cfg, keys, "a capacity config")
     degrees = _DEFAULT_ROTATIONS_DEG
     if "rotations_deg" in cfg:
         degrees = fileio._number(cfg, "rotations_deg", 1)
@@ -203,7 +213,24 @@ def _cmd_exp_displacement(args: argparse.Namespace) -> int:
     records = displacement_from_config(_load_scene(args.scene), _load_config(args.config))
     with _open_out(args.out) as fp:
         fileio.write_error_csv(records, fp)
+    eps: dict[float, dict[str, list[float]]] = {}
+    for r in records:
+        eps.setdefault(r.distance, {}).setdefault(r.model, []).append(r.epsilon)
+    models = tuple(dict.fromkeys(r.model for r in records))
+    lines = ["median epsilon by displacement"]
+    lines.append("distance_m " + " ".join(f"{m:>10s}" for m in models))
+    for dist, by_model in eps.items():
+        medians = " ".join(f"{np.median(by_model[m]):10.2e}" for m in models)
+        lines.append(f"{dist:10.3f} {medians}")
+    print("\n".join(lines), file=sys.stderr)
     return 0
+
+
+def _relative(x: float, ref: float) -> float:
+    """|x - ref| / ref; 0 or inf where ref is 0."""
+    if ref == 0.0:
+        return 0.0 if x == 0.0 else math.inf
+    return abs(x - ref) / ref
 
 
 def _cmd_exp_capacity(args: argparse.Namespace) -> int:
@@ -212,6 +239,15 @@ def _cmd_exp_capacity(args: argparse.Namespace) -> int:
         fileio.write_capacity_csv(cells, fp)
     for name, count in counts.items():
         print(f"trace count {name}: {count}", file=sys.stderr)
+    se: dict[float, dict[str, float]] = {}
+    for c in cells:
+        se.setdefault(c.rotation, {})[c.model] = c.se_avg
+    if "exhaustive" in counts:
+        for name in counts:
+            if name != "exhaustive":
+                worst = max(_relative(row[name], row["exhaustive"]) for row in se.values())
+                print(f"worst |SE_{name} - SE_exhaustive| / SE_exhaustive: {100 * worst:.2f}%",
+                      file=sys.stderr)
     return 0
 
 

@@ -98,19 +98,12 @@ class ErrorRecord(NamedTuple):
 
 
 def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count random unit directions, (count, 3).
-
-    Standard normal triples are drawn in sequence; one of norm <= 1e-6 is
-    dropped and the shortfall drawn from the same stream, so the result and
-    the generator's state are those of count draws of one triple at a time.
-    """
-    units = np.empty((0, 3))
-    while len(units) < count:
-        v = rng.standard_normal((count - len(units), 3))
-        n = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        kept = n > 1e-6
-        units = np.concatenate((units, v[kept] / n[kept, None]))
-    return units
+    """count random unit directions, (count, 3): standard normal triples
+    drawn in sequence, each scaled to unit length, so the result and the
+    generator's state are those of count draws of one triple at a time."""
+    v = rng.standard_normal((count, 3))
+    n = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    return v / n[:, None]
 
 
 def _check_models(models: Sequence[str], known: Sequence[str]) -> None:

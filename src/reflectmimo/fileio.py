@@ -82,6 +82,14 @@ def _document(fp: IO[str]) -> dict:
     return doc
 
 
+def _check_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """ValueError naming the first key of doc, the object where names, that
+    keys does not hold: a misspelled key would fall back on a default."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
 def _gain_to_fields(gain: complex) -> tuple[float, float]:
     mag = abs(gain)
     if mag <= 0.0:
@@ -98,6 +106,7 @@ def _gain_from_fields(gain_db: float, phase_deg: float) -> complex:
 
 
 _ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")
+_PWA_KEYS = ("gain_db", "phase_deg", *(f"{a}_deg" for a in _ANGLES))
 
 
 def _pwa_to_fields(path: PwaPath, delay_key: str) -> dict:
@@ -125,6 +134,10 @@ def _vec(x) -> list[float]:
 # ---------------------------------------------------------------------------
 # scene JSON
 
+# The keys of a scene file and of its facets, as save_scene writes them.
+_SCENE_KEYS = ("carrier_hz", "reflection_loss_db", "facets")
+_FACET_KEYS = ("center", "axis_u", "axis_v", "half_u", "half_v", "two_sided")
+
 
 def save_scene(scene: Scene, fp: IO[str]) -> None:
     doc = {
@@ -149,8 +162,12 @@ def save_scene(scene: Scene, fp: IO[str]) -> None:
 def load_scene(fp: IO[str]) -> Scene:
     """The scene a scene JSON file describes. A key the file leaves out, or
     a null (unbounded) half-extent, is not passed, so the defaults are
-    those of Facet and Scene, which check the values."""
+    those of Facet and Scene, which check the values. A key save_scene does
+    not write is rejected by name."""
     doc = _document(fp)
+    _check_keys(doc, _SCENE_KEYS, "a scene file")
+    for f in doc.get("facets", []):
+        _check_keys(f, _FACET_KEYS, "a scene file facet")
     facets = tuple(
         Facet(
             **{key: _number(f, key, 1) for key in ("center", "axis_u", "axis_v")},
@@ -165,6 +182,10 @@ def load_scene(fp: IO[str]) -> Scene:
 
 # ---------------------------------------------------------------------------
 # traced path export JSON
+
+# The keys of a path file and of its path entries, as save_paths writes them.
+_PATHS_FILE_KEYS = ("tx", "rx", "f0_hz", "paths")
+_PATHS_KEYS = (*_PWA_KEYS, "delay_s", "route")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +237,12 @@ def save_paths(export: PathExport, fp: IO[str]) -> None:
 
 
 def load_paths(fp: IO[str]) -> PathExport:
+    """Load a path export; a key save_paths does not write is rejected by name."""
     doc = _document(fp)
+    _check_keys(doc, _PATHS_FILE_KEYS, "a path file")
     paths = []
     for e in doc["paths"]:
+        _check_keys(e, _PATHS_KEYS, "a path file path")
         pwa = PwaPath(**_pwa_from_fields(e, "delay_s"))
         route = None if e.get("route") is None else Route(vertices=_number(e, "route", 2))
         paths.append((pwa, route))
@@ -243,8 +267,9 @@ class RmExport:
     paths: tuple[RmPath, ...]
 
 
-# The keys of a model file's path entry, as save_rm writes them.
-_RM_KEYS = ("gain_db", "phase_deg", "tau_s", *(f"{a}_deg" for a in _ANGLES), "roll_deg", "s")
+# The keys of a model file and of its path entries, as save_rm writes them.
+_RM_FILE_KEYS = ("tx_ref", "rx_ref", "f0_hz", "paths")
+_RM_KEYS = (*_PWA_KEYS, "tau_s", "roll_deg", "s")
 
 
 def save_rm(export: RmExport, fp: IO[str]) -> None:
@@ -264,15 +289,14 @@ def save_rm(export: RmExport, fp: IO[str]) -> None:
 
 
 def load_rm(fp: IO[str]) -> RmExport:
-    """Load fitted parameters; a path entry with a key that save_rm does not
-    write, or a parity s other than -1 or +1, is rejected by name."""
+    """Load fitted parameters; a key that save_rm does not write, or a
+    parity s other than -1 or +1, is rejected by name."""
     doc = _document(fp)
+    _check_keys(doc, _RM_FILE_KEYS, "a model file")
     ref = ReferencePair(tx_ref=_number(doc, "tx_ref", 1), rx_ref=_number(doc, "rx_ref", 1))
     paths = []
     for e in doc["paths"]:
-        unknown = [key for key in e if key not in _RM_KEYS]
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r} in a model file path")
+        _check_keys(e, _RM_KEYS, "a model file path")
         s = _number(e, "s")
         if s not in (-1.0, 1.0):
             raise ValueError(f"'s' must be -1 or +1, got {s!r}")

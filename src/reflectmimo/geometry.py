@@ -13,8 +13,6 @@ import operator
 import numpy as np
 
 __all__ = [
-    "dir_to_angles",
-    "euler_factor_so3",
     "rotation_matrix",
     "spherical_dir",
     "unit",
@@ -122,20 +120,6 @@ def _det3(r0, r1, r2) -> float:
     )
 
 
-def euler_factor_so3(m: np.ndarray) -> tuple[float, float, float]:
-    """Factor a rotation as M = R_x(gamma) @ R_y(theta) @ R_z(-phi).
-
-    Returns (gamma, theta, phi) with theta in [-pi/2, pi/2] and gamma, phi in
-    (-pi, pi]. Near gimbal lock (|cos theta| < 1e-9) the split between gamma
-    and phi is not unique and the canonical solution with gamma = 0 is
-    returned. Raises ValueError when M is not a proper rotation.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    return _euler_factor(*m.tolist())
-
-
 def _orthogonal(m0, m1, m2) -> bool:
     """M^T M = I within 1e-9 entrywise, M of rows m0, m1, m2 (float triples); a NaN fails."""
     return all(
@@ -145,7 +129,14 @@ def _orthogonal(m0, m1, m2) -> bool:
 
 
 def _euler_factor(m0, m1, m2) -> tuple[float, float, float]:
-    """euler_factor_so3 of the matrix with rows m0, m1, m2 (float triples)."""
+    """Factor the rotation M with rows m0, m1, m2 (float triples) as
+    M = R_x(gamma) @ R_y(theta) @ R_z(-phi).
+
+    Returns (gamma, theta, phi) with theta in [-pi/2, pi/2] and gamma, phi in
+    (-pi, pi]. Near gimbal lock (|cos theta| < 1e-9) the split between gamma
+    and phi is not unique and the canonical solution with gamma = 0 is
+    returned. Raises ValueError when M is not a proper rotation.
+    """
     if not _orthogonal(m0, m1, m2):
         raise ValueError("matrix is not orthogonal")
     if _det3(m0, m1, m2) < 0.0:
@@ -171,20 +162,9 @@ def spherical_dir(azimuth: float, elevation: float) -> np.ndarray:
     return np.array([ca * ce, sa * ce, se])
 
 
-def dir_to_angles(u: np.ndarray) -> tuple[float, float]:
-    """(azimuth, elevation) of a unit vector; inverse of spherical_dir.
-
-    At the poles the azimuth is undefined and 0 is returned.
-    """
-    u = np.asarray(u, dtype=float)
-    n = math.sqrt(u.dot(u))
-    if not abs(n - 1.0) <= 1e-9:
-        raise ValueError(f"direction must be unit length, got |u| = {n}")
-    return _dir_angles(float(u[0]), float(u[1]), float(u[2]))
-
-
 def _dir_angles(x: float, y: float, z: float) -> tuple[float, float]:
-    """dir_to_angles of the unit vector (x, y, z)."""
+    """(azimuth, elevation) of the unit vector (x, y, z); inverse of
+    spherical_dir. At the poles the azimuth is undefined and 0 is returned."""
     elevation = math.asin(max(-1.0, min(1.0, z)))
     if math.hypot(x, y) < _POLE_EPS:
         return 0.0, elevation

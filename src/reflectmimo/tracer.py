@@ -238,7 +238,8 @@ class Route:
             raise ValueError(f"vertices must hold at least the TX and RX points, got {v.shape}")
         object.__setattr__(self, "vertices", v)
         if self.facet_ids is not None:
-            ids = tuple(int(i) for i in self.facet_ids)
+            message = "facet_ids must hold facet indices"
+            ids = tuple(_at_least(i, 0, message) for i in self.facet_ids)
             if len(ids) != v.shape[0] - 2:
                 raise ValueError("facet_ids must name every interaction point")
             object.__setattr__(self, "facet_ids", ids)
@@ -522,8 +523,9 @@ def trace_sequence(
     path to displaced endpoints, stays geometric. Mirrors as in _walk.
     """
     flats = scene._flats
+    sequence = tuple(_at_least(i, 0, "sequence must hold facet indices") for i in sequence)
     for idx in sequence:
-        if not 0 <= idx < len(flats):
+        if idx >= len(flats):
             raise ValueError(f"facet index {idx} out of range")
     bounds = {} if check_bounds else {"half_u": None, "half_v": None}
     side = {} if check_side else {"two_sided": True}
@@ -535,7 +537,7 @@ def trace_sequence(
         ax, ay, az = images[0]
         images.insert(0, _mirror(images[0], 2.0 * (nx * ax + ny * ay + nz * az - b), nx, ny, nz))
     found = _unfold(hits, sequence, images, txf, flats if check_occlusion else ())
-    return None if found is None else _record(Route, np.array(found[0]), tuple(map(int, sequence)))
+    return None if found is None else _record(Route, np.array(found[0]), sequence)
 
 
 def _unfold(flats, sequence, images, txf, occluders):

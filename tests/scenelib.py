@@ -43,14 +43,13 @@ from reflectmimo import (
     Scene,
     TracedPath,
     align_rotation,
-    dir_to_angles,
-    euler_factor_so3,
     make_facet,
     rotation_matrix,
     to_pwa,
     trace_paths,
     z_reflection,
 )
+from reflectmimo.geometry import _dir_angles, _euler_factor
 
 # The tracer's slack: an interaction point must lie strictly inside its
 # segment, more than _SLACK of the segment parameter from either end, and
@@ -335,10 +334,10 @@ def image_to_angles(img: RmImage, ref: ReferencePair, gain: complex = 0j) -> RmP
     dist = math.sqrt(d0.dot(d0))
     if dist < 1e-12:
         raise ValueError("transmitter image coincides with the reference receiver")
-    aoa_az, aoa_el = dir_to_angles(-d0 / dist)
+    aoa_az, aoa_el = _dir_angles(*(-d0 / dist).tolist())
     w = -(rotation_matrix("y", aoa_el) @ rotation_matrix("z", -aoa_az)) @ img.U
     s = int(round(float(np.linalg.det(w))))
-    roll, aod_el, aod_az = euler_factor_so3(z_reflection(s) @ w)
+    roll, aod_el, aod_az = _euler_factor(*(z_reflection(s) @ w).tolist())
     return RmPath(gain, dist / C_LIGHT, aoa_az, aoa_el, aod_az, aod_el, roll, s)
 
 

@@ -345,24 +345,6 @@ def _random_unit(rng):
             return v / n
 
 
-class ZeroedTriples:
-    """A generator whose standard normal stream has the triples at the given
-    positions replaced by zero vectors, which a direction draw rejects."""
-
-    def __init__(self, seed, zeroed):
-        self.rng = np.random.default_rng(seed)
-        self.zeroed = zeroed
-        self.drawn = 0
-
-    def standard_normal(self, size):
-        v = self.rng.standard_normal(size).reshape(-1, 3)
-        for k in range(len(v)):
-            if self.drawn + k in self.zeroed:
-                v[k] = 0.0
-        self.drawn += len(v)
-        return v.reshape(size)
-
-
 class TestRandomUnits:
     """The batched direction draw against one-at-a-time draws, bit for bit."""
 
@@ -375,15 +357,6 @@ class TestRandomUnits:
         assert got.shape == (count, 3)
         assert got.tobytes() == want.tobytes()
         assert batch.bit_generator.state == loop.bit_generator.state
-
-    @pytest.mark.parametrize("zeroed", [{0, 4}, {0, 4, 6}])
-    def test_rejected_triples_are_redrawn_from_the_stream(self, zeroed):
-        batch, loop = ZeroedTriples(5, zeroed), ZeroedTriples(5, zeroed)
-        got = _random_units(batch, 6)
-        want = np.array([_random_unit(loop) for _ in range(6)])
-        assert got.tobytes() == want.tobytes()
-        assert batch.drawn == loop.drawn == 6 + len(zeroed)
-        assert batch.rng.bit_generator.state == loop.rng.bit_generator.state
 
 
 def fits_and_draws(scene, ref, spec, bandwidth, n_freq, max_bounces):

@@ -9,6 +9,10 @@ the file's loader must raise a ValueError naming the key, and the command
 that reads the file must exit 2 with that error line. Before the reader
 took a shape, a list where a number belongs ended in a TypeError, and a
 number where a list belongs in a TypeError or a wrongly shaped value.
+
+Every kind rejects a key it does not hold by name, at the top level and in
+an entry, and a capacity config's link budget must give powers in watts
+that are positive and finite.
 """
 
 import io
@@ -19,7 +23,9 @@ import re
 import numpy as np
 import pytest
 
-from reflectmimo import ReferencePair, Scene, fit_rm_rt, make_facet, to_pwa, trace_paths
+from reflectmimo import (
+    LinkBudget, ReferencePair, Scene, fit_rm_rt, make_facet, to_pwa, trace_paths,
+)
 from reflectmimo import cli, fileio
 from reflectmimo.cli import main
 
@@ -247,3 +253,54 @@ def test_gain_past_the_float_range_is_rejected(kind, gain_db, tmp_path, capsys):
     doc["paths"][-1]["gain_db"] = gain_db
     message = f"'gain_db' is past the float range, got {gain_db!r}"
     _check(kind, json.dumps(doc), message, tmp_path, capsys)
+
+
+# kind -> a misspelled key, the entry list it is set in (None for the top
+# level) and the object the error names. Each loader took a key it does not
+# know for one it left out: a facet with "half_uu" was unbounded along u,
+# "reflection_los_db" left the 3 dB default, and a config's "n_freqs" ran at
+# the default of 10 frequencies. A model file's path entry is covered by
+# test_fileio_cli's unknown-key test, which it already failed.
+UNKNOWN_KEYS = [
+    ("scene", "reflection_los_db", None, "a scene file"),
+    ("scene", "half_uu", "facets", "a scene file facet"),
+    ("paths", "f0", None, "a path file"),
+    ("paths", "delay", "paths", "a path file path"),
+    ("model", "ref", None, "a model file"),
+    ("displacement", "n_freqs", None, "a displacement config"),
+    ("capacity", "rotation_deg", None, "a capacity config"),
+]
+
+
+@pytest.mark.parametrize("kind, key, entries, where", UNKNOWN_KEYS)
+def test_unknown_key_is_rejected_by_name(kind, key, entries, where, tmp_path, capsys):
+    doc = json.loads(json.dumps(FILES[kind][0]))
+    holder = doc if entries is None else doc[entries][-1]
+    holder[key] = 1.0
+    _check(kind, json.dumps(doc), f"unknown key {key!r} in {where}", tmp_path, capsys)
+
+
+# A capacity config's budget value -> the power in watts it takes out of the
+# float range (an OverflowError from 10 ** (x / 10)) or to 0.0, a noise power
+# the rate kernel divided by (a ZeroDivisionError), each a traceback and exit 1.
+BUDGET_CASES = [
+    *[("tx_power_dbm", x, "tx_power_w", math.inf) for x in (1e20, 1e300, 1e308)],
+    *[("noise_figure_db", x, "noise_power_w", math.inf) for x in (1e20, 1e300, 1e308)],
+    *[("noise_figure_db", x, "noise_power_w", 0.0) for x in (-1e20, -1e308)],
+    ("bandwidth_hz", 5e-324, "noise_power_w", 0.0),
+]
+# each power in watts -> the budget values it is made of
+BUDGET_KEYS = {
+    "tx_power_w": ("tx_power_dbm",), "noise_power_w": ("noise_figure_db", "bandwidth_hz"),
+}
+
+
+@pytest.mark.parametrize("key, value, power, watts", BUDGET_CASES)
+def test_budget_power_out_of_range_is_rejected(key, value, power, watts, tmp_path, capsys):
+    doc = dict(FILES["capacity"][0], **{key: value})
+    given = ", ".join(f"{name!r} = {doc[name]!r}" for name in BUDGET_KEYS[power])
+    message = f"{power} must be positive and finite, got {watts!r} from {given}"
+    assert f"{key!r} = {value!r}" in message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinkBudget(**{name: doc[name] for keys in BUDGET_KEYS.values() for name in keys})
+    _check("capacity", json.dumps(doc), message, tmp_path, capsys)

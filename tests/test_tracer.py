@@ -19,7 +19,6 @@ from reflectmimo import (
     Route,
     Scene,
     TracedPath,
-    dir_to_angles,
     make_facet,
     route_length,
     spherical_dir,
@@ -31,6 +30,7 @@ from reflectmimo import (
 )
 from reflectmimo import tracer, upa
 from reflectmimo.fileio import load_scene
+from reflectmimo.geometry import _dir_angles
 from reflectmimo.tracer import _T_EPS
 from scenelib import (
     blocked,
@@ -97,6 +97,42 @@ class TestTypes:
     def test_route_facet_id_count_checked(self):
         with pytest.raises(ValueError):
             Route(vertices=np.zeros((2, 3)), facet_ids=(0,))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, -1, np.float64(0.0), "0"])
+    def test_route_facet_id_must_be_an_index(self, bad):
+        # 1.7 was stored as 1, and -1 as given, for TracedPath.image to index with
+        vertices = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 0.0], [4.0, 0.0, 1.0]])
+        message = f"facet_ids must hold facet indices, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Route(vertices=vertices, facet_ids=(bad,))
+
+    def test_route_facet_ids_take_numpy_integers(self):
+        vertices = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 0.0], [4.0, 0.0, 1.0]])
+        route = Route(vertices=vertices, facet_ids=np.array([3]))
+        assert route.facet_ids == (3,) and type(route.facet_ids[0]) is int
+
+    @pytest.mark.parametrize("sequence", [(0.0,), (0.0, 1.0), (-1,), (np.float64(0.0),)])
+    def test_trace_sequence_takes_only_facet_indices(self, sequence):
+        # (0.0, 1.0) ended in a TypeError, and a float or negative id would
+        # have been stored in the route's facet_ids
+        scene = Scene(facets=(make_facet(np.zeros(3), EZ), make_facet((0, 0, 9.0), -EZ)),
+                      carrier_freq=1e9)
+        message = f"sequence must hold facet indices, got {sequence[0]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trace_sequence(scene, sequence, np.array([0.0, 0, 1]), np.array([4.0, 0, 1]))
+
+    def test_trace_sequence_takes_a_numpy_index_array(self):
+        # np.array([0, 1]) ended in numpy's "truth value of an array ... is ambiguous"
+        scene = Scene(facets=(make_facet(np.zeros(3), EZ), make_facet((0, 0, 9.0), -EZ)),
+                      carrier_freq=1e9)
+        tx, rx = np.array([0.0, 0, 1]), np.array([4.0, 0, 1])
+        got = trace_sequence(scene, np.array([0, 1]), tx, rx)
+        want = trace_sequence(scene, (0, 1), tx, rx)
+        assert got is not None and got.facet_ids == want.facet_ids == (0, 1)
+        assert type(got.facet_ids[0]) is int
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        with pytest.raises(ValueError, match="facet index 2 out of range"):
+            trace_sequence(scene, np.array([2]), tx, rx)
 
     def test_make_facet_normal_orthogonal_to_axes(self):
         f = make_facet(center=np.ones(3), normal=np.array([0.3, -1.0, 0.2]))
@@ -942,7 +978,7 @@ class TestToPwa:
         assert pwa.gain == bounce.gain
 
     def test_angles_are_the_unit_vector_pipeline(self):
-        # to_pwa works on floats; it gives dir_to_angles' bits on the numpy
+        # to_pwa works on floats; it gives _dir_angles' bits on the numpy
         # unit steps, signed zeros included, on axis-aligned routes too.
         rng = np.random.default_rng(6)
         cases = [
@@ -959,8 +995,8 @@ class TestToPwa:
             for p in trace_paths(scene, tx, rx, 2):
                 verts = p.route.vertices
                 want = (
-                    *dir_to_angles(-unit(verts[-1] - verts[-2])),
-                    *dir_to_angles(unit(verts[1] - verts[0])),
+                    *_dir_angles(*(-unit(verts[-1] - verts[-2])).tolist()),
+                    *_dir_angles(*unit(verts[1] - verts[0]).tolist()),
                 )
                 pwa = to_pwa(p, ref)
                 got = (pwa.aoa_az, pwa.aoa_el, pwa.aod_az, pwa.aod_el)
