@@ -40,11 +40,11 @@ eighteen mutants, keyed by module and top-level function or class:
   * range:     the range test of the powers in watts disabled (an infinite
                or zero power passes);
 * geometry.as_points
-  * finite:    the finiteness test disabled (a NaN or infinite point passes);
+  * finite:    the coordinate test disabled (a NaN, infinite or past-reach
+               point passes);
 * geometry._record
   * order:     the fields zipped with the values in reversed order,
-  * dict:      the fields set by __dict__.update, which makes the instance
-               dict that key-sharing avoids;
+  * skip:      the last field left unset;
 * fileio._number
   * nesting:   the nesting test disabled (a list passes where a number
                belongs, and a number where a list belongs);
@@ -117,18 +117,13 @@ MUTANTS = {
         "range": ("if not 0.0 < watts < math.inf:", "if False:", 1),
     },
     ("geometry", "as_points"): {
-        "finite": ("if not np.isfinite(pts).all():", "if False:", 1),
+        "finite": ("if not abs(pts).max() < _REACH:", "if False:", 1),
     },
     ("geometry", "_record"): {
         "order": (
             "zip(cls.__match_args__, values)", "zip(reversed(cls.__match_args__), values)", 1
         ),
-        "dict": (
-            "for name, value in zip(cls.__match_args__, values):\n"
-            "        object.__setattr__(obj, name, value)",
-            "obj.__dict__.update(zip(cls.__match_args__, values))",
-            1,
-        ),
+        "skip": ("zip(cls.__match_args__, values)", "zip(cls.__match_args__[:-1], values)", 1),
     },
     ("fileio", "_number"): {
         "nesting": ("if x.ndim != depth:", "if False:", 1),

@@ -50,9 +50,15 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0.0):
-            raise ValueError("bandwidth must be positive")
-        if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.noise_figure_db)):
-            raise ValueError("transmit power and noise figure must be finite")
+            raise ValueError(
+                f"bandwidth must be positive and finite, got 'bandwidth_hz' = {self.bandwidth_hz!r}"
+            )
+        for key in ("tx_power_dbm", "noise_figure_db"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(
+                    "transmit power and noise figure must be finite, "
+                    f"got {key!r} = {getattr(self, key)!r}"
+                )
         # 10 ** (x / 10) leaves the float range past x = 308.25 * 10 and
         # its watts reach 0.0 below about -3200 dBm; a subnormal bandwidth
         # takes the noise power to 0.0 too
@@ -89,8 +95,12 @@ class RateModel:
     se_max: float = 4.8
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x > 0.0 for x in (self.alpha, self.se_max)):
-            raise ValueError("rate model constants must be positive")
+        for key in ("alpha", "se_max"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"rate model constants must be positive and finite, got {key!r} = {value!r}"
+                )
 
 
 def singular_values(h: np.ndarray) -> np.ndarray:

@@ -304,6 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command argv names. The error contract: every loader returns,
+    or raises a ValueError, or a KeyError naming a key the file lacks, and
+    main prints either as an ``error:`` line on stderr and returns 2, so a
+    run exits 0 or 2, never 1 (argparse exits 2 on a malformed command line)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

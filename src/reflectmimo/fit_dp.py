@@ -48,7 +48,7 @@ _PWA_FIELDS = tuple(f.name for f in fields(PwaPath))
 _DEG_PER_RAD = 180.0 / math.pi
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PairObservation:
     """Plane-wave path list observed at one TX/RX pair."""
 
@@ -62,7 +62,7 @@ class PairObservation:
         object.__setattr__(self, "paths", tuple(self.paths))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaSolution:
     """Roll/parity estimate for one reference path.
 

@@ -55,23 +55,28 @@ def _unit3(v: np.ndarray) -> tuple[float, float, float]:
 # any array of points.
 _POINT_SHAPES = {1: "(3,)", 2: "(K, 3) with K >= 1", None: "(..., 3) with at least one point"}
 
+# A point's coordinates are under this magnitude, in meters, so that the
+# squared distance of two points, and so every distance and phase, stays in
+# the float range.
+_REACH = 1e150
+
 
 def as_points(points, name: str, ndim: int | None) -> np.ndarray:
     """points as a float array of shape (..., 3) that holds at least one
-    point, all finite, with ndim axes: 1 for one point, 2 for an antenna
-    array (K, 3), None for any number. The one check of a point; a
-    ValueError names the argument otherwise."""
+    point, all finite and under _REACH in magnitude, with ndim axes: 1 for
+    one point, 2 for an antenna array (K, 3), None for any number. The one
+    check of a point; a ValueError names the argument otherwise."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (3,) or pts.size == 0 or ndim not in (None, pts.ndim):
         raise ValueError(f"{name} must have shape {_POINT_SHAPES[ndim]}, got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError(f"{name} must be finite")
+    if not abs(pts).max() < _REACH:  # a NaN maximum fails the comparison
+        raise ValueError(f"{name} must be finite, each coordinate under {_REACH:g} m")
     return pts
 
 
 def _record(cls, *values):
     """A frozen dataclass cls, its fields set in order to values unchecked, for values
-    built from checked ones; one by one, as __init__ does, so no instance dict is made."""
+    built from checked ones, as __init__ does."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         object.__setattr__(obj, name, value)

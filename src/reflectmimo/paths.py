@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _REACH,
     _det3,
     _dir_angles,
     _euler_factor,
@@ -48,8 +49,12 @@ __all__ = [
 
 C_LIGHT = 299_792_458.0  # speed of light, m/s (exact)
 
+# A path's delay is under this, in seconds, so that its distance c * delay,
+# the length of the mirror image's offset, is within a point's reach.
+_MAX_DELAY = _REACH / C_LIGHT
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ReferencePair:
     """Reference TX/RX positions that anchor all extrapolation models."""
 
@@ -82,7 +87,7 @@ def _check_finite(path, names: tuple[str, ...]) -> None:
             raise ValueError(f"path {name} must be finite, got {getattr(path, name)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PwaPath:
     """Plane-wave parameters of one path at the reference pair.
 
@@ -99,13 +104,15 @@ class PwaPath:
     aod_el: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delay) and self.delay > 0.0):
-            raise ValueError(f"path delay must be positive, got {self.delay}")
+        if not 0.0 < self.delay < _MAX_DELAY:  # a NaN delay fails both
+            raise ValueError(
+                f"path delay must be positive and under {_MAX_DELAY:.3g} s, got {self.delay}"
+            )
         if not cmath.isfinite(self.gain + self.aoa_az + self.aoa_el + self.aod_az + self.aod_el):
             _check_finite(self, ("gain", "aoa_az", "aoa_el", "aod_az", "aod_el"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RmImage:
     """Matrix form of the reflection model: mirror image U @ tx + g. Construction
     checks U orthogonal and g finite; TracedPath.image's facet images skip it (_record)."""
@@ -147,7 +154,7 @@ def _mirrored(planes) -> tuple[np.ndarray, np.ndarray]:
     return np.array(cols).T, np.array(g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RmPath(PwaPath):
     """Angle form of the reflection model.
 
@@ -160,7 +167,8 @@ class RmPath(PwaPath):
     s: int
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        # slots=True remakes the class, which zero-argument super() cannot see
+        PwaPath.__post_init__(self)
         if not math.isfinite(self.roll):
             _check_finite(self, ("roll",))
         # True and 1.0 are `in (-1, 1)` too: only an int or numpy integer is

@@ -220,7 +220,7 @@ class Scene:
         return C_LIGHT / self.carrier_freq
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Route:
     """Polyline of a path: TX first, interaction points, RX last.
 
@@ -249,7 +249,7 @@ class Route:
         return self.vertices.shape[0] - 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TracedPath:
     """A traced route with its complex gain and absolute delay, length / c,
     and the scene trace_paths traced it in (None for routes from exports)."""

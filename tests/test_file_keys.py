@@ -12,9 +12,17 @@ number where a list belongs in a TypeError or a wrongly shaped value.
 
 Every kind rejects a key it does not hold by name, at the top level and in
 an entry, and a capacity config's link budget must give powers in watts
-that are positive and finite.
+that are positive and finite; a budget or rate constant out of its range
+is named with its value.
+
+Documents generated from each kind's valid one, with up to three nodes
+replaced from a fixed pool of awkward values or deleted, keep the error
+contract: the loader returns or raises a ValueError, or a KeyError naming
+a key the kind holds, and the command exits 0, or 2 with the loader's
+error line, never with a traceback.
 """
 
+import copy
 import io
 import json
 import math
@@ -22,6 +30,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from reflectmimo import (
     LinkBudget, ReferencePair, Scene, fit_rm_rt, make_facet, to_pwa, trace_paths,
@@ -304,3 +314,91 @@ def test_budget_power_out_of_range_is_rejected(key, value, power, watts, tmp_pat
     with pytest.raises(ValueError, match=re.escape(message)):
         LinkBudget(**{name: doc[name] for keys in BUDGET_KEYS.values() for name in keys})
     _check("capacity", json.dumps(doc), message, tmp_path, capsys)
+
+
+# A capacity config value its link budget or rate model rejects -> the field
+# its error names, with the value (se_max, the library's name, for
+# se_max_bpshz).
+RANGE_CASES = [
+    ("alpha", 0, "alpha"),
+    ("alpha", -0.6, "alpha"),
+    ("se_max_bpshz", -1, "se_max"),
+    ("se_max_bpshz", 0, "se_max"),
+    ("bandwidth_hz", 0, "bandwidth_hz"),
+    ("bandwidth_hz", -1e9, "bandwidth_hz"),
+]
+
+
+@pytest.mark.parametrize("key, value, field", RANGE_CASES)
+def test_rate_and_budget_range_errors_name_the_field(key, value, field, tmp_path, capsys):
+    doc = dict(FILES["capacity"][0], **{key: value})
+    _check("capacity", json.dumps(doc), f", got {field!r} = {float(value)!r}", tmp_path, capsys)
+
+
+# The values a generated document puts in place of a node, DELETE for none.
+DELETE = object()
+POOL = [
+    DELETE, 10**400, -(10**400), 1e308, 5e-324, -0.0, True, "", "1", "pwa", None, [], {},
+    [[]], [[1.0, 2.0, 3.0]], [[[0.0]]], [1.0, 2.0], [0.0, 0.0, 1.0, 2.0],
+]
+
+
+def _nodes(value, at=()):
+    """The path of every node under value, by keys and list indices."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield at + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child, at + (key,))
+
+
+def _holds(holder, key) -> bool:
+    if isinstance(holder, dict):
+        return key in holder
+    return isinstance(holder, list) and isinstance(key, int) and key < len(holder)
+
+
+def _edited(doc: dict, edits) -> dict:
+    """A copy of doc with each (path, value) of edits applied in turn; an
+    edit whose node an earlier one removed is skipped."""
+    doc = copy.deepcopy(doc)
+    for at, value in edits:
+        holder = doc
+        for key in at[:-1]:
+            holder = holder[key] if _holds(holder, key) else None
+        if _holds(holder, at[-1]):
+            if value is DELETE:
+                del holder[at[-1]]
+            else:
+                holder[at[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+@seed(29)
+@settings(
+    max_examples=100, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_generated_document_keeps_the_error_contract(kind, data, tmp_path, capsys):
+    doc = FILES[kind][0]
+    nodes = list(_nodes(doc))
+    edit = st.tuples(st.sampled_from(nodes), st.sampled_from(POOL))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(_edited(doc, data.draw(st.lists(edit, min_size=1, max_size=3)))))
+    error = None
+    try:
+        _load(kind, path)
+    except KeyError as exc:
+        assert exc.args[0] in {at[-1] for at in nodes}
+        error = f"error: {exc}\n"
+    except ValueError as exc:
+        error = f"error: {exc}\n"
+    capsys.readouterr()
+    code = main(_command(kind, path, tmp_path))
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0 or (code == 2 and err.startswith("error: "))
+    else:
+        assert code == 2 and error in err

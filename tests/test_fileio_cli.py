@@ -115,13 +115,25 @@ def with_true(doc: dict, key: str) -> str:
 
 
 # Numbers that a JSON config or scene can set to NaN or Infinity, which pass a
-# plain `<= 0` check: each must fail its constructor with the usual message.
+# plain `<= 0` check: each must fail its constructor with the usual message,
+# a budget or rate constant naming its field.
 NON_FINITE_SETTINGS = {
-    "bandwidth_hz": (lambda x: LinkBudget(bandwidth_hz=x), "bandwidth must be positive"),
-    "tx_power_dbm": (lambda x: LinkBudget(tx_power_dbm=x), "must be finite"),
-    "noise_figure_db": (lambda x: LinkBudget(noise_figure_db=x), "must be finite"),
-    "alpha": (lambda x: RateModel(alpha=x), "rate model constants must be positive"),
-    "se_max_bpshz": (lambda x: RateModel(se_max=x), "rate model constants must be positive"),
+    "bandwidth_hz": (
+        lambda x: LinkBudget(bandwidth_hz=x),
+        "bandwidth must be positive and finite, got 'bandwidth_hz' = ",
+    ),
+    "tx_power_dbm": (lambda x: LinkBudget(tx_power_dbm=x), "must be finite, got 'tx_power_dbm' = "),
+    "noise_figure_db": (
+        lambda x: LinkBudget(noise_figure_db=x), "must be finite, got 'noise_figure_db' = ",
+    ),
+    "alpha": (
+        lambda x: RateModel(alpha=x),
+        "rate model constants must be positive and finite, got 'alpha' = ",
+    ),
+    "se_max_bpshz": (
+        lambda x: RateModel(se_max=x),
+        "rate model constants must be positive and finite, got 'se_max' = ",
+    ),
     "reflection_loss_db": (
         lambda x: Scene(facets=(), carrier_freq=F0, reflection_loss_db=x),
         "reflection loss must be non-negative",

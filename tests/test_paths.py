@@ -50,6 +50,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             PwaPath(gain=1.0, delay=0.0, aoa_az=0, aoa_el=0, aod_az=0, aod_el=0)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, 1e308])
+    def test_delay_must_be_within_reach(self, delay):
+        # c * 1e308 s overflowed: angles_to_image made a NaN offset
+        with pytest.raises(ValueError, match="path delay must be positive and under 3.34e"):
+            RmPath(gain=1.0, delay=delay, aoa_az=0, aoa_el=0, aod_az=0, aod_el=0, roll=0.0, s=1)
+
     def test_rm_path_s_validated(self):
         with pytest.raises(ValueError):
             RmPath(

@@ -1,17 +1,20 @@
 """Every entry that takes a point or an array of points checks it by one
 rule, geometry.as_points: a float (..., 3) array that holds at least one
-point, all of them finite, with the number of axes the entry needs.
+point, all of them finite and each coordinate under 1e150 m, with the
+number of axes the entry needs.
 
 The table below calls each entry with one of its point arguments made
-non-finite or misshapen, and expects a ValueError that names the argument.
-Before the rule was shared, several entries let a NaN through: a NaN
-element position gave NaN channel entries, a NaN displaced pair made
-fit_rm_dp drop every path, and a NaN route vertex or mirror offset was
-stored as given.
+non-finite, finite past that reach, or misshapen, and expects a ValueError
+that names the argument. Before the rule was shared, several entries let a
+NaN through: a NaN element position gave NaN channel entries, a NaN
+displaced pair made fit_rm_dp drop every path, and a NaN route vertex or
+mirror offset was stored as given. Before it had a reach, a model file
+whose reference receiver sat at 1e308 m predicted a NaN channel: its
+squared distances overflowed.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -48,7 +51,7 @@ REF = ReferencePair(tx_ref=TX, rx_ref=RX)
 # the line-of-sight path of REF; GROUND_SCENE adds a ground bounce
 AZ = math.atan2(1.0, 6.0)
 PWA = PwaPath(1e-3 + 0j, math.dist(TX, RX) / C_LIGHT, AZ - math.pi, 0.0, AZ, 0.0)
-RM = RmPath(**vars(PWA), roll=0.0, s=-1)
+RM = RmPath(**asdict(PWA), roll=0.0, s=-1)
 GROUND_SCENE = Scene(facets=(make_facet(np.zeros(3), EZ),), carrier_freq=F0)
 ARRAYS = dict(tx_points=upa(2, 2, 0.1, center=TX), rx_points=upa(2, 2, 0.1, center=RX))
 
@@ -105,13 +108,18 @@ ENTRIES = {
 }
 
 
+# a coordinate the point check rejects, by fault
+BAD_COORDINATES = {"nan": math.nan, "inf": -math.inf, "past reach": 1e308}
+
+
 def corrupt(value, ndim: int | None, fault: str) -> np.ndarray:
-    """value with one coordinate NaN or infinite, its last axis cut to two
-    coordinates, or, for the shape, an axis added (one point, an array) or
-    every point dropped (any number of axes)."""
+    """value with one coordinate NaN, infinite or finite past the reach of
+    a point, its last axis cut to two coordinates, or, for the shape, an
+    axis added (one point, an array) or every point dropped (any number of
+    axes)."""
     bad = np.array(value, dtype=float)
-    if fault in ("nan", "inf"):
-        bad.reshape(-1)[1] = math.nan if fault == "nan" else -math.inf
+    if fault in BAD_COORDINATES:
+        bad.reshape(-1)[1] = BAD_COORDINATES[fault]
         return bad
     if fault == "coordinates":
         return bad[..., :2]
@@ -122,7 +130,7 @@ CASES = [
     pytest.param(entry, name, ndim, fault, id=f"{entry}-{name}-{fault}")
     for entry, (_, _, points) in ENTRIES.items()
     for name, ndim in points.items()
-    for fault in ("nan", "inf", "coordinates", "shape")
+    for fault in (*BAD_COORDINATES, "coordinates", "shape")
 ]
 
 
