@@ -1,22 +1,30 @@
 #!/usr/bin/env python3
 """Check that the tests catch faults in the tracer's unfolding, in the
 reflection model's angle-to-image conversion, both through their oracles in
-tests/scenelib.py, in the pair tracer's unfolding, through its agreement
-with the scalar one in tests/test_tracer.py, in the stream-rate kernel,
-through the closed-form and rho-loop checks of tests/test_capacity.py, in
-the one check of a point, through the table of every point entry in
-tests/test_points.py, in the one reader of a file's numbers, through the
-table of every file key in tests/test_file_keys.py, in the check of a
-file's keys, through its unknown-key cases there, in the link budget's
-power range, through its out-of-range budgets there, in the seam rule's
-tolerance, through the tiles a micrometre apart in tests/test_tracer.py,
-and in the unchecked construction of the tracers' own records, through
-their public twins in tests/test_records.py.
+tests/scenelib.py, in the culls of the tracer's walk, through that
+brute-force oracle and the walk's count pins in tests/test_tracer.py, in
+the pair tracer's unfolding, through its agreement with the scalar one in
+tests/test_tracer.py, in the stream-rate kernel, through the closed-form
+and rho-loop checks of tests/test_capacity.py, in the one check of a point,
+through the table of every point entry in tests/test_points.py, in the one
+reader of a file's numbers, through the table of every file key in
+tests/test_file_keys.py, in the check of a file's keys, through its
+unknown-key cases there, in the link budget's power range, through its
+out-of-range budgets there, in the seam rule's tolerance, through the tiles
+a micrometre apart in tests/test_tracer.py, and in the unchecked
+construction of the tracers' own records, through their public twins in
+tests/test_records.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
 into a temporary directory and, one at a time, applies there each of
-eighteen mutants, keyed by module and top-level function or class:
+twenty-two mutants, keyed by module and top-level function or class:
 
+* tracer._walk
+  * pad:       the second crossing's rectangle not padded by _PAD,
+  * side:      the second crossing's hit-side test inverted,
+  * middle:    the second-crossing cull disabled (only the count pins see it),
+  * faced:     the skip of a facet TX cannot meet first applied below the
+               bounce limit too, cutting the subtrees under it;
 * tracer._unfold
   * side:      the side test flipped (a one-sided facet reflects from its back),
   * slack:     a bounds slack of 0 in place of 1e-9,
@@ -87,6 +95,12 @@ TESTS = [
 
 # (module, function or class) -> {name: (text in it, replacement, occurrences)}
 MUTANTS = {
+    ("tracer", "_walk"): {
+        "pad": ("* gap", "* gap - _PAD * gap", 2),
+        "side": ("(hp > 0.0) != (z_g > 0.0)", "(hp > 0.0) == (z_g > 0.0)", 1),
+        "middle": ("middle = turns[g]", "middle = None", 1),
+        "faced": ("if leaf and not reached:", "if not reached:", 1),
+    },
     ("tracer", "_unfold"): {
         "side": ("and denom >= 0.0:", "and denom <= 0.0:", 1),
         "slack": ("+ _T_EPS:", "+ 0.0:", 2),
@@ -97,7 +111,7 @@ MUTANTS = {
         "slack": ("+ _T_EPS", "+ 0.0", 2),
     },
     ("tracer", "_unfold_batch"): {
-        "occlusion": ("for f in flats:", "for f in ():", 1),
+        "occlusion": ("for idx, f in enumerate(flats):", "for idx, f in ():", 1),
         "side": ("crosses &= denom < 0.0", "crosses &= denom > 0.0", 1),
     },
     ("tracer", "_kept"): {

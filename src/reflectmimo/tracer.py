@@ -3,22 +3,25 @@
 Serves as the ground-truth generator for synthetic scenes. It walks the
 ordered facet sequences up to a bounce limit as a tree keyed by suffix
 (_walk), so sequences with a common suffix share their receiver images. The
-walk skips only sequences that unfolding would reject: it cuts a subtree
-where an image lies behind a one-sided facet (Borish 1984) or where two
-facets face away from each other (a facet-pair table kept by each Scene),
-and yields a sequence only when TX faces its first facet and, tracing one
-pair, when the aim image lies in the cone from TX's mirror through that
-facet (the beam of Funkhouser et al. 1998, at its first reflection). What
-these culls read of a facet the Scene keeps from construction; a trace adds
-only three floats per cone. Each yielded sequence is unfolded towards those
+walk skips only sequences that unfolding would reject, by four culls: it
+cuts a subtree where an image lies behind a one-sided facet (Borish 1984)
+or where two facets face away from each other (a facet-pair table kept by
+each Scene), and yields a sequence only when TX faces its first facet and,
+tracing one pair, when the beam from TX's mirror through that facet holds
+the aim image and crosses the second facet inside its rectangle (the beam
+of Funkhouser et al. 1998, checked at its first two reflections). What
+these culls read of a facet, or of a pair of facets, the Scene keeps from
+construction; a trace adds only three floats per bounded facet, TX's
+coordinates in its frame. Each yielded sequence is unfolded towards those
 images, and its route kept only if every interaction point lies inside its
-facet, hits the reflective side, and no segment is blocked by another
-facet. The kept sequences are sorted (line of sight, bounce count,
-lexicographic) before the seam rule and the gains, so the output is that of
-trying every sequence in that order. Gains follow free-space spreading over
-the route length with a fixed per-bounce loss, phase referenced to the
-scene carrier. Each traced path keeps its scene, so its mirror image (U, g)
-composes from the planes of the facets it meets.
+facet, hits the reflective side, and no segment is blocked by a facet
+other than those it starts and ends on. The kept sequences are sorted
+(line of sight, bounce count, lexicographic) before the seam rule and the
+gains, so the output is that of trying every sequence in that order. Gains
+follow free-space spreading over the route length with a fixed per-bounce
+loss, phase referenced to the scene carrier. Each traced path keeps its
+scene, so its mirror image (U, g) composes from the planes of the facets
+it meets.
 Two tracers share the walk and these rules:
 
 * ``trace_paths`` traces one TX/RX pair on plain floats: the flat record
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -104,7 +108,9 @@ class Facet:
     crossing, bounds and side tests are the tracer's functions, on the flat
     record of plain floats (_Flat) each Scene builds from it. Facets are
     immutable, fields and arrays alike, and compare by identity. two_sided
-    must be a bool (numpy's included) and is kept as a Python bool.
+    must be a bool (numpy's included) and is kept as a Python bool; a
+    half-extent must be a positive real number that is not a bool, and is
+    kept as a float.
     """
 
     center: np.ndarray
@@ -122,9 +128,8 @@ class Facet:
         axis_v = unit(as_points(self.axis_v, "axis_v", 1))
         if abs(float(axis_u @ axis_v)) > 1e-9:
             raise ValueError("facet axes must be orthogonal")
-        for half in (self.half_u, self.half_v):
-            if half is not None and not (math.isfinite(half) and half > 0.0):
-                raise ValueError(f"facet half-extent must be positive, got {half}")
+        for name in ("half_u", "half_v"):
+            object.__setattr__(self, name, _half_extent(name, getattr(self, name)))
         if not isinstance(self.two_sided, (bool, np.bool_)):  # bool("false") is True
             raise ValueError(f"facet two_sided must be true or false, got {self.two_sided!r}")
         object.__setattr__(self, "two_sided", bool(self.two_sided))
@@ -134,6 +139,23 @@ class Facet:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "intercept", float(normal @ center))
+
+
+def _half_extent(name: str, half) -> float | None:
+    """A facet's half-extent half, named name, as a positive float; None
+    stays None. A bool (numpy's included) is not a number here: True was
+    kept as a 1 m half-extent that no scene file could hold."""
+    if half is None:
+        return None
+    value = math.nan
+    if isinstance(half, numbers.Real) and not isinstance(half, (bool, np.bool_)):
+        try:
+            value = float(half)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"facet {name} must be a positive number, got {half!r}")
+    return value
 
 
 def _flat(f: Facet) -> _Flat:
@@ -182,7 +204,10 @@ class Scene:
     each facet g in a route (_predecessors): f != g, and the segment from f
     to g can leave f's reflective side and arrive on g's (see _faces). For
     _walk's culls it keeps each facet's plane (two_sided, nx, ny, nz, b) in
-    _planes, and in _frames its centre, axes and half-extents padded by _PAD.
+    _planes; in _frames its axes, each with its dot product with the centre
+    (ux, uy, uz, u . c, vx, vy, vz, v . c), and its half-extents padded by
+    _PAD; and in _turns, for each facet g, a dict from each predecessor f to
+    the dot products of g's normal and axes with f's normal.
     """
 
     facets: tuple[Facet, ...]
@@ -192,6 +217,7 @@ class Scene:
     _predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _planes: tuple[tuple, ...] = field(init=False, repr=False)
     _frames: tuple[tuple, ...] = field(init=False, repr=False)
+    _turns: tuple[dict[int, tuple], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         facets = tuple(self.facets)
@@ -212,8 +238,9 @@ class Scene:
         )
         object.__setattr__(self, "_predecessors", predecessors)
         object.__setattr__(self, "_planes", tuple(f[:5] for f in flats))
-        padded = (tuple(None if h is None else h + _PAD for h in f[14:16]) for f in flats)
-        object.__setattr__(self, "_frames", tuple(f[5:14] + p for f, p in zip(flats, padded)))
+        object.__setattr__(self, "_frames", tuple(map(_frame, flats)))
+        turns = tuple({i: _turn(flats[i], g) for i in pred} for g, pred in zip(flats, predecessors))
+        object.__setattr__(self, "_turns", turns)
 
     @property
     def wavelength(self) -> float:
@@ -306,6 +333,21 @@ def _mirror(p, d, nx, ny, nz):
     return (p[0] - d * nx, p[1] - d * ny, p[2] - d * nz)
 
 
+def _frame(f: _Flat) -> tuple:
+    """Scene._frames' entry of facet record f."""
+    centre = (f.cx, f.cy, f.cz)
+    u, v = (f.ux, f.uy, f.uz), (f.vx, f.vy, f.vz)
+    halves = tuple(None if h is None else h + _PAD for h in (f.half_u, f.half_v))
+    return (*u, _dot(u, centre), *v, _dot(v, centre), *halves)
+
+
+def _turn(f: _Flat, g: _Flat) -> tuple[float, float, float]:
+    """Scene._turns' entry of facet record f before g: the dot products of
+    g's normal, u and v axes with f's normal."""
+    n = (f.nx, f.ny, f.nz)
+    return _dot((g.nx, g.ny, g.nz), n), _dot((g.ux, g.uy, g.uz), n), _dot((g.vx, g.vy, g.vz), n)
+
+
 def _faces(f: _Flat, g: _Flat) -> bool:
     """False only when no route segment between a point of facet f and a
     point of facet g can lie in front of f, as one that leaves or meets a
@@ -355,7 +397,7 @@ _FLOAT_OPS = _Ops(bool, math.sqrt, max, cmath.rect)
 _ARRAY_OPS = _Ops(np.any, np.sqrt, np.maximum, _rect)
 
 
-def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
+def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
     """Depth-first walk of the facet-sequence tree, keyed by suffix.
 
     Yields (sequence, images) for the sequences that can have a route, line
@@ -363,7 +405,7 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
     point of the segment arriving at interaction k. A child puts facet f in
     front of its node and mirrors the node's images[0] through f (_mirror),
     from the height of images[0] over f's plane (Scene._planes) that the
-    side cull below also reads. Three culls, each of which skips only
+    side cull below also reads. Four culls, each of which skips only
     sequences that _unfold rejects (their margins pad facets by _PAD, which
     covers _unfold's rounding):
 
@@ -374,17 +416,36 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
       segment leaving f heads, is strictly in front of it.
     * cones[f] tells whether a route from TX can meet facet f first and
       leave it towards images[0]: that truth value, or a cone of _tx_cones,
-      tested here on f's frame (Scene._frames). A child is yielded from its
-      node's loop only when it passes; a child at the bounce limit is built
-      only then, and never pushed.
+      tested here on f's frame (Scene._frames). At the bounce limit a facet
+      whose truth value is false is skipped before any arithmetic.
+    * With views, TX's coordinates in each bounded facet's frame
+      (_tx_cones), a child that passes its cone must also meet g, the
+      node's first facet. The segment leaving f lies on the line from S,
+      TX's mirror through f, to A = images[0], so that line must cross g's
+      plane inside g's rectangle padded by _PAD, the first hit P lying on
+      the side it arrives from. In g's frame let S lie at height hs and
+      in-plane coordinates (s_u, s_v), A at z_g and (x_u, x_v), and P at
+      hp = hs + h / (h + z) (z_g - hs), where h and z are the heights of TX
+      and A over f; the line crosses g's plane at (hs x_u - z_g s_u) /
+      (hs - z_g) along u. So the child is cut when hp and z_g lie on one
+      side of g, or when
 
-    _kept sorts what is yielded. On arrays, a test passes when it passes for
-    any pair.
+        |hs x_u - z_g s_u| > (half_u + _PAD) |hs - z_g|,  or the same along v.
+
+      hs = h_g - 2 h (n_g . n_f) and s_u = t_u - 2 h (u_g . n_f) read TX's
+      view (h_g, t_u, t_v) of g and the dot products of Scene._turns; x_u
+      and z_g are read once per node. Nothing is tested when g is unbounded
+      or |hs|, |hp|, |z_g| or |h + z| is at most _PAD.
+
+    A child is yielded from its node's loop only when it passes the last
+    two culls; a child at the bounce limit is built only then, and never
+    pushed. _kept sorts what is yielded. On arrays, a test passes when it
+    passes for any pair; the last cull is for one pair only.
     """
     message = f"max_bounces must be between 0 and {MAX_BOUNCES}"
     if _at_least(max_bounces, 0, message) > MAX_BOUNCES:
         raise ValueError(f"{message}, got {max_bounces!r}")
-    planes, frames = scene._planes, scene._frames
+    planes, frames, turns = scene._planes, scene._frames, scene._turns
     predecessors = scene._predecessors
     any_ = ops.any
     root = ((), (rx,))
@@ -395,28 +456,62 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones):
         leaf = len(seq) + 1 == max_bounces
         aim = images[0]
         ax, ay, az = aim
+        middle = None  # g's dot products with each f (Scene._turns) when tested
+        if seq and views is not None and views[seq[0]] is not None:
+            g = seq[0]
+            _, nx, ny, nz, b = planes[g]
+            z_g = nx * ax + ny * ay + nz * az - b
+            if abs(z_g) > _PAD:
+                h_g, t_u, t_v = views[g]
+                x_u, x_v = _in_frame(frames[g], aim)
+                half_gu, half_gv = frames[g][8:]
+                middle = turns[g]
         for idx in predecessors[seq[0]] if seq else range(len(planes)):
+            reached = cones[idx]
+            if leaf and not reached:
+                continue
             two_sided, nx, ny, nz, b = planes[idx]
             height = nx * ax + ny * ay + nz * az
             if not (two_sided or any_(height > b)):
                 continue
-            reached = cones[idx]
-            if reached.__class__ is tuple:  # the test _tx_cones derives
+            if reached.__class__ is tuple:  # the tests _tx_cones derives
                 h, a_u, a_v = reached
-                cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v = frames[idx]
-                dx, dy, dz = ax - cx, ay - cy, az - cz
-                z = nx * dx + ny * dy + nz * dz
-                d = h + z if h > 0.0 else -h - z
-                x_u = ux * dx + uy * dy + uz * dz
-                reached = half_u is None or not abs(a_u * z + h * x_u) > half_u * d
+                ux, uy, uz, uc, vx, vy, vz, vc, half_u, half_v = frames[idx]
+                z = height - b
+                w = h + z
+                d = w if h > 0.0 else -w
+                x = ux * ax + uy * ay + uz * az - uc
+                reached = half_u is None or not abs(a_u * z + h * x) > half_u * d
                 if reached and half_v is not None:
-                    reached = abs(a_v * z + h * (vx * dx + vy * dy + vz * dz)) <= half_v * d
+                    x = vx * ax + vy * ay + vz * az - vc
+                    reached = abs(a_v * z + h * x) <= half_v * d
+                if reached and middle is not None and abs(w) > _PAD:
+                    n_gf, u_gf, v_gf = middle[idx]
+                    hs = h_g - 2.0 * h * n_gf
+                    hp = hs + h / w * (z_g - hs)
+                    if abs(hs) > _PAD and abs(hp) > _PAD:
+                        gap = abs(hs - z_g)
+                        reached = (hp > 0.0) != (z_g > 0.0) and (
+                            half_gu is None
+                            or abs(hs * x_u - z_g * (t_u - 2.0 * h * u_gf)) <= half_gu * gap
+                        ) and (
+                            half_gv is None
+                            or abs(hs * x_v - z_g * (t_v - 2.0 * h * v_gf)) <= half_gv * gap
+                        )
             if reached or not leaf:
                 node = ((idx,) + seq, (_mirror(aim, 2.0 * (height - b), nx, ny, nz),) + images)
                 if reached:
                     yield node
                 if not leaf:
                     stack.append(node)
+
+
+def _in_frame(frame, p) -> tuple[float, float]:
+    """The in-plane coordinates of float triple p in a facet's frame
+    (Scene._frames): u . p - u . c and v . p - v . c."""
+    ux, uy, uz, uc, vx, vy, vz, vc = frame[:8]
+    px, py, pz = p
+    return ux * px + uy * py + uz * pz - uc, vx * px + vy * py + vz * pz - vc
 
 
 def _faced(planes, tx, ops: _Ops) -> list:
@@ -428,34 +523,40 @@ def _faced(planes, tx, ops: _Ops) -> list:
     ]
 
 
-def _tx_cones(scene: Scene, tx) -> list:
-    """The cones of _walk from the float triple tx: for each facet, _faced,
-    or in its place the cone through the facet when TX faces it.
+def _tx_cones(scene: Scene, tx) -> tuple[list, list]:
+    """The cones and views of _walk from the float triple tx.
+
+    views[f] is TX's height h over facet f's plane and its in-plane
+    coordinates (a_u, a_v) in f's frame (Scene._frames), for each f bounded
+    along some axis; None for an unbounded f. cones[f] is _faced's truth
+    value, or in its place the cone through f, which is views[f], when TX
+    lies in front of f, or behind a two-sided f, by more than _PAD.
 
     A route meets facet f first where the segment from tx to the mirror of
     aim crosses f's plane, which is where the segment from TX's mirror
     through f to aim does. So aim must lie in the cone from that mirror
-    through f's rectangle padded by _PAD. In f's frame, let TX lie at
-    height h and in-plane coordinates (a_u, a_v), and aim at height z and
-    (x_u, x_v). The crossing lies at (a_u z + h x_u) / (h + z) along u, so
-    the cone's four side planes read
+    through f's rectangle padded by _PAD. In f's frame, let aim lie at
+    height z and in-plane coordinates (x_u, x_v). The crossing lies at
+    (a_u z + h x_u) / (h + z) along u, so the cone's four side planes read
 
         |a_u z + h x_u| <= (half_u + _PAD) s (h + z),  and the same along v,
 
     with s the sign of h. s (h + z) is negative, and the test fails, when
     aim lies beyond f's plane from TX, where no route heads after meeting f.
-    The test rounds like _unfold's crossing, which _PAD covers. TX within
-    _PAD of f's plane gets no cone, and neither does an unbounded f. A cone
+    The test rounds like _unfold's crossing, which _PAD covers. A cone
     holds (h, a_u, a_v), what depends on TX; _walk reads the rest off f.
     """
-    cones = _faced(scene._planes, tx, _FLOAT_OPS)
-    for idx, ((_, nx, ny, nz, _), frame) in enumerate(zip(scene._planes, scene._frames)):
-        cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v = frame
-        rel = (tx[0] - cx, tx[1] - cy, tx[2] - cz)
-        h = _dot(rel, (nx, ny, nz))
-        if cones[idx] and abs(h) > _PAD and (half_u is not None or half_v is not None):
-            cones[idx] = (h, _dot(rel, (ux, uy, uz)), _dot(rel, (vx, vy, vz)))
-    return cones
+    faced = _faced(scene._planes, tx, _FLOAT_OPS)
+    views = [
+        None if frame[8] is None and frame[9] is None
+        else (nx * tx[0] + ny * tx[1] + nz * tx[2] - b, *_in_frame(frame, tx))
+        for (_, nx, ny, nz, b), frame in zip(scene._planes, scene._frames)
+    ]
+    cones = [
+        view if ok and view is not None and abs(view[0]) > _PAD else ok
+        for ok, view in zip(faced, views)
+    ]
+    return cones, views
 
 
 def _apart(a, b, ops: _Ops):
@@ -573,11 +674,14 @@ def _unfold(flats, sequence, images, txf, occluders):
         vertices.append((px, py, pz))
     vertices.append(rxf)
 
+    # the occluder record each vertex lies on, None for TX and RX
+    ends = [None, *(occluders[idx] if occluders else None for idx in sequence), None]
     length = 0.0
-    for (ax, ay, az), (bx, by, bz) in zip(vertices[:-1], vertices[1:]):
+    for (ax, ay, az), (bx, by, bz), start, end in zip(vertices, vertices[1:], ends, ends[1:]):
         sx, sy, sz = bx - ax, by - ay, bz - az
         length = length + math.sqrt(sx * sx + sy * sy + sz * sz)
-        # blocked when the open segment a->b crosses a facet rectangle
+        # blocked when the open segment a->b crosses a facet rectangle other
+        # than those it starts and ends on, whose planes it meets only there
         lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
         lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
         lo_z, hi_z = (az, bz) if az <= bz else (bz, az)
@@ -586,7 +690,7 @@ def _unfold(flats, sequence, images, txf, occluders):
             if (
                 box[0] > hi_x or box[1] > hi_y or box[2] > hi_z
                 or box[3] < lo_x or box[4] < lo_y or box[5] < lo_z
-            ):
+            ) or f is start or f is end:
                 continue
             _, nx, ny, nz, b, cx, cy, cz, ux, uy, uz, vx, vy, vz, half_u, half_v, _ = f
             denom = nx * sx + ny * sy + nz * sz
@@ -619,7 +723,7 @@ def trace_paths(
     flats = scene._flats
     txf = as_points(tx, "tx", 1).tolist()
     rxf = as_points(rx, "rx", 1).tolist()
-    walk = _walk(scene, rxf, max_bounces, _FLOAT_OPS, _tx_cones(scene, txf))
+    walk = _walk(scene, rxf, max_bounces, _FLOAT_OPS, *_tx_cones(scene, txf))
     accepted = []
     for seq, images in walk:
         found = _unfold(flats, seq, images, txf, flats)
@@ -748,10 +852,11 @@ def _unfold_batch(flats, sequence: tuple[int, ...], images, tx):
         points.append(p)
 
     vertices = [tx, *points, rx]
-    for a, b in zip(vertices[:-1], vertices[1:]):
+    ends = (-1, *sequence, -1)  # the facet each vertex lies on, -1 for TX and RX
+    for a, b, start, end in zip(vertices[:-1], vertices[1:], ends[:-1], ends[1:]):
         box = (*map(np.min, map(np.minimum, a, b)), *map(np.max, map(np.maximum, a, b)))
-        for f in flats:
-            if not _misses(f.box, box):
+        for idx, f in enumerate(flats):
+            if idx != start and idx != end and not _misses(f.box, box):
                 t, denom, crosses = _plane(f, a, b)
                 del denom  # an occluder blocks from either side
                 centre = (f.cx, f.cy, f.cz)

@@ -198,12 +198,16 @@ def inside(facet: Facet, x: np.ndarray) -> bool:
     )
 
 
-def blocked(scene: Scene, p: np.ndarray, q: np.ndarray) -> bool:
-    """Whether the open segment p -> q passes through any facet of the
-    scene, its own included: every facet is tested, with no quick reject."""
+def blocked(scene: Scene, p: np.ndarray, q: np.ndarray, own=()) -> bool:
+    """Whether the open segment p -> q passes through a facet of the scene
+    other than those it starts and ends on, whose indices own lists: every
+    other facet is tested, with no quick reject. A straight segment meets
+    the plane of its own facet only at its end, up to the rounding of that
+    end, which on a segment a few nm long is past the slack."""
     return any(
         hit is not None and inside(f, hit[0])
-        for f in scene.facets
+        for k, f in enumerate(scene.facets)
+        if k not in own
         for hit in [crossing(f, p, q)]
     )
 
@@ -245,12 +249,13 @@ def brute_force_paths(scene: Scene, tx, rx, max_bounces: int) -> list[TracedPath
     """trace_paths by trying every facet sequence: the tracer's oracle.
 
     Line of sight first (when TX and RX lie more than 1e-12 m apart), then
-    facet_sequences in order, each unfolded and tested against every facet
-    for occlusion. The seam rule: a route is dropped when an earlier kept
-    route with as many bounces has its length and every vertex coordinate
-    within 1e-9 max(1, length). Gains: free-space spreading over the route
-    length, the scene's per-bounce loss and the carrier phase. Sorted by
-    descending gain magnitude, then delay, then sequence order.
+    facet_sequences in order, each unfolded and each segment tested for
+    occlusion against every facet but those it starts and ends on. The
+    seam rule: a route is dropped when an earlier kept route with as many
+    bounces has its length and every vertex coordinate within
+    1e-9 max(1, length). Gains: free-space spreading over the route length,
+    the scene's per-bounce loss and the carrier phase. Sorted by descending
+    gain magnitude, then delay, then sequence order.
     """
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
@@ -261,8 +266,9 @@ def brute_force_paths(scene: Scene, tx, rx, max_bounces: int) -> list[TracedPath
     paths = []
     for seq in seqs:
         vertices = unfold(scene, seq, tx, rx)
+        ends = (None, *seq, None)
         if vertices is None or any(
-            blocked(scene, p, q) for p, q in zip(vertices[:-1], vertices[1:])
+            blocked(scene, p, q, own) for p, q, *own in zip(vertices, vertices[1:], ends, ends[1:])
         ):
             continue
         length = _length(vertices)

@@ -10,6 +10,9 @@ that reads the file must exit 2 with that error line. Before the reader
 took a shape, a list where a number belongs ended in a TypeError, and a
 number where a list belongs in a TypeError or a wrongly shaped value.
 
+A facet built in Python takes only a positive real number, or None, as a
+half-extent, and keeps it as a float, so that its scene file reads back.
+
 Every kind rejects a key it does not hold by name, at the top level and in
 an entry, and a capacity config's link budget must give powers in watts
 that are positive and finite; a budget or rate constant out of its range
@@ -176,6 +179,32 @@ def _cases():
                     message = f"'{key}' must be a number, got {entry!r}"
                 bad = _first_number(value, entry)
                 yield pytest.param(kind, key, bad, message, id=f"{kind}-{key}-{case}")
+
+
+# What a scene built in Python may give as a facet half-extent in place of a
+# positive number. True was kept as a 1 m half-extent: save_scene wrote it
+# as "half_u": true, which load_scene then rejected; "1" and 10**400 ended in
+# a TypeError and an OverflowError.
+HALF_EXTENT_CASES = [True, np.True_, "1", [1.0], math.nan, math.inf, 10**400, 0, -1.0]
+
+
+@pytest.mark.parametrize("bad", HALF_EXTENT_CASES, ids=repr)
+@pytest.mark.parametrize("key", sorted(NULLABLE))
+def test_facet_half_extent_must_be_a_number(key, bad):
+    message = f"facet {key} must be a positive number, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_facet(np.zeros(3), (0.0, 0.0, 1.0), **{key: bad})
+
+
+@pytest.mark.parametrize("half", [2, np.int64(2), np.float32(0.5), 0.25], ids=repr)
+@pytest.mark.parametrize("key", sorted(NULLABLE))
+def test_facet_half_extent_is_kept_as_a_float(key, half):
+    # np.int64(2) was kept as given, and save_scene could not write it
+    scene = Scene(facets=(make_facet(np.zeros(3), (0.0, 0.0, 1.0), **{key: half}),),
+                  carrier_freq=F0)
+    assert type(getattr(scene.facets[0], key)) is float
+    loaded = fileio.load_scene(io.StringIO(json.dumps(_saved(fileio.save_scene, scene))))
+    assert getattr(loaded.facets[0], key) == float(half)
 
 
 @pytest.fixture(autouse=True)
