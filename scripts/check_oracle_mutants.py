@@ -11,13 +11,16 @@ reader of a file's numbers, through the table of every file key in
 tests/test_file_keys.py, in the check of a file's keys, through its
 unknown-key cases there, in the link budget's power range, through its
 out-of-range budgets there, in the seam rule's tolerance, through the tiles
-a micrometre apart in tests/test_tracer.py, and in the unchecked
+a micrometre apart in tests/test_tracer.py, in the unchecked
 construction of the tracers' own records, through their public twins in
-tests/test_records.py.
+tests/test_records.py, in the route fit's straight-pass threshold, through
+the grazing bounce in tests/test_fit_rt.py, and in the rows of the
+displacement result, through the per-sample loop in
+tests/test_experiments.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
 into a temporary directory and, one at a time, applies there each of
-twenty-two mutants, keyed by module and top-level function or class:
+twenty-four mutants, keyed by module and top-level function or class:
 
 * tracer._walk
   * pad:       the second crossing's rectangle not padded by _PAD,
@@ -57,13 +60,17 @@ twenty-two mutants, keyed by module and top-level function or class:
   * nesting:   the nesting test disabled (a list passes where a number
                belongs, and a number where a list belongs);
 * fileio._check_keys
-  * unknown:   the key test disabled (a key the kind does not hold passes).
+  * unknown:   the key test disabled (a key the kind does not hold passes);
+* fit_rt.fit_from_route
+  * bend:      a straight-pass threshold of 1e-4 in place of _MIN_BEND (1e-12);
+* experiments.DisplacementResult
+  * order:     the rows read epsilon as (S, K, F), not (S, F, K).
 
 For the unmutated copy and then for each mutant it runs
 
     pytest tests/test_points.py tests/test_file_keys.py tests/test_records.py \
         tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
-        tests/test_capacity.py -q -x
+        tests/test_capacity.py tests/test_fit_rt.py tests/test_experiments.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -91,6 +98,8 @@ TESTS = [
     "tests/test_tracer.py",
     "tests/test_acceptance.py",
     "tests/test_capacity.py",
+    "tests/test_fit_rt.py",
+    "tests/test_experiments.py",
 ]
 
 # (module, function or class) -> {name: (text in it, replacement, occurrences)}
@@ -144,6 +153,12 @@ MUTANTS = {
     },
     ("fileio", "_check_keys"): {
         "unknown": ("if key not in keys:", "if False:", 1),
+    },
+    ("fit_rt", "fit_from_route"): {
+        "bend": ("bend_norms < _MIN_BEND", "bend_norms < 1e-4", 1),
+    },
+    ("experiments", "DisplacementResult"): {
+        "order": ("self.epsilon.reshape(-1)", "self.epsilon.swapaxes(1, 2).reshape(-1)", 1),
     },
 }
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import fileio
 from .capacity import LinkBudget, RateModel
 from .experiments import (
+    DisplacementResult,
     DisplacementSpec,
-    ErrorRecord,
     SweepCell,
     capacity_sweep,
     displacement_experiment,
@@ -177,7 +177,7 @@ def _config_kwargs(cfg: dict, keys: dict) -> dict:
     }
 
 
-def displacement_from_config(scene: Scene, cfg: dict) -> list[ErrorRecord]:
+def displacement_from_config(scene: Scene, cfg: dict) -> DisplacementResult:
     """displacement_experiment on scene with the parameters an experiment
     config sets."""
     keys = _REF_KEYS + (*_SPEC_KEYS, *_DISPLACEMENT_KEYS)
@@ -210,18 +210,14 @@ def capacity_from_config(scene: Scene, cfg: dict) -> tuple[list[SweepCell], dict
 
 
 def _cmd_exp_displacement(args: argparse.Namespace) -> int:
-    records = displacement_from_config(_load_scene(args.scene), _load_config(args.config))
+    result = displacement_from_config(_load_scene(args.scene), _load_config(args.config))
     with _open_out(args.out) as fp:
-        fileio.write_error_csv(records, fp)
-    eps: dict[float, dict[str, list[float]]] = {}
-    for r in records:
-        eps.setdefault(r.distance, {}).setdefault(r.model, []).append(r.epsilon)
-    models = tuple(dict.fromkeys(r.model for r in records))
+        fileio.write_error_csv(result, fp)
     lines = ["median epsilon by displacement"]
-    lines.append("distance_m " + " ".join(f"{m:>10s}" for m in models))
-    for dist, by_model in eps.items():
-        medians = " ".join(f"{np.median(by_model[m]):10.2e}" for m in models)
-        lines.append(f"{dist:10.3f} {medians}")
+    lines.append("distance_m " + " ".join(f"{m:>10s}" for m in result.models))
+    for dist in np.unique(result.distances):
+        medians = np.median(result.epsilon[result.distances == dist], axis=(0, 1))
+        lines.append(f"{dist:10.3f} " + " ".join(f"{m:10.2e}" for m in medians))
     print("\n".join(lines), file=sys.stderr)
     return 0
 

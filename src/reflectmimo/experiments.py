@@ -4,6 +4,8 @@ Both experiments fit path parameters once at a reference TX/RX pair and then
 score how well each extrapolation model predicts the channel elsewhere,
 against ground truth obtained by re-tracing the scene. All randomness is
 drawn from a single seeded generator, so runs are reproducible bit for bit.
+The displacement experiment returns its errors as read-only columns, which
+iterate as ErrorRecord rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .paths import ReferencePair
 from .tracer import Scene, TracedPath, _in_path_order, to_pwa, trace_pairs, trace_paths
 
 __all__ = [
+    "DisplacementResult",
     "DisplacementSpec",
     "ErrorRecord",
     "ESTIMATORS",
@@ -84,17 +87,60 @@ class DisplacementSpec:
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class ErrorRecord(NamedTuple):
-    """Normalized squared channel error of one model at one sample point.
+    """Normalized squared channel error of one model at one sample point
+    and frequency: one row of a DisplacementResult.
 
-    A named tuple, built at tuple cost: an experiment returns thousands of
-    these. Also a frozen dataclass, so dataclasses.replace, fields and
-    asdict work on it as on any other record of the package.
+    A named tuple, built at tuple cost as the result is iterated. Also a
+    frozen dataclass, so dataclasses.replace, fields and asdict work on it
+    as on any other record of the package.
     """
 
     model: str
     distance: float
     frequency: float
     epsilon: float
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DisplacementResult:
+    """Errors of displacement_experiment as read-only columns.
+
+    epsilon[s, f, k] is the error of models[k] at sample s, displaced by
+    distances[s], and at frequencies[f]. len(), iteration and indexing give
+    the ErrorRecord rows in (sample, frequency, model) order, with builtin
+    str and float fields, built one at a time; a slice is a list of rows.
+    """
+
+    models: tuple[str, ...]
+    distances: np.ndarray  # (S,)
+    frequencies: np.ndarray  # (F,)
+    epsilon: np.ndarray  # (S, F, K)
+
+    def __len__(self) -> int:
+        return self.epsilon.size
+
+    def __iter__(self) -> Iterator[ErrorRecord]:
+        # The rows share each distance and frequency float, and
+        # tuple.__new__ (what ErrorRecord._make calls) does no per-field work.
+        per_sample = math.prod(self.epsilon.shape[1:])
+        rows = zip(
+            cycle(self.models),
+            chain.from_iterable(repeat(d, per_sample) for d in self.distances.tolist()),
+            cycle([f for f in self.frequencies.tolist() for _ in self.models]),
+            memoryview(self.epsilon.reshape(-1)),  # iterates as builtin floats
+        )
+        return map(tuple.__new__, repeat(ErrorRecord), rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        s, f, k = np.unravel_index(range(len(self))[index], self.epsilon.shape)
+        return ErrorRecord(
+            self.models[k],
+            self.distances[s].item(),
+            self.frequencies[f].item(),
+            self.epsilon[s, f, k].item(),
+        )
 
 
 def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -167,7 +213,7 @@ def displacement_experiment(
     n_freq: int = 10,
     models: Sequence[str] = ESTIMATORS,
     max_bounces: int = 2,
-) -> list[ErrorRecord]:
+) -> DisplacementResult:
     """Channel prediction error of each model over a displacement grid.
 
     Fits every requested model at the reference pair, then displaces TX and RX
@@ -176,49 +222,19 @@ def displacement_experiment(
     frequencies, with E0 the total path energy at the reference. The band
     is centred on the scene carrier, which is also the phase reference.
 
-    Returns one ErrorRecord named tuple per sample, frequency and model, in
-    that order; every field is a builtin str or float. The pair traces
-    issued are logged.
+    Returns the errors as a DisplacementResult: one per sample, frequency
+    and model, as an (S, n_freq, len(models)) array, which iterates as
+    ErrorRecord rows in that order. The pair traces issued are logged.
+
+    All S samples are traced as paired endpoints in one trace_pairs call, and
+    the truth and each model are synthesized as (n_freq, S) arrays, each
+    sample's paths summed in trace_paths' order, and stored transposed.
     """
     n_freq = _at_least(n_freq, 1, "n_freq must be a positive integer")
     _check_models(models, ESTIMATORS)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
 
-    freqs, eps = _displacement_errors(
-        scene, ref, spec, bandwidth, n_freq, models, max_bounces
-    )
-    # The record columns share each distance and frequency float, and
-    # tuple.__new__ (what ErrorRecord._make calls) does no per-field work.
-    per_distance = spec.directions_per_distance * n_freq * len(models)
-    rows = zip(
-        cycle(models),
-        chain.from_iterable(repeat(d, per_distance) for d in spec.distances),
-        cycle([f for f in freqs.tolist() for _ in models]),
-        memoryview(eps.reshape(-1)),  # iterates as builtin floats
-    )
-    return list(map(tuple.__new__, repeat(ErrorRecord), rows))
-
-
-def _displacement_errors(
-    scene: Scene,
-    ref: ReferencePair,
-    spec: DisplacementSpec,
-    bandwidth: float,
-    n_freq: int,
-    models: Sequence[str],
-    max_bounces: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and errors of displacement_experiment, before any record.
-
-    Returns the n_freq frequencies and the (S, n_freq, len(models)) errors.
-    The traces and channels are local, so they are freed with this frame
-    before the records are built.
-
-    All S samples are traced as paired endpoints in one trace_pairs call, and
-    the truth and each model are synthesized as (n_freq, S) arrays, each
-    sample's paths summed in trace_paths' order, and stored transposed.
-    """
     f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
     dp_distances = spec.distances[:2]
@@ -240,7 +256,9 @@ def _displacement_errors(
     for k, name in enumerate(models):
         at = _fitted(rx_m, tx_m, fitted[name], ref, _CHANNEL_MODEL[name], f0)
         eps[:, :, k] = (abs(at(freqs[:, None]) - h_true) ** 2 / energy0).T
-    return freqs, eps
+    for column in (dists, freqs, eps):
+        column.flags.writeable = False
+    return DisplacementResult(tuple(models), dists, freqs, eps)
 
 
 @dataclass(frozen=True)

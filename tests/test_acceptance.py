@@ -196,11 +196,12 @@ def test_04_channel_error_separation(capsys):
 
     scene, ref = corridor_scene(2000.0)
     spec = DisplacementSpec(directions_per_distance=10, rng_seed=3)
-    records = displacement_experiment(scene, ref, spec, n_freq=10, max_bounces=1)
-    med = {}
-    for rec in records:
-        med.setdefault(rec.model, {}).setdefault(rec.distance, []).append(rec.epsilon)
-    med = {m: {d: float(np.median(v)) for d, v in by.items()} for m, by in med.items()}
+    result = displacement_experiment(scene, ref, spec, n_freq=10, max_bounces=1)
+    med = {
+        m: {d: float(np.median(result.epsilon[result.distances == d, :, k]))
+            for d in spec.distances}
+        for k, m in enumerate(result.models)
+    }
 
     separated = all(
         med["rm_rt"][d] < med["pwa"][d] and med["rm_dp"][d] < med["pwa"][d]

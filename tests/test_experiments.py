@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from reflectmimo import (
     C_LIGHT,
     ESTIMATORS,
+    DisplacementResult,
     DisplacementSpec,
     ErrorRecord,
     LinkBudget,
@@ -108,21 +109,19 @@ BAD_COUNTS = [0, -2, 2.5, 3.0, "3", None]
 BAD_SEEDS = [-1, 2.5, 3.0, "3", None]
 
 
-def medians_by_distance(records, model):
-    per_distance = {}
-    for rec in records:
-        if rec.model == model:
-            per_distance.setdefault(rec.distance, []).append(rec.epsilon)
-    return {d: float(np.median(v)) for d, v in sorted(per_distance.items())}
+def medians_by_distance(result, model):
+    k = result.models.index(model)
+    return {
+        float(d): float(np.median(result.epsilon[result.distances == d, :, k]))
+        for d in np.unique(result.distances)
+    }
 
 
 @functools.lru_cache(maxsize=None)
 def long_range_records():
     scene, ref = corridor_scene(2000.0)
     spec = DisplacementSpec(directions_per_distance=10, rng_seed=3)
-    return tuple(
-        displacement_experiment(scene, ref, spec, n_freq=10, max_bounces=1)
-    )
+    return displacement_experiment(scene, ref, spec, n_freq=10, max_bounces=1)
 
 
 class TestDisplacementSpec:
@@ -240,7 +239,10 @@ class TestDisplacementExperiment:
         spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=2)
         a = displacement_experiment(scene, ref, spec, n_freq=3, max_bounces=1)
         b = displacement_experiment(scene, ref, spec, n_freq=3, max_bounces=1)
-        assert a == b
+        # a result compares by identity: compare its columns
+        assert a.models == b.models
+        for name in ("distances", "frequencies", "epsilon"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_seed_changes_samples(self):
         scene, ref = corridor_scene(100.0)
@@ -321,19 +323,81 @@ class TestErrorRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.model = "rm_rt"
 
-    def test_experiment_fields_are_builtin_and_survive_the_csv(self):
+    @pytest.mark.parametrize("models", [ESTIMATORS, ("rm_dp", "pwa")])
+    def test_experiment_fields_are_builtin_and_survive_the_csv(self, models):
         scene, ref = corridor_scene(100.0)
         spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=2)
-        records = displacement_experiment(scene, ref, spec, n_freq=3, max_bounces=1)
-        assert len(records) == 2 * 2 * 3 * 4
+        result = displacement_experiment(
+            scene, ref, spec, n_freq=3, models=models, max_bounces=1
+        )
+        records = list(result)
+        assert len(records) == 2 * 2 * 3 * len(models)
         for rec in records:
             # np.float64 subclasses float; write_error_csv needs builtin reprs
+            assert type(rec) is ErrorRecord
             assert [type(x) for x in rec] == [str, float, float, float]
         buf = io.StringIO()
-        write_error_csv(records, buf)
+        write_error_csv(result, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
         parsed = [(m, float(d), float(f), float(e)) for m, d, f, e in rows]
         assert parsed == [tuple(rec) for rec in records]
+
+
+@functools.lru_cache(maxsize=None)
+def subset_result():
+    """A result for two of the four models, passed as a list."""
+    scene, ref = corridor_scene(100.0)
+    spec = DisplacementSpec(distances=(0.01, 0.02, 0.05), directions_per_distance=2)
+    return displacement_experiment(
+        scene, ref, spec, n_freq=4, models=["rm_rt", "constant"], max_bounces=1
+    )
+
+
+class TestDisplacementResult:
+    def test_columns(self):
+        r = subset_result()
+        assert r.models == ("rm_rt", "constant")
+        assert r.distances.shape == (6,) and r.distances.dtype == np.float64
+        assert r.frequencies.shape == (4,) and r.frequencies.dtype == np.float64
+        assert r.epsilon.shape == (6, 4, 2) and r.epsilon.dtype == np.float64
+        assert r.distances.tolist() == [0.01, 0.01, 0.02, 0.02, 0.05, 0.05]
+        assert len(r) == 6 * 4 * 2
+
+    def test_read_only(self):
+        r = subset_result()
+        for column in (r.distances, r.frequencies, r.epsilon):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.epsilon = r.epsilon.copy()
+        assert not hasattr(r, "__dict__")
+
+    def test_rows_index_the_columns(self):
+        r = subset_result()
+        rows = list(r)
+        assert rows == list(r)  # a second iteration gives the same rows
+        assert len(rows) == len(r)
+        for i, row in enumerate(rows):
+            s, f, k = np.unravel_index(i, r.epsilon.shape)
+            assert row == (r.models[k], r.distances[s], r.frequencies[f], r.epsilon[s, f, k])
+
+    def test_indexing_gives_the_rows(self):
+        r = subset_result()
+        rows = list(r)
+        for i in (0, 1, 17, len(r) - 1, -1, -len(r)):
+            assert type(r[i]) is ErrorRecord
+            assert [type(x) for x in r[i]] == [str, float, float, float]
+            assert r[i] == rows[i]
+        assert r[np.int64(5)] == rows[5]
+        for i in (len(r), -len(r) - 1):
+            with pytest.raises(IndexError):
+                r[i]
+        assert r[:-1] == rows[:-1] and r[3:9:2] == rows[3:9:2] and r[5:2] == []
+
+    def test_empty(self):
+        empty = DisplacementResult((), np.empty(0), np.empty(0), np.empty((0, 0, 0)))
+        assert len(empty) == 0 and list(empty) == []
 
 
 def _random_unit(rng):

@@ -37,7 +37,8 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
-    LinkBudget, ReferencePair, Scene, fit_rm_rt, make_facet, to_pwa, trace_paths,
+    DisplacementResult, LinkBudget, ReferencePair, Scene, fit_rm_rt, make_facet, to_pwa,
+    trace_paths,
 )
 from reflectmimo import cli, fileio
 from reflectmimo.cli import main
@@ -211,7 +212,8 @@ def test_facet_half_extent_is_kept_as_a_float(key, half):
 def _no_experiments(monkeypatch):
     """The experiments a config would run, stubbed: a config key is read
     before the experiment starts."""
-    monkeypatch.setattr(cli, "displacement_experiment", lambda *args, **kwargs: [])
+    empty = DisplacementResult((), np.empty(0), np.empty(0), np.empty((0, 0, 0)))
+    monkeypatch.setattr(cli, "displacement_experiment", lambda *args, **kwargs: empty)
     monkeypatch.setattr(cli, "capacity_sweep", lambda *args, **kwargs: ([], {}))
 
 

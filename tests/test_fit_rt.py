@@ -87,6 +87,26 @@ class TestFitFromRoute:
         with pytest.raises(ValueError):
             fit_from_route(route)
 
+    def test_grazing_bounce(self):
+        # 5 mm above the floor over 1 km: the steps bend by 2.0e-5, far from
+        # a straight pass-through, though under 1e-4.
+        tx, rx = np.array([0.0, 0.0, 0.005]), np.array([1000.0, 0.0, 0.005])
+        route = Route(vertices=np.array([tx, [500.0, 0.0, 0.0], rx]), facet_ids=(0,))
+        steps = np.diff(route.vertices, axis=0)
+        lengths = np.linalg.norm(steps, axis=1)
+        bend = np.linalg.norm(steps[1] / lengths[1] - steps[0] / lengths[0])
+        assert bend == pytest.approx(2.0e-5, rel=1e-6)
+        img = fit_from_route(route)
+        length = rm_distance_image(rx, tx, img)
+        assert abs(length - lengths.sum()) <= 1e-12 * length
+        # pairs moved up to 1 m along the floor and up to 5 mm up: the floor's
+        # mirror image gives their reflected length
+        rng = np.random.default_rng(16)
+        for shift_tx, shift_rx in rng.uniform((-1.0, -1.0, 0.0), (1.0, 1.0, 0.005), (5, 2, 3)):
+            tx_m, rx_m = tx + shift_tx, rx + shift_rx
+            truth = np.linalg.norm(rx_m - np.array([1.0, 1.0, -1.0]) * tx_m)
+            assert abs(rm_distance_image(rx_m, tx_m, img) - truth) <= 1e-12 * truth
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_vertices(self, bad):
         # a Route holds finite vertices only, so fit_from_route never meets one
