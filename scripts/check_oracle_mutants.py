@@ -14,13 +14,16 @@ out-of-range budgets there, in the seam rule's tolerance, through the tiles
 a micrometre apart in tests/test_tracer.py, in the unchecked
 construction of the tracers' own records, through their public twins in
 tests/test_records.py, in the route fit's straight-pass threshold, through
-the grazing bounce in tests/test_fit_rt.py, and in the rows of the
+the grazing bounce in tests/test_fit_rt.py, in the rows of the
 displacement result, through the per-sample loop in
-tests/test_experiments.py.
+tests/test_experiments.py, in the phasor kernel, through its expression form
+in tests/scenelib.py and the scalar channels of tests/test_channel.py, and in
+the roll/parity fit, through the matrix form of its equation and the tie
+between its two parity rules in tests/test_fit_dp.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
 into a temporary directory and, one at a time, applies there each of
-twenty-four mutants, keyed by module and top-level function or class:
+twenty-eight mutants, keyed by module and top-level function or class:
 
 * tracer._walk
   * pad:       the second crossing's rectangle not padded by _PAD,
@@ -64,13 +67,21 @@ twenty-four mutants, keyed by module and top-level function or class:
 * fit_rt.fit_from_route
   * bend:      a straight-pass threshold of 1e-4 in place of _MIN_BEND (1e-12);
 * experiments.DisplacementResult
-  * order:     the rows read epsilon as (S, K, F), not (S, F, K).
+  * order:     the rows read epsilon as (S, K, F), not (S, F, K);
+* channel.phasor_sum
+  * reference: the tau f0 reference phase dropped,
+  * sum:       the paths after the first not added to the total;
+* fit_dp._roll_equation
+  * sign:      the s = -1 row negated;
+* fit_dp.solve_gamma_s
+  * tie:       a tie tolerance of 1e-2 of tie_scale in place of 1e-6.
 
 For the unmutated copy and then for each mutant it runs
 
     pytest tests/test_points.py tests/test_file_keys.py tests/test_records.py \
         tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
-        tests/test_capacity.py tests/test_fit_rt.py tests/test_experiments.py -q -x
+        tests/test_capacity.py tests/test_fit_rt.py tests/test_experiments.py \
+        tests/test_fit_dp.py tests/test_channel.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -100,6 +111,8 @@ TESTS = [
     "tests/test_capacity.py",
     "tests/test_fit_rt.py",
     "tests/test_experiments.py",
+    "tests/test_fit_dp.py",
+    "tests/test_channel.py",
 ]
 
 # (module, function or class) -> {name: (text in it, replacement, occurrences)}
@@ -159,6 +172,16 @@ MUTANTS = {
     },
     ("experiments", "DisplacementResult"): {
         "order": ("self.epsilon.reshape(-1)", "self.epsilon.swapaxes(1, 2).reshape(-1)", 1),
+    },
+    ("channel", "phasor_sum"): {
+        "reference": ("np.subtract(tau * f0, phase,", "np.subtract(0.0, phase,", 1),
+        "sum": ("else np.add(total, term, out=total)", "else total", 1),
+    },
+    ("fit_dp", "_roll_equation"): {
+        "sign": ("(2.0 * (p - q), 2.0 * (-u - v))", "(-2.0 * (p - q), -2.0 * (-u - v))", 1),
+    },
+    ("fit_dp", "solve_gamma_s"): {
+        "tie": ("> 1e-6 * tie_scale", "> 1e-2 * tie_scale", 1),
     },
 }
 

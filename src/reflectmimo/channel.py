@@ -112,10 +112,11 @@ def phasor_sum(
 
     The path axis comes first in all three sequences. Each distances[p] may
     be an array (one value per antenna pair) and f an array of frequencies;
-    they broadcast, and the paths are accumulated one at a time into one
-    array of that shape. The reference delay anchors the phase at the
-    carrier f0. An empty path list gives 0j; sequences of different
-    lengths raise ValueError.
+    they broadcast, and each path's term is built in one complex buffer of
+    its shape from one float scratch; the first term becomes the total and
+    the later ones are added to it in place. The reference delay anchors
+    the phase at the carrier f0. An empty path list gives 0j; sequences of
+    different lengths raise ValueError.
     """
     n_gains, n_delays, n_distances = len(gains), len(delays), len(distances)
     if not n_gains == n_delays == n_distances:
@@ -123,14 +124,24 @@ def phasor_sum(
             "phasor_sum needs one gain, delay and distance per path, got "
             f"{n_gains} gains, {n_delays} delays and {n_distances} distances"
         )
-    terms = (
-        g * np.exp(2j * math.pi * (tau * f0 - f * d / C_LIGHT))
-        for g, tau, d in zip(gains, delays, distances)
-    )
-    total = next(terms, 0j)
-    for term in terms:
-        total += term
-    return total
+    total = None
+    for g, tau, d in zip(gains, delays, distances):
+        # the summary line's expression, operation for operation: the same bits
+        shape = np.broadcast(g, tau, f, d).shape
+        phase = np.multiply(f, d, out=np.empty(shape))
+        np.divide(phase, C_LIGHT, out=phase)
+        np.subtract(tau * f0, phase, out=phase)
+        term = np.zeros(shape, dtype=complex)
+        np.multiply(phase, 2.0 * math.pi, out=term.imag)
+        del phase  # before a broadcast gain product allocates its iterator
+        np.exp(term, out=term)
+        # in place, a one-element array product skips numpy's FMA kernel
+        term = np.multiply(g, term, out=None if term.size == 1 and term.ndim else term)
+        total = term if total is None else np.add(total, term, out=total)
+        del term  # not held while the next path's buffers are made
+    if total is None:
+        return 0j
+    return total if total.ndim else total[()]
 
 
 def _require(cond: bool, message: str) -> None:

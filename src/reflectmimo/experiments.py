@@ -73,8 +73,9 @@ class DisplacementSpec:
 
     def __post_init__(self) -> None:
         d = tuple(float(x) for x in self.distances)
-        if len(d) < 2 or not all(math.isfinite(x) and x > 0.0 for x in d) or list(d) != sorted(d):
-            raise ValueError("distances must be >= 2 positive values, ascending")
+        ascending = all(x < y for x, y in zip(d, d[1:]))
+        if len(d) < 2 or not all(math.isfinite(x) and x > 0.0 for x in d) or not ascending:
+            raise ValueError("distances must be >= 2 positive values, strictly ascending")
         count = _at_least(
             self.directions_per_distance, 1,
             "directions_per_distance must be an integer: need at least one direction per distance",

@@ -22,6 +22,10 @@ The reflection model's oracles are its angle form written out as 3x3 numpy
 products: rm_distance_angles evaluates a path's distance from its eight
 parameters, and image_to_angles converts an image (U, g) into them. The
 package evaluates only the image that paths.angles_to_image derives.
+
+The phasor kernel's oracle, phasor_sum_expression, is the sum written as one
+numpy expression per path, which allocates each temporary afresh; the
+package builds each term in one buffer and must give the same bytes.
 """
 
 from __future__ import annotations
@@ -367,6 +371,19 @@ def gram_singular_values(h: np.ndarray) -> np.ndarray:
     roots = np.roots(coeffs)
     vals = np.clip(roots.real, 0.0, None)
     return np.sqrt(np.sort(vals)[::-1])
+
+
+def phasor_sum_expression(gains, delays, distances, f, f0):
+    """channel.phasor_sum as one numpy expression per path, each term a
+    fresh array, summed in path order: the kernel's byte-for-byte oracle."""
+    terms = (
+        g * np.exp(2j * math.pi * (tau * f0 - f * d / C_LIGHT))
+        for g, tau, d in zip(gains, delays, distances)
+    )
+    total = next(terms, 0j)
+    for term in terms:
+        total += term
+    return total
 
 
 def band_midpoints(f0: float, bandwidth: float, n_freq: int) -> list[float]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from scenelib import (
     band_tolerance,
     core_tolerance,
     observe,
+    phasor_sum_expression,
     random_scene,
     rm_distance_angles,
 )
@@ -197,6 +199,100 @@ class TestScalarChannel:
         )
         with pytest.raises(ValueError, match=message):
             phasor_sum(gains, delays, dists, F0, F0)
+
+
+def kernel_inputs(case: str, rng: np.random.Generator) -> tuple:
+    """(gains, delays, distances, f) of one of phasor_sum's call shapes."""
+
+    def gains(shape=(), real=False):
+        g = rng.normal(size=shape) + (0.0 if real else 1j * rng.normal(size=shape))
+        return g if shape else complex(g)
+
+    def delays(shape=()):
+        tau = rng.uniform(1e-8, 1e-5, shape)
+        return tau if shape else float(tau)
+
+    f = F0 + float(rng.uniform(-1e9, 1e9))
+    freqs = F0 + rng.uniform(-1e9, 1e9, (10, 1))
+    if case == "scalars":  # one antenna pair
+        taus = [delays() for _ in range(3)]
+        return [gains() for _ in taus], taus, [C_LIGHT * t + rng.normal() for t in taus], f
+    if case == "numpy scalars":  # mimo_from_traced_pairs iterates arrays
+        taus = delays((3,))
+        return gains((3,)), taus, C_LIGHT * taus, f
+    if case == "samples":  # the displacement truth: (F, 1) against (S,)
+        taus = [delays((60,)) for _ in range(3)]
+        return [gains((60,)) for _ in taus], taus, [C_LIGHT * t for t in taus], freqs
+    if case == "fitted samples":  # the displacement models
+        taus = [delays() for _ in range(3)]
+        dists = [C_LIGHT * t + rng.normal(size=60) for t in taus]
+        return [gains() for _ in taus], taus, dists, freqs
+    if case in ("matrix, real gains", "matrix, complex gains"):  # exhaustive
+        taus = [delays((4, 5)) for _ in range(3)]
+        real = case == "matrix, real gains"
+        return [gains((4, 5), real) for _ in taus], taus, [C_LIGHT * t for t in taus], f
+    if case == "fitted matrix":
+        taus = [delays() for _ in range(3)]
+        return [gains() for _ in taus], taus, [C_LIGHT * t + rng.normal(size=(4, 5)) for t in taus], f
+    if case == "one element":  # predict: a (1, 1) matrix
+        taus = [delays() for _ in range(3)]
+        return [gains() for _ in taus], taus, [C_LIGHT * t + rng.normal(size=(1, 1)) for t in taus], f
+    if case == "core factor":  # plane_wave_core's A and B
+        return [1.0], [0.0], [rng.normal(size=(6, 3))], freqs[..., None]
+    if case == "core gains":  # and its c
+        taus = delays((3,))
+        return [gains((3,))], [taus], [C_LIGHT * taus], freqs[..., None]
+    if case == "no path":  # the exhaustive model where no pair has a path
+        return [np.zeros((4, 5))], [0.0], [0.0], f
+    assert case == "empty"
+    return [], [], [], f
+
+
+KERNEL_CASES = [
+    "scalars", "numpy scalars", "samples", "fitted samples", "matrix, real gains",
+    "matrix, complex gains", "fitted matrix", "one element", "core factor", "core gains",
+    "no path", "empty",
+]
+
+
+class TestPhasorKernel:
+    """phasor_sum against its expression form, and the memory it holds."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_equals_the_expression_byte_for_byte(self, case):
+        rng = np.random.default_rng(list(map(ord, case)))
+        for _ in range(25):  # a (1, 1) product rounded differently in 46% of draws
+            args = kernel_inputs(case, rng)
+            got, want = phasor_sum(*args, F0), phasor_sum_expression(*args, F0)
+            assert type(got) is type(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @staticmethod
+    def peak_over_output(call) -> float:
+        """Peak traced memory of call(), over the bytes of what it returns."""
+        call()  # numpy sets up its caches on a first call
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / out.nbytes
+
+    def test_one_path_holds_its_term_and_one_float_scratch(self):
+        # the expression form peaked at 2.53 times the output
+        dists = np.random.default_rng(0).uniform(10.0, 20.0, (64, 64))
+        ratio = self.peak_over_output(lambda: phasor_sum([0.3 - 0.4j], [5e-8], [dists], F0, F0))
+        assert ratio <= 1.6
+
+    def test_later_paths_add_into_the_total_in_place(self):
+        # the displacement models' call: the expression form peaked at 4.75x
+        rng = np.random.default_rng(1)
+        args = kernel_inputs("fitted samples", rng)
+        assert np.shape(phasor_sum(*args, F0)) == (10, 60)
+        assert self.peak_over_output(lambda: phasor_sum(*args, F0)) <= 2.8
 
 
 class TestMimoMatrixModels:

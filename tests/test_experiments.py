@@ -133,6 +133,9 @@ class TestDisplacementSpec:
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             DisplacementSpec(distances=(0.02, 0.01))
+        # a repeated distance passed a test of sorted order
+        with pytest.raises(ValueError, match="strictly ascending"):
+            DisplacementSpec(distances=(0.01, 0.01))
         with pytest.raises(ValueError):
             DisplacementSpec(distances=(0.0, 0.01))
         with pytest.raises(ValueError):

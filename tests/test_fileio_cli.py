@@ -774,6 +774,12 @@ class TestCli:
         assert self.run_experiment("capacity", scene_file, tmp_path, cfg) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_displacement_config_repeated_distance_exits_2(self, scene_file, tmp_path, capsys):
+        cfg = {"tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "distances_m": [0.01, 0.01]}
+        assert self.run_experiment("displacement", scene_file, tmp_path, cfg) == 2
+        message = "error: distances must be >= 2 positive values, strictly ascending"
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("dp_displacements", [[], [0.01]])
     def test_capacity_config_one_rm_dp_displacement_exits_2_before_tracing(
         self, scene_file, tmp_path, capsys, monkeypatch, dp_displacements

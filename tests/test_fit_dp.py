@@ -23,6 +23,7 @@ from reflectmimo.fit_rt import fit_rm_rt
 from reflectmimo.geometry import wrap_angle
 from reflectmimo.geometry import spherical_dir
 from reflectmimo.paths import (
+    C_LIGHT,
     PwaPath,
     ReferencePair,
     RmPath,
@@ -436,6 +437,54 @@ class TestSolveGammaS:
         fitted = fit_rm_dp(ref_obs, [obs_a, obs_b], pair)
         assert len(fitted) == 1
         assert fitted[0].s == truth.s
+
+    def test_a_residual_gap_past_the_tie_tolerance_decides(self):
+        # Noise-free delays do not make the two rules disagree: the true
+        # parity fits them with a residual of round-off on the unit circle.
+        # These three displaced pairs' delays carry an error instead: s = +1
+        # interpolates them off the unit circle, and s = -1 fits them on it
+        # with a residual about 0.6% of tie_scale. The residual rule picks
+        # s = +1, the unit-circle rule s = -1; a gap past the tolerance of
+        # 1e-6 tie_scale must go to the residual rule.
+        aoa, aod, d0 = (0.3, 0.1), (-2.5, -0.2), 14.0
+        deltas_r = 1e-3 * np.array([[1.0, -1.0, 6.0], [1.0, -5.0, 4.0], [13.0, 9.0, -7.0]])
+        deltas_t = 1e-3 * np.array(
+            [[-13.0, -6.0, 0.0], [-23.0, -2.0, -12.0], [-7.0, -5.0, -3.0]]
+        )
+        forms = [
+            TestRollEquation.matrix_form(aoa, aod, d0, d_r, d_t, 0.0)
+            for d_r, d_t in zip(deltas_r, deltas_t)
+        ]
+        a_pos, a_neg = (np.array([rows[k] for rows, _, _ in forms]) for k in (0, 1))
+        rhs_at_zero = np.array([c for _, c, _ in forms])  # the rhs is d_m^2 + this
+        # the s = -1 fit on the unit circle plus the multiple of the s = -1
+        # system's normal that puts the rhs in the range of the s = +1 system
+        normal_pos, normal_neg = (np.cross(a[:, 0], a[:, 1]) for a in (a_pos, a_neg))
+        on_circle = a_neg @ [math.cos(0.7), math.sin(0.7)]
+        target = on_circle - (normal_pos @ on_circle) / (normal_pos @ normal_neg) * normal_neg
+        delays = np.sqrt(target - rhs_at_zero) / C_LIGHT
+
+        angles = dict(aoa_az=aoa[0], aoa_el=aoa[1], aod_az=aod[0], aod_el=aod[1])
+        pair = ReferencePair(tx_ref=TX0, rx_ref=RX0)
+        ref_obs = PairObservation(TX0, RX0, (synth_path(delay=d0 / C_LIGHT, **angles),))
+        displaced = [
+            PairObservation(TX0 - d_t, RX0 - d_r, (synth_path(delay=tau, **angles),))
+            for d_r, d_t, tau in zip(deltas_r, deltas_t, delays)
+        ]
+
+        rhs = (C_LIGHT * delays) ** 2 + rhs_at_zero
+        tie_scale = float(rhs @ rhs)
+        residual, circle = {}, {}
+        for s, a in ((1, a_pos), (-1, a_neg)):
+            xy = np.linalg.lstsq(a, rhs, rcond=None)[0]
+            residual[s] = float(np.sum((rhs - a @ xy) ** 2))
+            circle[s] = abs(float(xy @ xy) - 1.0)
+        assert 1e-6 * tie_scale < residual[-1] - residual[1] < 1e-2 * tie_scale
+        assert circle[-1] < 1e-6 < 1e-3 < circle[1]  # the unit-circle rule says -1
+
+        (sol,) = solve_gamma_s(ref_obs, displaced, pair)
+        assert sol.s == 1
+        assert sol.residual <= 1e-9 * tie_scale
 
 
 class TestFitRmDp:
