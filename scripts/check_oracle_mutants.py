@@ -17,13 +17,15 @@ tests/test_records.py, in the route fit's straight-pass threshold, through
 the grazing bounce in tests/test_fit_rt.py, in the rows of the
 displacement result, through the per-sample loop in
 tests/test_experiments.py, in the phasor kernel, through its expression form
-in tests/scenelib.py and the scalar channels of tests/test_channel.py, and in
+in tests/scenelib.py and the scalar channels of tests/test_channel.py, in
 the roll/parity fit, through the matrix form of its equation and the tie
-between its two parity rules in tests/test_fit_dp.py.
+between its two parity rules in tests/test_fit_dp.py, and in the distance
+laws, through the line-of-sight identity of the reflection model and the
+second-order error of the plane-wave one in tests/test_paths.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
 into a temporary directory and, one at a time, applies there each of
-twenty-eight mutants, keyed by module and top-level function or class:
+thirty mutants, keyed by module and top-level function or class:
 
 * tracer._walk
   * pad:       the second crossing's rectangle not padded by _PAD,
@@ -46,6 +48,10 @@ twenty-eight mutants, keyed by module and top-level function or class:
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
   * roll:      the roll angle negated;
+* paths.rm_distance_image
+  * axis:      the z coordinate dropped from the distance;
+* paths._pwa_terms
+  * sign:      the transmit displacement reversed;
 * capacity._triangle
   * streams:   row k of the stream table sums k + 1 streams at power P/k;
 * capacity._stream_rates
@@ -142,6 +148,16 @@ MUTANTS = {
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
         "roll": ('rotation_matrix("x", path.roll)', 'rotation_matrix("x", -path.roll)', 1),
+    },
+    ("paths", "rm_distance_image"): {
+        "axis": ("for k in (1, 2):", "for k in (1,):", 1),
+    },
+    ("paths", "_pwa_terms"): {
+        "sign": (
+            '(ref.tx_ref - as_points(tx, "tx", None))',
+            '(as_points(tx, "tx", None) - ref.tx_ref)',
+            1,
+        ),
     },
     ("capacity", "_triangle"): {
         "streams": ("np.tril_indices(size)", "np.tril_indices(size, 1)", 1),

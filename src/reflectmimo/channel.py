@@ -251,7 +251,7 @@ def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, flo
 
 @dataclass(frozen=True, eq=False)
 class _Evaluator:
-    """What ``channel_evaluator`` returns: per-path terms of ``phasor_sum``."""
+    """What ``channel_evaluator`` (its one constructor) returns: path terms of ``phasor_sum``."""
 
     gains: list
     delays: list
@@ -272,18 +272,6 @@ class _Evaluator:
             yield sum(running)
             for phasor, rotor in zip(running, rotors):
                 phasor *= rotor
-
-
-def _traced(gains, delays, f0: float) -> _Evaluator:
-    """The evaluator of traced paths, whose distances are c * delay."""
-    return _Evaluator(gains, delays, [C_LIGHT * d for d in delays], f0)
-
-
-def _fitted(rx, tx, paths, ref: ReferencePair, model: str, f0: float) -> _Evaluator:
-    """The evaluator of fitted paths at broadcasting rx and tx points, their
-    distances under model (``path_distances``)."""
-    distances = path_distances(rx, tx, paths, ref, model)
-    return _Evaluator([p.gain for p in paths], [p.delay for p in paths], distances, f0)
 
 
 def channel_evaluator(
@@ -312,10 +300,12 @@ def channel_evaluator(
         traced = trace_pairs(scene, tx[None, :], rx[:, None], max_bounces)
         # no pair has a path: one zero-gain term keeps the matrix shape
         gains = [g for _, g, _ in traced] or [np.zeros((len(rx), len(tx)))]
-        return _traced(gains, [d for _, _, d in traced] or [0.0], f0)
+        delays = [d for _, _, d in traced] or [0.0]
+        return _Evaluator(gains, delays, [C_LIGHT * d for d in delays], f0)
     _require(len(paths) > 0, f"{model} model requires a non-empty path list")
     _require(ref is not None, f"{model} model requires the reference pair")
-    return _fitted(rx[:, None], tx[None, :], paths, ref, model, f0)
+    distances = path_distances(rx[:, None], tx[None, :], paths, ref, model)
+    return _Evaluator([p.gain for p in paths], [p.delay for p in paths], distances, f0)
 
 
 @dataclass(frozen=True, eq=False)

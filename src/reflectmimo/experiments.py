@@ -4,8 +4,9 @@ Both experiments fit path parameters once at a reference TX/RX pair and then
 score how well each extrapolation model predicts the channel elsewhere,
 against ground truth obtained by re-tracing the scene. All randomness is
 drawn from a single seeded generator, so runs are reproducible bit for bit.
-The displacement experiment returns its errors as read-only columns, which
-iterate as ErrorRecord rows.
+The displacement experiment synthesizes the truth and each model through the
+channel layer's public phasor_sum and path_distances, and returns its errors
+as read-only columns, which iterate as ErrorRecord rows.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .capacity import (
     singular_values,
     stream_rates,
 )
-from .channel import PLANE_WAVE_MODELS, _fitted, _traced, channel_evaluator, plane_wave_core, upa
+from .channel import PLANE_WAVE_MODELS, channel_evaluator, path_distances, phasor_sum
+from .channel import plane_wave_core, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
 from .geometry import _at_least
-from .paths import ReferencePair
+from .paths import C_LIGHT, ReferencePair
 from .tracer import Scene, TracedPath, _in_path_order, to_pwa, trace_pairs, trace_paths
 
 __all__ = [
@@ -107,9 +109,10 @@ class DisplacementResult:
     """Errors of displacement_experiment as read-only columns.
 
     epsilon[s, f, k] is the error of models[k] at sample s, displaced by
-    distances[s], and at frequencies[f]. len(), iteration and indexing give
-    the ErrorRecord rows in (sample, frequency, model) order, with builtin
-    str and float fields, built one at a time; a slice is a list of rows.
+    distances[s], and at frequencies[f]. len() and iteration give the
+    ErrorRecord rows in (sample, frequency, model) order, with builtin str
+    and float fields, built one at a time. Indexing walks the rows, and a
+    slice is a list of them.
     """
 
     models: tuple[str, ...]
@@ -133,15 +136,7 @@ class DisplacementResult:
         return map(tuple.__new__, repeat(ErrorRecord), rows)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        s, f, k = np.unravel_index(range(len(self))[index], self.epsilon.shape)
-        return ErrorRecord(
-            self.models[k],
-            self.distances[s].item(),
-            self.frequencies[f].item(),
-            self.epsilon[s, f, k].item(),
-        )
+        return list(self)[index]
 
 
 def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -252,11 +247,16 @@ def displacement_experiment(
 
     # (paths, samples) against (n_freq, 1): one (n_freq, samples) sum
     gains, delays = _in_path_order(trace_pairs(scene, tx_m, rx_m, max_bounces), (len(dists),))
-    h_true = _traced(gains, delays, f0)(freqs[:, None])
+    h_true = phasor_sum(gains, delays, [C_LIGHT * d for d in delays], freqs[:, None], f0)
+    del gains, delays  # the truth's (paths, samples) arrays: not held through the models
     eps = np.empty((len(dists), n_freq, len(models)))
     for k, name in enumerate(models):
-        at = _fitted(rx_m, tx_m, fitted[name], ref, _CHANNEL_MODEL[name], f0)
-        eps[:, :, k] = (abs(at(freqs[:, None]) - h_true) ** 2 / energy0).T
+        paths = fitted[name]
+        distances = path_distances(rx_m, tx_m, paths, ref, _CHANNEL_MODEL[name])
+        gains, delays = [p.gain for p in paths], [p.delay for p in paths]
+        # unnamed, the model's (n_freq, samples) matrix is freed before the next one is made
+        eps[:, :, k] = (abs(phasor_sum(gains, delays, distances, freqs[:, None], f0) - h_true)
+                        ** 2 / energy0).T
     for column in (dists, freqs, eps):
         column.flags.writeable = False
     return DisplacementResult(tuple(models), dists, freqs, eps)

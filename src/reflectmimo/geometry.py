@@ -86,12 +86,12 @@ def _record(cls, *values):
 def _at_least(value, least: int, message: str) -> int:
     """value as an int; ValueError(f"{message}, got {value!r}") unless
     ``operator.index`` takes it (an int or numpy integer, not a float) and it
-    is at least least."""
+    is at least least; never for a bool, which Python's index takes as 0 or 1."""
     try:
         count = operator.index(value)
     except TypeError:
         count = least - 1
-    if count < least:
+    if count < least or isinstance(value, bool):
         raise ValueError(f"{message}, got {value!r}")
     return count
 

@@ -6,6 +6,8 @@ import json
 import math
 import pathlib
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -697,6 +699,16 @@ class TestCli:
                     assert abs(float(row[key]) - float(cell)) <= rel * abs(float(cell)) + floor
                 else:
                     assert row[key] == cell
+
+    def test_demo_inputs_are_what_the_generator_writes(self, tmp_path, capsys, monkeypatch):
+        # the scenes and configs that the demo tables come from
+        script = DEMO.parent / "scripts" / "make_demo_scene.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path)])
+        runpy.run_path(str(script), run_name="__main__")
+        capsys.readouterr()
+        for name in ("corridor.json", "blocked.json", "displacement_config.json",
+                     "capacity_config.json"):
+            assert (tmp_path / name).read_bytes() == (DEMO / name).read_bytes(), name
 
     def test_malformed_inputs_exit_2(self, tmp_path, capsys):
         bad_scene = tmp_path / "scene.json"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
+    DisplacementSpec,
+    ReferencePair,
     RmImage,
+    Route,
+    Scene,
+    displacement_experiment,
+    make_facet,
     rotation_matrix,
     spherical_dir,
+    trace_paths,
+    trace_sequence,
     unit,
+    upa,
     wrap_angle,
     z_reflection,
 )
@@ -27,6 +37,53 @@ class TestUnit:
         # nan < 1e-15 is False: a NaN norm must not pass as a non-zero one
         with pytest.raises(ValueError, match="cannot normalize"):
             unit(np.array(bad))
+
+
+TX, RX = np.array([0.0, 0.0, 1.0]), np.array([4.0, 0.0, 1.0])
+FLOOR_AND_CEILING = Scene(
+    facets=(make_facet(np.zeros(3), np.array([0.0, 0, 1])),
+            make_facet(np.array([0.0, 0, 9]), np.array([0.0, 0, -1]))),
+    carrier_freq=1e9,
+)
+# count argument -> (call with a bool for it, the message of geometry._at_least)
+BOOL_COUNTS = {
+    "max_bounces": (
+        lambda: trace_paths(FLOOR_AND_CEILING, TX, RX, max_bounces=True),
+        "max_bounces must be between 0 and 3",
+    ),
+    "rows": (lambda: upa(True, 2, 0.1, TX), "rows must be a positive integer"),
+    "cols": (lambda: upa(2, True, 0.1, TX), "cols must be a positive integer"),
+    "n_freq": (
+        lambda: displacement_experiment(
+            FLOOR_AND_CEILING, ReferencePair(tx_ref=TX, rx_ref=RX), n_freq=True
+        ),
+        "n_freq must be a positive integer",
+    ),
+    "rng_seed": (
+        lambda: DisplacementSpec(rng_seed=False), "rng_seed must be a non-negative integer"
+    ),
+    "directions_per_distance": (
+        lambda: DisplacementSpec(directions_per_distance=True),
+        "need at least one direction per distance",
+    ),
+    "Route facet id": (
+        lambda: Route(vertices=np.array([TX, [2.0, 0.0, 0.0], RX]), facet_ids=(False,)),
+        "facet_ids must hold facet indices",
+    ),
+    "trace_sequence index": (
+        lambda: trace_sequence(FLOOR_AND_CEILING, (True,), TX, RX),
+        "sequence must hold facet indices",
+    ),
+}
+
+
+@pytest.mark.parametrize("count", BOOL_COUNTS)
+def test_a_count_is_not_a_bool(count):
+    # operator.index takes Python's bool as 0 or 1, though not numpy's:
+    # max_bounces=True traced one bounce, and upa(True, 2, ...) built a row
+    call, message = BOOL_COUNTS[count]
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got ") + "(True|False)$"):
+        call()
 
 
 class TestWrapAngle:
