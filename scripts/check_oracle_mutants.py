@@ -21,11 +21,15 @@ in tests/scenelib.py and the scalar channels of tests/test_channel.py, in
 the roll/parity fit, through the matrix form of its equation and the tie
 between its two parity rules in tests/test_fit_dp.py, and in the distance
 laws, through the line-of-sight identity of the reflection model and the
-second-order error of the plane-wave one in tests/test_paths.py.
+second-order error of the plane-wave one in tests/test_paths.py, in the
+scene's carrier check, through the carriers of tests/test_tracer.py that
+are not positive and finite, and in the experiments' check of a
+displaced-pair fit that keeps no path, through the ceiling scene of
+tests/test_experiments.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
 into a temporary directory and, one at a time, applies there each of
-thirty mutants, keyed by module and top-level function or class:
+thirty-two mutants, keyed by module and top-level function or class:
 
 * tracer._walk
   * pad:       the second crossing's rectangle not padded by _PAD,
@@ -45,6 +49,8 @@ thirty mutants, keyed by module and top-level function or class:
   * side:      the side test flipped;
 * tracer._kept, the seam rule
   * seam:      a tolerance of 1e-6 of the route length in place of 1e-9;
+* tracer.Scene
+  * carrier:   the carrier check disabled (a zero or NaN carrier passes);
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
   * roll:      the roll angle negated;
@@ -74,6 +80,8 @@ thirty mutants, keyed by module and top-level function or class:
   * bend:      a straight-pass threshold of 1e-4 in place of _MIN_BEND (1e-12);
 * experiments.DisplacementResult
   * order:     the rows read epsilon as (S, K, F), not (S, F, K);
+* experiments._fit_estimators
+  * empty:     the check of an rm_dp fit that keeps no path disabled;
 * channel.phasor_sum
   * reference: the tau f0 reference phase dropped,
   * sum:       the paths after the first not added to the total;
@@ -126,7 +134,7 @@ MUTANTS = {
     ("tracer", "_walk"): {
         "pad": ("* gap", "* gap - _PAD * gap", 2),
         "side": ("(hp > 0.0) != (z_g > 0.0)", "(hp > 0.0) == (z_g > 0.0)", 1),
-        "middle": ("middle = turns[g]", "middle = None", 1),
+        "middle": ("middle = True", "middle = False", 1),
         "faced": ("if leaf and not reached:", "if not reached:", 1),
     },
     ("tracer", "_unfold"): {
@@ -144,6 +152,9 @@ MUTANTS = {
     },
     ("tracer", "_kept"): {
         "seam": ("tol = 1e-9 *", "tol = 1e-6 *", 1),
+    },
+    ("tracer", "Scene"): {
+        "carrier": ("and self.carrier_freq > 0.0):", "or True):", 1),
     },
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
@@ -188,6 +199,9 @@ MUTANTS = {
     },
     ("experiments", "DisplacementResult"): {
         "order": ("self.epsilon.reshape(-1)", "self.epsilon.swapaxes(1, 2).reshape(-1)", 1),
+    },
+    ("experiments", "_fit_estimators"): {
+        "empty": ('if not fitted["rm_dp"]:', "if False:", 1),
     },
     ("channel", "phasor_sum"): {
         "reference": ("np.subtract(tau * f0, phase,", "np.subtract(0.0, phase,", 1),

@@ -358,6 +358,7 @@ def plane_wave_core(
     """
     _require(model in PLANE_WAVE_MODELS, f"no plane-wave core for model {model!r}")
     _require(len(paths) > 0, f"{model} model requires a non-empty path list")
+    _require(ref is not None, f"{model} model requires the reference pair")
     tx = as_points(tx_points, "tx_points", 2)
     rx = as_points(rx_points, "rx_points", 2)
     if model == "pwa":

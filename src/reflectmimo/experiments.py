@@ -171,7 +171,8 @@ def _fit_estimators(
 
     Returns the reference paths and the fitted paths of each estimator. The
     rm_dp fit also traces one displaced pair per entry of dp_distances, in
-    random directions drawn from rng; nothing else draws from it.
+    random directions drawn from rng; nothing else draws from it. ValueError
+    when that fit keeps no path, which no model can score.
     """
     traced0 = trace_paths(scene, ref.tx_ref, ref.rx_ref, max_bounces)
     if not traced0:
@@ -198,6 +199,8 @@ def _fit_estimators(
             )
         reference_obs = PairObservation(tx=ref.tx_ref, rx=ref.rx_ref, paths=tuple(pwa0))
         fitted["rm_dp"] = fit_rm_dp(reference_obs, displaced, ref)
+        if not fitted["rm_dp"]:
+            raise ValueError(f"rm_dp kept no path: its fit lost all {len(pwa0)} reference paths")
     return traced0, fitted
 
 

@@ -5,23 +5,23 @@ ordered facet sequences up to a bounce limit as a tree keyed by suffix
 (_walk), so sequences with a common suffix share their receiver images. The
 walk skips only sequences that unfolding would reject, by four culls: it
 cuts a subtree where an image lies behind a one-sided facet (Borish 1984)
-or where two facets face away from each other (a facet-pair table kept by
+or where two facets face away from each other (the one facet-pair table of
 each Scene), and yields a sequence only when TX faces its first facet and,
 tracing one pair, when the beam from TX's mirror through that facet holds
 the aim image and crosses the second facet inside its rectangle (the beam
 of Funkhouser et al. 1998, checked at its first two reflections). What
 these culls read of a facet, or of a pair of facets, the Scene keeps from
-construction; a trace adds only three floats per bounded facet, TX's
-coordinates in its frame. Each yielded sequence is unfolded towards those
-images, and its route kept only if every interaction point lies inside its
-facet, hits the reflective side, and no segment is blocked by a facet
-other than those it starts and ends on. The kept sequences are sorted
-(line of sight, bounce count, lexicographic) before the seam rule and the
-gains, so the output is that of trying every sequence in that order. Gains
-follow free-space spreading over the route length with a fixed per-bounce
-loss, phase referenced to the scene carrier. Each traced path keeps its
-scene, so its mirror image (U, g) composes from the planes of the facets
-it meets.
+construction; a trace adds only three floats per bounded facet, TX's view
+of it (_view, by which the walk also sees each aim). Each yielded sequence
+is unfolded towards those images, and its route kept only if every
+interaction point lies inside its facet, hits the reflective side, and no
+segment is blocked by a facet other than those it starts and ends on. The
+kept sequences are sorted (line of sight, bounce count, lexicographic)
+before the seam rule and the gains, so the output is that of trying every
+sequence in that order. Gains follow free-space spreading over the route
+length with a fixed per-bounce loss, phase referenced to the scene
+carrier. Each traced path keeps its scene, so its mirror image (U, g)
+composes from the planes of the facets it meets.
 Two tracers share the walk and these rules:
 
 * ``trace_paths`` traces one TX/RX pair on plain floats: the flat record
@@ -52,6 +52,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -199,22 +200,21 @@ def make_facet(
 class Scene:
     """Facet collection plus the carrier frequency and per-bounce loss.
 
-    Each scene builds every facet's flat record (_Flat) once, into _flats,
-    and from them the indices of the facets f that may come straight before
-    each facet g in a route (_predecessors): f != g, and the segment from f
-    to g can leave f's reflective side and arrive on g's (see _faces). For
-    _walk's culls it keeps each facet's plane (two_sided, nx, ny, nz, b) in
-    _planes; in _frames its axes, each with its dot product with the centre
-    (ux, uy, uz, u . c, vx, vy, vz, v . c), and its half-extents padded by
-    _PAD; and in _turns, for each facet g, a dict from each predecessor f to
-    the dot products of g's normal and axes with f's normal.
+    Each scene builds every facet's flat record (_Flat) once, into _flats.
+    For _walk's culls it keeps each facet's plane (two_sided, nx, ny, nz, b)
+    in _planes; in _frames its axes, each with its dot product with the
+    centre (ux, uy, uz, u . c, vx, vy, vz, v . c), and its half-extents
+    padded by _PAD; and in _turns its one facet-pair table: for each facet
+    g, a dict whose keys are the facets f that may come straight before g
+    in a route, in ascending index (f != g, and the segment from f to g can
+    leave f's reflective side and arrive on g's, see _faces), and whose
+    values are the dot products of g's normal and axes with f's normal.
     """
 
     facets: tuple[Facet, ...]
     carrier_freq: float
     reflection_loss_db: float = 3.0
     _flats: tuple[_Flat, ...] = field(init=False, repr=False)
-    _predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _planes: tuple[tuple, ...] = field(init=False, repr=False)
     _frames: tuple[tuple, ...] = field(init=False, repr=False)
     _turns: tuple[dict[int, tuple], ...] = field(init=False, repr=False)
@@ -228,18 +228,13 @@ class Scene:
             raise ValueError("reflection loss must be non-negative (dB)")
         flats = tuple(map(_flat, facets))
         object.__setattr__(self, "_flats", flats)
-        predecessors = tuple(
-            tuple(
-                i
-                for i, f in enumerate(flats)
-                if i != j and _faces(f, g) and _faces(g, f)
-            )
-            for j, g in enumerate(flats)
-        )
-        object.__setattr__(self, "_predecessors", predecessors)
         object.__setattr__(self, "_planes", tuple(f[:5] for f in flats))
         object.__setattr__(self, "_frames", tuple(map(_frame, flats)))
-        turns = tuple({i: _turn(flats[i], g) for i in pred} for g, pred in zip(flats, predecessors))
+        turns = tuple(
+            {i: _turn(f, g) for i, f in enumerate(flats)
+             if i != j and _faces(f, g) and _faces(g, f)}
+            for j, g in enumerate(flats)
+        )
         object.__setattr__(self, "_turns", turns)
 
     @property
@@ -409,9 +404,9 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
     sequences that _unfold rejects (their margins pad facets by _PAD, which
     covers _unfold's rounding):
 
-    * f goes in front of the node's first facet only if the scene lists it
-      as a predecessor (Scene._predecessors), which also excludes that
-      facet itself: two consecutive hits on one facet are never specular.
+    * f goes in front of the node's first facet g only if g's entry of
+      Scene._turns holds it (in ascending index), which also excludes g
+      itself: two consecutive hits on one facet are never specular.
     * A one-sided f is cut, with its subtree, unless images[0], where the
       segment leaving f heads, is strictly in front of it.
     * cones[f] tells whether a route from TX can meet facet f first and
@@ -433,9 +428,9 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
         |hs x_u - z_g s_u| > (half_u + _PAD) |hs - z_g|,  or the same along v.
 
       hs = h_g - 2 h (n_g . n_f) and s_u = t_u - 2 h (u_g . n_f) read TX's
-      view (h_g, t_u, t_v) of g and the dot products of Scene._turns; x_u
-      and z_g are read once per node. Nothing is tested when g is unbounded
-      or |hs|, |hp|, |z_g| or |h + z| is at most _PAD.
+      view (h_g, t_u, t_v) of g (_view) and the products of Scene._turns;
+      A's, (z_g, x_u, x_v), is read once per node. Nothing is tested when g
+      is unbounded or |hs|, |hp|, |z_g| or |h + z| is at most _PAD.
 
     A child is yielded from its node's loop only when it passes the last
     two culls; a child at the bounce limit is built only then, and never
@@ -446,7 +441,6 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
     if _at_least(max_bounces, 0, message) > MAX_BOUNCES:
         raise ValueError(f"{message}, got {max_bounces!r}")
     planes, frames, turns = scene._planes, scene._frames, scene._turns
-    predecessors = scene._predecessors
     any_ = ops.any
     root = ((), (rx,))
     yield root
@@ -456,17 +450,16 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
         leaf = len(seq) + 1 == max_bounces
         aim = images[0]
         ax, ay, az = aim
-        middle = None  # g's dot products with each f (Scene._turns) when tested
+        middle = False  # whether the last cull tests the children
         if seq and views is not None and views[seq[0]] is not None:
             g = seq[0]
-            _, nx, ny, nz, b = planes[g]
-            z_g = nx * ax + ny * ay + nz * az - b
+            z_g, x_u, x_v = _view(planes[g], frames[g], aim)
             if abs(z_g) > _PAD:
                 h_g, t_u, t_v = views[g]
-                x_u, x_v = _in_frame(frames[g], aim)
                 half_gu, half_gv = frames[g][8:]
-                middle = turns[g]
-        for idx in predecessors[seq[0]] if seq else range(len(planes)):
+                middle = True
+        # (f, g's dot products with f); at the root every f, lazily (a list costs memory)
+        for idx, dots in turns[seq[0]].items() if seq else zip(range(len(planes)), repeat(None)):
             reached = cones[idx]
             if leaf and not reached:
                 continue
@@ -485,8 +478,8 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
                 if reached and half_v is not None:
                     x = vx * ax + vy * ay + vz * az - vc
                     reached = abs(a_v * z + h * x) <= half_v * d
-                if reached and middle is not None and abs(w) > _PAD:
-                    n_gf, u_gf, v_gf = middle[idx]
+                if reached and middle and abs(w) > _PAD:
+                    n_gf, u_gf, v_gf = dots
                     hs = h_g - 2.0 * h * n_gf
                     hp = hs + h / w * (z_g - hs)
                     if abs(hs) > _PAD and abs(hp) > _PAD:
@@ -506,12 +499,15 @@ def _walk(scene: Scene, rx, max_bounces: int, ops: _Ops, cones, views=None):
                     stack.append(node)
 
 
-def _in_frame(frame, p) -> tuple[float, float]:
-    """The in-plane coordinates of float triple p in a facet's frame
-    (Scene._frames): u . p - u . c and v . p - v . c."""
+def _view(plane, frame, p) -> tuple[float, float, float]:
+    """Float triple p seen from a facet: its height over the facet's plane
+    (Scene._planes), n . p - b, and its in-plane coordinates in the facet's
+    frame (Scene._frames), u . p - u . c and v . p - v . c."""
+    _, nx, ny, nz, b = plane
     ux, uy, uz, uc, vx, vy, vz, vc = frame[:8]
     px, py, pz = p
-    return ux * px + uy * py + uz * pz - uc, vx * px + vy * py + vz * pz - vc
+    height = nx * px + ny * py + nz * pz - b
+    return height, ux * px + uy * py + uz * pz - uc, vx * px + vy * py + vz * pz - vc
 
 
 def _faced(planes, tx, ops: _Ops) -> list:
@@ -526,8 +522,8 @@ def _faced(planes, tx, ops: _Ops) -> list:
 def _tx_cones(scene: Scene, tx) -> tuple[list, list]:
     """The cones and views of _walk from the float triple tx.
 
-    views[f] is TX's height h over facet f's plane and its in-plane
-    coordinates (a_u, a_v) in f's frame (Scene._frames), for each f bounded
+    views[f] is TX's view (h, a_u, a_v) of facet f (_view): its height over
+    f's plane and its in-plane coordinates in f's frame, for each f bounded
     along some axis; None for an unbounded f. cones[f] is _faced's truth
     value, or in its place the cone through f, which is views[f], when TX
     lies in front of f, or behind a two-sided f, by more than _PAD.
@@ -548,9 +544,8 @@ def _tx_cones(scene: Scene, tx) -> tuple[list, list]:
     """
     faced = _faced(scene._planes, tx, _FLOAT_OPS)
     views = [
-        None if frame[8] is None and frame[9] is None
-        else (nx * tx[0] + ny * tx[1] + nz * tx[2] - b, *_in_frame(frame, tx))
-        for (_, nx, ny, nz, b), frame in zip(scene._planes, scene._frames)
+        None if frame[8] is None and frame[9] is None else _view(plane, frame, tx)
+        for plane, frame in zip(scene._planes, scene._frames)
     ]
     cones = [
         view if ok and view is not None and abs(view[0]) > _PAD else ok

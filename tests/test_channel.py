@@ -730,6 +730,15 @@ def test_band_sample_count_must_be_an_integer(evaluator, n_freq):
         list(at.band(1e9, n_freq))
 
 
+@pytest.mark.parametrize("evaluator", [channel_evaluator, plane_wave_core])
+def test_pwa_requires_the_reference_pair(evaluator):
+    # plane_wave_core raised an AttributeError in _pwa_terms
+    paths, _, ref = fitted_paths(empty_scene(), np.zeros(3), np.array([20.0, 0.0, 0.0]))
+    arr = upa(2, 2, 0.01, center=ref.tx_ref)
+    with pytest.raises(ValueError, match="pwa model requires the reference pair"):
+        evaluator(arr, arr, "pwa", F0, paths=paths, ref=None)
+
+
 class TestPlaneWaveCore:
     """A plane-wave channel with P paths has rank <= P, and its core
     R_A diag(c) R_B^T has the dense matrix's nonzero singular values."""

@@ -605,6 +605,35 @@ class TestDisplacementMatchesLoop:
         assert "displacement experiment pair traces: 7" in caplog.messages
 
 
+def ceiling_scene():
+    """One two-sided unbounded ceiling over a 5 m link at 28 GHz: at rng
+    seeds 4 and 5, the displaced pairs 20 and 25 m away leave fit_rm_dp with
+    none of the two reference paths."""
+    scene = Scene(facets=(make_facet((0, 0, 10), (0, 0, 1), two_sided=True),), carrier_freq=28e9)
+    return scene, ReferencePair(tx_ref=np.zeros(3), rx_ref=np.array([5.0, 0.0, 0.0]))
+
+
+class TestEmptyDisplacedPairFit:
+    MESSAGE = "rm_dp kept no path: its fit lost all 2 reference paths"
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_capacity_sweep_names_rm_dp(self, seed):
+        # it raised the channel model's "rm_image model requires a non-empty path list"
+        scene, ref = ceiling_scene()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            capacity_sweep(
+                scene, ref, [0.0], LinkBudget(), rows=2, cols=2, models=("rm_dp", "pwa"),
+                n_freq=1, max_bounces=1, rng_seed=seed, dp_distances=(20.0, 25.0),
+            )
+
+    def test_displacement_experiment_names_rm_dp(self):
+        # it scored the empty fit as the zero channel: a median epsilon of 0
+        scene, ref = ceiling_scene()
+        spec = DisplacementSpec((20.0, 25.0, 30.0), directions_per_distance=2, rng_seed=4)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            displacement_experiment(scene, ref, spec, max_bounces=1)
+
+
 class TestCapacitySweep:
     def test_cells_and_trace_counts(self):
         scene, ref = empty_los(30.0)

@@ -725,6 +725,32 @@ class TestCli:
         ])
         assert missing == 2
 
+    def test_trace_without_out_writes_the_paths_to_stdout(self, scene_file, tmp_path, capsys):
+        argv = ["trace", "--scene", scene_file, "--tx", "0,0,1", "--rx", "4,0,1", "--bounces", "1"]
+        assert main(argv) == 0
+        written = capsys.readouterr().out
+        assert len(fileio.load_paths(io.StringIO(written)).paths) == 2
+        out = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "paths.json")
+        assert written == pathlib.Path(out).read_text()
+
+    def test_non_numeric_frequency_exits_via_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--rm", "rm.json", "--tx", "0,0,1", "--rx", "4,0,1", "--freq", "abc"])
+        assert exc.value.code == 2
+        assert "could not convert string to float: 'abc'" in capsys.readouterr().err
+
+    def test_capacity_whose_displaced_pair_fit_keeps_no_path_exits_2(self, tmp_path, capsys):
+        ceiling = make_facet((0.0, 0.0, 10.0), (0.0, 0.0, 1.0), two_sided=True)
+        scene_file = tmp_path / "ceiling.json"
+        with open(scene_file, "w") as fp:
+            fileio.save_scene(Scene(facets=(ceiling,), carrier_freq=28e9), fp)
+        cfg = {"tx_ref": [0.0, 0.0, 0.0], "rx_ref": [5.0, 0.0, 0.0], "rotations_deg": [0.0],
+               "rows": 2, "cols": 2, "models": ["rm_dp", "pwa"], "n_freq": 1,
+               "max_bounces": 1, "dp_displacements_m": [20, 25], "rng_seed": 4}
+        assert self.run_experiment("capacity", str(scene_file), tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert "error: rm_dp kept no path: its fit lost all 2 reference paths" in err
+
     def test_bad_vector_argument_exits_via_argparse(self, scene_file):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--scene", scene_file, "--tx", "1,2", "--rx", "0,0,0"])

@@ -100,6 +100,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             RmImage(U=np.eye(3) * 1.001, g=np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (4, 3)])
+    def test_rm_image_u_must_be_3x3(self, shape):
+        with pytest.raises(ValueError, match="U must be a 3x3 matrix"):
+            RmImage(U=np.zeros(shape), g=np.zeros(3))
+
     def test_rm_image_orthogonality_bound_on_every_entry(self):
         # U = Q (I + E) moves entry (i, j) of U^T U and its mirror by about
         # 2 E_ij; the image is refused exactly when an entry is off I by
@@ -160,6 +165,22 @@ class TestTypes:
             assert ref.matches(ref.tx_ref, ref.rx_ref - 0.9 * tol * ex)
             assert not ref.matches(ref.tx_ref + 1.1 * tol * ex, ref.rx_ref)
             assert not ref.matches(ref.tx_ref, ref.rx_ref - 1.1 * tol * ex)
+
+
+class TestImageAngleErrors:
+    REF = ReferencePair(tx_ref=np.array([1.0, 2.0, 3.0]), rx_ref=np.array([6.0, -1.0, 2.0]))
+
+    def test_an_image_on_the_reference_receiver_has_no_angles(self):
+        img = RmImage(np.eye(3), self.REF.rx_ref - self.REF.tx_ref)
+        with pytest.raises(ValueError, match="transmitter image coincides with the reference"):
+            _image_angles(img, self.REF)
+
+    def test_a_determinant_off_unit_has_no_parity(self):
+        # inside RmImage's orthogonality tolerance (U^T U = I within 1e-9),
+        # but det U = 1 + 1.2e-9 is more than 1e-9 off +1
+        img = RmImage((1.0 + 4e-10) * np.eye(3), np.array([0.0, 5.0, 0.0]))
+        with pytest.raises(ValueError, match=r"mirror chain determinant \S+ is not \+-1"):
+            _image_angles(img, self.REF)
 
 
 class TestLosDistance:

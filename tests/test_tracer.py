@@ -95,6 +95,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             Scene(facets=(), carrier_freq=1e9, reflection_loss_db=-1.0)
 
+    @pytest.mark.parametrize("carrier", [0.0, math.nan, -1e9, math.inf])
+    def test_scene_rejects_a_carrier_that_is_not_positive_and_finite(self, carrier):
+        with pytest.raises(ValueError, match="carrier frequency must be positive"):
+            Scene(facets=(make_facet(np.zeros(3), EZ),), carrier_freq=carrier)
+
+    def test_to_pwa_rejects_a_route_whose_first_segment_is_empty(self):
+        tx, rx = np.zeros(3), np.array([4.0, 0.0, 0.0])
+        route = Route(vertices=np.array([tx, tx, rx]), facet_ids=None)
+        path = TracedPath(route=route, gain=1.0, delay=4.0 / C_LIGHT)
+        with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
+            to_pwa(path, ReferencePair(tx_ref=tx, rx_ref=rx))
+
     def test_route_facet_id_count_checked(self):
         with pytest.raises(ValueError):
             Route(vertices=np.zeros((2, 3)), facet_ids=(0,))
