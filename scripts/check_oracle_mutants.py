@@ -23,13 +23,16 @@ between its two parity rules in tests/test_fit_dp.py, and in the distance
 laws, through the line-of-sight identity of the reflection model and the
 second-order error of the plane-wave one in tests/test_paths.py, in the
 scene's carrier check, through the carriers of tests/test_tracer.py that
-are not positive and finite, and in the experiments' check of a
+are not positive and finite, in the one check of a real number, through
+the tables of real arguments in tests/test_geometry.py and
+tests/test_fileio_cli.py, and in the experiments' check of a
 displaced-pair fit that keeps no path, through the ceiling scene of
 tests/test_experiments.py.
 
-Copies src/, tests/, demo/ (the scenes some tests load) and pyproject.toml
-into a temporary directory and, one at a time, applies there each of
-thirty-two mutants, keyed by module and top-level function or class:
+Copies src/, tests/, demo/ (the scenes some tests load), scripts/ (the demo
+generator a test runs) and pyproject.toml into a temporary directory and,
+one at a time, applies there each of thirty-four mutants, keyed by module
+and top-level function or class:
 
 * tracer._walk
   * pad:       the second crossing's rectangle not padded by _PAD,
@@ -50,7 +53,8 @@ thirty-two mutants, keyed by module and top-level function or class:
 * tracer._kept, the seam rule
   * seam:      a tolerance of 1e-6 of the route length in place of 1e-9;
 * tracer.Scene
-  * carrier:   the carrier check disabled (a zero or NaN carrier passes);
+  * carrier:   the carrier's geometry._real call replaced by float() (a
+               zero or NaN carrier passes);
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
   * roll:      the roll angle negated;
@@ -68,6 +72,9 @@ thirty-two mutants, keyed by module and top-level function or class:
 * geometry.as_points
   * finite:    the coordinate test disabled (a NaN, infinite or past-reach
                point passes);
+* geometry._real
+  * bool:      the bool test dropped (True passes as 1.0),
+  * range:     the bound test disabled (a zero or negative value passes);
 * geometry._record
   * order:     the fields zipped with the values in reversed order,
   * skip:      the last field left unset;
@@ -95,7 +102,8 @@ For the unmutated copy and then for each mutant it runs
     pytest tests/test_points.py tests/test_file_keys.py tests/test_records.py \
         tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
         tests/test_capacity.py tests/test_fit_rt.py tests/test_experiments.py \
-        tests/test_fit_dp.py tests/test_channel.py -q -x
+        tests/test_fit_dp.py tests/test_channel.py tests/test_geometry.py \
+        tests/test_fileio_cli.py -q -x
 
 against the copy, one run after another. A mutant survives when its run
 passes. Nothing is written into the repository.
@@ -127,6 +135,8 @@ TESTS = [
     "tests/test_experiments.py",
     "tests/test_fit_dp.py",
     "tests/test_channel.py",
+    "tests/test_geometry.py",
+    "tests/test_fileio_cli.py",
 ]
 
 # (module, function or class) -> {name: (text in it, replacement, occurrences)}
@@ -154,7 +164,11 @@ MUTANTS = {
         "seam": ("tol = 1e-9 *", "tol = 1e-6 *", 1),
     },
     ("tracer", "Scene"): {
-        "carrier": ("and self.carrier_freq > 0.0):", "or True):", 1),
+        "carrier": (
+            '_real(self.carrier_freq, "carrier frequency must be positive, got ", above=0.0)',
+            "float(self.carrier_freq)",
+            1,
+        ),
     },
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1),
@@ -181,6 +195,10 @@ MUTANTS = {
     },
     ("geometry", "as_points"): {
         "finite": ("if not abs(pts).max() < _REACH:", "if False:", 1),
+    },
+    ("geometry", "_real"): {
+        "bool": (" and not isinstance(value, bool)", "", 1),
+        "range": ("real >= least and real > above", "True", 1),
     },
     ("geometry", "_record"): {
         "order": (
@@ -244,7 +262,7 @@ def failures(result: subprocess.CompletedProcess) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests", "demo"):
+        for name in ("src", "tests", "demo", "scripts"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
 

@@ -24,6 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .geometry import _real
+
 __all__ = [
     "LinkBudget",
     "RateModel",
@@ -42,23 +44,19 @@ _NOISE_FLOOR_DBM_HZ = -174.0
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit power, bandwidth and receiver noise figure."""
+    """Transmit power, bandwidth and receiver noise figure, real numbers
+    checked and stored as floats by geometry._real."""
 
     tx_power_dbm: float = 23.0
     bandwidth_hz: float = 2e9
     noise_figure_db: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0.0):
-            raise ValueError(
-                f"bandwidth must be positive and finite, got 'bandwidth_hz' = {self.bandwidth_hz!r}"
-            )
+        message = "bandwidth must be positive and finite, got 'bandwidth_hz' = "
+        object.__setattr__(self, "bandwidth_hz", _real(self.bandwidth_hz, message, above=0.0))
         for key in ("tx_power_dbm", "noise_figure_db"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(
-                    "transmit power and noise figure must be finite, "
-                    f"got {key!r} = {getattr(self, key)!r}"
-                )
+            message = f"transmit power and noise figure must be finite, got {key!r} = "
+            object.__setattr__(self, key, _real(getattr(self, key), message))
         # 10 ** (x / 10) leaves the float range past x = 308.25 * 10 and
         # its watts reach 0.0 below about -3200 dBm; a subnormal bandwidth
         # takes the noise power to 0.0 too
@@ -89,18 +87,16 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class RateModel:
-    """Clipped spectral-efficiency curve alpha*log2(1+snr), capped at se_max."""
+    """Clipped spectral-efficiency curve alpha*log2(1+snr), capped at se_max;
+    both positive reals, checked and stored as floats by geometry._real."""
 
     alpha: float = 0.6
     se_max: float = 4.8
 
     def __post_init__(self) -> None:
         for key in ("alpha", "se_max"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"rate model constants must be positive and finite, got {key!r} = {value!r}"
-                )
+            message = f"rate model constants must be positive and finite, got {key!r} = "
+            object.__setattr__(self, key, _real(getattr(self, key), message, above=0.0))
 
 
 def singular_values(h: np.ndarray) -> np.ndarray:
@@ -111,8 +107,7 @@ def singular_values(h: np.ndarray) -> np.ndarray:
 
 def rho(snr: float, model: RateModel = RateModel()) -> float:
     """Per-stream spectral efficiency at a given SNR, bps/Hz."""
-    if not snr >= 0.0:
-        raise ValueError(f"SNR must be non-negative, got {snr!r}")
+    snr = _real(snr, "SNR must be non-negative, got ", least=0.0)
     return min(model.alpha * math.log2(1.0 + snr), model.se_max)
 
 
@@ -209,6 +204,7 @@ def band_rate(
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
     """Far-field boundary 2 D^2 / lambda of an aperture of size D."""
-    if not (0.0 <= aperture < math.inf and 0.0 < wavelength < math.inf):
-        raise ValueError("aperture must be non-negative and wavelength positive, both finite")
+    message = "aperture must be non-negative and wavelength positive, both finite, got "
+    aperture = _real(aperture, f"{message}'aperture' = ", least=0.0)
+    wavelength = _real(wavelength, f"{message}'wavelength' = ", above=0.0)
     return 2.0 * aperture * aperture / wavelength

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import _at_least, as_points, rotation_matrix
+from .geometry import _at_least, _real, as_points, rotation_matrix
 from .paths import (
     C_LIGHT,
     PwaPath,
@@ -86,11 +86,9 @@ def upa(
     """
     rows = _at_least(rows, 1, "rows must be a positive integer")
     cols = _at_least(cols, 1, "cols must be a positive integer")
-    if not (math.isfinite(spacing) and spacing > 0.0):
-        raise ValueError("element spacing must be positive")
+    spacing = _real(spacing, "element spacing must be positive, got ", above=0.0)
     center = as_points(center, "center", 1)
-    if not math.isfinite(azimuth_rotation):
-        raise ValueError(f"azimuth_rotation must be finite, got {azimuth_rotation!r}")
+    azimuth_rotation = _real(azimuth_rotation, "azimuth_rotation must be finite, got ")
     ys = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     yy, zz = np.meshgrid(ys, zs)

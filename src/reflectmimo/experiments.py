@@ -30,7 +30,7 @@ from .channel import PLANE_WAVE_MODELS, channel_evaluator, path_distances, phaso
 from .channel import plane_wave_core, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .geometry import _at_least
+from .geometry import _at_least, _real
 from .paths import C_LIGHT, ReferencePair
 from .tracer import Scene, TracedPath, _in_path_order, to_pwa, trace_pairs, trace_paths
 
@@ -67,6 +67,7 @@ class DisplacementSpec:
     For each distance, directions_per_distance random displacement direction
     pairs are drawn (TX and RX move independently). The two smallest
     distances double as the displaced pairs that feed the roll/parity fit.
+    The distances are checked and stored as floats by geometry._real.
     """
 
     distances: tuple[float, ...] = (0.01, 0.02, 0.05, 0.10, 0.50, 1.00)
@@ -74,10 +75,10 @@ class DisplacementSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        d = tuple(float(x) for x in self.distances)
-        ascending = all(x < y for x, y in zip(d, d[1:]))
-        if len(d) < 2 or not all(math.isfinite(x) and x > 0.0 for x in d) or not ascending:
-            raise ValueError("distances must be >= 2 positive values, strictly ascending")
+        message = "distances must be >= 2 positive values, strictly ascending"
+        d = tuple(_real(x, f"{message}, got ", above=0.0) for x in self.distances)
+        if len(d) < 2 or not all(x < y for x, y in zip(d, d[1:])):
+            raise ValueError(message)
         count = _at_least(
             self.directions_per_distance, 1,
             "directions_per_distance must be an integer: need at least one direction per distance",
@@ -148,6 +149,15 @@ def _random_units(rng: np.random.Generator, count: int) -> np.ndarray:
     return v / n[:, None]
 
 
+def _displaced(rng, ref: ReferencePair, distances) -> tuple[np.ndarray, np.ndarray]:
+    """TX and RX points, (K, 3) each, of K pairs displaced from ref by the
+    K distances along random directions: pair k moves TX along the unit
+    direction 2k and RX along 2k + 1 of _random_units(rng, 2K)."""
+    dist = np.asarray(distances, dtype=float)[:, None]
+    units = _random_units(rng, 2 * len(dist))
+    return ref.tx_ref + dist * units[0::2], ref.rx_ref + dist * units[1::2]
+
+
 def _check_models(models: Sequence[str], known: Sequence[str]) -> None:
     """ValueError unless models names at least one of known, each once."""
     if not models:
@@ -186,10 +196,7 @@ def _fit_estimators(
         fitted["rm_rt"] = [fit_rm_rt(p, ref) for p in traced0]
     if "rm_dp" in models:
         displaced = []
-        units = _random_units(rng, 2 * len(dp_distances))
-        for dist, dir_tx, dir_rx in zip(dp_distances, units[0::2], units[1::2]):
-            tx_m = ref.tx_ref + dist * dir_tx
-            rx_m = ref.rx_ref + dist * dir_rx
+        for tx_m, rx_m in zip(*_displaced(rng, ref, dp_distances)):
             pair_ref = ReferencePair(tx_ref=tx_m, rx_ref=rx_m)
             traced = trace_paths(scene, tx_m, rx_m, max_bounces)
             displaced.append(
@@ -231,8 +238,7 @@ def displacement_experiment(
     """
     n_freq = _at_least(n_freq, 1, "n_freq must be a positive integer")
     _check_models(models, ESTIMATORS)
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    bandwidth = _real(bandwidth, "bandwidth must be positive and finite, got ", above=0.0)
 
     f0 = scene.carrier_freq
     rng = np.random.default_rng(spec.rng_seed)
@@ -242,9 +248,7 @@ def displacement_experiment(
 
     freqs = rng.uniform(f0 - bandwidth / 2.0, f0 + bandwidth / 2.0, size=n_freq)
     dists = np.repeat(spec.distances, spec.directions_per_distance)
-    units = _random_units(rng, 2 * len(dists))
-    tx_m = ref.tx_ref + dists[:, None] * units[0::2]
-    rx_m = ref.rx_ref + dists[:, None] * units[1::2]
+    tx_m, rx_m = _displaced(rng, ref, dists)
     n_traced = 1 + (len(dp_distances) if "rm_dp" in models else 0) + len(dists)
     log.info("displacement experiment pair traces: %d", n_traced)
 
@@ -304,10 +308,9 @@ def capacity_sweep(
     _check_models(models, _SWEEP_MODELS)
     if len(rotations) == 0:
         raise ValueError("need at least one rotation")
-    if not np.all(np.isfinite(rotations)):
-        raise ValueError("rotations must be finite")
-    if not all(math.isfinite(d) and d > 0.0 for d in dp_distances):
-        raise ValueError("dp_distances must be finite and positive")
+    rotations = [_real(rot, "rotations must be finite, got ") for rot in rotations]
+    message = "dp_distances must be finite and positive, got "
+    dp_distances = [_real(d, message, above=0.0) for d in dp_distances]
     if "rm_dp" in models and len(dp_distances) < 2:
         raise ValueError("rm_dp needs at least two dp_distances")
     f0 = scene.carrier_freq
@@ -354,7 +357,7 @@ def capacity_sweep(
             center = stream_rates(singular_values(evaluator(f0)), budget, rate_model)
             cells.append(
                 SweepCell(
-                    rotation=float(rot),
+                    rotation=rot,
                     model=name,
                     se_center=float(center.max()),
                     se_avg=se_avg,

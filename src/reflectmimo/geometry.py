@@ -8,6 +8,7 @@ are radians; angle-valued results are wrapped to (-pi, pi].
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -94,6 +95,22 @@ def _at_least(value, least: int, message: str) -> int:
     if count < least or isinstance(value, bool):
         raise ValueError(f"{message}, got {value!r}")
     return count
+
+
+def _real(value, message: str, least: float = -math.inf, above: float = -math.inf) -> float:
+    """value as a float; ValueError(message + repr(value)) unless it is a
+    numbers.Real and not a bool (numpy's is no numbers.Real), finite (an int
+    past the float range is not), >= least and > above. The one check of a
+    real-valued argument."""
+    real = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+    if not (math.isfinite(real) and real >= least and real > above):
+        raise ValueError(message + repr(value))
+    return real
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:

@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .geometry import _at_least, _dir_angles, _record, _unit3, as_points, unit
+from .geometry import _at_least, _dir_angles, _real, _record, _unit3, as_points, unit
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage, _mirrored
 
 __all__ = [
@@ -110,8 +109,8 @@ class Facet:
     record of plain floats (_Flat) each Scene builds from it. Facets are
     immutable, fields and arrays alike, and compare by identity. two_sided
     must be a bool (numpy's included) and is kept as a Python bool; a
-    half-extent must be a positive real number that is not a bool, and is
-    kept as a float.
+    half-extent other than None is a positive real, checked and kept as a
+    float by geometry._real.
     """
 
     center: np.ndarray
@@ -130,7 +129,9 @@ class Facet:
         if abs(float(axis_u @ axis_v)) > 1e-9:
             raise ValueError("facet axes must be orthogonal")
         for name in ("half_u", "half_v"):
-            object.__setattr__(self, name, _half_extent(name, getattr(self, name)))
+            if (half := getattr(self, name)) is not None:
+                half = _real(half, f"facet {name} must be a positive number, got ", above=0.0)
+                object.__setattr__(self, name, half)
         if not isinstance(self.two_sided, (bool, np.bool_)):  # bool("false") is True
             raise ValueError(f"facet two_sided must be true or false, got {self.two_sided!r}")
         object.__setattr__(self, "two_sided", bool(self.two_sided))
@@ -142,33 +143,15 @@ class Facet:
         object.__setattr__(self, "intercept", float(normal @ center))
 
 
-def _half_extent(name: str, half) -> float | None:
-    """A facet's half-extent half, named name, as a positive float; None
-    stays None. A bool (numpy's included) is not a number here: True was
-    kept as a 1 m half-extent that no scene file could hold."""
-    if half is None:
-        return None
-    value = math.nan
-    if isinstance(half, numbers.Real) and not isinstance(half, (bool, np.bool_)):
-        try:
-            value = float(half)
-        except OverflowError:  # an int past the float range
-            value = math.inf
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"facet {name} must be a positive number, got {half!r}")
-    return value
-
-
 def _flat(f: Facet) -> _Flat:
     """The flat record of facet f, its box padded by _PAD."""
     box = (-math.inf,) * 3 + (math.inf,) * 3
     if f.half_u is not None and f.half_v is not None:
         reach = np.abs(f.axis_u) * f.half_u + np.abs(f.axis_v) * f.half_v + _PAD
         box = _f3(f.center - reach) + _f3(f.center + reach)
-    halves = (None if h is None else float(h) for h in (f.half_u, f.half_v))
     return _Flat(
         f.two_sided, *_f3(f.normal), f.intercept, *_f3(f.center), *_f3(f.axis_u),
-        *_f3(f.axis_v), *halves, box,
+        *_f3(f.axis_v), f.half_u, f.half_v, box,
     )
 
 
@@ -198,7 +181,8 @@ def make_facet(
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Facet collection plus the carrier frequency and per-bounce loss.
+    """Facet collection plus the carrier frequency and per-bounce loss,
+    real numbers checked and stored as floats by geometry._real.
 
     Each scene builds every facet's flat record (_Flat) once, into _flats.
     For _walk's culls it keeps each facet's plane (two_sided, nx, ny, nz, b)
@@ -222,10 +206,11 @@ class Scene:
     def __post_init__(self) -> None:
         facets = tuple(self.facets)
         object.__setattr__(self, "facets", facets)
-        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
-            raise ValueError("carrier frequency must be positive")
-        if not (math.isfinite(self.reflection_loss_db) and self.reflection_loss_db >= 0.0):
-            raise ValueError("reflection loss must be non-negative (dB)")
+        carrier = _real(self.carrier_freq, "carrier frequency must be positive, got ", above=0.0)
+        message = "reflection loss must be non-negative (dB), got "
+        loss = _real(self.reflection_loss_db, message, least=0.0)
+        object.__setattr__(self, "carrier_freq", carrier)
+        object.__setattr__(self, "reflection_loss_db", loss)
         flats = tuple(map(_flat, facets))
         object.__setattr__(self, "_flats", flats)
         object.__setattr__(self, "_planes", tuple(f[:5] for f in flats))

@@ -15,11 +15,14 @@ import pytest
 from reflectmimo import (
     DisplacementSpec,
     ErrorRecord,
+    Facet,
     LinkBudget,
     RateModel,
     ReferencePair,
     Scene,
     SweepCell,
+    capacity_sweep,
+    displacement_experiment,
     fit_rm_rt,
     make_facet,
     to_pwa,
@@ -118,7 +121,10 @@ def with_true(doc: dict, key: str) -> str:
 
 # Numbers that a JSON config or scene can set to NaN or Infinity, which pass a
 # plain `<= 0` check: each must fail its constructor with the usual message,
-# a budget or rate constant naming its field.
+# a budget or rate constant naming its field. The API takes a value of any
+# type; each real goes through geometry._real, so a bool, a string and an int
+# past the float range fail there too. A bool passed as 1 (a carrier of 1 Hz,
+# a 1 m spacing), "1.0" raised a TypeError and 10**400 an OverflowError.
 NON_FINITE_SETTINGS = {
     "bandwidth_hz": (
         lambda x: LinkBudget(bandwidth_hz=x),
@@ -145,10 +151,32 @@ NON_FINITE_SETTINGS = {
         lambda x: DisplacementSpec(distances=(0.01, x)),
         "distances must be >= 2 positive values",
     ),
+    "carrier_hz": (lambda x: Scene(facets=(), carrier_freq=x), "carrier frequency must be positive"),
+    "half_u": (
+        lambda x: Facet(np.zeros(3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), half_u=x),
+        "facet half_u must be a positive number",
+    ),
+    "displacement bandwidth_hz": (
+        lambda x: displacement_experiment(ground_scene(), ReferencePair(TX, RX), bandwidth=x),
+        "bandwidth must be positive and finite, got ",
+    ),
+    "rotations_deg": (
+        lambda x: capacity_sweep(ground_scene(), ReferencePair(TX, RX), [0.0, x], LinkBudget()),
+        "rotations must be finite",
+    ),
+    "dp_displacements_m": (
+        lambda x: capacity_sweep(
+            ground_scene(), ReferencePair(TX, RX), [0.0], LinkBudget(), dp_distances=(0.01, x)
+        ),
+        "dp_distances must be finite and positive",
+    ),
 }
+NOT_FINITE_REALS = [math.nan, math.inf, -math.inf, True, np.True_, "1.0", 10**400]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "bad", NOT_FINITE_REALS, ids=["nan", "inf", "-inf", "True", "np.True_", "str", "10**400"]
+)
 @pytest.mark.parametrize("setting", sorted(NON_FINITE_SETTINGS))
 def test_non_finite_setting_rejected(setting, bad):
     build, message = NON_FINITE_SETTINGS[setting]

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from reflectmimo import (
     DisplacementSpec,
+    LinkBudget,
+    RateModel,
     ReferencePair,
     RmImage,
     Route,
     Scene,
     displacement_experiment,
     make_facet,
+    rayleigh_distance,
+    rho,
     rotation_matrix,
     spherical_dir,
     trace_paths,
@@ -84,6 +88,50 @@ def test_a_count_is_not_a_bool(count):
     call, message = BOOL_COUNTS[count]
     with pytest.raises(ValueError, match=re.escape(f"{message}, got ") + "(True|False)$"):
         call()
+
+
+# real argument that no file sets -> (call with x for it, the message of
+# geometry._real up to the value); files reach the others, see
+# tests/test_fileio_cli.py::NON_FINITE_SETTINGS
+API_REALS = {
+    "azimuth_rotation": (
+        lambda x: upa(2, 2, 0.1, TX, azimuth_rotation=x), "azimuth_rotation must be finite, got "
+    ),
+    "rho": (rho, "SNR must be non-negative, got "),
+    "rayleigh_distance aperture": (
+        lambda x: rayleigh_distance(x, 0.002),
+        "aperture must be non-negative and wavelength positive, both finite, got 'aperture' = ",
+    ),
+    "rayleigh_distance wavelength": (
+        lambda x: rayleigh_distance(1.0, x),
+        "aperture must be non-negative and wavelength positive, both finite, got 'wavelength' = ",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, np.True_, "1.0", 10**400, math.nan, math.inf, -math.inf],
+    ids=["True", "np.True_", "str", "10**400", "nan", "inf", "-inf"],
+)
+@pytest.mark.parametrize("argument", API_REALS)
+def test_a_real_is_a_finite_number_not_a_bool(argument, bad):
+    # upa(2, 2, 0.1, TX, azimuth_rotation=True) turned the array by 1 rad,
+    # rho(True) and rho(inf) returned a rate; "1.0" raised a TypeError and
+    # 10**400 an OverflowError
+    call, message = API_REALS[argument]
+    with pytest.raises(ValueError, match=re.escape(message + repr(bad)) + "$"):
+        call(bad)
+
+
+def test_a_real_is_stored_as_a_float():
+    scene = Scene(facets=(), carrier_freq=28_000_000_000, reflection_loss_db=np.float32(3.0))
+    budget = LinkBudget(tx_power_dbm=np.int64(20), bandwidth_hz=10**9, noise_figure_db=5)
+    records = [scene.carrier_freq, scene.reflection_loss_db, *vars(budget).values()]
+    records += vars(RateModel(alpha=1, se_max=np.float16(4))).values()
+    records += DisplacementSpec(distances=(1, np.int32(2))).distances
+    assert records == [28e9, 3.0, 20.0, 1e9, 5.0, 1.0, 4.0, 1.0, 2.0]
+    assert all(type(x) is float for x in records)
 
 
 class TestWrapAngle:
