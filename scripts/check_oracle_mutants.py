@@ -25,13 +25,16 @@ second-order error of the plane-wave one in tests/test_paths.py, in the
 scene's carrier check, through the carriers of tests/test_tracer.py that
 are not positive and finite, in the one check of a real number, through
 the tables of real arguments in tests/test_geometry.py and
-tests/test_fileio_cli.py, and in the experiments' check of a
+tests/test_fileio_cli.py, in the experiments' check of a
 displaced-pair fit that keeps no path, through the ceiling scene of
-tests/test_experiments.py.
+tests/test_experiments.py, in the parity check of a fitted path file,
+through its parity values in tests/test_fileio_cli.py, and in predict's
+check that --model rm reads fitted paths, through its case on a trace
+output there.
 
 Copies src/, tests/, demo/ (the scenes some tests load), scripts/ (the demo
 generator a test runs) and pyproject.toml into a temporary directory and,
-one at a time, applies there each of thirty-four mutants, keyed by module
+one at a time, applies there each of thirty-six mutants, keyed by module
 and top-level function or class:
 
 * tracer._walk
@@ -83,6 +86,10 @@ and top-level function or class:
                belongs, and a number where a list belongs);
 * fileio._check_keys
   * unknown:   the key test disabled (a key the kind does not hold passes);
+* fileio.load_paths
+  * parity:    the -1/+1 test of a fitted path's s disabled (-1.4 loads as -1);
+* cli._cmd_predict
+  * fitted:    the check that --model rm reads only fitted paths disabled;
 * fit_rt.fit_from_route
   * bend:      a straight-pass threshold of 1e-4 in place of _MIN_BEND (1e-12);
 * experiments.DisplacementResult
@@ -211,6 +218,12 @@ MUTANTS = {
     },
     ("fileio", "_check_keys"): {
         "unknown": ("if key not in keys:", "if False:", 1),
+    },
+    ("fileio", "load_paths"): {
+        "parity": ("if s not in (-1.0, 1.0):", "if False:", 1),
+    },
+    ("cli", "_cmd_predict"): {
+        "fitted": ('if args.model == "rm" and unfitted:', "if False:", 1),
     },
     ("fit_rt", "fit_from_route"): {
         "bend": ("bend_norms < _MIN_BEND", "bend_norms < 1e-4", 1),

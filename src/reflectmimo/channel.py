@@ -69,6 +69,7 @@ __all__ = [
 MODELS = ("constant", "pwa", "rm_image", "exhaustive")
 # The models whose channel has rank <= P, for P paths: see plane_wave_core.
 PLANE_WAVE_MODELS = ("constant", "pwa")
+_F0_MESSAGE = "reference frequency f0 must be positive, got "
 
 
 def upa(
@@ -114,7 +115,8 @@ def phasor_sum(
     its shape from one float scratch; the first term becomes the total and
     the later ones are added to it in place. The reference delay anchors
     the phase at the carrier f0. An empty path list gives 0j; sequences of
-    different lengths raise ValueError.
+    different lengths raise ValueError. f and f0 are the caller's to check:
+    this is the per-path kernel of the channel layer's checked entries.
     """
     n_gains, n_delays, n_distances = len(gains), len(delays), len(distances)
     if not n_gains == n_delays == n_distances:
@@ -233,6 +235,7 @@ def mimo_matrix(
     The extrapolation models require the fitted path list and the reference
     pair; the exhaustive model requires the scene instead.
     """
+    f = _real(f, "frequency f must be positive, got ", above=0.0)
     return channel_evaluator(
         tx_points, rx_points, model, f0, paths=paths, ref=ref, scene=scene,
         max_bounces=max_bounces,
@@ -242,6 +245,7 @@ def mimo_matrix(
 def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, float, int]:
     """First frequency, step and count of the midpoints f0 - bandwidth/2 + (k + 1/2)
     step, step = bandwidth/n_freq, k = 0..n_freq-1, of the band's sub-bands."""
+    bandwidth = _real(bandwidth, "bandwidth must be positive, got ", above=0.0)
     n_freq = _at_least(n_freq, 1, "need at least one frequency sample")
     step = bandwidth / n_freq
     return f0 - bandwidth / 2.0 + 0.5 * step, step, n_freq
@@ -291,6 +295,7 @@ def channel_evaluator(
     """
     if model not in MODELS:
         raise ValueError(f"unknown channel model {model!r}, expected one of {MODELS}")
+    f0 = _real(f0, _F0_MESSAGE, above=0.0)
     tx = as_points(tx_points, "tx_points", 2)
     rx = as_points(rx_points, "rx_points", 2)
     if model == "exhaustive":
@@ -357,6 +362,7 @@ def plane_wave_core(
     _require(model in PLANE_WAVE_MODELS, f"no plane-wave core for model {model!r}")
     _require(len(paths) > 0, f"{model} model requires a non-empty path list")
     _require(ref is not None, f"{model} model requires the reference pair")
+    f0 = _real(f0, _F0_MESSAGE, above=0.0)
     tx = as_points(tx_points, "tx_points", 2)
     rx = as_points(rx_points, "rx_points", 2)
     if model == "pwa":

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import math
 import sys
+from dataclasses import replace
 from typing import IO, Iterator
 
 import numpy as np
@@ -31,7 +32,7 @@ from .experiments import (
 from .channel import mimo_matrix
 from .fit_dp import fit_rm_dp
 from .fit_rt import fit_rm_rt
-from .paths import ReferencePair
+from .paths import ReferencePair, RmPath
 from .tracer import Scene, to_pwa, trace_paths
 
 _DEFAULT_ROTATIONS_DEG = [float(d) for d in range(-180, 180, 15)]
@@ -88,10 +89,9 @@ def _cmd_fit_rt(args: argparse.Namespace) -> int:
     with open(args.paths) as fp:
         export = fileio.load_paths(fp)
     ref = export.reference
-    fitted = tuple(fit_rm_rt(traced, ref) for traced in export.traced())
-    out = fileio.RmExport(ref=ref, f0_hz=export.f0_hz, paths=fitted)
+    fitted = tuple((fit_rm_rt(traced, ref), traced.route) for traced in export.traced())
     with _open_out(args.out) as fp:
-        fileio.save_rm(out, fp)
+        fileio.save_paths(replace(export, paths=fitted), fp)
     return 0
 
 
@@ -102,23 +102,29 @@ def _cmd_fit_dp(args: argparse.Namespace) -> int:
     for name in args.disp:
         with open(name) as fp:
             displaced.append(fileio.load_paths(fp).observation())
-    ref = ref_export.reference
-    fitted = tuple(fit_rm_dp(ref_export.observation(), displaced, ref))
-    out = fileio.RmExport(ref=ref, f0_hz=ref_export.f0_hz, paths=fitted)
+    # fit_rm_dp reorders and drops paths: a fitted path has no route to keep
+    fitted = fit_rm_dp(ref_export.observation(), displaced, ref_export.reference)
     with _open_out(args.out) as fp:
-        fileio.save_rm(out, fp)
+        fileio.save_paths(replace(ref_export, paths=tuple((p, None) for p in fitted)), fp)
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     with open(args.rm) as fp:
-        export = fileio.load_rm(fp)
+        export = fileio.load_paths(fp)
+    ref = export.reference  # checked for a file without paths too
+    paths = [p for p, _ in export.paths]
+    unfitted = [k for k, p in enumerate(paths) if not isinstance(p, RmPath)]
+    if args.model == "rm" and unfitted:
+        raise ValueError(
+            f"path {unfitted[0]} has no roll_deg and s: --model rm needs a fitted path file"
+        )
     model = "rm_image" if args.model == "rm" else args.model
     total = 0j  # no paths, no channel
-    if export.paths:
+    if paths:
         h = mimo_matrix(
             args.tx[None], args.rx[None], model, args.freq, export.f0_hz,
-            paths=export.paths, ref=export.ref,
+            paths=paths, ref=ref,
         )
         total = complex(h[0, 0])
     print(f"{total.real:.17g}{total.imag:+.17g}j")

@@ -1,9 +1,12 @@
-"""On-disk formats: scene JSON, traced path exports, fitted reflection-model
-parameters and experiment CSV tables.
+"""On-disk formats: scene JSON, path JSON and experiment CSV tables.
+
+One path file holds the paths at a TX/RX pair, traced or fitted: a fitted
+path is the six plane-wave fields of a traced one plus two numbers, the
+roll and the mirror parity of the reflection model.
 
 Files carry angles in degrees and complex gains as (gain_db, phase_deg); the
 in-memory API stays in radians and complex numbers. The raw fields of path
-and model files (delays, route vertices and positions) are written with
+files (delays, parities, route vertices and positions) are written with
 the shortest repr and load back bit for bit; gains and angles pass through
 the dB/degree conversion and change in their last digits on a round trip.
 """
@@ -27,12 +30,9 @@ from .tracer import Facet, Route, Scene, TracedPath, route_length
 
 __all__ = [
     "PathExport",
-    "RmExport",
     "load_paths",
-    "load_rm",
     "load_scene",
     "save_paths",
-    "save_rm",
     "save_scene",
     "write_capacity_csv",
     "write_error_csv",
@@ -45,7 +45,7 @@ def _number(doc: dict, key: str, ndim=0):
     """doc[key] read as a float for ndim 0, an int for ndim int (a count,
     which only configs hold; 8.0 reads as 8), or a float array for ndim 1
     (a list of numbers) or 2 (a list of such lists). Every number of a
-    scene, a path export, a model file and a config is read here. Any other
+    scene, a path file and a config is read here. Any other
     shape or entry raises a ValueError naming key: that takes in JSON's true
     and false, which Python reads as bools and float() as 1 and 0, strings,
     null, and NaN and Infinity, which Python's json reads too."""
@@ -105,28 +105,6 @@ def _gain_from_fields(gain_db: float, phase_deg: float) -> complex:
     return magnitude * cmath.exp(1j * math.radians(phase_deg))
 
 
-_ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")
-_PWA_KEYS = ("gain_db", "phase_deg", *(f"{a}_deg" for a in _ANGLES))
-
-
-def _pwa_to_fields(path: PwaPath, delay_key: str) -> dict:
-    """File fields of the six plane-wave parameters of a path; the path export
-    and the fitted-model file name the delay differently."""
-    gain_db, phase_deg = _gain_to_fields(path.gain)
-    doc = {"gain_db": gain_db, "phase_deg": phase_deg, delay_key: path.delay}
-    doc.update({f"{name}_deg": getattr(path, name) / _DEG for name in _ANGLES})
-    return doc
-
-
-def _pwa_from_fields(entry: dict, delay_key: str) -> dict:
-    """PwaPath keyword arguments read back from _pwa_to_fields output."""
-    return {
-        "gain": _gain_from_fields(_number(entry, "gain_db"), _number(entry, "phase_deg")),
-        "delay": _number(entry, delay_key),
-        **{name: _number(entry, f"{name}_deg") * _DEG for name in _ANGLES},
-    }
-
-
 def _vec(x) -> list[float]:
     return [float(v) for v in x]
 
@@ -181,16 +159,22 @@ def load_scene(fp: IO[str]) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# traced path export JSON
+# path JSON
 
+_ANGLES = ("aoa_az", "aoa_el", "aod_az", "aod_el")
 # The keys of a path file and of its path entries, as save_paths writes them.
 _PATHS_FILE_KEYS = ("tx", "rx", "f0_hz", "paths")
-_PATHS_KEYS = (*_PWA_KEYS, "delay_s", "route")
+_PATHS_KEYS = (
+    "gain_db", "phase_deg", "delay_s", *(f"{a}_deg" for a in _ANGLES), "route", "roll_deg", "s"
+)
 
 
 @dataclass(frozen=True, eq=False)
 class PathExport:
-    """Trace result for one TX/RX pair: plane-wave parameters plus routes."""
+    """The paths at one TX/RX pair, each with its route or None. A path is
+    a PwaPath, the plane-wave parameters that ``trace`` writes, or a fitted
+    RmPath, which adds the roll and the parity: ``fit rt`` keeps the routes,
+    ``fit dp`` writes none."""
 
     tx: np.ndarray
     rx: np.ndarray
@@ -212,7 +196,7 @@ class PathExport:
         out = []
         for k, (pwa, route) in enumerate(self.paths):
             if route is None:
-                raise ValueError("path export lacks route geometry")
+                raise ValueError(f"path {k} has no route: fit rt needs a traced path file")
             length = route_length(route)
             if abs(pwa.delay * C_LIGHT - length) > 1e-12 * max(1.0, length):
                 raise ValueError(f"path {k}: delay is inconsistent with the route length")
@@ -222,9 +206,13 @@ class PathExport:
 
 def save_paths(export: PathExport, fp: IO[str]) -> None:
     entries = []
-    for pwa, route in export.paths:
-        entry = _pwa_to_fields(pwa, "delay_s")
+    for path, route in export.paths:
+        gain_db, phase_deg = _gain_to_fields(path.gain)
+        entry = {"gain_db": gain_db, "phase_deg": phase_deg, "delay_s": path.delay}
+        entry.update({f"{name}_deg": getattr(path, name) / _DEG for name in _ANGLES})
         entry["route"] = None if route is None else [_vec(v) for v in route.vertices]
+        if isinstance(path, RmPath):
+            entry.update(roll_deg=path.roll / _DEG, s=path.s)
         entries.append(entry)
     doc = {
         "tx": _vec(export.tx),
@@ -237,72 +225,34 @@ def save_paths(export: PathExport, fp: IO[str]) -> None:
 
 
 def load_paths(fp: IO[str]) -> PathExport:
-    """Load a path export; a key save_paths does not write is rejected by name."""
+    """Load a path file; a key save_paths does not write is rejected by
+    name. An entry with roll_deg or s is a fitted path and must hold both,
+    with a parity s of -1 or +1."""
     doc = _document(fp)
     _check_keys(doc, _PATHS_FILE_KEYS, "a path file")
     paths = []
     for e in doc["paths"]:
         _check_keys(e, _PATHS_KEYS, "a path file path")
-        pwa = PwaPath(**_pwa_from_fields(e, "delay_s"))
+        fields = {
+            "gain": _gain_from_fields(_number(e, "gain_db"), _number(e, "phase_deg")),
+            "delay": _number(e, "delay_s"),
+            **{name: _number(e, f"{name}_deg") * _DEG for name in _ANGLES},
+        }
         route = None if e.get("route") is None else Route(vertices=_number(e, "route", 2))
-        paths.append((pwa, route))
+        if "roll_deg" in e or "s" in e:
+            s = _number(e, "s")
+            if s not in (-1.0, 1.0):
+                raise ValueError(f"'s' must be -1 or +1, got {s!r}")
+            path = RmPath(**fields, roll=_number(e, "roll_deg") * _DEG, s=int(s))
+        else:
+            path = PwaPath(**fields)
+        paths.append((path, route))
     return PathExport(
         tx=_number(doc, "tx", 1),
         rx=_number(doc, "rx", 1),
         f0_hz=_number(doc, "f0_hz"),
         paths=tuple(paths),
     )
-
-
-# ---------------------------------------------------------------------------
-# fitted reflection-model JSON
-
-
-@dataclass(frozen=True, eq=False)
-class RmExport:
-    """Fitted reflection model: the angle form of every path."""
-
-    ref: ReferencePair
-    f0_hz: float
-    paths: tuple[RmPath, ...]
-
-
-# The keys of a model file and of its path entries, as save_rm writes them.
-_RM_FILE_KEYS = ("tx_ref", "rx_ref", "f0_hz", "paths")
-_RM_KEYS = (*_PWA_KEYS, "tau_s", "roll_deg", "s")
-
-
-def save_rm(export: RmExport, fp: IO[str]) -> None:
-    entries = []
-    for path in export.paths:
-        entry = _pwa_to_fields(path, "tau_s")
-        entry.update(roll_deg=path.roll / _DEG, s=path.s)
-        entries.append(entry)
-    doc = {
-        "tx_ref": _vec(export.ref.tx_ref),
-        "rx_ref": _vec(export.ref.rx_ref),
-        "f0_hz": export.f0_hz,
-        "paths": entries,
-    }
-    json.dump(doc, fp, indent=2)
-    fp.write("\n")
-
-
-def load_rm(fp: IO[str]) -> RmExport:
-    """Load fitted parameters; a key that save_rm does not write, or a
-    parity s other than -1 or +1, is rejected by name."""
-    doc = _document(fp)
-    _check_keys(doc, _RM_FILE_KEYS, "a model file")
-    ref = ReferencePair(tx_ref=_number(doc, "tx_ref", 1), rx_ref=_number(doc, "rx_ref", 1))
-    paths = []
-    for e in doc["paths"]:
-        _check_keys(e, _RM_KEYS, "a model file path")
-        s = _number(e, "s")
-        if s not in (-1.0, 1.0):
-            raise ValueError(f"'s' must be -1 or +1, got {s!r}")
-        roll = _number(e, "roll_deg") * _DEG
-        paths.append(RmPath(**_pwa_from_fields(e, "tau_s"), roll=roll, s=int(s)))
-    return RmExport(ref=ref, f0_hz=_number(doc, "f0_hz"), paths=tuple(paths))
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,6 @@ ARRAY_DATACLASSES = {
     "PathExport": lambda: fileio.PathExport(
         tx=np.zeros(3), rx=np.ones(3), f0_hz=1e9, paths=()
     ),
-    "RmExport": lambda: fileio.RmExport(ref=_ref(), f0_hz=1e9, paths=()),
 }
 
 

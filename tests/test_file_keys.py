@@ -2,8 +2,9 @@
 with the shape its key holds: a number, a list of numbers or a list of such
 lists (a route), all finite, or a count in an experiment config.
 
-The table below names every numeric key of a scene, a path export, a model
-file and the two experiment configs, with its shape. Each key is given a
+The table below names every numeric key of a scene, a path file as trace
+writes it, a fitted path file as fit rt writes it and the two experiment
+configs, with its shape. Each key is given a
 misshapen value and each of the entries JSON can hold in place of a number;
 the file's loader must raise a ValueError naming the key, and the command
 that reads the file must exit 2 with that error line. Before the reader
@@ -60,7 +61,9 @@ TRACED = trace_paths(SCENE, TX, RX, 1)  # line of sight, then the ground bounce
 PATH_EXPORT = fileio.PathExport(
     tx=TX, rx=RX, f0_hz=F0, paths=tuple((to_pwa(p, REF), p.route) for p in TRACED)
 )
-MODEL = fileio.RmExport(ref=REF, f0_hz=F0, paths=tuple(fit_rm_rt(p, REF) for p in TRACED))
+MODEL = fileio.PathExport(
+    tx=TX, rx=RX, f0_hz=F0, paths=tuple((fit_rm_rt(p, REF), p.route) for p in TRACED)
+)
 PWA_KEYS = ("gain_db", "phase_deg", "aoa_az_deg", "aoa_el_deg", "aod_az_deg", "aod_el_deg")
 REFERENCE = {"tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0]}
 
@@ -88,9 +91,9 @@ FILES = {
         {"tx": 1, "rx": 1, "f0_hz": 0, "delay_s": 0, **dict.fromkeys(PWA_KEYS, 0), "route": 2},
     ),
     "model": (
-        _saved(fileio.save_rm, MODEL),
+        _saved(fileio.save_paths, MODEL),
         f"predict --rm {{file}} --tx 0,0,1 --rx 4,0,1 --freq {F0!r}",
-        {"tx_ref": 1, "rx_ref": 1, "f0_hz": 0, "tau_s": 0, **dict.fromkeys(PWA_KEYS, 0),
+        {"tx": 1, "rx": 1, "f0_hz": 0, "delay_s": 0, **dict.fromkeys(PWA_KEYS, 0), "route": 2,
          "roll_deg": 0, "s": 0},
     ),
     "displacement": (
@@ -217,7 +220,7 @@ def _no_experiments(monkeypatch):
     monkeypatch.setattr(cli, "capacity_sweep", lambda *args, **kwargs: ([], {}))
 
 
-LOADERS = {"scene": fileio.load_scene, "paths": fileio.load_paths, "model": fileio.load_rm}
+LOADERS = {"scene": fileio.load_scene, "paths": fileio.load_paths, "model": fileio.load_paths}
 
 
 def _load(kind: str, path) -> None:
@@ -300,14 +303,14 @@ def test_gain_past_the_float_range_is_rejected(kind, gain_db, tmp_path, capsys):
 # level) and the object the error names. Each loader took a key it does not
 # know for one it left out: a facet with "half_uu" was unbounded along u,
 # "reflection_los_db" left the 3 dB default, and a config's "n_freqs" ran at
-# the default of 10 frequencies. A model file's path entry is covered by
+# the default of 10 frequencies. A fitted path entry is covered by
 # test_fileio_cli's unknown-key test, which it already failed.
 UNKNOWN_KEYS = [
     ("scene", "reflection_los_db", None, "a scene file"),
     ("scene", "half_uu", "facets", "a scene file facet"),
     ("paths", "f0", None, "a path file"),
     ("paths", "delay", "paths", "a path file path"),
-    ("model", "ref", None, "a model file"),
+    ("model", "ref", None, "a path file"),
     ("displacement", "n_freqs", None, "a displacement config"),
     ("capacity", "rotation_deg", None, "a capacity config"),
 ]

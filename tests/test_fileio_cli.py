@@ -8,6 +8,7 @@ import pathlib
 import re
 import runpy
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from reflectmimo import (
 )
 from reflectmimo import cli, experiments, fileio
 from reflectmimo.cli import main
-from reflectmimo.paths import C_LIGHT, angles_to_image
+from reflectmimo.paths import C_LIGHT, RmPath, angles_to_image
 
 F0 = 140e9
 DEMO = pathlib.Path(__file__).resolve().parents[1] / "demo"
@@ -60,10 +61,10 @@ def traced_export(scene, tx, rx, max_bounces=1):
     )
 
 
-def rm_export(scene, tx, rx):
-    _, traced, ref = traced_export(scene, tx, rx)
-    fitted = tuple(fit_rm_rt(p, ref) for p in traced)
-    return fileio.RmExport(ref=ref, f0_hz=scene.carrier_freq, paths=fitted)
+def fitted_export(scene, tx, rx):
+    """traced_export's file as fit rt writes it: each path fitted, with its route."""
+    export, traced, ref = traced_export(scene, tx, rx)
+    return replace(export, paths=tuple((fit_rm_rt(p, ref), p.route) for p in traced))
 
 
 def resave(save, load, export):
@@ -83,11 +84,11 @@ def numbers(doc) -> list[float]:
     return [float(doc)]
 
 
-# The plane-wave keys of one path entry; the two formats name the delay apart.
+# The plane-wave keys of one path entry.
 PWA_KEYS = [
     "gain_db",
     "phase_deg",
-    "{delay}",
+    "delay_s",
     "aoa_az_deg",
     "aoa_el_deg",
     "aod_az_deg",
@@ -272,7 +273,7 @@ class TestPathsJson:
     def test_resave_keeps_keys_and_values(self):
         export, _, _ = traced_export(ground_scene(), TX, RX)
         first, second = resave(fileio.save_paths, fileio.load_paths, export)
-        keys = [k.format(delay="delay_s") for k in PWA_KEYS] + ["route"]
+        keys = PWA_KEYS + ["route"]
         for doc in (first, second):
             assert list(doc) == ["tx", "rx", "f0_hz", "paths"]
             assert [list(e) for e in doc["paths"]] == [keys, keys]
@@ -334,7 +335,7 @@ class TestPathsJson:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "key", ["tx", "rx", "f0_hz", *(k.format(delay="delay_s") for k in PWA_KEYS)]
+        "key", ["tx", "rx", "f0_hz", *PWA_KEYS]
     )
     def test_non_finite_number_rejected(self, key, bad):
         export, _, _ = traced_export(ground_scene(), TX, RX)
@@ -343,7 +344,7 @@ class TestPathsJson:
             fileio.load_paths(io.StringIO(text))
 
     @pytest.mark.parametrize(
-        "key", ["tx", "rx", "f0_hz", "route", *(k.format(delay="delay_s") for k in PWA_KEYS)]
+        "key", ["tx", "rx", "f0_hz", "route", *PWA_KEYS]
     )
     def test_boolean_rejected(self, key):
         # "tx": [0, 0, true] loaded as z = 1; so did a route vertex
@@ -364,41 +365,46 @@ class TestPathsJson:
             fileio.save_paths(bad, io.StringIO())
 
 
-class TestRmJson:
+class TestFittedPathsJson:
+    """A fitted path file, as fit rt writes it: the path file with roll_deg
+    and s added to each entry."""
+
     def test_roundtrip(self):
-        export = rm_export(ground_scene(), TX, RX)
+        export = fitted_export(ground_scene(), TX, RX)
         buf = io.StringIO()
-        fileio.save_rm(export, buf)
+        fileio.save_paths(export, buf)
         buf.seek(0)
-        loaded = fileio.load_rm(buf)
+        loaded = fileio.load_paths(buf)
 
         assert len(loaded.paths) == 2
-        for got, want in zip(loaded.paths, export.paths):
+        for (got, route), (want, want_route) in zip(loaded.paths, export.paths):
+            assert type(got) is RmPath
             assert type(got.s) is int and got.s == want.s
             assert got.delay == want.delay
             assert abs(got.gain - want.gain) <= 1e-12 * abs(want.gain)
             for field in ("aoa_az", "aoa_el", "aod_az", "aod_el", "roll"):
                 assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+            assert np.array_equal(route.vertices, want_route.vertices)
 
     def test_resave_keeps_keys_and_values(self):
-        export = rm_export(ground_scene(), TX, RX)
-        first, second = resave(fileio.save_rm, fileio.load_rm, export)
-        keys = [k.format(delay="tau_s") for k in PWA_KEYS] + ["roll_deg", "s"]
+        export = fitted_export(ground_scene(), TX, RX)
+        first, second = resave(fileio.save_paths, fileio.load_paths, export)
+        keys = PWA_KEYS + ["route", "roll_deg", "s"]
         for doc in (first, second):
-            assert list(doc) == ["tx_ref", "rx_ref", "f0_hz", "paths"]
+            assert list(doc) == ["tx", "rx", "f0_hz", "paths"]
             assert [list(e) for e in doc["paths"]] == [keys, keys]
         assert numbers(second) == pytest.approx(numbers(first), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("keys", [("U",), ("g",), ("U", "g"), ("tau",)])
     def test_unknown_key_rejected(self, keys, tmp_path, capsys):
         # a file that still carries the matrix form (U, then g) fails on 'U'
-        export = rm_export(ground_scene(), TX, RX)
-        doc = saved(fileio.save_rm, export)
-        img = angles_to_image(export.paths[1], export.ref)
+        export = fitted_export(ground_scene(), TX, RX)
+        doc = saved(fileio.save_paths, export)
+        img = angles_to_image(export.paths[1][0], export.reference)
         image = {"U": img.U.tolist(), "g": img.g.tolist(), "tau": 1e-8}
         doc["paths"][1].update({key: image[key] for key in keys})
         with pytest.raises(ValueError, match=f"unknown key '{keys[0]}'"):
-            fileio.load_rm(io.StringIO(json.dumps(doc)))
+            fileio.load_paths(io.StringIO(json.dumps(doc)))
         rm = tmp_path / "rm.json"
         rm.write_text(json.dumps(doc))
         assert main([
@@ -409,41 +415,33 @@ class TestRmJson:
     @pytest.mark.parametrize("parity", [-1.4, -0.5, 0, 0.9999999, 2, -3])
     def test_parity_other_than_plus_or_minus_one_rejected(self, parity):
         # -1.4 used to load as s = -1
-        doc = saved(fileio.save_rm, rm_export(ground_scene(), TX, RX))
+        doc = saved(fileio.save_paths, fitted_export(ground_scene(), TX, RX))
         doc["paths"][1]["s"] = parity
         with pytest.raises(ValueError, match=f"'s' must be -1 or \\+1, got {float(parity)!r}"):
-            fileio.load_rm(io.StringIO(json.dumps(doc)))
+            fileio.load_paths(io.StringIO(json.dumps(doc)))
 
     @pytest.mark.parametrize("parity", [True, False])
     def test_boolean_parity_rejected(self, parity):
         # true used to load as s = +1, and an RmPath built with s=True was
         # saved as "s": true
-        doc = saved(fileio.save_rm, rm_export(ground_scene(), TX, RX))
+        doc = saved(fileio.save_paths, fitted_export(ground_scene(), TX, RX))
         doc["paths"][1]["s"] = parity
         with pytest.raises(ValueError, match=f"'s' must be a number, got {parity!r}"):
-            fileio.load_rm(io.StringIO(json.dumps(doc)))
+            fileio.load_paths(io.StringIO(json.dumps(doc)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize(
-        "key",
-        ["tx_ref", "rx_ref", "f0_hz", *(k.format(delay="tau_s") for k in PWA_KEYS),
-         "roll_deg", "s"],
-    )
+    @pytest.mark.parametrize("key", ["tx", "rx", "f0_hz", *PWA_KEYS, "roll_deg", "s"])
     def test_non_finite_number_rejected(self, key, bad):
-        text = poisoned(saved(fileio.save_rm, rm_export(ground_scene(), TX, RX)), key, bad)
+        text = poisoned(saved(fileio.save_paths, fitted_export(ground_scene(), TX, RX)), key, bad)
         with pytest.raises(ValueError, match=f"non-finite '{key}'"):
-            fileio.load_rm(io.StringIO(text))
+            fileio.load_paths(io.StringIO(text))
 
-
-    @pytest.mark.parametrize(
-        "key",
-        ["tx_ref", "rx_ref", "f0_hz", *(k.format(delay="tau_s") for k in PWA_KEYS), "roll_deg"],
-    )
+    @pytest.mark.parametrize("key", ["tx", "rx", "f0_hz", *PWA_KEYS, "roll_deg"])
     def test_boolean_rejected(self, key):
         # "tx_ref": [true, 0, 1] loaded as [1, 0, 1]
-        text = with_true(saved(fileio.save_rm, rm_export(ground_scene(), TX, RX)), key)
+        text = with_true(saved(fileio.save_paths, fitted_export(ground_scene(), TX, RX)), key)
         with pytest.raises(ValueError, match=f"'{key}' must be a number, got True"):
-            fileio.load_rm(io.StringIO(text))
+            fileio.load_paths(io.StringIO(text))
 
 
 class TestCsv:
@@ -542,16 +540,25 @@ class TestCli:
             complex(capsys.readouterr().out.strip())
 
     def test_predict_without_paths_is_zero(self, tmp_path, capsys):
-        ref = ReferencePair(tx_ref=np.array([0.0, 0.0, 1.0]), rx_ref=np.array([4.0, 0.0, 1.0]))
         rm = tmp_path / "rm.json"
         with open(rm, "w") as fp:
-            fileio.save_rm(fileio.RmExport(ref=ref, f0_hz=F0, paths=()), fp)
+            fileio.save_paths(fileio.PathExport(tx=TX, rx=RX, f0_hz=F0, paths=()), fp)
         assert main([
             "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
         ]) == 0
         assert capsys.readouterr().out.strip() == "0+0j"
 
-    def test_fit_dp_pipeline(self, scene_file, tmp_path):
+    def test_predict_without_paths_rejects_a_pair_that_coincides(self, tmp_path, capsys):
+        # the model file's loader built the reference pair, with or without paths
+        rm = tmp_path / "rm.json"
+        with open(rm, "w") as fp:
+            fileio.save_paths(fileio.PathExport(tx=TX, rx=TX, f0_hz=F0, paths=()), fp)
+        assert main([
+            "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+        ]) == 2
+        assert capsys.readouterr().err == "error: reference TX and RX positions coincide\n"
+
+    def test_fit_dp_pipeline(self, scene_file, tmp_path, capsys):
         ref = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "ref.json")
         d1 = self.trace(scene_file, tmp_path, "0.006,-0.008,1", "4.008,0.006,1",
                         "d1.json")
@@ -560,8 +567,80 @@ class TestCli:
         rm = str(tmp_path / "rm_dp.json")
         assert main(["fit", "dp", "--ref", ref, "--disp", d1, d2, "--out", rm]) == 0
         with open(rm) as fp:
-            loaded = fileio.load_rm(fp)
-        assert sorted(p.s for p in loaded.paths) == [-1, 1]
+            loaded = fileio.load_paths(fp)
+        with open(ref) as fp:
+            traced = fileio.load_paths(fp)
+        assert np.array_equal(loaded.tx, traced.tx) and np.array_equal(loaded.rx, traced.rx)
+        assert loaded.f0_hz == traced.f0_hz
+        assert sorted(p.s for p, _ in loaded.paths) == [-1, 1]
+        assert [route for _, route in loaded.paths] == [None, None]
+        # fit rt needs the routes; it said only "path export lacks route geometry"
+        capsys.readouterr()
+        assert main(["fit", "rt", "--paths", rm, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: path 0 has no route: fit rt needs a traced path file\n"
+
+    @pytest.mark.parametrize("model", ["pwa", "constant"])
+    def test_plane_wave_models_read_a_trace_as_its_fit(self, scene_file, tmp_path, capsys, model):
+        paths = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "paths.json")
+        rm = str(tmp_path / "rm.json")
+        assert main(["fit", "rt", "--paths", paths, "--out", rm]) == 0
+        for tx, rx in (("0,0,1", "4,0,1"), ("0.2,0.1,1", "4.1,-0.2,1.1")):
+            lines = []
+            for name in (paths, rm):
+                capsys.readouterr()
+                assert main([
+                    "predict", "--rm", name, "--tx", tx, "--rx", rx,
+                    "--freq", repr(F0 + 1e8), "--model", model,
+                ]) == 0
+                lines.append(capsys.readouterr().out)
+            assert lines[0] == lines[1]
+
+    def test_rm_model_needs_a_fitted_path_file(self, scene_file, tmp_path, capsys):
+        paths = self.trace(scene_file, tmp_path, "0,0,1", "4,0,1", "paths.json")
+        capsys.readouterr()
+        assert main([
+            "predict", "--rm", paths, "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+            "--model", "rm",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: path 0 has no roll_deg and s: --model rm needs a fitted path file\n"
+        )
+
+    @pytest.mark.parametrize("missing", ["s", "roll_deg"])
+    def test_fitted_entry_needs_both_numbers(self, tmp_path, capsys, missing):
+        doc = saved(fileio.save_paths, fitted_export(ground_scene(), TX, RX))
+        del doc["paths"][1][missing]
+        with pytest.raises(KeyError, match=repr(missing)):
+            fileio.load_paths(io.StringIO(json.dumps(doc)))
+        rm = tmp_path / "rm.json"
+        rm.write_text(json.dumps(doc))
+        for model in ("rm", "pwa"):
+            assert main([
+                "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+                "--model", model,
+            ]) == 2
+            assert capsys.readouterr().err == f"error: {missing!r}\n"
+
+    def test_model_file_of_the_old_format_is_rejected(self, tmp_path, capsys):
+        # the reference pair was tx_ref/rx_ref and the delay tau_s
+        old = {
+            "tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "f0_hz": F0,
+            "paths": [{
+                "gain_db": -72.0, "phase_deg": 10.0, "tau_s": 4.0 / C_LIGHT,
+                "aoa_az_deg": 180.0, "aoa_el_deg": 0.0, "aod_az_deg": 0.0, "aod_el_deg": 0.0,
+                "roll_deg": 0.0, "s": -1,
+            }],
+        }
+        rm = tmp_path / "rm.json"
+        rm.write_text(json.dumps(old))
+        assert main([
+            "predict", "--rm", str(rm), "--tx", "0,0,1", "--rx", "4,0,1", "--freq", repr(F0),
+        ]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'tx_ref' in a path file\n"
 
     def test_experiment_displacement_csv(self, scene_file, tmp_path):
         config = tmp_path / "disp.json"

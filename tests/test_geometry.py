@@ -7,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
+    C_LIGHT,
     DisplacementSpec,
     LinkBudget,
+    PwaPath,
     RateModel,
     ReferencePair,
     RmImage,
     Route,
     Scene,
+    channel_evaluator,
     displacement_experiment,
     make_facet,
+    mimo_matrix,
+    plane_wave_core,
     rayleigh_distance,
     rho,
     rotation_matrix,
@@ -90,6 +95,12 @@ def test_a_count_is_not_a_bool(count):
         call()
 
 
+# the channel layer's arguments: the line of sight from TX to RX as one path
+LOS = {
+    "paths": [PwaPath(1.0 + 0j, 4.0 / C_LIGHT, math.pi, 0.0, 0.0, 0.0)],
+    "ref": ReferencePair(TX, RX),
+}
+
 # real argument that no file sets -> (call with x for it, the message of
 # geometry._real up to the value); files reach the others, see
 # tests/test_fileio_cli.py::NON_FINITE_SETTINGS
@@ -105,6 +116,26 @@ API_REALS = {
     "rayleigh_distance wavelength": (
         lambda x: rayleigh_distance(1.0, x),
         "aperture must be non-negative and wavelength positive, both finite, got 'wavelength' = ",
+    ),
+    "channel_evaluator f0": (
+        lambda x: channel_evaluator(TX[None], RX[None], "pwa", x, **LOS),
+        "reference frequency f0 must be positive, got ",
+    ),
+    "plane_wave_core f0": (
+        lambda x: plane_wave_core(TX[None], RX[None], "pwa", x, **LOS),
+        "reference frequency f0 must be positive, got ",
+    ),
+    "mimo_matrix f": (
+        lambda x: mimo_matrix(TX[None], RX[None], "pwa", x, 28e9, **LOS),
+        "frequency f must be positive, got ",
+    ),
+    "channel_evaluator band": (
+        lambda x: next(channel_evaluator(TX[None], RX[None], "pwa", 28e9, **LOS).band(x, 2)),
+        "bandwidth must be positive, got ",
+    ),
+    "plane_wave_core band": (
+        lambda x: plane_wave_core(TX[None], RX[None], "pwa", 28e9, **LOS).band(x, 2),
+        "bandwidth must be positive, got ",
     ),
 }
 
