@@ -70,6 +70,7 @@ MODELS = ("constant", "pwa", "rm_image", "exhaustive")
 # The models whose channel has rank <= P, for P paths: see plane_wave_core.
 PLANE_WAVE_MODELS = ("constant", "pwa")
 _F0_MESSAGE = "reference frequency f0 must be positive, got "
+_F_MESSAGE = "frequency f must be positive, got "
 
 
 def upa(
@@ -209,6 +210,8 @@ def mimo_from_traced_pairs(
 ) -> np.ndarray:
     """(M, N) channel matrix at frequency f from the per-pair traced gains
     and delays of ``trace_array_pairs``."""
+    f = _real(f, _F_MESSAGE, above=0.0)
+    f0 = _real(f0, _F0_MESSAGE, above=0.0)
     h = np.zeros((len(pair_params), len(pair_params[0])), dtype=complex)
     for m, row in enumerate(pair_params):
         for n, (gains, delays) in enumerate(row):
@@ -235,7 +238,7 @@ def mimo_matrix(
     The extrapolation models require the fitted path list and the reference
     pair; the exhaustive model requires the scene instead.
     """
-    f = _real(f, "frequency f must be positive, got ", above=0.0)
+    f = _real(f, _F_MESSAGE, above=0.0)
     return channel_evaluator(
         tx_points, rx_points, model, f0, paths=paths, ref=ref, scene=scene,
         max_bounces=max_bounces,
@@ -244,8 +247,10 @@ def mimo_matrix(
 
 def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, float, int]:
     """First frequency, step and count of the midpoints f0 - bandwidth/2 + (k + 1/2)
-    step, step = bandwidth/n_freq, k = 0..n_freq-1, of the band's sub-bands."""
-    bandwidth = _real(bandwidth, "bandwidth must be positive, got ", above=0.0)
+    step, step = bandwidth/n_freq, k = 0..n_freq-1, of the band's sub-bands. A
+    bandwidth under 2 f0 keeps them above 0 Hz."""
+    message = f"bandwidth must be positive and under twice f0 = {f0!r} Hz, got "
+    bandwidth = _real(bandwidth, message, above=0.0, below=2.0 * f0)
     n_freq = _at_least(n_freq, 1, "need at least one frequency sample")
     step = bandwidth / n_freq
     return f0 - bandwidth / 2.0 + 0.5 * step, step, n_freq

@@ -238,9 +238,9 @@ def displacement_experiment(
     """
     n_freq = _at_least(n_freq, 1, "n_freq must be a positive integer")
     _check_models(models, ESTIMATORS)
-    bandwidth = _real(bandwidth, "bandwidth must be positive and finite, got ", above=0.0)
-
     f0 = scene.carrier_freq
+    message = f"bandwidth must be positive and under twice f0 = {f0!r} Hz, got "
+    bandwidth = _real(bandwidth, message, above=0.0, below=2.0 * f0)
     rng = np.random.default_rng(spec.rng_seed)
     dp_distances = spec.distances[:2]
     traced0, fitted = _fit_estimators(scene, ref, models, dp_distances, rng, max_bounces)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .experiments import ErrorRecord, SweepCell
 from .fit_dp import PairObservation
+from .geometry import _real
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmPath
 from .tracer import Facet, Route, Scene, TracedPath, route_length
 
@@ -180,6 +181,10 @@ class PathExport:
     rx: np.ndarray
     f0_hz: float
     paths: tuple[tuple[PwaPath, Route | None], ...]
+
+    def __post_init__(self) -> None:
+        f0 = _real(self.f0_hz, "reference frequency f0_hz must be positive, got ", above=0.0)
+        object.__setattr__(self, "f0_hz", f0)
 
     @property
     def reference(self) -> ReferencePair:

@@ -20,7 +20,7 @@ angle gaps, summed in degrees, are smallest, ties going to the lowest index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .paths import (
     RmPath,
     _align_rows,
 )
-from .geometry import as_points, wrap_angle
+from .geometry import _record, as_points, wrap_angle
 
 __all__ = [
     "GammaSolution",
@@ -41,16 +41,14 @@ __all__ = [
     "solve_gamma_s",
 ]
 
-# The plane-wave parameters that fit_rm_dp copies into each RmPath.
-_PWA_FIELDS = tuple(f.name for f in fields(PwaPath))
-
 # Weight of every angle gap in the matching cost: the gaps are summed in degrees.
 _DEG_PER_RAD = 180.0 / math.pi
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PairObservation:
-    """Plane-wave path list observed at one TX/RX pair."""
+    """Plane-wave path list observed at one TX/RX pair: PwaPath records,
+    checked at construction, which fit_rm_dp copies unchecked (_record)."""
 
     tx: np.ndarray
     rx: np.ndarray
@@ -60,6 +58,8 @@ class PairObservation:
         object.__setattr__(self, "tx", as_points(self.tx, "tx", 1))
         object.__setattr__(self, "rx", as_points(self.rx, "rx", 1))
         object.__setattr__(self, "paths", tuple(self.paths))
+        if not all(isinstance(path, PwaPath) for path in self.paths):
+            raise ValueError("paths must hold PwaPath records")
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,6 +296,6 @@ def fit_rm_dp(
         sol = solutions[i]
         if not sol.ok:
             continue
-        pwa = {name: getattr(reference.paths[i], name) for name in _PWA_FIELDS}
-        fitted.append(RmPath(**pwa, roll=sol.gamma, s=sol.s))
+        pwa = [getattr(reference.paths[i], name) for name in PwaPath.__match_args__]
+        fitted.append(_record(RmPath, *pwa, sol.gamma, sol.s))
     return fitted

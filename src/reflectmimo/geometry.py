@@ -7,6 +7,7 @@ are radians; angle-valued results are wrapped to (-pi, pi].
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
@@ -97,20 +98,39 @@ def _at_least(value, least: int, message: str) -> int:
     return count
 
 
-def _real(value, message: str, least: float = -math.inf, above: float = -math.inf) -> float:
+def _parity(value, message: str) -> int:
+    """_at_least(value, -1, message), which takes no bool or float, if it is -1 or +1."""
+    if _at_least(value, -1, message) not in (-1, 1):
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
+
+
+def _real(
+    value, message: str, least: float = -math.inf, above: float = -math.inf,
+    below: float = math.inf,
+) -> float:
     """value as a float; ValueError(message + repr(value)) unless it is a
     numbers.Real and not a bool (numpy's is no numbers.Real), finite (an int
-    past the float range is not), >= least and > above. The one check of a
-    real-valued argument."""
+    past the float range is not), >= least, > above and < below. The one
+    check of a real-valued argument."""
     real = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             real = float(value)
         except OverflowError:
             real = math.inf
-    if not (math.isfinite(real) and real >= least and real > above):
+    if not (math.isfinite(real) and real >= least and real > above and real < below):
         raise ValueError(message + repr(value))
     return real
+
+
+def _complex(value, message: str) -> complex:
+    """value as a complex; ValueError(message + repr(value)) unless it is a
+    numbers.Complex and not a bool whose parts _real takes."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return complex(_real(value.real, message), _real(value.imag, message))
+    raise ValueError(message + repr(value))
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -128,8 +148,7 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
 
 def z_reflection(s: int) -> np.ndarray:
     """diag(1, 1, s): identity for s = +1, mirror through the x-y plane for s = -1."""
-    if s not in (-1, 1):
-        raise ValueError(f"reflection parity must be -1 or +1, got {s!r}")
+    s = _parity(s, "reflection parity must be -1 or +1")
     return np.diag([1.0, 1.0, float(s)])
 
 

@@ -17,23 +17,13 @@ parity). ``angles_to_image`` derives from it the matrix form (orthogonal
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    _REACH,
-    _det3,
-    _dir_angles,
-    _euler_factor,
-    _orthogonal,
-    as_points,
-    rotation_matrix,
-    spherical_dir,
-    z_reflection,
-)
+from .geometry import _REACH, _complex, _det3, _dir_angles, _euler_factor, _orthogonal, _parity
+from .geometry import _real, as_points, rotation_matrix, spherical_dir, z_reflection
 
 __all__ = [
     "C_LIGHT",
@@ -52,6 +42,13 @@ C_LIGHT = 299_792_458.0  # speed of light, m/s (exact)
 # A path's delay is under this, in seconds, so that its distance c * delay,
 # the length of the mirror image's offset, is within a point's reach.
 _MAX_DELAY = _REACH / C_LIGHT
+_DELAY_MESSAGE = f"path delay must be positive and under {_MAX_DELAY:.3g} s, got "
+_GAIN_MESSAGE = "path gain must be finite, got "
+
+
+def _delay(value) -> float:
+    """value as a float by _real's rule, in (0, _MAX_DELAY), which a traced length may pass."""
+    return _real(value, _DELAY_MESSAGE, above=0.0, below=_MAX_DELAY)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -77,16 +74,6 @@ class ReferencePair:
         return math.dist(tx, tx_ref) <= tol and math.dist(rx, rx_ref) <= tol
 
 
-def _check_finite(path, names: tuple[str, ...]) -> None:
-    """ValueError naming the first of the path's fields names that is not
-    finite; a complex gain is finite when both its parts are. PwaPath and
-    RmPath call it only once the sum of the fields is not finite, so a
-    record costs one test: to_pwa builds one per traced path."""
-    for name in names:
-        if not cmath.isfinite(getattr(path, name)):
-            raise ValueError(f"path {name} must be finite, got {getattr(path, name)!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class PwaPath:
     """Plane-wave parameters of one path at the reference pair.
@@ -94,6 +81,8 @@ class PwaPath:
     gain is the complex path gain at the reference positions and carrier,
     delay the absolute propagation delay in seconds, and the four angles are
     the arrival (aoa) and departure (aod) azimuth/elevation in radians.
+    Construction stores each field as the rule for its kind returns it
+    (_complex, _delay, _real); the pipeline's paths skip it (_record).
     """
 
     gain: complex
@@ -104,12 +93,11 @@ class PwaPath:
     aod_el: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delay < _MAX_DELAY:  # a NaN delay fails both
-            raise ValueError(
-                f"path delay must be positive and under {_MAX_DELAY:.3g} s, got {self.delay}"
-            )
-        if not cmath.isfinite(self.gain + self.aoa_az + self.aoa_el + self.aod_az + self.aod_el):
-            _check_finite(self, ("gain", "aoa_az", "aoa_el", "aod_az", "aod_el"))
+        object.__setattr__(self, "gain", _complex(self.gain, _GAIN_MESSAGE))
+        object.__setattr__(self, "delay", _delay(self.delay))
+        for name in ("aoa_az", "aoa_el", "aod_az", "aod_el"):
+            value = _real(getattr(self, name), f"path {name} must be finite, got ")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -160,7 +148,8 @@ class RmPath(PwaPath):
 
     Extends the plane-wave parameters with the transmitter roll angle about
     the departure direction and the +-1 parity of the accumulated mirror
-    chain (s = -1 for a direct path, flipping sign with each reflection).
+    chain (s = -1 for a direct path, flipping sign with each reflection),
+    stored as _real and _parity return them.
     """
 
     roll: float
@@ -169,14 +158,8 @@ class RmPath(PwaPath):
     def __post_init__(self) -> None:
         # slots=True remakes the class, which zero-argument super() cannot see
         PwaPath.__post_init__(self)
-        if not math.isfinite(self.roll):
-            _check_finite(self, ("roll",))
-        # True and 1.0 are `in (-1, 1)` too: only an int or numpy integer is
-        # a parity, and it is stored as int
-        s = self.s
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (-1, 1):
-            raise ValueError(f"mirror parity s must be -1 or +1, got {s!r}")
-        object.__setattr__(self, "s", int(s))
+        object.__setattr__(self, "roll", _real(self.roll, "path roll must be finite, got "))
+        object.__setattr__(self, "s", _parity(self.s, "mirror parity s must be -1 or +1"))
 
 
 def _align_rows(azimuth: float, elevation: float) -> tuple[tuple[float, ...], ...]:

@@ -28,8 +28,8 @@ Two tracers share the walk and these rules:
   the Scene builds for each facet, unpacked into locals, because numpy
   call and attribute overhead dominate at one pair. Its unfolding writes
   the crossing, bounds, side and occlusion tests out inline and measures
-  the route length on the way. Its routes and trace_sequence's, and the
-  images of TracedPath.image, skip the constructors' re-checks (_record).
+  the route length on the way. Its routes and paths, trace_sequence's routes
+  and TracedPath.image's images skip the constructors' re-checks (_record).
 * ``trace_pairs`` traces many pairs at once, TX and RX point arrays whose
   leading axes broadcast (paired endpoints, or every pair of two arrays):
   for a fixed facet sequence the unfolding, bounds, side and occlusion
@@ -55,8 +55,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import _at_least, _dir_angles, _real, _record, _unit3, as_points, unit
-from .paths import C_LIGHT, PwaPath, ReferencePair, RmImage, _mirrored
+from .geometry import _at_least, _complex, _dir_angles, _real, _record, _unit3, as_points, unit
+from .paths import _DELAY_MESSAGE, _GAIN_MESSAGE, _MAX_DELAY, C_LIGHT, PwaPath, ReferencePair
+from .paths import RmImage, _delay, _mirrored
 
 __all__ = [
     "MAX_BOUNCES",
@@ -259,12 +260,17 @@ class Route:
 @dataclass(frozen=True, eq=False, slots=True)
 class TracedPath:
     """A traced route with its complex gain and absolute delay, length / c,
-    and the scene trace_paths traced it in (None for routes from exports)."""
+    and the scene trace_paths traced it in (None for routes from exports).
+    Construction checks gain and delay as PwaPath does; trace_paths skips it."""
 
     route: Route
     gain: complex
     delay: float
     scene: Scene | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gain", _complex(self.gain, _GAIN_MESSAGE))
+        object.__setattr__(self, "delay", _delay(self.delay))
 
     @property
     def bounces(self) -> int:
@@ -715,7 +721,7 @@ def trace_paths(
     for seq, vertices, _, length in _kept(accepted, _FLOAT_OPS):
         route = _record(Route, vertices, seq)
         gain = _gain(scene, length, len(seq), _FLOAT_OPS)
-        paths.append(TracedPath(route=route, gain=gain, delay=length / C_LIGHT, scene=scene))
+        paths.append(_record(TracedPath, route, gain, length / C_LIGHT, scene))
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))
     return paths
 
@@ -914,11 +920,6 @@ def to_pwa(path: TracedPath, ref: ReferencePair) -> PwaPath:
     aod_az, aod_el = _dir_angles(*_unit3(verts[1] - verts[0]))
     x, y, z = _unit3(verts[-1] - verts[-2])
     aoa_az, aoa_el = _dir_angles(-x, -y, -z)
-    return PwaPath(
-        gain=path.gain,
-        delay=path.delay,
-        aoa_az=aoa_az,
-        aoa_el=aoa_el,
-        aod_az=aod_az,
-        aod_el=aod_el,
-    )
+    if not path.delay < _MAX_DELAY:  # a traced length may pass it
+        raise ValueError(_DELAY_MESSAGE + repr(path.delay))
+    return _record(PwaPath, path.gain, path.delay, aoa_az, aoa_el, aod_az, aod_el)

@@ -26,6 +26,9 @@ package evaluates only the image that paths.angles_to_image derives.
 The phasor kernel's oracle, phasor_sum_expression, is the sum written as one
 numpy expression per path, which allocates each temporary afresh; the
 package builds each term in one buffer and must give the same bytes.
+
+BAD_REALS are the seven values that no real or complex argument takes, by
+geometry._real's and geometry._complex's rule, with their test ids.
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ from reflectmimo import (
     z_reflection,
 )
 from reflectmimo.geometry import _dir_angles, _euler_factor
+
+# A bool is no number, a string neither, and an int past the float range is
+# as infinite as inf.
+BAD_REALS = dict(
+    zip(
+        ["True", "np.True_", "str", "10**400", "nan", "inf", "-inf"],
+        [True, np.True_, "1.0", 10**400, math.nan, math.inf, -math.inf],
+    )
+)
 
 # The tracer's slack: an interaction point must lie strictly inside its
 # segment, more than _SLACK of the segment parameter from either end, and

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -728,6 +729,21 @@ def test_band_sample_count_must_be_an_integer(evaluator, n_freq):
     at = evaluator(txa, rxa, "pwa", F0, paths=paths, ref=ref)
     with pytest.raises(ValueError, match=f"need at least one frequency sample, got {n_freq}"):
         list(at.band(1e9, n_freq))
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+@pytest.mark.parametrize("evaluator", [channel_evaluator, plane_wave_core])
+def test_band_stays_above_zero_hz(evaluator, factor):
+    # a band of 3 f0 yielded matrices at 0, f0 and 2 f0; one of 2 f0 reaches 0 Hz
+    paths, _, ref = fitted_paths(empty_scene(), np.zeros(3), np.array([20.0, 0.0, 0.0]))
+    txa = upa(2, 2, 0.01, center=ref.tx_ref)
+    rxa = upa(2, 2, 0.01, center=ref.rx_ref)
+    at = evaluator(txa, rxa, "pwa", F0, paths=paths, ref=ref)
+    message = f"bandwidth must be positive and under twice f0 = {F0!r} Hz, got {factor * F0!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        list(at.band(factor * F0, 3))
+    band = list(at.band(np.nextafter(2 * F0, 0.0), 3))
+    assert len(band) == 3 and all(np.isfinite(h).all() for h in band)
 
 
 @pytest.mark.parametrize("evaluator", [channel_evaluator, plane_wave_core])

@@ -275,6 +275,9 @@ class TestDisplacementExperiment:
             (dict(bandwidth=-1e9), "bandwidth"),
             (dict(bandwidth=math.nan), "bandwidth"),
             (dict(bandwidth=math.inf), "bandwidth"),
+            # a band of 3 f0 drew frequencies down to -0.45 f0
+            (dict(bandwidth=2 * F0), "under twice f0 = 140000000000.0 Hz, got 280000000000.0$"),
+            (dict(bandwidth=3 * F0), "under twice f0 = 140000000000.0 Hz, got 420000000000.0$"),
         ],
     )
     def test_rejects_bad_arguments_before_tracing(self, kwargs, message):
@@ -284,6 +287,13 @@ class TestDisplacementExperiment:
         with pytest.raises(ValueError, match=message):
             displacement_experiment(scene, ref, spec, **kwargs)
 
+
+    def test_a_band_just_under_twice_f0_stays_above_zero_hz(self):
+        scene, ref = empty_los(10.0)
+        spec = DisplacementSpec(distances=(0.01, 0.02), directions_per_distance=1)
+        bandwidth = np.nextafter(2 * F0, 0.0)
+        result = displacement_experiment(scene, ref, spec, bandwidth, 50, ("pwa",), 0)
+        assert all(0.0 < r.frequency < 2 * F0 and math.isfinite(r.epsilon) for r in result)
 
     @pytest.mark.parametrize("n_freq", BAD_COUNTS)
     def test_rejects_n_freq_not_a_positive_integer_before_tracing(self, monkeypatch, n_freq):

@@ -159,7 +159,7 @@ NON_FINITE_SETTINGS = {
     ),
     "displacement bandwidth_hz": (
         lambda x: displacement_experiment(ground_scene(), ReferencePair(TX, RX), bandwidth=x),
-        "bandwidth must be positive and finite, got ",
+        "bandwidth must be positive and under twice f0 = 140000000000.0 Hz, got ",
     ),
     "rotations_deg": (
         lambda x: capacity_sweep(ground_scene(), ReferencePair(TX, RX), [0.0, x], LinkBudget()),
@@ -717,6 +717,24 @@ class TestCli:
             # each printed median is the CSV's median to three digits
             for model, cell in zip(header.split()[1:], cells[1:]):
                 assert float(cell) == float(f"{np.median(by_model[model]):.2e}")
+
+    def test_capacity_band_must_stay_above_zero_hz(self, scene_file, tmp_path, capsys):
+        # a band of 3 f0 summed rates down to 0 Hz
+        config = tmp_path / "cap.json"
+        config.write_text(json.dumps({
+            "tx_ref": [0.0, 0.0, 1.0], "rx_ref": [4.0, 0.0, 1.0], "rotations_deg": [0.0],
+            "rows": 2, "cols": 2, "models": ["constant"], "max_bounces": 1,
+            "bandwidth_hz": 3 * F0,
+        }))
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "experiment", "capacity", "--scene", scene_file,
+            "--config", str(config), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bandwidth must be positive and under twice f0 = {F0!r} Hz, got {3 * F0!r}\n"
+        )
+        assert not out.exists()
 
     def test_capacity_prints_the_deviations_of_its_csv(self, scene_file, tmp_path, capsys):
         config = tmp_path / "cap.json"

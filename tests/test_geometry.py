@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from reflectmimo import (
     RateModel,
     ReferencePair,
     RmImage,
+    RmPath,
     Route,
     Scene,
+    TracedPath,
     channel_evaluator,
     displacement_experiment,
     make_facet,
+    mimo_from_traced_pairs,
     mimo_matrix,
     plane_wave_core,
     rayleigh_distance,
@@ -32,7 +36,9 @@ from reflectmimo import (
     wrap_angle,
     z_reflection,
 )
+from reflectmimo.fileio import PathExport
 from reflectmimo.geometry import _dir_angles, _euler_factor
+from scenelib import BAD_REALS
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)
 unit_vecs = st.builds(
@@ -101,9 +107,23 @@ LOS = {
     "ref": ReferencePair(TX, RX),
 }
 
-# real argument that no file sets -> (call with x for it, the message of
-# geometry._real up to the value); files reach the others, see
-# tests/test_fileio_cli.py::NON_FINITE_SETTINGS
+# the fields of a path record, valid, in order: PwaPath's, then RmPath's roll and s
+PATH_FIELDS = (1.0 + 0j, 4.0 / C_LIGHT, math.pi, 0.0, 0.0, 0.0, 0.5, 1)
+LOS_ROUTE = Route(vertices=np.array([TX, RX]))
+# one pair's traced gains and delays, as trace_array_pairs gives them
+PAIR_PARAMS = [[(np.array([1.0 + 0j]), np.array([4.0 / C_LIGHT]))]]
+DELAY_MESSAGE = "path delay must be positive and under 3.34e+141 s, got "
+
+
+def path_field(cls, index):
+    """cls(...) with PATH_FIELDS[index] replaced by x, as a function of x."""
+    return lambda x: cls(*PATH_FIELDS[:index], x, *PATH_FIELDS[index + 1 : len(fields(cls))])
+
+
+# real or complex argument -> (call with x for it, the message of geometry._real
+# or geometry._complex up to the value); a file's numbers pass fileio._number
+# first, see tests/test_fileio_cli.py::NON_FINITE_SETTINGS. A gain takes all
+# seven values: none is a finite complex.
 API_REALS = {
     "azimuth_rotation": (
         lambda x: upa(2, 2, 0.1, TX, azimuth_rotation=x), "azimuth_rotation must be finite, got "
@@ -131,20 +151,39 @@ API_REALS = {
     ),
     "channel_evaluator band": (
         lambda x: next(channel_evaluator(TX[None], RX[None], "pwa", 28e9, **LOS).band(x, 2)),
-        "bandwidth must be positive, got ",
+        "bandwidth must be positive and under twice f0 = 28000000000.0 Hz, got ",
     ),
     "plane_wave_core band": (
         lambda x: plane_wave_core(TX[None], RX[None], "pwa", 28e9, **LOS).band(x, 2),
-        "bandwidth must be positive, got ",
+        "bandwidth must be positive and under twice f0 = 28000000000.0 Hz, got ",
     ),
+    "mimo_from_traced_pairs f": (
+        lambda x: mimo_from_traced_pairs(PAIR_PARAMS, x, 28e9),
+        "frequency f must be positive, got ",
+    ),
+    "mimo_from_traced_pairs f0": (
+        lambda x: mimo_from_traced_pairs(PAIR_PARAMS, 28e9, x),
+        "reference frequency f0 must be positive, got ",
+    ),
+    "PathExport f0_hz": (
+        lambda x: PathExport(TX, RX, x, ()),
+        "reference frequency f0_hz must be positive, got ",
+    ),
+    "PwaPath gain": (path_field(PwaPath, 0), "path gain must be finite, got "),
+    "PwaPath delay": (path_field(PwaPath, 1), DELAY_MESSAGE),
+    **{
+        f"PwaPath {name}": (path_field(PwaPath, k), f"path {name} must be finite, got ")
+        for k, name in enumerate(("aoa_az", "aoa_el", "aod_az", "aod_el"), start=2)
+    },
+    "RmPath roll": (path_field(RmPath, 6), "path roll must be finite, got "),
+    "TracedPath gain": (
+        lambda x: TracedPath(LOS_ROUTE, x, 4.0 / C_LIGHT), "path gain must be finite, got "
+    ),
+    "TracedPath delay": (lambda x: TracedPath(LOS_ROUTE, 1.0 + 0j, x), DELAY_MESSAGE),
 }
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [True, np.True_, "1.0", 10**400, math.nan, math.inf, -math.inf],
-    ids=["True", "np.True_", "str", "10**400", "nan", "inf", "-inf"],
-)
+@pytest.mark.parametrize("bad", BAD_REALS.values(), ids=BAD_REALS.keys())
 @pytest.mark.parametrize("argument", API_REALS)
 def test_a_real_is_a_finite_number_not_a_bool(argument, bad):
     # upa(2, 2, 0.1, TX, azimuth_rotation=True) turned the array by 1 rad,
@@ -226,10 +265,16 @@ class TestZReflection:
     def test_involution(self):
         assert z_reflection(-1) @ z_reflection(-1) == pytest.approx(np.eye(3))
 
-    @pytest.mark.parametrize("bad", [0, 2, -2])
+    @pytest.mark.parametrize("bad", [0, 2, -2, True, np.True_, 1.0, np.float64(-1.0), "1"])
     def test_rejects_non_sign(self, bad):
-        with pytest.raises(ValueError):
+        # True and 1.0 equal 1, and returned the identity
+        message = re.escape(f"reflection parity must be -1 or +1, got {bad!r}") + "$"
+        with pytest.raises(ValueError, match=message):
             z_reflection(bad)
+
+    @pytest.mark.parametrize("s", [1, -1, np.int64(-1)])
+    def test_takes_an_integer_sign(self, s):
+        assert z_reflection(s) @ np.array([1.0, 2.0, 3.0]) == pytest.approx([1.0, 2.0, 3.0 * s])
 
 
 class TestHouseholder:

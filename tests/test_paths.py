@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,11 +65,12 @@ class TestTypes:
             )
 
     @pytest.mark.parametrize(
-        "s", [True, False, np.True_, 1.0, -1.0, np.float64(1.0), 1 + 0j, "1"]
+        "s", [True, False, np.True_, 1.0, -1.0, np.float64(1.0), 1 + 0j, "1", 0, 2, -2]
     )
     def test_rm_path_s_must_be_an_integer(self, s):
         # a bool or a float equal to +-1 used to be stored as given
-        with pytest.raises(ValueError, match="mirror parity s must be -1 or \\+1"):
+        message = re.escape(f"mirror parity s must be -1 or +1, got {s!r}") + "$"
+        with pytest.raises(ValueError, match=message):
             RmPath(
                 gain=1.0, delay=1e-7, aoa_az=0, aoa_el=0, aod_az=0, aod_el=0,
                 roll=0.0, s=s,

@@ -3,37 +3,53 @@ holds its fields in slots, with no instance dict, and still pickles,
 deep-copies, goes through dataclasses.replace and converts with
 dataclasses.asdict. vars() does not take them; fields() and asdict() do.
 
-The tracers build their own Routes and facet images with geometry._record,
-without the re-checks of public construction. Each must equal its public
-twin, Route(vertices, facet_ids) and RmImage.from_planes of the facets'
-planes: the same fields, each array with the same bytes, dtype, shape and
-strides, held the same way. The garbage collector's referents of a slotted
+The pipeline builds its own records with geometry._record, without the
+re-checks of public construction: the tracers their Routes, TracedPaths
+and facet images, to_pwa, fit_rm_rt and fit_rm_dp their paths. Each must
+equal its public twin, the record its constructor makes of the same field
+values, or RmImage.from_planes of the facets' planes: the same fields, each
+array with the same bytes, dtype, shape and strides and each number of the
+same type, held the same way. The garbage collector's referents of a slotted
 record are the values its slots hold, so a field left unset shows there.
+
+Public construction checks every field annotated float, complex or
+float | None of every record the package exports, found here from the
+annotations: each of BAD_REALS raises a ValueError there.
 """
 
 import copy
 import gc
 import pickle
 from dataclasses import asdict, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import reflectmimo
 from reflectmimo import (
+    C_LIGHT,
+    Facet,
     GammaSolution,
+    LinkBudget,
     PairObservation,
     PwaPath,
+    RateModel,
     ReferencePair,
     RmImage,
     RmPath,
     Route,
+    Scene,
     TracedPath,
+    fit_rm_dp,
     fit_rm_rt,
+    make_facet,
     to_pwa,
     trace_paths,
     trace_sequence,
 )
-from scenelib import random_scene, rich_room
+from reflectmimo import fileio
+from scenelib import BAD_REALS, observe, random_scene, rich_room
 
 
 def assert_same(got, want):
@@ -69,6 +85,11 @@ def assert_same_record(got, want):
     assert_same(got, want)
 
 
+def twin(record):
+    """The record its public constructor makes of record's field values."""
+    return type(record)(*[getattr(record, f.name) for f in fields(record)])
+
+
 def scenes():
     for seed in range(6):
         yield pytest.param(*rich_room(np.random.default_rng(seed)), 3, id=f"rich_room-{seed}")
@@ -84,6 +105,8 @@ def test_traced_records_equal_their_public_twins(scene, ref, bounces):
     for p in paths:
         ids = p.route.facet_ids
         assert_same_record(p.route, Route(p.route.vertices, ids))
+        for record in (p, to_pwa(p, ref), fit_rm_rt(p, ref)):
+            assert_same_record(record, twin(record))
         planes = [(scene.facets[i].normal, scene.facets[i].intercept) for i in ids]
         assert_same_record(p.image, RmImage.from_planes(planes))
         # numpy integer indices come back as ints, as Route makes them
@@ -91,6 +114,66 @@ def test_traced_records_equal_their_public_twins(scene, ref, bounces):
             route = trace_sequence(scene, sequence, ref.tx_ref, ref.rx_ref)
             assert_same_record(route, Route(route.vertices, ids))
             assert route.vertices.tobytes() == p.route.vertices.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_displaced_pair_fit_equals_its_public_twins(seed):
+    scene, ref = rich_room(np.random.default_rng(seed))
+    reference, _ = observe(scene, ref.tx_ref, ref.rx_ref)
+    # two displaced pairs a few millimetres off the reference
+    displaced = [
+        observe(scene, ref.tx_ref + offset, ref.rx_ref - offset)[0]
+        for offset in (np.array([0.004, 0.0, 0.0]), np.array([0.0, 0.003, 0.002]))
+    ]
+    fitted = fit_rm_dp(reference, displaced, ref)
+    assert fitted
+    for path in fitted:
+        assert_same_record(path, twin(path))
+
+
+# computed results the package returns, not arguments: no constructor checks them
+RESULTS = ("SweepCell", "GammaSolution", "ErrorRecord")
+TX, RX = np.array([0.0, 0.0, 1.0]), np.array([4.0, 0.0, 1.0])
+# one valid instance of each public record with a real or complex field
+VALID = {
+    LinkBudget: LinkBudget(),
+    RateModel: RateModel(),
+    PwaPath: PwaPath(1.0 + 0j, 1e-8, 0.1, 0.2, 0.3, 0.4),
+    RmPath: RmPath(1.0 + 0j, 1e-8, 0.1, 0.2, 0.3, 0.4, 0.5, -1),
+    Facet: make_facet((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), half_u=1.0, half_v=2.0),
+    Scene: Scene(facets=(), carrier_freq=28e9),
+    TracedPath: TracedPath(Route(np.array([TX, RX])), 1.0 + 0j, 4.0 / C_LIGHT),
+    fileio.PathExport: fileio.PathExport(TX, RX, 28e9, ()),
+}
+
+
+def real_fields():
+    """(record class, field) for every field set at construction and annotated
+    float, complex or float | None of every dataclass exported by the package
+    or fileio, RESULTS apart."""
+    for module in (reflectmimo, fileio):
+        for name in module.__all__:
+            cls = getattr(module, name)
+            if not (isinstance(cls, type) and is_dataclass(cls)) or name in RESULTS:
+                continue
+            hints = get_type_hints(cls)
+            for f in fields(cls):
+                if f.init and hints[f.name] in (float, complex, float | None):
+                    yield pytest.param(cls, f.name, id=f"{name}.{f.name}")
+
+
+@pytest.mark.parametrize("bad", BAD_REALS.values(), ids=BAD_REALS.keys())
+@pytest.mark.parametrize("cls, name", real_fields())
+def test_every_real_field_of_a_public_record_is_checked(cls, name, bad):
+    # PwaPath(True, True, 0, 0, 0, 0) and TracedPath(route, "x", nan) constructed
+    assert cls in VALID, f"{cls.__name__} has a real field and no valid instance here"
+    with pytest.raises(ValueError):
+        replace(VALID[cls], **{name: bad})
+
+
+def test_every_record_with_a_real_field_is_found():
+    found = {param.values[0] for param in real_fields()}
+    assert found == set(VALID)
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from reflectmimo import (
     Route,
     Scene,
     TracedPath,
+    fit_rm_rt,
     make_facet,
     route_length,
     spherical_dir,
@@ -1160,6 +1161,18 @@ class TestToPwa:
                 assert np.array(got).tobytes() == np.array(want).tobytes()
                 compared += 1
         assert compared >= 8
+
+    @pytest.mark.parametrize("fit", [to_pwa, fit_rm_rt])
+    def test_a_traced_delay_past_reach_rejected(self, fit):
+        # a traced length may pass _MAX_DELAY, whose delay c * tau would put
+        # the mirror image's offset out of a point's reach: the pipeline
+        # builds its records unchecked, so to_pwa and fit_rm_rt test it
+        tx, rx = np.array([-6e149, 0.0, 0.0]), np.array([6e149, 0.0, 0.0])
+        (path,) = trace_paths(Scene(facets=(), carrier_freq=28e9), tx, rx, 1)
+        assert path.delay == pytest.approx(4.0e141, rel=1e-3)
+        message = f"path delay must be positive and under 3.34e+141 s, got {path.delay!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            fit(path, ReferencePair(tx_ref=tx, rx_ref=rx))
 
     def test_endpoint_mismatch_rejected(self):
         tx, rx = np.array([0.0, 0, 1]), np.array([10.0, 0, 1])
