@@ -32,12 +32,21 @@ through its parity values in tests/test_fileio_cli.py, in predict's
 check that --model rm reads fitted paths, through its case on a trace
 output there, in the one check of a complex number and of a path record's
 angles, through the gain and angle rows of the table of real arguments in
-tests/test_geometry.py, and in to_pwa's delay bound, through the 1.2e150 m
-line of sight in tests/test_tracer.py.
+tests/test_geometry.py, in the tracers' delay bound, through the 1.2e150 m
+line of sight in tests/test_tracer.py, in the one band rule and the
+capacity sweep's check of it before any trace, through the bands of
+tests/test_channel.py and tests/test_experiments.py, in the channel layer's
+frequency check, through the generated table of float arguments in
+tests/test_reals.py, in the band walk's rotor, through its midpoint
+matrices in tests/test_channel.py, in the displacement error's reference
+energy, through the per-sample loop in tests/test_experiments.py, in the
+route fit's delay check, through its off-image delay in
+tests/test_fit_rt.py, and in the displaced-pair fit's path matching, rank
+threshold and unit-circle rule, through tests/test_fit_dp.py.
 
 Copies src/, tests/, demo/ (the scenes some tests load), scripts/ (the demo
 generator a test runs) and pyproject.toml into a temporary directory and,
-one at a time, applies there each of thirty-nine mutants, keyed by module
+one at a time, applies there each of forty-nine mutants, keyed by module
 and top-level function or class:
 
 * tracer._walk
@@ -61,9 +70,9 @@ and top-level function or class:
 * tracer.Scene
   * carrier:   the carrier's geometry._real call replaced by float() (a
                zero or NaN carrier passes);
-* tracer.to_pwa
+* tracer._delay_of
   * bound:     the _MAX_DELAY comparison disabled (a traced delay past
-               reach makes a record);
+               reach is returned);
 * paths.angles_to_image
   * parity:    the mirror parity factor z_reflection(s) dropped,
   * roll:      the roll angle negated;
@@ -107,21 +116,40 @@ and top-level function or class:
   * order:     the rows read epsilon as (S, K, F), not (S, F, K);
 * experiments._fit_estimators
   * empty:     the check of an rm_dp fit that keeps no path disabled;
+* experiments.capacity_sweep
+  * band:      the band check before any trace dropped;
+* experiments.displacement_experiment
+  * energy:    E0 over the strongest path only;
+* channel.mimo_matrix
+  * f:         f's geometry._real call replaced by float() (True, "1.0"
+               or NaN passes);
+* channel._band
+  * twice:     the 2 f0 bound dropped (a band may reach 0 Hz);
+* channel._Evaluator
+  * rotor:     the band rotor's step scaled by 1 + 1e-9;
 * channel.phasor_sum
   * reference: the tau f0 reference phase dropped,
   * sum:       the paths after the first not added to the total;
 * fit_dp._roll_equation
   * sign:      the s = -1 row negated;
 * fit_dp.solve_gamma_s
-  * tie:       a tie tolerance of 1e-2 of tie_scale in place of 1e-6.
+  * tie:       a tie tolerance of 1e-2 of tie_scale in place of 1e-6,
+  * circle:    the unit-circle tie-break inverted;
+* fit_dp._fit_roll
+  * rank:      a rank threshold of 1e-6 in place of 1e-12;
+* fit_dp.match_paths
+  * elevation: the elevation gaps dropped from the matching cost,
+  * wrap:      the azimuth gaps not wrapped;
+* fit_rt.fit_rm_rt
+  * delay:     an image-distance tolerance of 1e-3 in place of 1e-9.
 
 For the unmutated copy it runs the full list
 
-    pytest tests/test_points.py tests/test_file_keys.py tests/test_records.py \
-        tests/test_paths.py tests/test_tracer.py tests/test_acceptance.py \
-        tests/test_capacity.py tests/test_fit_rt.py tests/test_experiments.py \
-        tests/test_fit_dp.py tests/test_channel.py tests/test_geometry.py \
-        tests/test_fileio_cli.py -q -x
+    pytest tests/test_points.py tests/test_reals.py tests/test_file_keys.py \
+        tests/test_records.py tests/test_paths.py tests/test_tracer.py \
+        tests/test_acceptance.py tests/test_capacity.py tests/test_fit_rt.py \
+        tests/test_experiments.py tests/test_fit_dp.py tests/test_channel.py \
+        tests/test_geometry.py tests/test_fileio_cli.py -q -x
 
 against the copy, which must pass. Each mutant names the file of that list
 that catches it, and runs that file alone with -x first: a failed test
@@ -150,6 +178,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_points.py",
+    "tests/test_reals.py",
     "tests/test_file_keys.py",
     "tests/test_records.py",
     "tests/test_paths.py",
@@ -167,6 +196,7 @@ TESTS = [
 # (module, function or class) -> {name: (text in it, replacement, occurrences,
 # the test file that catches the mutant)}
 TRACER, PATHS, KEYS = "tests/test_tracer.py", "tests/test_paths.py", "tests/test_file_keys.py"
+REALS = "tests/test_reals.py"
 CAPACITY, ACCEPTANCE = "tests/test_capacity.py", "tests/test_acceptance.py"
 MUTANTS = {
     ("tracer", "_walk"): {
@@ -204,8 +234,8 @@ MUTANTS = {
             TRACER,
         ),
     },
-    ("tracer", "to_pwa"): {
-        "bound": ("if not path.delay < _MAX_DELAY:", "if False:", 1, TRACER),
+    ("tracer", "_delay_of"): {
+        "bound": ("if ops.any(delay >= _MAX_DELAY):", "if False:", 1, TRACER),
     },
     ("paths", "angles_to_image"): {
         "parity": ("mirror = z_reflection(path.s) @ ", "mirror = ", 1, PATHS),
@@ -288,6 +318,28 @@ MUTANTS = {
     ("experiments", "_fit_estimators"): {
         "empty": ('if not fitted["rm_dp"]:', "if False:", 1, "tests/test_experiments.py"),
     },
+    ("experiments", "capacity_sweep"): {
+        "band": ("_band(f0, budget.bandwidth_hz)", "None", 1, "tests/test_experiments.py"),
+    },
+    ("experiments", "displacement_experiment"): {
+        "energy": (
+            "energy0 = sum(abs(p.gain) ** 2 for p in traced0)",
+            "energy0 = max(abs(p.gain) ** 2 for p in traced0)",
+            1,
+            "tests/test_experiments.py",
+        ),
+    },
+    ("channel", "mimo_matrix"): {
+        "f": ("f = _real(f, _F_MESSAGE, above=0.0)", "f = float(f)", 1, REALS),
+    },
+    ("channel", "_band"): {
+        "twice": ("below=2.0 * f0", "below=math.inf", 1, "tests/test_channel.py"),
+    },
+    ("channel", "_Evaluator"): {
+        "rotor": (
+            "[d], step, self.f0)", "[d], step * (1 + 1e-9), self.f0)", 1, "tests/test_channel.py"
+        ),
+    },
     ("channel", "phasor_sum"): {
         "reference": (
             "np.subtract(tau * f0, phase,", "np.subtract(0.0, phase,", 1, ACCEPTANCE
@@ -306,6 +358,28 @@ MUTANTS = {
     },
     ("fit_dp", "solve_gamma_s"): {
         "tie": ("> 1e-6 * tie_scale", "> 1e-2 * tie_scale", 1, "tests/test_fit_dp.py"),
+        "circle": (
+            "if circle_pos < circle_neg", "if circle_pos > circle_neg", 1, "tests/test_fit_dp.py"
+        ),
+    },
+    ("fit_dp", "_fit_roll"): {
+        "rank": (
+            "det <= 1e-12 * sigma_max_sq", "det <= 1e-6 * sigma_max_sq", 1, "tests/test_fit_dp.py"
+        ),
+    },
+    ("fit_dp", "match_paths"): {
+        "elevation": ("_DEG_PER_RAD * abs(ref.ao", "0.0 * abs(ref.ao", 2, "tests/test_fit_dp.py"),
+        "wrap": (
+            "remainder, turn = math.remainder,",
+            "remainder, turn = lambda x, _: x,",
+            1,
+            "tests/test_fit_dp.py",
+        ),
+    },
+    ("fit_rt", "fit_rm_rt"): {
+        "delay": (
+            "> 1e-9 * max(1.0, C_LIGHT", "> 1e-3 * max(1.0, C_LIGHT", 1, "tests/test_fit_rt.py"
+        ),
     },
 }
 

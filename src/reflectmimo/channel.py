@@ -245,12 +245,16 @@ def mimo_matrix(
     )(f)
 
 
+def _band(f0: float, bandwidth) -> float:
+    """bandwidth by _real's rule, in (0, 2 f0): a band around f0 stays above 0 Hz."""
+    message = f"bandwidth must be positive and under twice f0 = {f0!r} Hz, got "
+    return _real(bandwidth, message, above=0.0, below=2.0 * f0)
+
+
 def _midpoint_grid(f0: float, bandwidth: float, n_freq: int) -> tuple[float, float, int]:
     """First frequency, step and count of the midpoints f0 - bandwidth/2 + (k + 1/2)
-    step, step = bandwidth/n_freq, k = 0..n_freq-1, of the band's sub-bands. A
-    bandwidth under 2 f0 keeps them above 0 Hz."""
-    message = f"bandwidth must be positive and under twice f0 = {f0!r} Hz, got "
-    bandwidth = _real(bandwidth, message, above=0.0, below=2.0 * f0)
+    step, step = bandwidth/n_freq, k = 0..n_freq-1, of the band's sub-bands (_band)."""
+    bandwidth = _band(f0, bandwidth)
     n_freq = _at_least(n_freq, 1, "need at least one frequency sample")
     step = bandwidth / n_freq
     return f0 - bandwidth / 2.0 + 0.5 * step, step, n_freq

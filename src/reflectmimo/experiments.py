@@ -26,7 +26,7 @@ from .capacity import (
     singular_values,
     stream_rates,
 )
-from .channel import PLANE_WAVE_MODELS, channel_evaluator, path_distances, phasor_sum
+from .channel import PLANE_WAVE_MODELS, _band, channel_evaluator, path_distances, phasor_sum
 from .channel import plane_wave_core, upa
 from .fit_dp import PairObservation, fit_rm_dp
 from .fit_rt import fit_rm_rt
@@ -239,8 +239,7 @@ def displacement_experiment(
     n_freq = _at_least(n_freq, 1, "n_freq must be a positive integer")
     _check_models(models, ESTIMATORS)
     f0 = scene.carrier_freq
-    message = f"bandwidth must be positive and under twice f0 = {f0!r} Hz, got "
-    bandwidth = _real(bandwidth, message, above=0.0, below=2.0 * f0)
+    bandwidth = _band(f0, bandwidth)
     rng = np.random.default_rng(spec.rng_seed)
     dp_distances = spec.distances[:2]
     traced0, fitted = _fit_estimators(scene, ref, models, dp_distances, rng, max_bounces)
@@ -314,6 +313,7 @@ def capacity_sweep(
     if "rm_dp" in models and len(dp_distances) < 2:
         raise ValueError("rm_dp needs at least two dp_distances")
     f0 = scene.carrier_freq
+    _band(f0, budget.bandwidth_hz)  # before any trace; each band call checks it again
     rng = np.random.default_rng(rng_seed)
 
     sep = ref.tx_ref - ref.rx_ref

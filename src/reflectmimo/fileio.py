@@ -25,7 +25,7 @@ import numpy as np
 
 from .experiments import ErrorRecord, SweepCell
 from .fit_dp import PairObservation
-from .geometry import _real
+from .geometry import _real, as_points
 from .paths import C_LIGHT, PwaPath, ReferencePair, RmPath
 from .tracer import Facet, Route, Scene, TracedPath, route_length
 
@@ -185,6 +185,8 @@ class PathExport:
     def __post_init__(self) -> None:
         f0 = _real(self.f0_hz, "reference frequency f0_hz must be positive, got ", above=0.0)
         object.__setattr__(self, "f0_hz", f0)
+        for name in ("tx", "rx"):
+            object.__setattr__(self, name, as_points(getattr(self, name), name, 1))
 
     @property
     def reference(self) -> ReferencePair:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import _record
-from .paths import _DELAY_MESSAGE, _MAX_DELAY, C_LIGHT, ReferencePair, RmImage, RmPath
+from .paths import C_LIGHT, ReferencePair, RmImage, RmPath
 from .paths import _image_angles
 from .tracer import Route, TracedPath
 
@@ -68,6 +68,4 @@ def fit_rm_rt(path: TracedPath, ref: ReferencePair) -> RmPath:
     dist, angles = _image_angles(img, ref)
     if abs(dist / C_LIGHT - path.delay) * C_LIGHT > 1e-9 * max(1.0, C_LIGHT * path.delay):
         raise ValueError("image distance disagrees with the traced path length")
-    if not path.delay < _MAX_DELAY:  # a traced length may pass it
-        raise ValueError(_DELAY_MESSAGE + repr(path.delay))
     return _record(RmPath, path.gain, path.delay, *angles)

@@ -47,7 +47,7 @@ _GAIN_MESSAGE = "path gain must be finite, got "
 
 
 def _delay(value) -> float:
-    """value as a float by _real's rule, in (0, _MAX_DELAY), which a traced length may pass."""
+    """value as a float by _real's rule, in (0, _MAX_DELAY)."""
     return _real(value, _DELAY_MESSAGE, above=0.0, below=_MAX_DELAY)
 
 

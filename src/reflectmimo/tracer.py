@@ -592,6 +592,15 @@ def _gain(scene: Scene, length, bounces: int, ops: _Ops):
     return ops.rect(amp, phase)
 
 
+def _delay_of(length, ops: _Ops):
+    """length / C_LIGHT, each route's delay, if under _MAX_DELAY (paths._delay's bound
+    and message): a route between points within reach may be longer than the reach."""
+    delay = length / C_LIGHT
+    if ops.any(delay >= _MAX_DELAY):
+        raise ValueError(_DELAY_MESSAGE + repr(float(np.max(delay))))
+    return delay
+
+
 def trace_sequence(
     scene: Scene,
     sequence: tuple[int, ...],
@@ -721,7 +730,7 @@ def trace_paths(
     for seq, vertices, _, length in _kept(accepted, _FLOAT_OPS):
         route = _record(Route, vertices, seq)
         gain = _gain(scene, length, len(seq), _FLOAT_OPS)
-        paths.append(_record(TracedPath, route, gain, length / C_LIGHT, scene))
+        paths.append(_record(TracedPath, route, gain, _delay_of(length, _FLOAT_OPS), scene))
     paths.sort(key=lambda p: (-abs(p.gain), p.delay))
     return paths
 
@@ -892,7 +901,7 @@ def trace_pairs(
         gains[valid] = phasors
         del phasors
         delays = np.zeros(valid.shape)
-        delays[valid] = length[valid] / C_LIGHT
+        delays[valid] = _delay_of(length[valid], _ARRAY_OPS)
         traced.append((seq, gains, delays))
     return traced
 
@@ -920,6 +929,4 @@ def to_pwa(path: TracedPath, ref: ReferencePair) -> PwaPath:
     aod_az, aod_el = _dir_angles(*_unit3(verts[1] - verts[0]))
     x, y, z = _unit3(verts[-1] - verts[-2])
     aoa_az, aoa_el = _dir_angles(-x, -y, -z)
-    if not path.delay < _MAX_DELAY:  # a traced length may pass it
-        raise ValueError(_DELAY_MESSAGE + repr(path.delay))
     return _record(PwaPath, path.gain, path.delay, aoa_az, aoa_el, aod_az, aod_el)

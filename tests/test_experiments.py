@@ -7,6 +7,7 @@ import functools
 import io
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -757,6 +758,22 @@ class TestCapacitySweep:
             capacity_sweep(scene, ref, [0.0], LinkBudget(), n_freq=n_freq, **kwargs)
         assert calls == []
         capacity_sweep(scene, ref, [0.0], LinkBudget(), n_freq=np.int64(1), **kwargs)
+        assert calls
+
+    @pytest.mark.parametrize("bandwidth", [2 * F0, 3 * F0])
+    @pytest.mark.parametrize("models", [("exhaustive",), ("pwa", "rm_dp")])
+    def test_rejects_a_band_of_twice_f0_before_tracing(self, monkeypatch, models, bandwidth):
+        # the first band call refused it, after the reference pair and the
+        # displaced pairs, or the exhaustive channel's pairs, were traced
+        calls = count_traces(monkeypatch)
+        scene, ref = corridor_scene(100.0)
+        kwargs = dict(rows=2, cols=2, models=models, n_freq=1, max_bounces=1)
+        message = f"bandwidth must be positive and under twice f0 = {F0!r} Hz, got {bandwidth!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            capacity_sweep(scene, ref, [0.0], LinkBudget(bandwidth_hz=bandwidth), **kwargs)
+        assert calls == []
+        under = LinkBudget(bandwidth_hz=np.nextafter(2 * F0, 0.0))
+        capacity_sweep(scene, ref, [0.0], under, **kwargs)
         assert calls
 
     @pytest.mark.parametrize("rng_seed", BAD_SEEDS)

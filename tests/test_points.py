@@ -8,7 +8,9 @@ non-finite, finite past that reach, or misshapen, and expects a ValueError
 that names the argument. Before the rule was shared, several entries let a
 NaN through: a NaN element position gave NaN channel entries, a NaN
 displaced pair made fit_rm_dp drop every path, and a NaN route vertex or
-mirror offset was stored as given. Before it had a reach, a model file
+mirror offset was stored as given. So was PathExport's pair, which could
+save a NaN point into a file that load_paths refuses. Before it had a
+reach, a model file
 whose reference receiver sat at 1e308 m predicted a NaN channel: its
 squared distances overflowed.
 """
@@ -42,6 +44,7 @@ from reflectmimo import (
     trace_sequence,
     upa,
 )
+from reflectmimo.fileio import PathExport
 
 F0 = 28e9
 EX, EY, EZ = np.eye(3)
@@ -62,6 +65,7 @@ ENTRIES = {
     "PairObservation": (
         PairObservation, dict(tx=TX, rx=RX, paths=(PWA,)), {"tx": 1, "rx": 1},
     ),
+    "PathExport": (PathExport, dict(tx=TX, rx=RX, f0_hz=F0, paths=()), {"tx": 1, "rx": 1}),
     "RmImage": (RmImage, dict(U=np.eye(3), g=RX - TX), {"g": 1}),
     "Route": (Route, dict(vertices=np.array([TX, [3.0, 0.5, 0.0], RX])), {"vertices": 2}),
     "Facet": (
@@ -162,6 +166,13 @@ def test_fit_rm_dp_with_a_nan_displaced_pair_raises():
     nan_tx[0] = math.nan
     with pytest.raises(ValueError, match="^tx must be finite"):
         fit_rm_dp(reference, [displaced[0], replace(displaced[1], tx=nan_tx)], REF)
+
+
+def test_path_export_holds_its_points_as_float_arrays():
+    # a list stayed a list, and a NaN point saved a file that load_paths refuses
+    export = PathExport([0, 0, 1], RX.tolist(), F0, ())
+    for got, want in ((export.tx, [0.0, 0.0, 1.0]), (export.rx, RX)):
+        assert type(got) is np.ndarray and got.dtype == float and got.tolist() == list(want)
 
 
 def test_route_needs_both_ends():

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import (
@@ -19,7 +19,6 @@ from reflectmimo import (
     Route,
     Scene,
     TracedPath,
-    fit_rm_rt,
     make_facet,
     route_length,
     spherical_dir,
@@ -1052,6 +1051,69 @@ class TestInvariances:
             assert base == pytest.approx(rot, abs=1e-9)
 
 
+def scaled(scene: Scene, ref: ReferencePair, fraction: float):
+    """scene and ref moved so that ref's midpoint lies at the origin, then
+    scaled log-uniformly in fraction: by 1e-3 at 0, and at 1 until a point,
+    a facet centre or an end of ref, lies 0.99e150 m from the origin."""
+    mid = (ref.tx_ref + ref.rx_ref) / 2.0
+    points = np.array([ref.tx_ref, ref.rx_ref, *(f.center for f in scene.facets)]) - mid
+    factor = 1e-3 ** (1.0 - fraction) * (0.99e150 / np.abs(points).max()) ** fraction
+    facets = tuple(
+        Facet(
+            (f.center - mid) * factor, f.axis_u, f.axis_v,
+            *(None if h is None else h * factor for h in (f.half_u, f.half_v)), f.two_sided,
+        )
+        for f in scene.facets
+    )
+    tx, rx = (ref.tx_ref - mid) * factor, (ref.rx_ref - mid) * factor
+    return Scene(facets, scene.carrier_freq), tx, rx
+
+
+class TestDelayBound:
+    # a route between points within reach may be longer than the reach, and
+    # its delay past _MAX_DELAY, whose c * tau would put a mirror image's
+    # offset out of reach: both tracers raise, and every record they return
+    # is one the public constructors accept
+
+    @pytest.mark.parametrize("tracer", ["trace_paths", "trace_pairs"])
+    def test_a_route_past_reach_raises(self, tracer):
+        # the 1.2e150 m line of sight: trace_paths returned a 4.0e141 s delay
+        # that TracedPath refuses, and trace_pairs returned it unchecked; its
+        # second pair, 6e149 m long, is within reach
+        scene = Scene(facets=(), carrier_freq=28e9)
+        tx, rx = np.array([-6e149, 0.0, 0.0]), np.array([6e149, 0.0, 0.0])
+        message = "path delay must be positive and under 3.34e+141 s, got 4.0027691423778244e+141"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            if tracer == "trace_paths":
+                trace_paths(scene, tx, rx, 1)
+            else:
+                trace_pairs(scene, np.array([tx, np.zeros(3)]), rx[None], 1)
+
+    @given(seed=st.integers(0, 2**16), room=st.booleans(), fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, room=True, fraction=1.0)
+    @example(seed=0, room=False, fraction=1.0)
+    def test_every_traced_path_rebuilds_through_the_public_constructors(
+        self, seed, room, fraction
+    ):
+        # at the top of the scale, routes are longer than the reach
+        rng = np.random.default_rng(seed)
+        scene, tx, rx = scaled(*(rich_room(rng) if room else random_scene(rng)), fraction)
+        bounces = 2 if room else 3
+        try:
+            paths = trace_paths(scene, tx, rx, bounces)
+        except ValueError as error:
+            assert str(error).startswith("path delay must be positive and under 3.34e+141 s")
+            with pytest.raises(ValueError, match=re.escape(str(error)) + "$"):
+                trace_pairs(scene, tx[None], rx[None], bounces)
+            return
+        for p in paths:
+            route = Route(p.route.vertices, p.route.facet_ids)
+            TracedPath(route, p.gain, p.delay, p.scene)
+        delays = [d for _, _, d in trace_pairs(scene, tx[None], rx[None], bounces)]
+        assert sorted(d[0] for d in delays if d[0]) == sorted(p.delay for p in paths)
+
+
 class TestTraceSequence:
     def test_relaxed_checks_unfold_any_displacement(self):
         scene = ground_scene(half_u=1.0, half_v=1.0)
@@ -1161,18 +1223,6 @@ class TestToPwa:
                 assert np.array(got).tobytes() == np.array(want).tobytes()
                 compared += 1
         assert compared >= 8
-
-    @pytest.mark.parametrize("fit", [to_pwa, fit_rm_rt])
-    def test_a_traced_delay_past_reach_rejected(self, fit):
-        # a traced length may pass _MAX_DELAY, whose delay c * tau would put
-        # the mirror image's offset out of a point's reach: the pipeline
-        # builds its records unchecked, so to_pwa and fit_rm_rt test it
-        tx, rx = np.array([-6e149, 0.0, 0.0]), np.array([6e149, 0.0, 0.0])
-        (path,) = trace_paths(Scene(facets=(), carrier_freq=28e9), tx, rx, 1)
-        assert path.delay == pytest.approx(4.0e141, rel=1e-3)
-        message = f"path delay must be positive and under 3.34e+141 s, got {path.delay!r}"
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            fit(path, ReferencePair(tx_ref=tx, rx_ref=rx))
 
     def test_endpoint_mismatch_rejected(self):
         tx, rx = np.array([0.0, 0, 1]), np.array([10.0, 0, 1])
